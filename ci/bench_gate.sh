@@ -43,13 +43,13 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 echo "bench_gate: re-running sweeps into $tmp"
-cargo run --release -p ccrp-cli --bin ccrp-tools -- \
+cargo run --release --locked --offline -p ccrp-cli --bin ccrp-tools -- \
     sweep --experiment tables1_8 --engine trace --jobs 2 --out "$tmp"
-cargo run --release -p ccrp-cli --bin ccrp-tools -- \
+cargo run --release --locked --offline -p ccrp-cli --bin ccrp-tools -- \
     sweep --experiment fig5 --out "$tmp"
-cargo run --release -p ccrp-cli --bin ccrp-tools -- \
+cargo run --release --locked --offline -p ccrp-cli --bin ccrp-tools -- \
     sweep --codecs --jobs 2 --out "$tmp"
-cargo run --release -p ccrp-cli --bin ccrp-tools -- \
+cargo run --release --locked --offline -p ccrp-cli --bin ccrp-tools -- \
     sweep --isa-compare --jobs 2 --out "$tmp"
 
 for name in tables1_8 fig5 codecs isa_compare; do
@@ -84,9 +84,9 @@ done
 
 echo "bench_gate: trace-engine jobs independence (--jobs 1 vs --jobs 4)"
 mkdir -p "$tmp/j1" "$tmp/j4"
-cargo run --release -p ccrp-cli --bin ccrp-tools -- \
+cargo run --release --locked --offline -p ccrp-cli --bin ccrp-tools -- \
     sweep --experiment tables1_8 --engine trace --jobs 1 --out "$tmp/j1"
-cargo run --release -p ccrp-cli --bin ccrp-tools -- \
+cargo run --release --locked --offline -p ccrp-cli --bin ccrp-tools -- \
     sweep --experiment tables1_8 --engine trace --jobs 4 --out "$tmp/j4"
 diff <(grep -vE '"jobs"|"total_wall_us"|"wall_us"|"suite_build_us"' "$tmp/j1/BENCH_tables1_8.json") \
      <(grep -vE '"jobs"|"total_wall_us"|"wall_us"|"suite_build_us"' "$tmp/j4/BENCH_tables1_8.json") \
@@ -94,7 +94,7 @@ diff <(grep -vE '"jobs"|"total_wall_us"|"wall_us"|"suite_build_us"' "$tmp/j1/BEN
 echo "bench_gate: trace engine is worker-count independent"
 
 echo "bench_gate: measuring decoder speedup (gate: >= ${MIN_SPEEDUP}x)"
-cargo bench -p ccrp-bench --bench decoder_bench -- --out "$tmp/BENCH_decoder.json"
+cargo bench --locked --offline -p ccrp-bench --bench decoder_bench -- --out "$tmp/BENCH_decoder.json"
 
 python3 - "$tmp/BENCH_decoder.json" "$MIN_SPEEDUP" <<'PY'
 import json, sys
@@ -118,7 +118,7 @@ print(f"bench_gate: decoder speedup {speedup:.2f}x >= {minimum}x")
 PY
 
 echo "bench_gate: measuring trace-replay speedup (gate: >= ${MIN_SPEEDUP}x)"
-cargo bench -p ccrp-bench --bench tracereplay_bench -- --out "$tmp/BENCH_tracereplay.json"
+cargo bench --locked --offline -p ccrp-bench --bench tracereplay_bench -- --out "$tmp/BENCH_tracereplay.json"
 
 python3 - "$tmp/BENCH_tracereplay.json" "$MIN_SPEEDUP" <<'PY'
 import json, sys

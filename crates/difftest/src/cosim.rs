@@ -1,8 +1,10 @@
 //! Lockstep differential co-simulation.
 //!
 //! Runs the same [`ProgramImage`] on a plain-ROM reference machine and
-//! on compressed-ROM variants (direct image, v1 container round-trip,
-//! v2 container round-trip — one per [`DegradePolicy`]), comparing the
+//! on four compressed-ROM variants (the direct image under Abort, a v1
+//! container round-trip under Trap, a v2 container round-trip under
+//! Retry — one per [`DegradePolicy`] — and a self-trained
+//! positional-codec image in a v2 container under Abort), comparing the
 //! full architectural state after every retired instruction: PC, the 32
 //! GPRs, hi/lo, the CP1 register file and condition flag, program
 //! output, the ordered data-access log, and the memory words each

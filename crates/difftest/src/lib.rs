@@ -11,8 +11,9 @@
 //!   generator emitting valid, terminating MIPS R2000 assembly sized to
 //!   span several Line Address Table entries;
 //! * [`run_cosim`] — a lockstep co-simulator running
-//!   each program on a plain-ROM reference and on compressed variants
-//!   (direct, v1 container, v2 container — one per degradation policy),
+//!   each program on a plain-ROM reference and on four compressed
+//!   variants (direct under Abort, v1 container under Trap, v2
+//!   container under Retry, positional-codec v2 container under Abort),
 //!   comparing full architectural state after every retired
 //!   instruction and shrinking any failure to a minimal repro;
 //! * [`check_refill_invariants`] — a
