@@ -4,16 +4,18 @@
 # Four checks, the first two against the results files committed at the
 # repo root:
 #
-#   1. Reproduction: re-run the tables1_8 and fig5 sweeps (trace-replay
-#      engine, the default) plus the codec × memory-model ablation
-#      matrix (`sweep --codecs`) and the cross-ISA comparison
-#      (`sweep --isa-compare`) and require the deterministic sections
-#      of the fresh BENCH_<experiment>.json / BENCH_codecs.json /
-#      BENCH_isa_compare.json to be byte-identical to the committed
-#      files.  Only the `jobs` and `timing` keys are host-dependent;
-#      everything else (schema, experiment, cells, results — including
-#      every simulated cycle count) must reproduce exactly, on any
-#      machine, at any job count.
+#   1. Reproduction: re-run every paper sweep (fig5, tables1_8,
+#      tables9_10, fig9, tables11_13; trace-replay engine, the default)
+#      plus the codec × memory-model ablation matrix (`sweep --codecs`)
+#      and the cross-ISA comparison (`sweep --isa-compare`) and require
+#      the deterministic sections of the fresh BENCH_<experiment>.json /
+#      BENCH_codecs.json / BENCH_isa_compare.json to be byte-identical
+#      to the committed files.  Only the `jobs` and `timing` keys are
+#      host-dependent; everything else (schema, experiment, cells,
+#      results — including every simulated cycle count) must reproduce
+#      exactly, on any machine, at any job count.  Tables 9–10 (CLB
+#      sizes) and 11–13 (data-cache models) are the sweeps whose configs
+#      the sweep kernel shares refill timings between.
 #
 #   2. Decoder speedup: run the decoder_bench target and require the
 #      table-driven fast path to beat the canonical bit-walk reference
@@ -44,15 +46,13 @@ trap 'rm -rf "$tmp"' EXIT
 
 echo "bench_gate: re-running sweeps into $tmp"
 cargo run --release --locked --offline -p ccrp-cli --bin ccrp-tools -- \
-    sweep --experiment tables1_8 --engine trace --jobs 2 --out "$tmp"
-cargo run --release --locked --offline -p ccrp-cli --bin ccrp-tools -- \
-    sweep --experiment fig5 --out "$tmp"
+    sweep --experiment all --engine trace --jobs 2 --out "$tmp"
 cargo run --release --locked --offline -p ccrp-cli --bin ccrp-tools -- \
     sweep --codecs --jobs 2 --out "$tmp"
 cargo run --release --locked --offline -p ccrp-cli --bin ccrp-tools -- \
     sweep --isa-compare --jobs 2 --out "$tmp"
 
-for name in tables1_8 fig5 codecs isa_compare; do
+for name in fig5 tables1_8 tables9_10 fig9 tables11_13 codecs isa_compare; do
     python3 - "BENCH_${name}.json" "$tmp/BENCH_${name}.json" <<'PY'
 import json, sys
 

@@ -7,7 +7,7 @@
 
 use std::time::Instant;
 
-use ccrp::{CompressedImage, MemoryTiming, RefillConfig, RefillEngine};
+use ccrp::{Burst, CompressedImage, MemoryTiming, RefillConfig, RefillEngine};
 use ccrp_compress::{block, lzw, BlockAlignment, ByteCode, ByteHistogram};
 use ccrp_sim::{ICache, MemoryModel, Simulation, SystemConfig};
 use ccrp_workloads::{generate_text, CodeProfile, TracedWorkload};
@@ -84,17 +84,19 @@ fn refill_benches() {
     let code = ByteCode::preselected(&ByteHistogram::of(&text)).expect("code builds");
     let image = CompressedImage::build(0, &text, code, BlockAlignment::Word).expect("builds");
 
-    struct Burst;
-    impl MemoryTiming for Burst {
-        fn read_burst(&mut self, words: u32, now: u64, arrivals: &mut Vec<u64>) {
-            arrivals.clear();
-            arrivals.extend((0..u64::from(words)).map(|i| now + 3 + i));
+    struct BurstEprom;
+    impl MemoryTiming for BurstEprom {
+        fn read_burst(&mut self, _words: u32, now: u64) -> Burst {
+            Burst {
+                first: now + 3,
+                interval: 1,
+            }
         }
     }
 
     println!("-- refill / cache --");
     let mut engine = RefillEngine::new(RefillConfig::default()).expect("valid config");
-    let mut memory = Burst;
+    let mut memory = BurstEprom;
     let mut addr = 0u32;
     bench("refill_engine_miss", None, || {
         let outcome = engine

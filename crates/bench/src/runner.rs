@@ -11,10 +11,10 @@
 //! * [`Engine::Trace`] (the default) runs two [`parallel_map`] stages:
 //!   *(workload → trace)* captures each workload's run-compacted
 //!   [`AccessTrace`] once, then *(trace → config rows)* replays every
-//!   one of the workload's configurations from the shared trace in one
-//!   pass over per-config simulator states
-//!   ([`Simulation::replay_sweep`]) — O(workloads + configs·trace)
-//!   instead of O(workloads × configs);
+//!   one of the workload's configurations from the shared trace
+//!   ([`Simulation::replay_sweep`], which replays only the misses of
+//!   each cache size) — O(workloads + configs·misses) instead of
+//!   O(workloads × configs);
 //! * [`Engine::Reexec`] re-executes the full per-fetch trace for every
 //!   cell, one [`parallel_map`] item per cell — the pre-trace-engine
 //!   behaviour, kept as the cross-check baseline.
@@ -155,7 +155,7 @@ pub enum Engine {
     /// Re-execute the full per-fetch trace for every cell.
     Reexec,
     /// Capture each workload's [`AccessTrace`] once, then replay all of
-    /// its configurations from the shared trace in one pass.
+    /// its configurations from the shared trace, misses only.
     Trace,
 }
 
@@ -680,8 +680,8 @@ fn workload_ranges(cells: &[SimCell]) -> Vec<(&'static str, Range<usize>)> {
 
 /// The trace engine: stage one *(workload → trace)* captures each
 /// workload's [`AccessTrace`] once; stage two *(trace → config rows)*
-/// replays every cell of the workload from the shared trace — in one
-/// pass over per-config states for plain sweeps, or per cell with a
+/// replays every cell of the workload from the shared trace — through
+/// the miss-stream sweep kernel for plain sweeps, or per cell with a
 /// probe attached when metrics were requested (the replayed event
 /// stream is identical to the re-executed one, so the histograms
 /// agree). Both stages run on [`parallel_map`], and the flattened

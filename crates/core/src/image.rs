@@ -9,6 +9,7 @@ use crate::addr::{self, BYTES_PER_ENTRY, LINES_PER_ENTRY, LINE_SIZE};
 use crate::crc::crc32;
 use crate::error::CcrpError;
 use crate::lat::{LatEntry, LineAddressTable, RECORDS_PER_ENTRY};
+use crate::refill::{word_schedule, WordSchedule};
 
 /// Where a program line lives in compressed instruction memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,7 +31,9 @@ pub struct LineLocation {
 /// Blocks are packed contiguously from physical address 0 of the
 /// instruction ROM; the encoded LAT follows the last block (its location
 /// is the refill engine's LAT base register). The original text is
-/// retained for the bit-exact decoder timing model and verification.
+/// retained for verification, and the bit-exact decoder timing model
+/// reads a per-line word schedule computed from it once, when the image
+/// is built or loaded.
 ///
 /// # Examples
 ///
@@ -56,6 +59,36 @@ pub struct CompressedImage {
     original_text: Vec<u8>,
     text_base: u32,
     block_crcs: Option<Vec<u32>>,
+    /// The decoder's input schedule per line (all zero for bypassed
+    /// lines, which never reach the decoder).
+    schedules: Vec<WordSchedule>,
+}
+
+/// The program-wide line number of a located line.
+fn global_line(loc: &LineLocation) -> usize {
+    (loc.lat_index * LINES_PER_ENTRY + loc.line_in_entry) as usize
+}
+
+/// Computes every compressed line's [`WordSchedule`] from the original
+/// text, in line order.
+fn schedules(
+    codec: &dyn LineCodec,
+    lines: &[CompressedLine],
+    block_addresses: &[u32],
+    original_text: &[u8],
+) -> Vec<WordSchedule> {
+    lines
+        .iter()
+        .zip(block_addresses)
+        .zip(original_text.chunks_exact(LINE_SIZE as usize))
+        .map(|((line, &physical), original)| {
+            if line.is_bypass() {
+                [0; LINE_SIZE as usize]
+            } else {
+                word_schedule(codec, original, physical, line.stored_len() as u32)
+            }
+        })
+        .collect()
 }
 
 impl CompressedImage {
@@ -127,6 +160,7 @@ impl CompressedImage {
         let lat = LineAddressTable::new(entries);
         // The LAT sits word aligned just past the last block.
         let lat_base = (cursor + 3) & !3;
+        let schedules = schedules(codec.as_ref(), &lines, &block_addresses, &original_text);
 
         Ok(Self {
             codec,
@@ -138,6 +172,7 @@ impl CompressedImage {
             original_text,
             text_base,
             block_crcs: None,
+            schedules,
         })
     }
 
@@ -262,8 +297,7 @@ impl CompressedImage {
     /// [`CcrpError::AddressOutOfRange`] outside the program text.
     pub fn stored_line(&self, address: u32) -> Result<&CompressedLine, CcrpError> {
         let loc = self.locate(address)?;
-        let global = (loc.lat_index * LINES_PER_ENTRY + loc.line_in_entry) as usize;
-        Ok(&self.lines[global])
+        Ok(&self.lines[global_line(&loc)])
     }
 
     /// The original 32 bytes of the line covering `address`.
@@ -273,8 +307,7 @@ impl CompressedImage {
     /// [`CcrpError::AddressOutOfRange`] outside the program text.
     pub fn original_line(&self, address: u32) -> Result<&[u8], CcrpError> {
         let loc = self.locate(address)?;
-        let global = (loc.lat_index * LINES_PER_ENTRY + loc.line_in_entry) as usize;
-        let start = global * LINE_SIZE as usize;
+        let start = global_line(&loc) * LINE_SIZE as usize;
         Ok(&self.original_text[start..start + LINE_SIZE as usize])
     }
 
@@ -291,9 +324,23 @@ impl CompressedImage {
     /// images) decode failures; `out` holds the bytes expanded before a
     /// decode failure.
     pub fn expand_line_into(&self, address: u32, out: &mut [u8; 32]) -> Result<(), CcrpError> {
-        let loc = self.locate(address)?;
-        let global = (loc.lat_index * LINES_PER_ENTRY + loc.line_in_entry) as usize;
-        let stored = &self.lines[global];
+        self.expand_located_into(&self.locate(address)?, address, out)
+    }
+
+    /// [`expand_line_into`](Self::expand_line_into) for a line the
+    /// caller already located (the refill engine locates once per
+    /// refill).
+    pub(crate) fn expand_located_into(
+        &self,
+        loc: &LineLocation,
+        address: u32,
+        out: &mut [u8; 32],
+    ) -> Result<(), CcrpError> {
+        let global = global_line(loc);
+        let stored = self
+            .lines
+            .get(global)
+            .ok_or(CcrpError::AddressOutOfRange { address })?;
         if let Some(crcs) = &self.block_crcs {
             let record = crcs.get(global).copied().ok_or(CcrpError::Integrity {
                 what: "CRC record table shorter than line count",
@@ -310,6 +357,19 @@ impl CompressedImage {
             stored,
             out,
         )?)
+    }
+
+    /// The decoder's input schedule for the located compressed line —
+    /// computed at build or load time from the bytes
+    /// [`original_line`](Self::original_line) returns.
+    pub(crate) fn word_schedule(
+        &self,
+        loc: &LineLocation,
+        address: u32,
+    ) -> Result<&WordSchedule, CcrpError> {
+        self.schedules
+            .get(global_line(loc))
+            .ok_or(CcrpError::AddressOutOfRange { address })
     }
 
     /// [`expand_line_into`](Self::expand_line_into), returning the
@@ -404,6 +464,7 @@ impl CompressedImage {
             block_addresses.push(physical as u32);
             lines.push(line);
         }
+        let schedules = schedules(codec.as_ref(), &lines, &block_addresses, &original_text);
         let image = CompressedImage {
             codec,
             alignment,
@@ -414,6 +475,7 @@ impl CompressedImage {
             original_text,
             text_base,
             block_crcs,
+            schedules,
         };
         Ok(image)
     }

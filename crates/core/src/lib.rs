@@ -32,15 +32,14 @@
 //! Compress a program and refill a line through the engine:
 //!
 //! ```
-//! use ccrp::{CompressedImage, MemoryTiming, RefillConfig, RefillEngine};
+//! use ccrp::{Burst, CompressedImage, MemoryTiming, RefillConfig, RefillEngine};
 //! use ccrp_compress::{BlockAlignment, ByteCode, ByteHistogram};
 //!
 //! // EPROM-like timing: 3 cycles per word, no burst mode.
 //! struct Eprom;
 //! impl MemoryTiming for Eprom {
-//!     fn read_burst(&mut self, words: u32, now: u64, arrivals: &mut Vec<u64>) {
-//!         arrivals.clear();
-//!         arrivals.extend((0..u64::from(words)).map(|i| now + 3 * (i + 1)));
+//!     fn read_burst(&mut self, _words: u32, now: u64) -> Burst {
+//!         Burst { first: now + 3, interval: 3 }
 //!     }
 //! }
 //!
@@ -78,8 +77,8 @@ pub use fault::{ContainerLayout, Fault, FaultInjector, FaultKind, FaultPlan, Fau
 pub use image::{CompressedImage, LineLocation};
 pub use lat::{LatEntry, LineAddressTable, ENTRY_BYTES, RECORDS_PER_ENTRY};
 pub use refill::{
-    DegradePolicy, IntegrityCheck, MemoryTiming, RefillConfig, RefillEngine, RefillEngineSnapshot,
-    RefillOutcome,
+    Burst, DegradePolicy, IntegrityCheck, MemoryTiming, RefillConfig, RefillEngine,
+    RefillEngineSnapshot, RefillOutcome,
 };
 pub use snapshot::{
     read_frame, write_frame, ByteReader, ByteWriter, SnapshotError, SnapshotHeader,

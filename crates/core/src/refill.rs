@@ -14,15 +14,75 @@ use ccrp_probe::{Event, NullProbe, Probe};
 use crate::addr::LINE_SIZE;
 use crate::clb::{Clb, ClbSnapshot, ClbStats};
 use crate::error::CcrpError;
-use crate::image::CompressedImage;
+use crate::image::{CompressedImage, LineLocation};
+
+/// When the words of one memory burst arrive: word `i` at
+/// `first + i * interval`. Every memory of §4.2.1 is affine in this
+/// way — a random access to the first word, then a fixed cost per
+/// sequential word.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Burst {
+    /// Arrival cycle of the burst's first word.
+    pub first: u64,
+    /// Cycles between the arrivals of consecutive words.
+    pub interval: u64,
+}
+
+impl Burst {
+    /// Arrival cycle of word `index` (0-based) of the burst.
+    pub fn arrival(self, index: u32) -> u64 {
+        self.first + self.interval * u64::from(index)
+    }
+
+    /// Arrival cycle of the last word of a `words`-word burst.
+    pub fn last(self, words: u32) -> u64 {
+        self.arrival(words.saturating_sub(1))
+    }
+}
 
 /// Timing oracle for the instruction memory: the three models of §4.2.1
 /// (EPROM, burst EPROM, static-column DRAM) implement this in `ccrp-sim`.
 pub trait MemoryTiming {
     /// Starts a read of `words` consecutive 32-bit words at cycle `now`
-    /// (a new random access; bursts never span calls) and pushes the
-    /// arrival cycle of each word onto `arrivals` (cleared first).
-    fn read_burst(&mut self, words: u32, now: u64, arrivals: &mut Vec<u64>);
+    /// (a new random access; bursts never span calls) and returns when
+    /// each word arrives.
+    fn read_burst(&mut self, words: u32, now: u64) -> Burst;
+}
+
+/// The decoder's input schedule for one compressed line: entry `i` is
+/// the word of the block's burst that must have arrived before output
+/// byte `i` can be produced — the codec's exact
+/// [`bit_profile`](LineCodec::bit_profile), mapped onto the bus words
+/// the block spans (the block's byte offset within its first word
+/// included).
+pub(crate) type WordSchedule = [u8; LINE_SIZE as usize];
+
+/// Computes the [`WordSchedule`] of `line` (the original bytes of a
+/// compressed line) whose `stored_len`-byte block sits at physical
+/// address `physical`.
+pub(crate) fn word_schedule(
+    codec: &dyn LineCodec,
+    line: &[u8],
+    physical: u32,
+    stored_len: u32,
+) -> WordSchedule {
+    let mut profile = [0u64; LINE_SIZE as usize];
+    codec.bit_profile(line, &mut profile);
+    let byte_offset = u64::from(physical % 4);
+    let last_word = u64::from(block_words(physical, stored_len) - 1);
+    profile.map(|bits| {
+        // Last compressed byte needed, relative to the block start.
+        let last_input_byte = (bits.max(1) - 1) / 8;
+        // At most 9 words: a block never exceeds 32 bytes.
+        ((byte_offset + last_input_byte) / 4).min(last_word) as u8
+    })
+}
+
+/// Bus words a `stored_len`-byte block at `physical` occupies: the bus
+/// moves whole words, so the words its bytes span.
+fn block_words(physical: u32, stored_len: u32) -> u32 {
+    let last_byte = physical + stored_len.max(1) - 1;
+    (last_byte / 4) - (physical / 4) + 1
 }
 
 /// What the refill engine does when it detects corruption (a LAT entry
@@ -121,8 +181,6 @@ pub struct RefillEngine {
     decode_rate: u32,
     policy: DegradePolicy,
     integrity: IntegrityCheck,
-    scratch: Vec<u64>,
-    profile: [u64; LINE_SIZE as usize],
 }
 
 impl RefillEngine {
@@ -141,8 +199,6 @@ impl RefillEngine {
             decode_rate: config.decode_bytes_per_cycle,
             policy: config.policy,
             integrity: config.integrity,
-            scratch: Vec::with_capacity(8),
-            profile: [0; LINE_SIZE as usize],
         })
     }
 
@@ -152,9 +208,7 @@ impl RefillEngine {
     }
 
     /// Captures the engine's mutable state. Only the CLB is state:
-    /// decode rate, policy, and integrity mode are configuration, and
-    /// the burst-arrival scratch buffer is cleared at the start of
-    /// every memory read.
+    /// decode rate, policy, and integrity mode are configuration.
     pub fn snapshot(&self) -> RefillEngineSnapshot {
         RefillEngineSnapshot {
             clb: self.clb.snapshot(),
@@ -220,9 +274,9 @@ impl RefillEngine {
         memory: &mut dyn MemoryTiming,
         probe: &mut P,
     ) -> Result<RefillOutcome, CcrpError> {
-        // Resolve the LAT index up front so the retry path can
-        // invalidate the right CLB entry.
-        let lat_index = image.locate(address)?.lat_index;
+        // Locate the line once: every attempt reads the same layout, and
+        // the retry path invalidates its CLB entry.
+        let location = image.locate(address)?;
         probe.emit(now, Event::RefillStart { address });
         let max_retries = match self.policy {
             DegradePolicy::Retry { attempts } => attempts,
@@ -238,7 +292,7 @@ impl RefillEngine {
                 clb_hit: false,
                 bypass: false,
             };
-            match self.refill_attempt(image, address, start, memory, &mut progress, probe) {
+            match self.refill_attempt(image, address, &location, memory, &mut progress, probe) {
                 Ok(ready_at) => {
                     let outcome = RefillOutcome {
                         ready_at,
@@ -273,7 +327,7 @@ impl RefillEngine {
                             // A corrupt LAT entry cached in the CLB would make
                             // every re-read fail identically; force a fresh
                             // in-memory LAT read, then back off exponentially.
-                            self.clb.invalidate(lat_index);
+                            self.clb.invalidate(location.lat_index);
                             let backoff_cycles = 1u64 << retries.min(16);
                             probe.emit(
                                 progress.time,
@@ -293,20 +347,21 @@ impl RefillEngine {
         }
     }
 
-    /// One refill attempt: LAT lookup (CLB or memory), integrity
+    /// One refill attempt of the line at `location`, starting at
+    /// `progress.time`: LAT lookup (CLB or memory), integrity
     /// cross-check, block fetch, decode-timing model. Updates `progress`
     /// as it goes so a failure mid-attempt still reports cost.
     fn refill_attempt<P: Probe>(
         &mut self,
         image: &CompressedImage,
         address: u32,
-        now: u64,
+        location: &LineLocation,
         memory: &mut dyn MemoryTiming,
         progress: &mut AttemptProgress,
         probe: &mut P,
     ) -> Result<u64, CcrpError> {
-        let location = image.locate(address)?;
         progress.bypass = location.bypass;
+        let now = progress.time;
         let mut start = now;
 
         let entry = match self.clb.probe(location.lat_index) {
@@ -329,11 +384,7 @@ impl RefillEngine {
                 );
                 // Read the 8-byte LAT entry (2 words) before the block
                 // fetch can be addressed.
-                memory.read_burst(2, start, &mut self.scratch);
-                start = self.scratch.last().copied().ok_or(CcrpError::Integrity {
-                    what: "memory returned no arrivals for the LAT read",
-                    address,
-                })?;
+                start = memory.read_burst(2, start).last(2);
                 probe.emit(
                     now,
                     Event::MemoryBurst {
@@ -370,16 +421,10 @@ impl RefillEngine {
             });
         }
 
-        // Whole-word bus: the block occupies the words its bytes span.
-        let first_byte = location.physical;
-        let last_byte = location.physical + location.stored_len - 1;
-        let words = (last_byte / 4) - (first_byte / 4) + 1;
-        memory.read_burst(words, start, &mut self.scratch);
+        let words = block_words(location.physical, location.stored_len);
+        let burst = memory.read_burst(words, start);
         progress.bytes += words * 4;
-        let last_arrival = self.scratch.last().copied().ok_or(CcrpError::Integrity {
-            what: "memory returned no arrivals for the block read",
-            address,
-        })?;
+        let last_arrival = burst.last(words);
         probe.emit(
             start,
             Event::MemoryBurst {
@@ -397,36 +442,29 @@ impl RefillEngine {
             // the decoder (and its lookup table) is never consulted.
             if matches!(self.integrity, IntegrityCheck::Full) {
                 // CRC the stored bytes when the image carries records.
-                image.expand_line_into(address, &mut line_buf)?;
+                image.expand_located_into(location, address, &mut line_buf)?;
             }
             last_arrival
         } else {
-            let byte_offset_in_burst = first_byte % 4;
+            let rate = image.codec().cost().effective_rate(self.decode_rate);
             match self.integrity {
-                // Timing oracle: the original bytes stand in for the
-                // decoder output (bit-exact for an uncorrupted image).
-                IntegrityCheck::Fast => decode_completion(
-                    image.codec(),
-                    image.original_line(address)?,
-                    byte_offset_in_burst,
-                    &self.scratch,
-                    self.decode_rate,
-                    start,
-                    &mut self.profile,
-                ),
+                // Timing oracle: the schedule the image computed from the
+                // original bytes, which stand in for the decoder output
+                // (bit-exact for an uncorrupted image).
+                IntegrityCheck::Fast => {
+                    decode_completion(image.word_schedule(location, address)?, rate, burst, start)
+                }
                 // Actually run the decoder (surfacing CRC and decode
                 // errors) and time the bytes it really produced.
                 IntegrityCheck::Full => {
-                    image.expand_line_into(address, &mut line_buf)?;
-                    decode_completion(
+                    image.expand_located_into(location, address, &mut line_buf)?;
+                    let schedule = word_schedule(
                         image.codec(),
                         &line_buf,
-                        byte_offset_in_burst,
-                        &self.scratch,
-                        self.decode_rate,
-                        start,
-                        &mut self.profile,
-                    )
+                        location.physical,
+                        location.stored_len,
+                    );
+                    decode_completion(&schedule, rate, burst, start)
                 }
             }
         };
@@ -451,50 +489,33 @@ impl RefillEngineSnapshot {
 
 /// Completion cycle of the pipelined decoder.
 ///
-/// The decoder retires `rate` original bytes per cycle — clamped to the
-/// codec's modeled [`max_bytes_per_cycle`](ccrp_compress::CodecCost)
-/// when its hardware cannot sustain the configured rate — but can only
-/// consume compressed bits that have arrived from memory. For each output
-/// group we find the last *input* byte its symbols need (from the codec's
-/// exact bit profile — this is bit exact, not an estimate), map that byte
-/// to the word burst that delivers it, and stall accordingly.
-///
-/// `byte_offset` is the block's starting byte within the first fetched
-/// word (nonzero only for byte-aligned images). `profile` is a caller
-/// scratch buffer so the refill hot path stays allocation-free.
+/// The decoder retires `rate` original bytes per cycle (the configured
+/// rate already clamped to the codec's modeled
+/// [`max_bytes_per_cycle`](ccrp_compress::CodecCost)) but can only
+/// consume compressed bits that have arrived from memory. Each output
+/// group waits for the burst word its last byte needs — `schedule`
+/// holds those words, from the codec's exact bit profile, so this is bit
+/// exact, not an estimate — and then takes one cycle.
 pub(crate) fn decode_completion(
-    codec: &dyn LineCodec,
-    original_line: &[u8],
-    byte_offset: u32,
-    word_arrivals: &[u64],
+    schedule: &WordSchedule,
     rate: u32,
+    burst: Burst,
     start: u64,
-    profile: &mut [u64; LINE_SIZE as usize],
 ) -> u64 {
-    // panic-ok: debug-build invariant — callers slice whole cache lines.
-    debug_assert_eq!(original_line.len(), LINE_SIZE as usize);
-    let rate = codec.cost().effective_rate(rate);
-    codec.bit_profile(original_line, profile);
-    let mut t = start;
-    let mut index = 0usize;
-    while index < original_line.len() {
-        let group_end = (index + rate as usize).min(original_line.len());
-        // Cumulative compressed bits needed through the group's last byte.
-        let bits_consumed = profile[group_end - 1];
-        // Last compressed byte needed, relative to the block start.
-        let last_input_byte = (bits_consumed.max(1) - 1) / 8;
-        let word = (u64::from(byte_offset) + last_input_byte) / 4;
-        let arrival = word_arrivals[(word as usize).min(word_arrivals.len() - 1)];
-        t = t.max(arrival) + 1;
-        index = group_end;
-    }
-    t
+    schedule
+        .chunks(rate.max(1) as usize)
+        .filter_map(<[u8]>::last)
+        .fold(start, |t, &word| t.max(burst.arrival(u32::from(word))) + 1)
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-    use ccrp_compress::{BlockAlignment, ByteCode, ByteHistogram};
+    use ccrp_compress::{
+        BlockAlignment, ByteCode, ByteHistogram, LzwLineCodec, PositionalCode, PositionalHistogram,
+    };
 
     /// Memory that delivers the first word after `first` cycles and one
     /// word per cycle after (burst-EPROM-like), counting calls.
@@ -513,13 +534,24 @@ mod tests {
     }
 
     impl MemoryTiming for TestMemory {
-        fn read_burst(&mut self, words: u32, now: u64, arrivals: &mut Vec<u64>) {
+        fn read_burst(&mut self, words: u32, now: u64) -> Burst {
             self.calls.push((words, now));
-            arrivals.clear();
-            for i in 0..u64::from(words) {
-                arrivals.push(now + self.first + i);
+            Burst {
+                first: now + self.first,
+                interval: 1,
             }
         }
+    }
+
+    /// The schedule of `image`'s line at `address`, computed afresh.
+    fn schedule(image: &CompressedImage, address: u32) -> WordSchedule {
+        let location = image.locate(address).unwrap();
+        word_schedule(
+            image.codec(),
+            image.original_line(address).unwrap(),
+            location.physical,
+            location.stored_len,
+        )
     }
 
     fn test_image(len: usize) -> CompressedImage {
@@ -541,9 +573,11 @@ mod tests {
         // With all input available instantly, a 2 B/cycle decoder takes
         // exactly 16 cycles past the start.
         let image = test_image(256);
-        let original = image.original_line(0).unwrap();
-        let arrivals = vec![0u64; 8];
-        let done = decode_completion(image.codec(), original, 0, &arrivals, 2, 0, &mut [0; 32]);
+        let instant = Burst {
+            first: 0,
+            interval: 0,
+        };
+        let done = decode_completion(&schedule(&image, 0), 2, instant, 0);
         assert_eq!(done, 16);
     }
 
@@ -552,14 +586,103 @@ mod tests {
         // One word per 3 cycles (EPROM-like): input arrives at
         // 1.33 B/cycle < 2 B/cycle decode, so memory dominates.
         let image = test_image(256);
-        let original = image.original_line(0).unwrap();
         let loc = image.locate(0).unwrap();
-        let words = loc.stored_len.div_ceil(4) as usize;
-        let arrivals: Vec<u64> = (0..words).map(|i| 3 * (i as u64 + 1)).collect();
-        let done = decode_completion(image.codec(), original, 0, &arrivals, 2, 0, &mut [0; 32]);
-        let last = *arrivals.last().unwrap();
+        let words = loc.stored_len.div_ceil(4);
+        let eprom = Burst {
+            first: 3,
+            interval: 3,
+        };
+        let done = decode_completion(&schedule(&image, 0), 2, eprom, 0);
+        let last = eprom.last(words);
         assert!(done > last, "decoder cannot finish before data arrives");
         assert!(done <= last + 16, "at most one full decode pipeline behind");
+    }
+
+    /// The decode timing straight from the codec's bit profile and every
+    /// word's arrival cycle — the computation the precomputed schedule
+    /// replaced, kept as its oracle.
+    fn profile_completion(
+        codec: &dyn LineCodec,
+        line: &[u8],
+        byte_offset: u32,
+        arrivals: &[u64],
+        rate: u32,
+        start: u64,
+    ) -> u64 {
+        let rate = codec.cost().effective_rate(rate) as usize;
+        let mut profile = [0u64; 32];
+        codec.bit_profile(line, &mut profile);
+        let (mut t, mut index) = (start, 0);
+        while index < line.len() {
+            let group_end = (index + rate).min(line.len());
+            let last_input_byte = (profile[group_end - 1].max(1) - 1) / 8;
+            let word = (u64::from(byte_offset) + last_input_byte) / 4;
+            t = t.max(arrivals[(word as usize).min(arrivals.len() - 1)]) + 1;
+            index = group_end;
+        }
+        t
+    }
+
+    #[test]
+    fn schedules_time_refills_exactly_like_the_bit_profile() {
+        // Every codec, both alignments (byte-aligned blocks start
+        // mid-word, and the schedule folds that offset in), every rate:
+        // the image's precomputed schedule times each compressed line
+        // exactly as its bit profile does.
+        let text: Vec<u8> = (0..4096u32)
+            .map(|i| match i % 4 {
+                0 => (i / 7 * 37 % 251) as u8,
+                1 => (i / 64) as u8 & 3,
+                2 => 0x3C,
+                _ => 0x24,
+            })
+            .collect();
+        let codecs: [Arc<dyn LineCodec>; 3] = [
+            Arc::new(ByteCode::preselected(&ByteHistogram::of(&text)).unwrap()),
+            Arc::new(PositionalCode::preselected(&PositionalHistogram::of(&text)).unwrap()),
+            Arc::new(LzwLineCodec),
+        ];
+        let burst = Burst {
+            first: 9,
+            interval: 3,
+        };
+        let mut mid_word = 0;
+        for codec in codecs {
+            for alignment in [BlockAlignment::Word, BlockAlignment::Byte] {
+                let image =
+                    CompressedImage::build_with_codec(0, &text, Arc::clone(&codec), alignment)
+                        .unwrap();
+                for address in (0..image.original_bytes()).step_by(32) {
+                    let location = image.locate(address).unwrap();
+                    if location.bypass {
+                        continue;
+                    }
+                    let words = block_words(location.physical, location.stored_len);
+                    let arrivals: Vec<u64> = (0..words).map(|i| burst.arrival(i)).collect();
+                    let schedule = image.word_schedule(&location, address).unwrap();
+                    for rate in [1, 2, 4, 8] {
+                        let effective = codec.cost().effective_rate(rate);
+                        assert_eq!(
+                            decode_completion(schedule, effective, burst, 5),
+                            profile_completion(
+                                codec.as_ref(),
+                                image.original_line(address).unwrap(),
+                                location.physical % 4,
+                                &arrivals,
+                                rate,
+                                5,
+                            ),
+                            "{:?} {alignment:?} line {address:#x} rate {rate}",
+                            codec.id()
+                        );
+                    }
+                    if !location.physical.is_multiple_of(4) {
+                        mid_word += 1;
+                    }
+                }
+            }
+        }
+        assert!(mid_word > 0, "byte alignment puts blocks mid-word");
     }
 
     #[test]
@@ -591,10 +714,10 @@ mod tests {
         // words; even with the decode pipe it should win.
         struct Eprom;
         impl MemoryTiming for Eprom {
-            fn read_burst(&mut self, words: u32, now: u64, arrivals: &mut Vec<u64>) {
-                arrivals.clear();
-                for i in 0..u64::from(words) {
-                    arrivals.push(now + 3 * (i + 1));
+            fn read_burst(&mut self, _words: u32, now: u64) -> Burst {
+                Burst {
+                    first: now + 3,
+                    interval: 3,
                 }
             }
         }
@@ -976,13 +1099,15 @@ mod tests {
     #[test]
     fn faster_decoder_is_never_slower() {
         let image = test_image(512);
+        let eprom = Burst {
+            first: 3,
+            interval: 3,
+        };
         for addr in (0..512).step_by(32) {
-            let original = image.original_line(addr).unwrap();
-            let arrivals: Vec<u64> = (0..8).map(|i| 3 * (i + 1)).collect();
-            let mut p = [0u64; 32];
-            let d2 = decode_completion(image.codec(), original, 0, &arrivals, 2, 0, &mut p);
-            let d4 = decode_completion(image.codec(), original, 0, &arrivals, 4, 0, &mut p);
-            let d1 = decode_completion(image.codec(), original, 0, &arrivals, 1, 0, &mut p);
+            let schedule = schedule(&image, addr);
+            let d2 = decode_completion(&schedule, 2, eprom, 0);
+            let d4 = decode_completion(&schedule, 4, eprom, 0);
+            let d1 = decode_completion(&schedule, 1, eprom, 0);
             assert!(d4 <= d2, "4 B/cy must not lose to 2 B/cy");
             assert!(d2 <= d1, "2 B/cy must not lose to 1 B/cy");
         }

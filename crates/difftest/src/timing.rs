@@ -18,8 +18,8 @@
 //!   integrity produce identical [`RefillOutcome`]s on a pristine image.
 
 use ccrp::{
-    CompressedImage, DegradePolicy, IntegrityCheck, MemoryTiming, RefillConfig, RefillEngine,
-    RefillOutcome,
+    Burst, CompressedImage, DegradePolicy, IntegrityCheck, MemoryTiming, RefillConfig,
+    RefillEngine, RefillOutcome,
 };
 use ccrp_probe::{Event, EventLog};
 
@@ -33,9 +33,11 @@ pub struct LinearMemory;
 pub const FIRST_WORD_LATENCY: u64 = 4;
 
 impl MemoryTiming for LinearMemory {
-    fn read_burst(&mut self, words: u32, now: u64, arrivals: &mut Vec<u64>) {
-        arrivals.clear();
-        arrivals.extend((0..u64::from(words)).map(|i| now + FIRST_WORD_LATENCY + i));
+    fn read_burst(&mut self, _words: u32, now: u64) -> Burst {
+        Burst {
+            first: now + FIRST_WORD_LATENCY,
+            interval: 1,
+        }
     }
 }
 

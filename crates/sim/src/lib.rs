@@ -43,7 +43,8 @@
 //! let result = Simulation::new(config).compare(&image, trace)?;
 //! assert!(result.memory_traffic_ratio() < 1.0);
 //!
-//! // Capture once, replay for many configurations in one pass.
+//! // Capture once, replay for many configurations: only the misses
+//! // replay per configuration.
 //! let captured = AccessTrace::capture(
 //!     (0..2).flat_map(|_| (0..2048u32).step_by(4)).map(|pc| (pc, 0)),
 //! );

@@ -9,7 +9,7 @@
 //!   parts), 1 cycle per subsequent word, and a 2-cycle precharge after
 //!   each burst during which the device cannot start a new access.
 
-use ccrp::MemoryTiming;
+use ccrp::{Burst, MemoryTiming};
 
 /// Which §4.2.1 memory model to simulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -87,21 +87,25 @@ pub struct MemorySimSnapshot {
 }
 
 impl MemoryTiming for MemorySim {
-    fn read_burst(&mut self, words: u32, now: u64, arrivals: &mut Vec<u64>) {
-        arrivals.clear();
+    fn read_burst(&mut self, words: u32, now: u64) -> Burst {
         debug_assert!(words > 0, "zero-word burst");
         match self.model {
-            MemoryModel::Eprom => {
-                // Every word is an independent 3-cycle access.
-                arrivals.extend((0..u64::from(words)).map(|i| now + 3 * (i + 1)));
-            }
-            MemoryModel::BurstEprom => {
-                arrivals.extend((0..u64::from(words)).map(|i| now + 3 + i));
-            }
+            // Every word is an independent 3-cycle access.
+            MemoryModel::Eprom => Burst {
+                first: now + 3,
+                interval: 3,
+            },
+            MemoryModel::BurstEprom => Burst {
+                first: now + 3,
+                interval: 1,
+            },
             MemoryModel::ScDram => {
-                let start = now.max(self.ready_at);
-                arrivals.extend((0..u64::from(words)).map(|i| start + 4 + i));
-                self.ready_at = *arrivals.last().expect("words > 0") + 2;
+                let burst = Burst {
+                    first: now.max(self.ready_at) + 4,
+                    interval: 1,
+                };
+                self.ready_at = burst.last(words) + 2;
+                burst
             }
         }
     }
@@ -111,15 +115,18 @@ impl MemoryTiming for MemorySim {
 /// starting from an idle memory. Useful as a reference constant in tests
 /// and reports: EPROM 24, Burst EPROM 10, DRAM 11.
 pub fn standard_refill_cycles(model: MemoryModel) -> u64 {
-    let mut timing = model.timing();
-    let mut arrivals = Vec::new();
-    timing.read_burst(8, 0, &mut arrivals);
-    *arrivals.last().expect("8 words requested")
+    model.timing().read_burst(8, 0).last(8)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every word's arrival cycle of a `words`-word read at `now`.
+    fn arrivals(timing: &mut MemorySim, words: u32, now: u64) -> Vec<u64> {
+        let burst = timing.read_burst(words, now);
+        (0..words).map(|i| burst.arrival(i)).collect()
+    }
 
     #[test]
     fn paper_refill_constants() {
@@ -131,39 +138,29 @@ mod tests {
     #[test]
     fn eprom_has_no_burst_advantage() {
         let mut t = MemoryModel::Eprom.timing();
-        let mut a = Vec::new();
-        t.read_burst(4, 100, &mut a);
-        assert_eq!(a, vec![103, 106, 109, 112]);
+        assert_eq!(arrivals(&mut t, 4, 100), vec![103, 106, 109, 112]);
     }
 
     #[test]
     fn burst_eprom_streams() {
         let mut t = MemoryModel::BurstEprom.timing();
-        let mut a = Vec::new();
-        t.read_burst(4, 100, &mut a);
-        assert_eq!(a, vec![103, 104, 105, 106]);
+        assert_eq!(arrivals(&mut t, 4, 100), vec![103, 104, 105, 106]);
     }
 
     #[test]
     fn dram_precharge_delays_back_to_back_bursts() {
         let mut t = MemoryModel::ScDram.timing();
-        let mut a = Vec::new();
-        t.read_burst(2, 0, &mut a);
-        assert_eq!(a, vec![4, 5]);
+        assert_eq!(arrivals(&mut t, 2, 0), vec![4, 5]);
         // Immediately following access must wait for precharge (ready 7).
-        t.read_burst(1, 5, &mut a);
-        assert_eq!(a, vec![11]);
+        assert_eq!(arrivals(&mut t, 1, 5), vec![11]);
         // A distant access is unaffected.
-        t.read_burst(1, 1000, &mut a);
-        assert_eq!(a, vec![1004]);
+        assert_eq!(arrivals(&mut t, 1, 1000), vec![1004]);
     }
 
     #[test]
     fn arrivals_are_monotone() {
         for model in MemoryModel::ALL {
-            let mut t = model.timing();
-            let mut a = Vec::new();
-            t.read_burst(8, 17, &mut a);
+            let a = arrivals(&mut model.timing(), 8, 17);
             assert!(a.windows(2).all(|w| w[0] < w[1]), "{model:?}");
             assert!(a[0] > 17);
         }

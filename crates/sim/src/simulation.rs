@@ -30,10 +30,11 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use ccrp::{CompressedImage, StepBudget};
+use ccrp::{CompressedImage, RefillEngine, StepBudget};
 use ccrp_probe::{NullProbe, Probe};
 
-use crate::stepper::{CcrpSim, StandardSim};
+use crate::icache::{CacheStats, ICache};
+use crate::stepper::{ccrp_miss, standard_miss, CcrpSim, SimCounters, StandardSim};
 use crate::system::{Comparison, RunStats, SimError, SystemConfig};
 use crate::trace::AccessTrace;
 
@@ -75,7 +76,7 @@ impl<'t> From<&'t AccessTrace> for SimSource<'t> {
 /// * [`compare`](Self::compare) — both over the same source, one cell
 ///   of the paper's Tables 1–13;
 /// * [`replay_sweep`](Self::replay_sweep) — both processors for *many*
-///   configurations in one pass over a captured trace.
+///   configurations from a captured trace, replaying only its misses.
 ///
 /// Probes ([`standard_probed`](Self::standard_probed) /
 /// [`ccrp_probed`](Self::ccrp_probed)) observe the identical event
@@ -102,40 +103,187 @@ impl<'e> Simulation<'e> {
     }
 
     /// Replays a captured trace through both processors for *every*
-    /// configuration in one pass over the runs, advancing a per-config
-    /// array of simulator states — the trace-once, replay-many sweep
-    /// kernel. Equivalent to (but much faster than) calling
-    /// [`compare`](Self::compare) per config: the trace is decoded
-    /// once and stays hot in cache while `configs.len()` state pairs
-    /// consume it.
+    /// configuration — the trace-once, replay-many sweep kernel, equal
+    /// to calling [`compare`](Self::compare) per config.
+    ///
+    /// The two processors share the I-cache and differ only on a miss
+    /// (§3.1), and which fetches miss depends on the cache size alone.
+    /// So the kernel walks the runs once per distinct cache size,
+    /// recording each miss's PC and fetch index; times the standard
+    /// refill once per distinct (cache size, memory model) and the CCRP
+    /// refill once per distinct (cache size, memory model,
+    /// [`RefillConfig`](ccrp::RefillConfig)), over the misses alone;
+    /// and assembles each config's [`RunStats`] from those totals plus
+    /// its analytic data-cache term. Hits are never replayed per
+    /// config: the cost is O(cache sizes × runs + distinct timings ×
+    /// misses).
     ///
     /// # Errors
     ///
-    /// As [`compare`](Self::compare); on error the whole sweep is
-    /// abandoned (all configs replay the same trace, so a fetch outside
-    /// the image fails every one of them).
+    /// As [`compare`](Self::compare), and the first error replaying the
+    /// configs side by side would meet: an invalid config, the first in
+    /// config order, before anything replays; else the failing miss
+    /// earliest in the trace, ties going to the earlier config. On
+    /// error the whole sweep is abandoned.
     pub fn replay_sweep(
         image: &CompressedImage,
         trace: &AccessTrace,
         configs: &[SystemConfig],
     ) -> Result<Vec<Comparison>, SimError> {
-        let mut states = Vec::with_capacity(configs.len());
         for config in configs {
-            states.push((StandardSim::new(config)?, CcrpSim::new(config)?));
+            ICache::new(config.cache_bytes)?;
+            RefillEngine::new(config.refill)?;
         }
-        for &run in trace.runs() {
-            for (standard, ccrp) in &mut states {
-                standard.replay_run_probed(run, &mut NullProbe);
-                ccrp.replay_run_probed(image, run, &mut NullProbe)?;
+        let mut cells = Vec::with_capacity(configs.len());
+        // (fetch index, config index, error) of the first failing miss.
+        let mut first_error: Option<(u64, usize, SimError)> = None;
+        let indexed: Vec<(usize, &SystemConfig)> = configs.iter().enumerate().collect();
+        for (cache_bytes, by_cache) in group_by(indexed, |(_, c)| c.cache_bytes) {
+            let stream = MissStream::capture(trace, cache_bytes)?;
+            for (model, by_memory) in group_by(by_cache, |(_, c)| c.memory) {
+                let mut memory = model.timing();
+                let standard = stream
+                    .replay(|pc, counters| {
+                        standard_miss(&mut memory, pc, counters, &mut NullProbe);
+                        Ok(())
+                    })
+                    .map_err(|(_, e)| e)?;
+                for (refill, group) in group_by(by_memory, |(_, c)| c.refill) {
+                    let mut memory = model.timing();
+                    let mut engine = RefillEngine::new(refill)?;
+                    let ccrp = stream.replay(|pc, counters| {
+                        ccrp_miss(
+                            &mut engine,
+                            &mut memory,
+                            image,
+                            pc,
+                            counters,
+                            &mut NullProbe,
+                        )
+                    });
+                    match ccrp {
+                        Ok(ccrp) => {
+                            let clb = Some(engine.clb_stats());
+                            cells.extend(group.into_iter().map(|(index, config)| {
+                                let comparison = Comparison {
+                                    standard: standard.stats(stream.cache, &config.dcache, None),
+                                    ccrp: ccrp.stats(stream.cache, &config.dcache, clb),
+                                };
+                                (index, comparison)
+                            }));
+                        }
+                        Err((fetch, error)) => {
+                            // Groups keep config order: the first is the
+                            // earliest config to meet this error.
+                            let index = group.first().map_or(usize::MAX, |&(index, _)| index);
+                            if first_error
+                                .as_ref()
+                                .is_none_or(|&(f, i, _)| (fetch, index) < (f, i))
+                            {
+                                first_error = Some((fetch, index, error));
+                            }
+                        }
+                    }
+                }
             }
         }
-        Ok(states
-            .iter()
-            .map(|(standard, ccrp)| Comparison {
-                standard: standard.stats(),
-                ccrp: ccrp.stats(),
-            })
+        if let Some((_, _, error)) = first_error {
+            return Err(error);
+        }
+        cells.sort_by_key(|&(index, _)| index);
+        Ok(cells
+            .into_iter()
+            .map(|(_, comparison)| comparison)
             .collect())
+    }
+}
+
+/// Splits `items` into groups sharing a `key`, in order of each key's
+/// first appearance; every group keeps its items in order.
+fn group_by<T, K: PartialEq>(items: Vec<T>, key: impl Fn(&T) -> K) -> Vec<(K, Vec<T>)> {
+    let mut groups: Vec<(K, Vec<T>)> = Vec::new();
+    for item in items {
+        let k = key(&item);
+        match groups.iter_mut().find(|(g, _)| *g == k) {
+            Some((_, members)) => members.push(item),
+            None => groups.push((k, vec![item])),
+        }
+    }
+    groups
+}
+
+/// One miss of a [`MissStream`].
+#[derive(Debug, Clone, Copy)]
+struct Miss {
+    /// The missing fetch's PC (its run's first).
+    pc: u32,
+    /// Fetches before it in the trace.
+    fetch: u64,
+}
+
+/// The misses one I-cache geometry takes over a captured trace, with
+/// the trace totals every processor and config on that geometry shares.
+/// Between two misses only hits happen, each one cycle, so a miss is
+/// issued at cycle `fetch + 1` plus the stalls of the refills before it.
+#[derive(Debug)]
+struct MissStream {
+    misses: Vec<Miss>,
+    cache: CacheStats,
+    data_accesses: u64,
+}
+
+impl MissStream {
+    /// One tag-only pass over `trace`'s runs, exactly as the steppers'
+    /// [`replay_run_probed`](StandardSim::replay_run_probed) access the
+    /// cache.
+    fn capture(trace: &AccessTrace, cache_bytes: u32) -> Result<Self, SimError> {
+        let mut cache = ICache::new(cache_bytes)?;
+        let mut misses = Vec::new();
+        let mut data_accesses = 0;
+        for run in trace.runs() {
+            if run.fetches == 0 {
+                continue;
+            }
+            let fetch = cache.stats().fetches;
+            if !cache.access(run.first_pc) {
+                misses.push(Miss {
+                    pc: run.first_pc,
+                    fetch,
+                });
+            }
+            cache.record_hits(u64::from(run.fetches) - 1);
+            data_accesses += u64::from(run.data);
+        }
+        Ok(MissStream {
+            misses,
+            cache: cache.stats(),
+            data_accesses,
+        })
+    }
+
+    /// Runs `refill` — a processor's miss path — on every miss in trace
+    /// order, with `counters.cycle` set to the cycle the miss issues
+    /// at, and returns the whole trace's totals.
+    ///
+    /// # Errors
+    ///
+    /// The first error `refill` returns, with the failing miss's fetch
+    /// index.
+    fn replay(
+        &self,
+        mut refill: impl FnMut(u32, &mut SimCounters) -> Result<(), SimError>,
+    ) -> Result<SimCounters, (u64, SimError)> {
+        let mut counters = SimCounters::default();
+        for miss in &self.misses {
+            counters.cycle = miss.fetch + 1 + counters.refill_cycles;
+            refill(miss.pc, &mut counters).map_err(|e| (miss.fetch, e))?;
+        }
+        Ok(SimCounters {
+            cycle: self.cache.fetches + counters.refill_cycles,
+            instructions: self.cache.fetches,
+            data_accesses: self.data_accesses,
+            ..counters
+        })
     }
 }
 
@@ -356,12 +504,19 @@ where
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::dcache::DataCacheModel;
     use crate::memory::MemoryModel;
-    use ccrp_compress::{BlockAlignment, ByteCode, ByteHistogram};
+    use ccrp::{CcrpError, DegradePolicy, IntegrityCheck, RefillConfig};
+    use ccrp_compress::{
+        BlockAlignment, ByteCode, ByteHistogram, LineCodec, LzwLineCodec, PositionalCode,
+        PositionalHistogram,
+    };
     use ccrp_probe::{Event, EventLog};
 
-    fn fixture(code_bytes: usize) -> (CompressedImage, Vec<(u32, u8)>) {
+    fn fixture_text(code_bytes: usize) -> Vec<u8> {
         let mut text = Vec::with_capacity(code_bytes);
         let mut x = 5u32;
         for i in 0..code_bytes {
@@ -373,6 +528,11 @@ mod tests {
                 _ => 0x24,
             });
         }
+        text
+    }
+
+    fn fixture(code_bytes: usize) -> (CompressedImage, Vec<(u32, u8)>) {
+        let text = fixture_text(code_bytes);
         let code = ByteCode::preselected(&ByteHistogram::of(&text)).unwrap();
         let image = CompressedImage::build(0, &text, code, BlockAlignment::Word).unwrap();
         let mut trace = Vec::new();
@@ -425,28 +585,257 @@ mod tests {
         }
     }
 
-    #[test]
-    fn replay_sweep_matches_per_config_compares() {
-        let (image, trace) = fixture(4096);
-        let captured = AccessTrace::capture(trace.iter().copied());
-        let configs: Vec<SystemConfig> = MemoryModel::ALL
-            .into_iter()
-            .flat_map(|model| {
-                [256u32, 512, 2048].map(|cache_bytes| {
+    /// A branchy fetch trace over `code_bytes` of text at PC stride
+    /// `stride`: straight-line blocks of 4–19 fetches joined by
+    /// pseudo-random jumps, so lines conflict in small caches and LAT
+    /// entries churn through small CLBs.
+    fn program_trace(code_bytes: u32, stride: u32) -> Vec<(u32, u8)> {
+        let mut trace = Vec::new();
+        let (mut x, mut pc) = (7u32, 0u32);
+        for _ in 0..600 {
+            x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+            for _ in 0..4 + (x >> 28) {
+                trace.push((pc, u8::from(pc % 12 == 0)));
+                pc = (pc + stride) % code_bytes;
+            }
+            if x & 0x100 != 0 {
+                pc = (x >> 8) % code_bytes / stride * stride;
+            }
+        }
+        trace
+    }
+
+    /// Every axis the sweep kernel factors: repeated, out-of-order cache
+    /// sizes under every memory model; decode rates and CLB sizes;
+    /// degradation policies and full integrity; data-cache models that
+    /// share one refill timing.
+    fn sweep_configs() -> Vec<SystemConfig> {
+        let mut configs = Vec::new();
+        for cache_bytes in [1024u32, 256, 4096, 256, 512, 1024] {
+            for memory in MemoryModel::ALL {
+                configs.push(
                     SystemConfig::new()
                         .with_cache_bytes(cache_bytes)
-                        .with_memory(model)
-                })
-            })
-            .collect();
-        let swept = Simulation::replay_sweep(&image, &captured, &configs).unwrap();
-        assert_eq!(swept.len(), configs.len());
-        for (config, cell) in configs.iter().zip(&swept) {
-            let direct = Simulation::new(*config)
-                .compare(&image, trace.iter().copied())
-                .unwrap();
-            assert_eq!(*cell, direct, "{config:?}");
+                        .with_memory(memory),
+                );
+            }
         }
+        for rate in [1, 2, 4] {
+            for clb in [1, 16] {
+                configs.push(
+                    SystemConfig::new()
+                        .with_cache_bytes(512)
+                        .with_memory(MemoryModel::BurstEprom)
+                        .with_decode_bytes_per_cycle(rate)
+                        .with_clb_entries(clb),
+                );
+            }
+        }
+        for (policy, integrity) in [
+            (DegradePolicy::Retry { attempts: 2 }, IntegrityCheck::Fast),
+            (DegradePolicy::Trap, IntegrityCheck::Fast),
+            (DegradePolicy::Abort, IntegrityCheck::Full),
+            (DegradePolicy::Trap, IntegrityCheck::Full),
+        ] {
+            configs.push(
+                SystemConfig::new()
+                    .with_cache_bytes(256)
+                    .with_memory(MemoryModel::ScDram)
+                    .with_refill(RefillConfig {
+                        policy,
+                        integrity,
+                        ..RefillConfig::default()
+                    }),
+            );
+        }
+        for miss_rate in [0.0, 0.02, 0.25] {
+            configs.push(
+                SystemConfig::new()
+                    .with_cache_bytes(256)
+                    .with_memory(MemoryModel::Eprom)
+                    .with_dcache(DataCacheModel::with_miss_rate(miss_rate)),
+            );
+        }
+        configs
+    }
+
+    /// The lockstep kernel the miss-stream sweep replaced — every
+    /// config's simulator pair advanced run by run — kept as the oracle
+    /// for which error a failing sweep reports.
+    fn lockstep_sweep(
+        image: &CompressedImage,
+        trace: &AccessTrace,
+        configs: &[SystemConfig],
+    ) -> Result<Vec<Comparison>, SimError> {
+        let mut states = Vec::new();
+        for config in configs {
+            states.push((StandardSim::new(config)?, CcrpSim::new(config)?));
+        }
+        for &run in trace.runs() {
+            for (standard, ccrp) in &mut states {
+                standard.replay_run_probed(run, &mut NullProbe);
+                ccrp.replay_run_probed(image, run, &mut NullProbe)?;
+            }
+        }
+        Ok(states
+            .iter()
+            .map(|(standard, ccrp)| Comparison {
+                standard: standard.stats(),
+                ccrp: ccrp.stats(),
+            })
+            .collect())
+    }
+
+    #[test]
+    fn replay_sweep_matches_per_config_compares() {
+        let text = fixture_text(4096);
+        let huffman: Arc<dyn LineCodec> =
+            Arc::new(ByteCode::preselected(&ByteHistogram::of(&text)).unwrap());
+        let positional: Arc<dyn LineCodec> =
+            Arc::new(PositionalCode::preselected(&PositionalHistogram::of(&text)).unwrap());
+        let lzw: Arc<dyn LineCodec> = Arc::new(LzwLineCodec);
+        let build = |codec: &Arc<dyn LineCodec>, alignment| {
+            CompressedImage::build_with_codec(0, &text, Arc::clone(codec), alignment).unwrap()
+        };
+        let images = [
+            ("byte-huffman", build(&huffman, BlockAlignment::Word)),
+            ("positional", build(&positional, BlockAlignment::Word)),
+            // Its serial decoder caps every configured rate at 1 B/cycle.
+            ("lzw", build(&lzw, BlockAlignment::Word)),
+            // Blocks start mid-word: the schedule folds the offset in.
+            ("byte-aligned", build(&huffman, BlockAlignment::Byte)),
+        ];
+        let (_, byte_aligned) = &images[3];
+        let mid_word = |line: u32| {
+            !byte_aligned
+                .locate(line * 32)
+                .unwrap()
+                .physical
+                .is_multiple_of(4)
+        };
+        assert!((0..byte_aligned.line_count() as u32).any(mid_word));
+        let configs = sweep_configs();
+        for (name, image) in &images {
+            for stride in [4, 2] {
+                let trace = program_trace(4096, stride);
+                let captured = AccessTrace::capture(trace.iter().copied());
+                let swept = Simulation::replay_sweep(image, &captured, &configs).unwrap();
+                assert_eq!(swept.len(), configs.len());
+                for (config, cell) in configs.iter().zip(&swept) {
+                    let direct = Simulation::new(*config)
+                        .compare(image, trace.iter().copied())
+                        .unwrap();
+                    assert_eq!(*cell, direct, "{name}, stride {stride}: {config:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn invalid_configs_fail_the_sweep_with_the_first_ones_error() {
+        let (image, trace) = fixture(1024);
+        let captured = AccessTrace::capture(trace.iter().copied());
+        let valid = SystemConfig::new().with_cache_bytes(512);
+        let bad_cache = valid.with_cache_bytes(100);
+        let empty_clb = valid.with_clb_entries(0);
+        let zero_rate = valid.with_decode_bytes_per_cycle(0);
+        for (configs, expected) in [
+            (
+                vec![valid, bad_cache, empty_clb],
+                SimError::Cache(ICache::new(100).unwrap_err()),
+            ),
+            (
+                vec![valid, empty_clb, bad_cache],
+                SimError::Ccrp(CcrpError::EmptyClb),
+            ),
+            (
+                vec![zero_rate, valid, empty_clb],
+                SimError::Ccrp(CcrpError::BadBlockLength { length: 0 }),
+            ),
+        ] {
+            let swept = Simulation::replay_sweep(&image, &captured, &configs);
+            assert_eq!(swept, Err(expected.clone()), "{configs:?}");
+            assert_eq!(swept, lockstep_sweep(&image, &captured, &configs));
+        }
+    }
+
+    #[test]
+    fn failing_refills_report_the_earliest_miss_then_the_earliest_config() {
+        let (pristine, mut trace) = fixture(4096);
+        let line_of =
+            |image: &CompressedImage, line: usize| image.locate(line as u32 * 32).unwrap();
+        // A flipped block byte that only Full integrity detects, in a
+        // line the trace reaches first, and a LAT length every config
+        // rejects, in a later line.
+        let early = (1..pristine.line_count())
+            .find(|&line| !line_of(&pristine, line).bypass)
+            .unwrap();
+        let late = early + 16;
+        let mut image = pristine.clone();
+        image.attach_block_crcs();
+        image.corrupt_block_byte(early, 0, 0x10).unwrap();
+        let truth = line_of(&image, late).stored_len;
+        image
+            .corrupt_lat_length(late, if truth == 32 { 31 } else { 32 })
+            .unwrap();
+        let captured = AccessTrace::capture(trace.iter().copied());
+        let fast = SystemConfig::new().with_cache_bytes(1024);
+        let full = |policy| {
+            SystemConfig::new()
+                .with_cache_bytes(512)
+                .with_refill(RefillConfig {
+                    policy,
+                    integrity: IntegrityCheck::Full,
+                    ..RefillConfig::default()
+                })
+        };
+        let trap = fast.with_refill(RefillConfig {
+            policy: DegradePolicy::Trap,
+            ..RefillConfig::default()
+        });
+        let full_abort = full(DegradePolicy::Abort);
+        let full_trap = full(DegradePolicy::Trap);
+        for configs in [
+            // Full integrity fails earlier in the trace than any Fast
+            // config, whatever the config order.
+            vec![fast, trap, full_abort, full_trap],
+            vec![fast, full_trap, trap, full_abort],
+            // Fast configs alone fail at the LAT lie; ties between
+            // configs go to the earlier one.
+            vec![fast, trap],
+            vec![trap, fast],
+        ] {
+            let swept = Simulation::replay_sweep(&image, &captured, &configs);
+            let lockstep = lockstep_sweep(&image, &captured, &configs);
+            assert!(swept.is_err(), "{configs:?}");
+            assert_eq!(swept, lockstep, "{configs:?}");
+        }
+        let first = |configs: &[SystemConfig]| {
+            Simulation::replay_sweep(&image, &captured, configs).unwrap_err()
+        };
+        assert!(matches!(
+            first(&[fast, trap, full_abort]),
+            SimError::Ccrp(CcrpError::CrcMismatch { .. })
+        ));
+        assert!(matches!(
+            first(&[trap, fast]),
+            SimError::Ccrp(CcrpError::MachineCheck { .. })
+        ));
+        assert!(matches!(
+            first(&[fast, trap]),
+            SimError::Ccrp(CcrpError::Integrity { .. })
+        ));
+
+        // A fetch outside the image fails every config at the same miss.
+        trace.insert(trace.len() / 2, (0x10_0000, 0));
+        let captured = AccessTrace::capture(trace.iter().copied());
+        let configs = sweep_configs();
+        let swept = Simulation::replay_sweep(&pristine, &captured, &configs);
+        assert!(matches!(
+            swept,
+            Err(SimError::Ccrp(CcrpError::AddressOutOfRange { .. }))
+        ));
+        assert_eq!(swept, lockstep_sweep(&pristine, &captured, &configs));
     }
 
     #[test]

@@ -6,8 +6,11 @@
 //! whole-source execution and an equivalent step loop are the same
 //! computation, operation for operation. The compacted
 //! [`replay_run_probed`](StandardSim::replay_run_probed) fast path
-//! folds a [`FetchRun`] into one step plus a bulk hit update, which the
-//! trace-replay engine uses to advance many configurations per pass.
+//! folds a [`FetchRun`] into one step plus a bulk hit update. Both
+//! processors' miss paths are the functions [`standard_miss`] and
+//! [`ccrp_miss`], which the steppers and the sweep kernel
+//! ([`Simulation::replay_sweep`](crate::Simulation::replay_sweep))
+//! share.
 //!
 //! Each stepper snapshots to a plain value ([`StandardSimSnapshot`] /
 //! [`CcrpSimSnapshot`]) capturing every piece of cross-step state: cache
@@ -17,14 +20,17 @@
 //! produces results identical to an unbroken run — the property the
 //! segment-parallel replay scheduler in `ccrp-bench` is built on.
 
-use ccrp::{CompressedImage, MemoryTiming, RefillEngine, RefillEngineSnapshot};
+use ccrp::{ClbStats, CompressedImage, MemoryTiming, RefillEngine, RefillEngineSnapshot};
 use ccrp_probe::{Event, NullProbe, Probe};
 
 use crate::dcache::DataCacheModel;
-use crate::icache::{ICache, ICacheSnapshot};
+use crate::icache::{CacheStats, ICache, ICacheSnapshot, LINE_BYTES};
 use crate::memory::{MemorySim, MemorySimSnapshot};
 use crate::system::{RunStats, SimError, SystemConfig};
 use crate::trace::FetchRun;
+
+/// Words in one standard line refill (a whole 32-byte line).
+const LINE_WORDS: u32 = LINE_BYTES / 4;
 
 /// The running totals both steppers accumulate — the mutable scalar half
 /// of a simulation snapshot.
@@ -42,15 +48,84 @@ pub struct SimCounters {
     pub data_accesses: u64,
 }
 
+impl SimCounters {
+    /// Charges a refill issued at the current cycle that leaves the line
+    /// in the cache at `ready_at`, having moved `bytes` over the bus.
+    fn charge_refill(&mut self, ready_at: u64, bytes: u64) {
+        self.refill_cycles += ready_at - self.cycle;
+        self.bytes_from_memory += bytes;
+        self.cycle = ready_at;
+    }
+
+    /// The metrics these totals amount to, with the cache and CLB
+    /// counters and the analytic data-side term.
+    pub(crate) fn stats(
+        &self,
+        cache: CacheStats,
+        dcache: &DataCacheModel,
+        clb: Option<ClbStats>,
+    ) -> RunStats {
+        RunStats {
+            instructions: self.instructions,
+            data_accesses: self.data_accesses,
+            cache,
+            refill_cycles: self.refill_cycles,
+            bytes_from_memory: self.bytes_from_memory,
+            data_stall_cycles: dcache.stall_cycles(self.data_accesses),
+            clb,
+        }
+    }
+}
+
+/// The standard processor's miss path at `pc`, issued at
+/// `counters.cycle`: one 8-word line burst.
+pub(crate) fn standard_miss<P: Probe>(
+    memory: &mut MemorySim,
+    pc: u32,
+    counters: &mut SimCounters,
+    probe: &mut P,
+) {
+    let now = counters.cycle;
+    probe.emit(now, Event::CacheMiss { address: pc });
+    let done = memory.read_burst(LINE_WORDS, now).last(LINE_WORDS);
+    probe.emit(
+        now,
+        Event::MemoryBurst {
+            words: LINE_WORDS,
+            done,
+        },
+    );
+    counters.charge_refill(done, u64::from(LINE_BYTES));
+}
+
+/// The CCRP's miss path at `pc`, issued at `counters.cycle`: a refill
+/// through `image`'s LAT/CLB/decoder path.
+///
+/// # Errors
+///
+/// [`SimError::Ccrp`] when `pc` lies outside the image, or the refill
+/// engine reports corruption its policy does not absorb.
+pub(crate) fn ccrp_miss<P: Probe>(
+    engine: &mut RefillEngine,
+    memory: &mut MemorySim,
+    image: &CompressedImage,
+    pc: u32,
+    counters: &mut SimCounters,
+    probe: &mut P,
+) -> Result<(), SimError> {
+    let now = counters.cycle;
+    probe.emit(now, Event::CacheMiss { address: pc });
+    let outcome = engine.refill_probed(image, pc, now, memory, probe)?;
+    counters.charge_refill(outcome.ready_at, u64::from(outcome.bytes_fetched));
+    Ok(())
+}
+
 /// The standard (uncompressed) processor, one trace entry at a time.
 #[derive(Debug, Clone)]
 pub struct StandardSim {
     cache: ICache,
     memory: MemorySim,
     dcache: DataCacheModel,
-    /// Scratch for burst arrivals; cleared by every read, never part of
-    /// a snapshot.
-    arrivals: Vec<u64>,
     counters: SimCounters,
 }
 
@@ -65,7 +140,6 @@ impl StandardSim {
             cache: ICache::new(config.cache_bytes)?,
             memory: config.memory.timing(),
             dcache: config.dcache,
-            arrivals: Vec::with_capacity(8),
             counters: SimCounters::default(),
         })
     }
@@ -77,14 +151,7 @@ impl StandardSim {
         self.counters.data_accesses += u64::from(data);
         self.counters.cycle += 1;
         if !self.cache.access(pc) {
-            probe.emit(self.counters.cycle, Event::CacheMiss { address: pc });
-            self.memory
-                .read_burst(8, self.counters.cycle, &mut self.arrivals);
-            let done = *self.arrivals.last().expect("8-word burst");
-            probe.emit(self.counters.cycle, Event::MemoryBurst { words: 8, done });
-            self.counters.refill_cycles += done - self.counters.cycle;
-            self.counters.bytes_from_memory += 32;
-            self.counters.cycle = done;
+            standard_miss(&mut self.memory, pc, &mut self.counters, probe);
         }
     }
 
@@ -119,15 +186,7 @@ impl StandardSim {
     /// Metrics as of the entries replayed so far, identical to what the
     /// whole-trace simulator reports over the same prefix.
     pub fn stats(&self) -> RunStats {
-        RunStats {
-            instructions: self.counters.instructions,
-            data_accesses: self.counters.data_accesses,
-            cache: self.cache.stats(),
-            refill_cycles: self.counters.refill_cycles,
-            bytes_from_memory: self.counters.bytes_from_memory,
-            data_stall_cycles: self.dcache.stall_cycles(self.counters.data_accesses),
-            clb: None,
-        }
+        self.counters.stats(self.cache.stats(), &self.dcache, None)
     }
 
     /// Captures every piece of cross-step state.
@@ -204,17 +263,14 @@ impl CcrpSim {
         self.counters.data_accesses += u64::from(data);
         self.counters.cycle += 1;
         if !self.cache.access(pc) {
-            probe.emit(self.counters.cycle, Event::CacheMiss { address: pc });
-            let outcome = self.engine.refill_probed(
+            ccrp_miss(
+                &mut self.engine,
+                &mut self.memory,
                 image,
                 pc,
-                self.counters.cycle,
-                &mut self.memory,
+                &mut self.counters,
                 probe,
             )?;
-            self.counters.refill_cycles += outcome.ready_at - self.counters.cycle;
-            self.counters.bytes_from_memory += u64::from(outcome.bytes_fetched);
-            self.counters.cycle = outcome.ready_at;
         }
         Ok(())
     }
@@ -263,15 +319,11 @@ impl CcrpSim {
     /// Metrics as of the entries replayed so far, identical to what the
     /// whole-trace simulator reports over the same prefix.
     pub fn stats(&self) -> RunStats {
-        RunStats {
-            instructions: self.counters.instructions,
-            data_accesses: self.counters.data_accesses,
-            cache: self.cache.stats(),
-            refill_cycles: self.counters.refill_cycles,
-            bytes_from_memory: self.counters.bytes_from_memory,
-            data_stall_cycles: self.dcache.stall_cycles(self.counters.data_accesses),
-            clb: Some(self.engine.clb_stats()),
-        }
+        self.counters.stats(
+            self.cache.stats(),
+            &self.dcache,
+            Some(self.engine.clb_stats()),
+        )
     }
 
     /// Captures every piece of cross-step state, CLB included.

@@ -3,7 +3,7 @@
 //! headline claims checked on a fresh program none of the crates have
 //! seen before.
 
-use ccrp::{CompressedImage, MemoryTiming, RefillConfig, RefillEngine};
+use ccrp::{Burst, CompressedImage, MemoryTiming, RefillConfig, RefillEngine};
 use ccrp_asm::assemble;
 use ccrp_compress::BlockAlignment;
 use ccrp_emu::{Machine, ProgramTrace};
@@ -152,9 +152,11 @@ fn refill_engine_agrees_with_system_simulator() {
     // Drive the engine manually over the same miss stream.
     struct Eprom;
     impl MemoryTiming for Eprom {
-        fn read_burst(&mut self, words: u32, now: u64, arrivals: &mut Vec<u64>) {
-            arrivals.clear();
-            arrivals.extend((0..u64::from(words)).map(|i| now + 3 * (i + 1)));
+        fn read_burst(&mut self, _words: u32, now: u64) -> Burst {
+            Burst {
+                first: now + 3,
+                interval: 3,
+            }
         }
     }
     let mut cache = ccrp_sim::ICache::new(256).expect("valid");
