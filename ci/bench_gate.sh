@@ -5,7 +5,8 @@
 # repo root:
 #
 #   1. Reproduction: re-run every paper sweep (fig5, tables1_8,
-#      tables9_10, fig9, tables11_13; trace-replay engine, the default)
+#      tables9_10, fig9, tables11_13; trace-replay engine, the only one
+#      `sweep` runs)
 #      plus the codec × memory-model ablation matrix (`sweep --codecs`)
 #      and the cross-ISA comparison (`sweep --isa-compare`) and require
 #      the deterministic sections of the fresh BENCH_<experiment>.json /
@@ -46,7 +47,7 @@ trap 'rm -rf "$tmp"' EXIT
 
 echo "bench_gate: re-running sweeps into $tmp"
 cargo run --release --locked --offline -p ccrp-cli --bin ccrp-tools -- \
-    sweep --experiment all --engine trace --jobs 2 --out "$tmp"
+    sweep --experiment all --jobs 2 --out "$tmp"
 cargo run --release --locked --offline -p ccrp-cli --bin ccrp-tools -- \
     sweep --codecs --jobs 2 --out "$tmp"
 cargo run --release --locked --offline -p ccrp-cli --bin ccrp-tools -- \
@@ -85,9 +86,9 @@ done
 echo "bench_gate: trace-engine jobs independence (--jobs 1 vs --jobs 4)"
 mkdir -p "$tmp/j1" "$tmp/j4"
 cargo run --release --locked --offline -p ccrp-cli --bin ccrp-tools -- \
-    sweep --experiment tables1_8 --engine trace --jobs 1 --out "$tmp/j1"
+    sweep --experiment tables1_8 --jobs 1 --out "$tmp/j1"
 cargo run --release --locked --offline -p ccrp-cli --bin ccrp-tools -- \
-    sweep --experiment tables1_8 --engine trace --jobs 4 --out "$tmp/j4"
+    sweep --experiment tables1_8 --jobs 4 --out "$tmp/j4"
 diff <(grep -vE '"jobs"|"total_wall_us"|"wall_us"|"suite_build_us"' "$tmp/j1/BENCH_tables1_8.json") \
      <(grep -vE '"jobs"|"total_wall_us"|"wall_us"|"suite_build_us"' "$tmp/j4/BENCH_tables1_8.json") \
     || { echo "bench_gate: FAIL trace engine diverged between 1 and 4 workers" >&2; exit 1; }

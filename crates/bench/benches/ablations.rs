@@ -4,7 +4,7 @@
 
 use ccrp_bench::experiments::ablate::{
     alignment_ablation, bus_bandwidth_study, compact_lat_extension, decoder_ablation, lat_ablation,
-    other_isa_study, positional_extension, DECODE_RATES,
+    positional_extension, DECODE_RATES,
 };
 use ccrp_bench::{fmt_rel, suite, Table};
 
@@ -145,21 +145,5 @@ fn main() {
     println!(
         "The traffic reduction §4.3 measures translates directly into more\n\
          cores per shared instruction bus — the impact §5 asks about.\n"
-    );
-
-    println!("Extension G — other instruction sets (§5 future work)\n");
-    let mut table = Table::new(&["Dialect", "Entropy (bits/B)", "Preselected size"]);
-    for row in other_isa_study() {
-        table.row(&[
-            row.dialect.name(),
-            &format!("{:.3}", row.entropy_bits),
-            &format!("{:.1}%", row.compressed_ratio * 100.0),
-        ]);
-    }
-    println!("{table}");
-    println!(
-        "Fixed-width RISC encodings (MIPS, SPARC-like) leave similar per-byte\n\
-         redundancy for a preselected code; dense CISC code leaves much less —\n\
-         quantifying why the paper targets RISC embedded systems."
     );
 }

@@ -5,7 +5,6 @@
 use ccrp::{CompactLatEntry, CompressedImage, COMPACT_ENTRY_BYTES, RECORDS_PER_ENTRY};
 use ccrp_compress::{BlockAlignment, PositionalCode, PositionalHistogram};
 use ccrp_sim::{MemoryModel, Simulation, SystemConfig};
-use ccrp_workloads::other_isa::{self, IsaDialect};
 use ccrp_workloads::{figure5_corpus, preselected_code};
 
 use crate::suite::{Prepared, Suite};
@@ -265,41 +264,6 @@ pub fn bus_bandwidth_study(suite: &Suite) -> Vec<BusRow> {
         .collect()
 }
 
-/// §5 extension study: "measure the effectiveness of this method on
-/// instruction sets other than MIPS" — per-dialect preselected-code
-/// compression on synthesized object code.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IsaRow {
-    /// The dialect.
-    pub dialect: IsaDialect,
-    /// Byte entropy of the synthesized text, bits/byte.
-    pub entropy_bits: f64,
-    /// Preselected bounded-Huffman size, fraction of original.
-    pub compressed_ratio: f64,
-}
-
-/// Synthesizes a 64 KiB corpus per dialect and compresses each with its
-/// own preselected code.
-///
-/// # Panics
-///
-/// Panics if code construction fails (impossible for non-empty text).
-pub fn other_isa_study() -> Vec<IsaRow> {
-    IsaDialect::ALL
-        .iter()
-        .map(|&dialect| {
-            let text = other_isa::generate(dialect, 64 * 1024, 42);
-            let hist = ccrp_compress::ByteHistogram::of(&text);
-            let code = ccrp_compress::ByteCode::preselected(&hist).expect("code builds");
-            IsaRow {
-                dialect,
-                entropy_bits: hist.entropy_bits(),
-                compressed_ratio: code.encoded_bits(&text) as f64 / (text.len() as f64 * 8.0),
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,22 +334,6 @@ mod tests {
                 row.standard_cores
             );
         }
-    }
-
-    #[test]
-    fn other_isas_tell_the_papers_story() {
-        let rows = other_isa_study();
-        let ratio = |d: IsaDialect| {
-            rows.iter()
-                .find(|r| r.dialect == d)
-                .expect("swept")
-                .compressed_ratio
-        };
-        // Both fixed-width RISCs compress well; the dense CISC encoding
-        // leaves much less redundancy — the premise of §1, quantified.
-        assert!(ratio(IsaDialect::MipsR2000) < 0.78);
-        assert!(ratio(IsaDialect::SparcLike) < 0.78);
-        assert!(ratio(IsaDialect::M68kLike) > ratio(IsaDialect::SparcLike) + 0.05);
     }
 
     #[test]

@@ -1,10 +1,7 @@
 //! Tables 9–10: the effect of CLB size (4, 8, 16 entries) on relative
 //! performance for NASA7 and espresso.
 
-use ccrp_sim::{MemoryModel, Simulation, SystemConfig};
-
-use crate::experiments::perf::CACHE_SIZES;
-use crate::suite::{Prepared, Suite};
+use ccrp_sim::MemoryModel;
 
 /// The CLB capacities of §4.2.2.
 pub const CLB_SIZES: [usize; 3] = [16, 8, 4];
@@ -23,56 +20,23 @@ pub struct ClbRow {
     pub clb_miss_rate: [f64; 3],
 }
 
-/// Runs the CLB sweep for one workload.
-///
-/// # Panics
-///
-/// Panics on simulator configuration errors (impossible for the fixed
-/// paper parameters).
-pub fn clb_sweep(prepared: &Prepared) -> Vec<ClbRow> {
-    let mut rows = Vec::new();
-    for memory in [MemoryModel::Eprom, MemoryModel::BurstEprom] {
-        for &cache_bytes in &CACHE_SIZES {
-            let mut relative = [0.0; 3];
-            let mut clb_miss = [0.0; 3];
-            for (slot, &clb_entries) in CLB_SIZES.iter().enumerate() {
-                let config = SystemConfig::new()
-                    .with_cache_bytes(cache_bytes)
-                    .with_memory(memory)
-                    .with_clb_entries(clb_entries);
-                let cmp = Simulation::new(config)
-                    .compare(&prepared.image, prepared.workload.trace.iter())
-                    .expect("paper configurations are valid");
-                relative[slot] = cmp.relative_execution_time();
-                clb_miss[slot] = cmp.ccrp.clb.expect("CCRP runs track the CLB").miss_rate();
-            }
-            rows.push(ClbRow {
-                memory,
-                cache_bytes,
-                relative,
-                clb_miss_rate: clb_miss,
-            });
-        }
-    }
-    rows
-}
-
-/// Tables 9 and 10: NASA7 and espresso.
-pub fn tables_9_10(suite: &Suite) -> Vec<(&'static str, Vec<ClbRow>)> {
-    ["NASA7", "espresso"]
-        .iter()
-        .map(|&name| (suite.get(name).workload.name, clb_sweep(suite.get(name))))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::suite::suite;
+    use crate::runner::{run, Experiment, ExperimentResults, SweepOptions};
+
+    fn tables_9_10_rows() -> Vec<(&'static str, Vec<ClbRow>)> {
+        let ExperimentResults::Tables9To10(tables) =
+            run(Experiment::Tables9To10, &SweepOptions::default()).results
+        else {
+            unreachable!("a Tables 9–10 sweep folds into Tables 9–10 rows");
+        };
+        tables
+    }
 
     #[test]
     fn smaller_clb_never_helps() {
-        for (name, rows) in tables_9_10(suite()) {
+        for (name, rows) in tables_9_10_rows() {
             for row in &rows {
                 // relative[0] is the 16-entry CLB; shrinking the CLB can
                 // only add LAT reads, so CCRP time (and thus the ratio)
@@ -97,7 +61,7 @@ mod tests {
     fn variations_are_minor_as_paper_observes() {
         // §4.2.2: "These programs show only minor variations with
         // respect to CLB size over this range."
-        for (name, rows) in tables_9_10(suite()) {
+        for (name, rows) in tables_9_10_rows() {
             for row in &rows {
                 let spread = row.relative[2] - row.relative[0];
                 assert!(

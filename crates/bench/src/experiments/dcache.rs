@@ -2,9 +2,7 @@
 //! performance (1 KB instruction cache, data-cache miss rates from 0% to
 //! 100%).
 
-use ccrp_sim::{DataCacheModel, MemoryModel, Simulation, SystemConfig};
-
-use crate::suite::{Prepared, Suite};
+use ccrp_sim::MemoryModel;
 
 /// The data-cache miss rates of §4.2.4, in percent.
 pub const DCACHE_MISS_PCTS: [u32; 5] = [0, 2, 10, 25, 100];
@@ -20,52 +18,26 @@ pub struct DcacheRow {
     pub relative: f64,
 }
 
-/// Runs the data-cache sweep for one workload.
-///
-/// # Panics
-///
-/// Panics on simulator configuration errors (impossible for the fixed
-/// paper parameters).
-pub fn dcache_sweep(prepared: &Prepared) -> Vec<DcacheRow> {
-    let mut rows = Vec::new();
-    for memory in [MemoryModel::Eprom, MemoryModel::BurstEprom] {
-        for &pct in &DCACHE_MISS_PCTS {
-            let config = SystemConfig::new()
-                .with_cache_bytes(1024)
-                .with_memory(memory)
-                .with_dcache(DataCacheModel::with_miss_rate(f64::from(pct) / 100.0));
-            let cmp = Simulation::new(config)
-                .compare(&prepared.image, prepared.workload.trace.iter())
-                .expect("paper configurations are valid");
-            rows.push(DcacheRow {
-                memory,
-                dcache_miss_pct: pct,
-                relative: cmp.relative_execution_time(),
-            });
-        }
-    }
-    rows
-}
-
-/// Tables 11–13: NASA7, espresso, and fpppp.
-pub fn tables_11_13(suite: &Suite) -> Vec<(&'static str, Vec<DcacheRow>)> {
-    ["NASA7", "espresso", "fpppp"]
-        .iter()
-        .map(|&name| (suite.get(name).workload.name, dcache_sweep(suite.get(name))))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::suite::suite;
+    use crate::runner::{run, Experiment, ExperimentResults, SweepOptions};
+
+    fn tables_11_13_rows() -> Vec<(&'static str, Vec<DcacheRow>)> {
+        let ExperimentResults::Tables11To13(tables) =
+            run(Experiment::Tables11To13, &SweepOptions::default()).results
+        else {
+            unreachable!("a Tables 11–13 sweep folds into Tables 11–13 rows");
+        };
+        tables
+    }
 
     #[test]
     fn data_stalls_dilute_the_gap() {
         // §4.2.4: "As the data cache miss rate increases, the effect of
         // the CCRP on performance is reduced" — relative performance
         // moves monotonically toward 1.0.
-        for (name, rows) in tables_11_13(suite()) {
+        for (name, rows) in tables_11_13_rows() {
             for memory in [MemoryModel::Eprom, MemoryModel::BurstEprom] {
                 let gaps: Vec<f64> = rows
                     .iter()
@@ -88,7 +60,7 @@ mod tests {
         // At 0% data-cache misses, data accesses are free and the whole
         // difference is instruction-side; the gap must be the widest of
         // the sweep.
-        for (_, rows) in tables_11_13(suite()) {
+        for (_, rows) in tables_11_13_rows() {
             let zero = rows
                 .iter()
                 .find(|r| r.memory == MemoryModel::Eprom && r.dcache_miss_pct == 0)

@@ -8,7 +8,7 @@
 //! hardwired and costs nothing.
 
 use ccrp_compress::{block, lzw, BlockAlignment, ByteCode, ByteHistogram};
-use ccrp_workloads::{figure5_corpus, preselected_code, CorpusProgram};
+use ccrp_workloads::{preselected_code, CorpusProgram};
 
 /// One bar group of Figure 5.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,16 +58,6 @@ pub fn figure5_row(program: &CorpusProgram) -> Fig5Row {
     }
 }
 
-/// Computes every per-program row of Figure 5.
-///
-/// # Panics
-///
-/// Panics if a per-program code cannot be built (impossible for
-/// non-empty programs).
-pub fn figure5() -> Vec<Fig5Row> {
-    figure5_corpus().iter().map(figure5_row).collect()
-}
-
 /// The "Weighted Averages" bar group: sizes weighted by original bytes.
 pub fn weighted_average(rows: &[Fig5Row]) -> Fig5Row {
     let total: f64 = rows.iter().map(|r| r.original_bytes as f64).sum();
@@ -89,13 +79,18 @@ pub fn weighted_average(rows: &[Fig5Row]) -> Fig5Row {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::runner::{run, Experiment, ExperimentResults, SweepOptions};
 
     #[test]
     fn figure5_reproduces_paper_structure() {
-        let rows = figure5();
+        let ExperimentResults::Fig5 {
+            rows,
+            weighted: avg,
+        } = run(Experiment::Fig5, &SweepOptions::default()).results
+        else {
+            unreachable!("a Figure 5 sweep folds into Figure 5 rows");
+        };
         assert_eq!(rows.len(), 10);
-        let avg = weighted_average(&rows);
         // The paper's ordering: compress < traditional <= bounded <=
         // preselected, all well under 100%.
         assert!(avg.compress_pct < avg.traditional_pct);

@@ -1,9 +1,7 @@
 //! Tables 1–8 (relative performance vs cache size) and Figure 9
 //! (relative performance vs miss rate).
 
-use ccrp_sim::{DataCacheModel, MemoryModel, Simulation, SystemConfig};
-
-use crate::suite::Prepared;
+use ccrp_sim::MemoryModel;
 
 /// The cache sizes of §4.2.1.
 pub const CACHE_SIZES: [u32; 5] = [256, 512, 1024, 2048, 4096];
@@ -23,86 +21,32 @@ pub struct PerfPoint {
     pub memory_traffic: f64,
 }
 
-/// Sweeps one workload over the cache sizes for the given memory models
-/// (the body of one of Tables 1–8).
-///
-/// # Panics
-///
-/// Panics on simulator configuration errors (impossible for the fixed
-/// paper parameters).
-pub fn performance_sweep(
-    prepared: &Prepared,
-    memories: &[MemoryModel],
-    clb_entries: usize,
-    dcache: DataCacheModel,
-) -> Vec<PerfPoint> {
-    let mut points = Vec::with_capacity(memories.len() * CACHE_SIZES.len());
-    for &memory in memories {
-        for &cache_bytes in &CACHE_SIZES {
-            let config = SystemConfig::new()
-                .with_cache_bytes(cache_bytes)
-                .with_memory(memory)
-                .with_clb_entries(clb_entries)
-                .with_dcache(dcache);
-            let cmp = Simulation::new(config)
-                .compare(&prepared.image, prepared.workload.trace.iter())
-                .expect("paper configurations are valid");
-            points.push(PerfPoint {
-                cache_bytes,
-                memory,
-                relative_performance: cmp.relative_execution_time(),
-                miss_rate: cmp.miss_rate(),
-                memory_traffic: cmp.memory_traffic_ratio(),
-            });
-        }
-    }
-    points
-}
-
-/// Tables 1–8: every workload under EPROM and Burst EPROM with a
-/// 16-entry CLB and no data cache; the DRAM model is included for
-/// matrix25A (the paper prints DRAM for a single program, noting it
-/// tracks Burst EPROM closely).
-pub fn tables_1_to_8(suite: &crate::suite::Suite) -> Vec<(&'static str, Vec<PerfPoint>)> {
-    suite
-        .iter()
-        .map(|prepared| {
-            let memories: &[MemoryModel] = if prepared.workload.name == "matrix25A" {
-                &[
-                    MemoryModel::Eprom,
-                    MemoryModel::BurstEprom,
-                    MemoryModel::ScDram,
-                ]
-            } else {
-                &[MemoryModel::Eprom, MemoryModel::BurstEprom]
-            };
-            let points = performance_sweep(prepared, memories, 16, DataCacheModel::NONE);
-            (prepared.workload.name, points)
-        })
-        .collect()
-}
-
-/// Figure 9's scatter: every (workload, cache, memory-model) point from
-/// the Tables 1–8 sweep, under all three memory models.
-pub fn figure9(suite: &crate::suite::Suite) -> Vec<(&'static str, PerfPoint)> {
-    let mut points = Vec::new();
-    for prepared in suite.iter() {
-        for point in performance_sweep(prepared, &MemoryModel::ALL, 16, DataCacheModel::NONE) {
-            points.push((prepared.workload.name, point));
-        }
-    }
-    points
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::suite::suite;
+    use crate::runner::{run, Experiment, ExperimentResults, SweepOptions};
+
+    fn tables_1_8_rows() -> Vec<(&'static str, Vec<PerfPoint>)> {
+        let ExperimentResults::Tables1To8(tables) =
+            run(Experiment::Tables1To8, &SweepOptions::default()).results
+        else {
+            unreachable!("a Tables 1–8 sweep folds into Tables 1–8 rows");
+        };
+        tables
+    }
+
+    fn figure9_points() -> Vec<(&'static str, PerfPoint)> {
+        let ExperimentResults::Fig9(points) =
+            run(Experiment::Fig9, &SweepOptions::default()).results
+        else {
+            unreachable!("a Figure 9 sweep folds into Figure 9 points");
+        };
+        points
+    }
 
     #[test]
     fn eprom_wins_fast_memory_loses() {
-        let s = suite();
-        let tables = tables_1_to_8(s);
+        let tables = tables_1_8_rows();
         assert_eq!(tables.len(), 8);
         for (name, points) in &tables {
             for p in points {
@@ -132,8 +76,7 @@ mod tests {
 
     #[test]
     fn miss_rates_decline_with_cache_size() {
-        let s = suite();
-        for (name, points) in tables_1_to_8(s) {
+        for (name, points) in tables_1_8_rows() {
             let eprom: Vec<&PerfPoint> = points
                 .iter()
                 .filter(|p| p.memory == MemoryModel::Eprom)
@@ -154,8 +97,7 @@ mod tests {
         // "for slow memories, the compressed code model will outperform
         // standard code more at higher miss rates while the opposite is
         // true for faster memory" (§4.2.3).
-        let s = suite();
-        let points = figure9(s);
+        let points = figure9_points();
         let corr = |memory: MemoryModel| {
             let sel: Vec<(f64, f64)> = points
                 .iter()
@@ -191,9 +133,11 @@ mod tests {
     fn dram_tracks_burst_eprom() {
         // §4.2.1: "The DRAM memory model produces quite similar results
         // to the Burst EPROM memory model".
-        let s = suite();
-        let prepared = s.get("matrix25A");
-        let points = performance_sweep(prepared, &MemoryModel::ALL, 16, DataCacheModel::NONE);
+        let points: Vec<PerfPoint> = figure9_points()
+            .into_iter()
+            .filter(|&(name, _)| name == "matrix25A")
+            .map(|(_, point)| point)
+            .collect();
         for &cache in &CACHE_SIZES {
             let by = |m: MemoryModel| {
                 points

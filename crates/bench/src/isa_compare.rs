@@ -381,6 +381,15 @@ mod tests {
                 ratio_of(IsaVariant::Rv32cCcrp) < ratio_of(IsaVariant::Rv32c),
                 "{workload}: composition did not improve on rvc alone"
             );
+            // §1's premise: a dense encoding leaves a byte code less to
+            // remove, so CCRP shrinks RVC text by clearly less than it
+            // shrinks RV32I text.
+            let ccrp_over_rvc = ratio_of(IsaVariant::Rv32cCcrp) / ratio_of(IsaVariant::Rv32c);
+            assert!(
+                ccrp_over_rvc > ratio_of(IsaVariant::Rv32iCcrp) + 0.05,
+                "{workload}: ccrp keeps {ccrp_over_rvc} of rvc text but {} of rv32i text",
+                ratio_of(IsaVariant::Rv32iCcrp)
+            );
             // rv32c and rv32c-ccrp replay the same trace through the
             // same cache, so their miss rates are identical per model —
             // only the refill path differs.

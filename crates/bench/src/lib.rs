@@ -1,18 +1,19 @@
 //! Experiment harness for the CCRP reproduction.
 //!
 //! Every table and figure in the evaluation of Wolfe & Chanin
-//! (MICRO-25 1992) has a regenerator here, exposed both as a library
-//! function returning structured rows (so tests can assert the paper's
-//! claims) and as a `cargo bench` target that prints the table:
+//! (MICRO-25 1992) has a regenerator here: one [`Experiment`] that
+//! [`runner::run`] sweeps into structured rows (so tests can assert the
+//! paper's claims) and that `ccrp-tools sweep --experiment <name>
+//! --tables` prints as the paper's table:
 //!
-//! | Paper artifact | Function | Bench target |
+//! | Paper artifact | Experiment | Rows |
 //! |---|---|---|
-//! | Figure 5 | [`experiments::fig5::figure5`] | `fig5` |
-//! | Tables 1–8 | [`experiments::perf::tables_1_to_8`] | `tables1_8` |
-//! | Tables 9–10 | [`experiments::clb::tables_9_10`] | `tables9_10` |
-//! | Figure 9 | [`experiments::perf::figure9`] | `fig9` |
-//! | Tables 11–13 | [`experiments::dcache::tables_11_13`] | `tables11_13` |
-//! | §3.2/§3.4/Fig. 1 ablations | [`experiments::ablate`] | `ablations` |
+//! | Figure 5 | [`Experiment::Fig5`] (`fig5`) | [`experiments::fig5::Fig5Row`] |
+//! | Tables 1–8 | [`Experiment::Tables1To8`] (`tables1_8`) | [`experiments::perf::PerfPoint`] |
+//! | Tables 9–10 | [`Experiment::Tables9To10`] (`tables9_10`) | [`experiments::clb::ClbRow`] |
+//! | Figure 9 | [`Experiment::Fig9`] (`fig9`) | [`experiments::perf::PerfPoint`] |
+//! | Tables 11–13 | [`Experiment::Tables11To13`] (`tables11_13`) | [`experiments::dcache::DcacheRow`] |
+//! | §3.2/§3.4/Fig. 1 ablations | — | [`experiments::ablate`] (`cargo bench --bench ablations`) |
 //!
 //! The expensive part — assembling, executing, and compressing the eight
 //! workloads — happens once per process through [`suite::suite`].
@@ -39,14 +40,12 @@ pub mod json;
 pub mod render;
 pub mod report;
 pub mod runner;
-pub mod segments;
 pub mod servesim;
 mod suite;
 mod table;
 
 pub use report::{chrome_trace, ToJson};
 pub use runner::{available_jobs, Engine, Experiment, SweepOptions, SweepReport};
-pub use segments::{compare_segmented, SegmentError, SegmentReplayReport};
 pub use suite::{suite, suite_with_jobs, Prepared, Suite};
 pub use table::Table;
 

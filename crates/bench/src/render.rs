@@ -1,10 +1,9 @@
-//! Renders sweep results as the paper-style text tables the `cargo
-//! bench` targets print.
+//! Renders sweep results as the paper-style text tables
+//! `ccrp-tools sweep --tables` prints.
 //!
-//! Each renderer takes the structured rows an experiment produced
-//! (serial or parallel — they are the same types) and returns the full
-//! report as a `String`, so the bench binaries, the `ccrp-tools sweep`
-//! command, and the golden-file tests all share one formatting path.
+//! Each renderer takes the structured rows an experiment produced and
+//! returns the full report as a `String`, so the `ccrp-tools sweep`
+//! command and the golden-file tests share one formatting path.
 //! Rendering depends only on the deterministic results, never on
 //! timing, so the output is stable across runs and worker counts.
 

@@ -20,10 +20,6 @@
 //!   workload once and replays it for every configuration
 //!   ([`Simulation::replay_sweep`]).
 //!
-//! The old free functions (`simulate_standard`, `simulate_ccrp`,
-//! `compare`, and their `_probed` / `_budgeted` variants) are
-//! deprecated thin wrappers over [`Simulation`].
-//!
 //! # Examples
 //!
 //! ```
@@ -71,10 +67,5 @@ pub use icache::{BadCacheSize, CacheStats, ICache, ICacheSnapshot, LINE_BYTES};
 pub use memory::{standard_refill_cycles, MemoryModel, MemorySim, MemorySimSnapshot};
 pub use simulation::{SimSource, Simulation};
 pub use stepper::{CcrpSim, CcrpSimSnapshot, SimCounters, StandardSim, StandardSimSnapshot};
-#[allow(deprecated)]
-pub use system::{
-    compare, compare_probed, simulate_ccrp, simulate_ccrp_budgeted, simulate_ccrp_probed,
-    simulate_standard, simulate_standard_budgeted, simulate_standard_probed,
-};
 pub use system::{Comparison, RunStats, SimError, SystemConfig};
 pub use trace::{AccessTrace, FetchRun, TraceError, TRACE_FORMAT_VERSION};

@@ -1,8 +1,7 @@
 //! The unified simulation entry point.
 //!
-//! [`Simulation`] replaces the old `simulate_standard` / `simulate_ccrp`
-//! × plain / `_probed` / `_budgeted` entry-point matrix with one
-//! builder: a [`SystemConfig`] plus optional probes and an optional
+//! [`Simulation`] is the one builder every run goes through: a
+//! [`SystemConfig`] plus optional probes and an optional
 //! [`StepBudget`], executed over either a live per-fetch trace or a
 //! captured [`AccessTrace`] (see [`SimSource`]).
 //!

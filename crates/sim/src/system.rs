@@ -1,8 +1,9 @@
-//! The trace-driven system simulator (§4.1): replays an instruction
+//! The trace-driven system simulator's (§4.1) configuration, errors and
+//! results. [`Simulation`](crate::Simulation) replays an instruction
 //! trace through the cache/memory hierarchy twice — once as a standard
 //! R2000-style processor, once as a CCRP — and reports the paper's
-//! metrics: relative execution time, instruction-cache miss rate, and
-//! relative memory traffic.
+//! metrics in a [`Comparison`]: relative execution time,
+//! instruction-cache miss rate, and relative memory traffic.
 //!
 //! As in the paper, the pipeline freezes during refills ("We also do not
 //! permit the processor pipeline to continue when instruction fetches are
@@ -11,13 +12,11 @@
 use std::error::Error;
 use std::fmt;
 
-use ccrp::{BudgetExhausted, CcrpError, ClbStats, CompressedImage, RefillConfig, StepBudget};
-use ccrp_probe::Probe;
+use ccrp::{BudgetExhausted, CcrpError, ClbStats, RefillConfig};
 
 use crate::dcache::DataCacheModel;
 use crate::icache::{BadCacheSize, CacheStats};
 use crate::memory::MemoryModel;
-use crate::simulation::Simulation;
 
 /// Configuration of one simulated system.
 ///
@@ -118,7 +117,7 @@ pub enum SimError {
     /// A trace address the compressed image cannot serve, or another
     /// CCRP-level failure.
     Ccrp(CcrpError),
-    /// A caller-supplied [`StepBudget`] ran out before the trace was
+    /// A caller-supplied [`StepBudget`](ccrp::StepBudget) ran out before the trace was
     /// fully replayed (the deadline-aware refill guard: simulated
     /// cycles — including refill latency — are what get charged).
     Budget(BudgetExhausted),
@@ -199,122 +198,6 @@ impl RunStats {
     }
 }
 
-/// Simulates the standard (uncompressed) processor over `trace`:
-/// `(pc, data_access_count)` pairs as captured by `ccrp-emu`.
-///
-/// # Errors
-///
-/// [`SimError::Cache`] for invalid cache geometry.
-#[deprecated(note = "use the `Simulation` builder: `Simulation::new(*config).standard(trace)`")]
-pub fn simulate_standard(
-    trace: impl IntoIterator<Item = (u32, u8)>,
-    config: &SystemConfig,
-) -> Result<RunStats, SimError> {
-    Simulation::new(*config).standard(trace)
-}
-
-/// [`simulate_standard`], reporting [`Event::CacheMiss`](ccrp_probe::Event::CacheMiss) and
-/// [`Event::MemoryBurst`](ccrp_probe::Event::MemoryBurst) to `probe` as the trace replays. The
-/// computation is identical — the plain function is this one with
-/// [`NullProbe`](ccrp_probe::NullProbe).
-///
-/// # Errors
-///
-/// As [`simulate_standard`].
-#[deprecated(
-    note = "use the `Simulation` builder: `Simulation::new(*config).standard_probed(probe).standard(trace)`"
-)]
-pub fn simulate_standard_probed<P: Probe>(
-    trace: impl IntoIterator<Item = (u32, u8)>,
-    config: &SystemConfig,
-    probe: &mut P,
-) -> Result<RunStats, SimError> {
-    Simulation::new(*config)
-        .standard_probed(probe)
-        .standard(trace)
-}
-
-/// Simulates the CCRP over `trace`, refilling through `image`'s
-/// LAT/CLB/decoder path.
-///
-/// # Errors
-///
-/// [`SimError::Cache`] for invalid geometry, [`SimError::Ccrp`] when the
-/// trace fetches outside the compressed image.
-#[deprecated(note = "use the `Simulation` builder: `Simulation::new(*config).ccrp(image, trace)`")]
-pub fn simulate_ccrp(
-    image: &CompressedImage,
-    trace: impl IntoIterator<Item = (u32, u8)>,
-    config: &SystemConfig,
-) -> Result<RunStats, SimError> {
-    Simulation::new(*config).ccrp(image, trace)
-}
-
-/// [`simulate_ccrp`], reporting the full event stream to `probe`:
-/// [`Event::CacheMiss`](ccrp_probe::Event::CacheMiss) per miss, plus everything
-/// [`RefillEngine::refill_probed`](ccrp::RefillEngine::refill_probed) emits (refill start/done, CLB
-/// hit/miss/evict, memory bursts). The computation is identical — the
-/// plain function is this one with [`NullProbe`](ccrp_probe::NullProbe).
-///
-/// # Errors
-///
-/// As [`simulate_ccrp`].
-#[deprecated(
-    note = "use the `Simulation` builder: `Simulation::new(*config).ccrp_probed(probe).ccrp(image, trace)`"
-)]
-pub fn simulate_ccrp_probed<P: Probe>(
-    image: &CompressedImage,
-    trace: impl IntoIterator<Item = (u32, u8)>,
-    config: &SystemConfig,
-    probe: &mut P,
-) -> Result<RunStats, SimError> {
-    Simulation::new(*config)
-        .ccrp_probed(probe)
-        .ccrp(image, trace)
-}
-
-/// [`simulate_standard`] with a cooperative deadline: every trace entry
-/// charges `budget` with the simulated cycles it consumed (base cycle
-/// plus any refill latency), so a hostile trace or pathological memory
-/// model is bounded by fuel, not wall clock.
-///
-/// # Errors
-///
-/// [`SimError::Budget`] when the budget trips; otherwise as
-/// [`simulate_standard`].
-#[deprecated(
-    note = "use the `Simulation` builder: `Simulation::new(*config).budgeted(budget).standard(trace)`"
-)]
-pub fn simulate_standard_budgeted(
-    trace: impl IntoIterator<Item = (u32, u8)>,
-    config: &SystemConfig,
-    budget: &mut StepBudget,
-) -> Result<RunStats, SimError> {
-    Simulation::new(*config).budgeted(budget).standard(trace)
-}
-
-/// [`simulate_ccrp`] with a cooperative deadline — the deadline-aware
-/// refill path. The charge per trace entry is the simulated cycles it
-/// consumed, so refill storms (CLB misses, integrity retries, slow
-/// memory models) burn fuel proportionally to the time they model and a
-/// corrupt or adversarial image cannot stall a worker past its budget.
-///
-/// # Errors
-///
-/// [`SimError::Budget`] when the budget trips; otherwise as
-/// [`simulate_ccrp`].
-#[deprecated(
-    note = "use the `Simulation` builder: `Simulation::new(*config).budgeted(budget).ccrp(image, trace)`"
-)]
-pub fn simulate_ccrp_budgeted(
-    image: &CompressedImage,
-    trace: impl IntoIterator<Item = (u32, u8)>,
-    config: &SystemConfig,
-    budget: &mut StepBudget,
-) -> Result<RunStats, SimError> {
-    Simulation::new(*config).budgeted(budget).ccrp(image, trace)
-}
-
 /// Both processors' results over the same trace and configuration — one
 /// cell of the paper's Tables 1–13.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -350,56 +233,11 @@ impl Comparison {
     }
 }
 
-/// Runs both processors over the same trace.
-///
-/// # Errors
-///
-/// As for [`simulate_standard`] and [`simulate_ccrp`].
-#[deprecated(
-    note = "use the `Simulation` builder: `Simulation::new(*config).compare(image, trace)`"
-)]
-pub fn compare<I>(
-    image: &CompressedImage,
-    trace: I,
-    config: &SystemConfig,
-) -> Result<Comparison, SimError>
-where
-    I: IntoIterator<Item = (u32, u8)>,
-    I::IntoIter: Clone,
-{
-    Simulation::new(*config).compare(image, trace)
-}
-
-/// [`compare`], with a separate probe observing each processor's run (so
-/// the two event streams stay distinguishable in a trace).
-///
-/// # Errors
-///
-/// As [`compare`].
-#[deprecated(note = "use the `Simulation` builder: \
-            `Simulation::new(*config).standard_probed(p).ccrp_probed(q).compare(image, trace)`")]
-pub fn compare_probed<I, P, Q>(
-    image: &CompressedImage,
-    trace: I,
-    config: &SystemConfig,
-    standard_probe: &mut P,
-    ccrp_probe: &mut Q,
-) -> Result<Comparison, SimError>
-where
-    I: IntoIterator<Item = (u32, u8)>,
-    I::IntoIter: Clone,
-    P: Probe,
-    Q: Probe,
-{
-    Simulation::new(*config)
-        .standard_probed(standard_probe)
-        .ccrp_probed(ccrp_probe)
-        .compare(image, trace)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulation::Simulation;
+    use ccrp::{CompressedImage, StepBudget};
     use ccrp_compress::{BlockAlignment, ByteCode, ByteHistogram};
 
     /// A compressible synthetic program plus a looping trace over it.
@@ -486,73 +324,6 @@ mod tests {
             format!("{err}"),
             format!("{err2}"),
             "fuel exhaustion is deterministic"
-        );
-    }
-
-    /// The `#[deprecated]` wrappers must keep returning exactly what
-    /// the builder they forward to returns.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_builder() {
-        use ccrp_probe::EventLog;
-
-        let (image, trace) = fixture(2048);
-        let config = SystemConfig::new()
-            .with_cache_bytes(256)
-            .with_memory(MemoryModel::Eprom);
-
-        let builder_cmp = Simulation::new(config)
-            .compare(&image, trace.iter().copied())
-            .unwrap();
-        assert_eq!(
-            super::compare(&image, trace.iter().copied(), &config).unwrap(),
-            builder_cmp
-        );
-        assert_eq!(
-            simulate_standard(trace.iter().copied(), &config).unwrap(),
-            builder_cmp.standard
-        );
-        assert_eq!(
-            simulate_ccrp(&image, trace.iter().copied(), &config).unwrap(),
-            builder_cmp.ccrp
-        );
-
-        let mut std_log = EventLog::new();
-        let mut ccrp_log = EventLog::new();
-        assert_eq!(
-            compare_probed(
-                &image,
-                trace.iter().copied(),
-                &config,
-                &mut std_log,
-                &mut ccrp_log,
-            )
-            .unwrap(),
-            builder_cmp
-        );
-        let mut std_log2 = EventLog::new();
-        assert_eq!(
-            simulate_standard_probed(trace.iter().copied(), &config, &mut std_log2).unwrap(),
-            builder_cmp.standard
-        );
-        assert_eq!(std_log.events(), std_log2.events());
-        let mut ccrp_log2 = EventLog::new();
-        assert_eq!(
-            simulate_ccrp_probed(&image, trace.iter().copied(), &config, &mut ccrp_log2).unwrap(),
-            builder_cmp.ccrp
-        );
-        assert_eq!(ccrp_log.events(), ccrp_log2.events());
-
-        let mut std_budget = StepBudget::unlimited();
-        assert_eq!(
-            simulate_standard_budgeted(trace.iter().copied(), &config, &mut std_budget).unwrap(),
-            builder_cmp.standard
-        );
-        let mut ccrp_budget = StepBudget::unlimited();
-        assert_eq!(
-            simulate_ccrp_budgeted(&image, trace.iter().copied(), &config, &mut ccrp_budget)
-                .unwrap(),
-            builder_cmp.ccrp
         );
     }
 

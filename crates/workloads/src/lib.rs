@@ -33,7 +33,6 @@
 
 pub mod codegen;
 mod corpus;
-pub mod other_isa;
 mod programs;
 mod workload;
 
@@ -42,7 +41,6 @@ pub use corpus::{
     corpus_histogram, corpus_positional_histogram, figure5_corpus, preselected_code,
     preselected_positional_code, CorpusProgram,
 };
-pub use other_isa::IsaDialect;
 pub use workload::{TracedWorkload, Workload, WorkloadError};
 
 #[cfg(test)]

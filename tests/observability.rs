@@ -37,6 +37,9 @@ fn probe_off_sweep_reproduces_committed_bench_files() {
     for (file, experiment) in [
         ("BENCH_fig5.json", Experiment::Fig5),
         ("BENCH_tables1_8.json", Experiment::Tables1To8),
+        ("BENCH_tables9_10.json", Experiment::Tables9To10),
+        ("BENCH_fig9.json", Experiment::Fig9),
+        ("BENCH_tables11_13.json", Experiment::Tables11To13),
     ] {
         let committed =
             std::fs::read_to_string(repo_path(file)).unwrap_or_else(|e| panic!("{file}: {e}"));

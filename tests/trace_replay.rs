@@ -1,8 +1,8 @@
 //! Trace capture/replay integration: the `.trace` container and the
 //! trace-replay sweep engine reproduce direct (live) simulation for the
 //! paper's workloads, and reject corrupted trace files with typed
-//! errors — the properties `ccrp-tools sweep --engine trace` and the
-//! bench gate rest on.
+//! errors — the properties `ccrp-tools sweep` and the bench gate rest
+//! on.
 
 use ccrp::FaultInjector;
 use ccrp_bench::experiments::perf::CACHE_SIZES;
