@@ -149,8 +149,7 @@ impl Clb {
     /// Restores the CLB to exactly the state `snapshot` captured,
     /// adopting its capacity, resident entries (in LRU order), and
     /// counters. Subsequent probes behave bit-for-bit as they would
-    /// have on the snapshotted CLB — the property checkpointed
-    /// segment replay relies on.
+    /// have on the snapshotted CLB.
     pub fn restore(&mut self, snapshot: &ClbSnapshot) {
         self.capacity = snapshot.capacity;
         self.slots.clone_from(&snapshot.slots);

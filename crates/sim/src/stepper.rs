@@ -17,8 +17,8 @@
 //! tags and counters, the memory model's precharge deadline, the CLB
 //! (contents, LRU order, counters), and the running [`SimCounters`].
 //! Restoring a snapshot and replaying the remaining trace therefore
-//! produces results identical to an unbroken run — the property the
-//! segment-parallel replay scheduler in `ccrp-bench` is built on.
+//! produces results identical to an unbroken run. Only this module's
+//! tests restore a stepper today.
 
 use ccrp::{ClbStats, CompressedImage, MemoryTiming, RefillEngine, RefillEngineSnapshot};
 use ccrp_probe::{Event, NullProbe, Probe};
