@@ -24,15 +24,18 @@
 #      BENCH_decoder.json records one blessed run; the gate re-measures
 #      on the CI host rather than trusting the committed numbers.
 #
-#   3. Trace-engine worker independence: run the trace-replay sweep at
-#      --jobs 1 and --jobs 4 and require the deterministic sections to
-#      be byte-identical — the capture/replay decomposition must not
-#      leak scheduling into results.
+#   3. Trace-engine worker independence: run every paper sweep
+#      (`--experiment all`, the union plan that replays each workload
+#      once for all four simulated grids) at --jobs 1 and --jobs 4 and
+#      require all five results files to be byte-identical outside the
+#      `jobs` and timing keys — the shared plan must not leak scheduling
+#      into results.
 #
 #   4. Trace-replay speedup: run the tracereplay_bench target and
-#      require the capture-once/replay-many engine to beat per-cell
-#      re-execution by at least MIN_SPEEDUP (default 2.0), as recorded
-#      in the committed BENCH_tracereplay.json.
+#      require the trace engine (replay of the suite's captured traces)
+#      to beat re-execution (a fresh emulator run per workload, stepped
+#      per cell) by at least MIN_SPEEDUP (default 2.0), as recorded in
+#      the committed BENCH_tracereplay.json.
 #
 # Mirrors tests/observability.rs (probe_off_sweep_reproduces_committed_
 # bench_files) so the property holds both under `cargo test` and as a
@@ -86,12 +89,14 @@ done
 echo "bench_gate: trace-engine jobs independence (--jobs 1 vs --jobs 4)"
 mkdir -p "$tmp/j1" "$tmp/j4"
 cargo run --release --locked --offline -p ccrp-cli --bin ccrp-tools -- \
-    sweep --experiment tables1_8 --jobs 1 --out "$tmp/j1"
+    sweep --experiment all --jobs 1 --out "$tmp/j1"
 cargo run --release --locked --offline -p ccrp-cli --bin ccrp-tools -- \
-    sweep --experiment tables1_8 --jobs 4 --out "$tmp/j4"
-diff <(grep -vE '"jobs"|"total_wall_us"|"wall_us"|"suite_build_us"' "$tmp/j1/BENCH_tables1_8.json") \
-     <(grep -vE '"jobs"|"total_wall_us"|"wall_us"|"suite_build_us"' "$tmp/j4/BENCH_tables1_8.json") \
-    || { echo "bench_gate: FAIL trace engine diverged between 1 and 4 workers" >&2; exit 1; }
+    sweep --experiment all --jobs 4 --out "$tmp/j4"
+for name in fig5 tables1_8 tables9_10 fig9 tables11_13; do
+    diff <(grep -vE '"jobs"|"total_wall_us"|"wall_us"|"suite_build_us"' "$tmp/j1/BENCH_${name}.json") \
+         <(grep -vE '"jobs"|"total_wall_us"|"wall_us"|"suite_build_us"' "$tmp/j4/BENCH_${name}.json") \
+        || { echo "bench_gate: FAIL BENCH_${name}.json diverged between 1 and 4 workers" >&2; exit 1; }
+done
 echo "bench_gate: trace engine is worker-count independent"
 
 echo "bench_gate: measuring decoder speedup (gate: >= ${MIN_SPEEDUP}x)"

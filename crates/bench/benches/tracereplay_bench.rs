@@ -4,6 +4,11 @@
 //! worker, checking the results fold identically and reporting the
 //! wall-clock ratio.
 //!
+//! The suite is built by the warmup pass, so neither side pays for it.
+//! The trace side replays the traces the suite captured: it captures
+//! nothing. The re-exec side runs each workload under the emulator once
+//! per sweep and steps every cell over that live per-fetch trace.
+//!
 //! Like `micro.rs`, this is a std-only harness (no crates.io access for
 //! an external framework): best-of-3 timed passes per engine after a
 //! warmup pass. Results are written as `BENCH_tracereplay.json` via the

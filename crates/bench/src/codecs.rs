@@ -1,9 +1,10 @@
 //! The codec × memory-model ablation matrix.
 //!
 //! Compresses every traced workload with each [`LineCodec`] backend and
-//! replays its captured trace under every memory model, charting the
+//! replays its trace under every memory model, charting the
 //! compression-ratio vs refill-latency frontier the pluggable-codec
-//! design exposes:
+//! design exposes. The trace is the one the [`Suite`](crate::Suite)
+//! captured when it executed the workload; the matrix captures none.
 //!
 //! * **byte-huffman** — the paper's preselected bounded Huffman code,
 //!   the hardware baseline;
@@ -23,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use ccrp::CompressedImage;
 use ccrp_compress::{BlockAlignment, CodecId, LineCodec, LzwLineCodec};
-use ccrp_sim::{AccessTrace, MemoryModel, Simulation, SystemConfig};
+use ccrp_sim::{MemoryModel, Simulation, SystemConfig};
 use ccrp_workloads::{preselected_code, preselected_positional_code};
 
 use crate::json::Json;
@@ -135,10 +136,9 @@ fn build_checked(prepared: &Prepared, id: CodecId) -> CompressedImage {
 }
 
 /// One campaign job: all memory-model cells of a (workload, codec) pair,
-/// replayed over the captured trace in a single pass.
+/// replayed in a single pass over the trace the suite captured.
 fn run_pair(prepared: &Prepared, id: CodecId) -> Vec<CodecCell> {
     let image = build_checked(prepared, id);
-    let trace = AccessTrace::capture(prepared.workload.trace.iter());
     let configs: Vec<SystemConfig> = MemoryModel::ALL
         .into_iter()
         .map(|memory| {
@@ -147,7 +147,7 @@ fn run_pair(prepared: &Prepared, id: CodecId) -> Vec<CodecCell> {
                 .with_memory(memory)
         })
         .collect();
-    let comparisons = Simulation::replay_sweep(&image, &trace, &configs)
+    let comparisons = Simulation::replay_sweep(&image, &prepared.workload.trace, &configs)
         .unwrap_or_else(|e| panic!("{} sweep under {id}: {e}", prepared.workload.name));
     let cost = image.codec().cost();
     MemoryModel::ALL

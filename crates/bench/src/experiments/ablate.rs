@@ -106,7 +106,7 @@ pub fn decoder_ablation(prepared: &Prepared) -> Vec<DecoderRow> {
                 .with_memory(memory)
                 .with_decode_bytes_per_cycle(rate);
             let cmp = Simulation::new(config)
-                .compare(&prepared.image, prepared.workload.trace.iter())
+                .compare(&prepared.image, &prepared.workload.trace)
                 .expect("paper configurations are valid");
             rows.push(DecoderRow {
                 memory,
@@ -246,10 +246,10 @@ pub fn bus_bandwidth_study(suite: &Suite) -> Vec<BusRow> {
         .iter()
         .map(|p| {
             let std_run = Simulation::new(config)
-                .standard(p.workload.trace.iter())
+                .standard(&p.workload.trace)
                 .expect("paper configurations are valid");
             let ccrp_run = Simulation::new(config)
-                .ccrp(&p.image, p.workload.trace.iter())
+                .ccrp(&p.image, &p.workload.trace)
                 .expect("paper configurations are valid");
             let standard_demand = std_run.bytes_from_memory as f64 / std_run.total_cycles();
             let ccrp_demand = ccrp_run.bytes_from_memory as f64 / ccrp_run.total_cycles();

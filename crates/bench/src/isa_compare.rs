@@ -164,7 +164,8 @@ fn cell_from(
 /// One campaign job: all (variant, memory-model) cells of one workload.
 /// Two [`Simulation::replay_sweep`] passes cover the four RV32 stat
 /// sets (standard/CCRP over the RV32I trace, standard/CCRP over the
-/// RVC trace); a third covers the MIPS pair.
+/// RVC trace), each captured here from the RV32 build's run; a third
+/// covers the MIPS pair, over the trace the suite captured.
 fn run_workload(prepared: &Prepared, rv32: &BuiltRv32Workload) -> Vec<IsaCell> {
     let name = prepared.workload.name;
     assert_eq!(name, rv32.name, "workload order mismatch across ISAs");
@@ -177,8 +178,7 @@ fn run_workload(prepared: &Prepared, rv32: &BuiltRv32Workload) -> Vec<IsaCell> {
         })
         .collect();
 
-    let mips_trace = AccessTrace::capture(prepared.workload.trace.iter());
-    let mips = Simulation::replay_sweep(&prepared.image, &mips_trace, &configs)
+    let mips = Simulation::replay_sweep(&prepared.image, &prepared.workload.trace, &configs)
         .unwrap_or_else(|e| panic!("{name}: mips sweep: {e}"));
 
     let ccrp_i = self_trained(name, rv32.image_i.text_base(), rv32.image_i.text());

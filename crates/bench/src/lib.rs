@@ -16,7 +16,9 @@
 //! | §3.2/§3.4/Fig. 1 ablations | — | [`experiments::ablate`] (`cargo bench --bench ablations`) |
 //!
 //! The expensive part — assembling, executing, and compressing the eight
-//! workloads — happens once per process through [`suite::suite`].
+//! workloads, and capturing each one's fetch trace — happens once per
+//! process through [`suite::suite`]. [`runner::run_all`] sweeps several
+//! experiments with one replay per workload.
 //!
 //! The [`runner`] module decomposes each experiment into independent
 //! (workload, configuration) cells and sweeps them across a worker

@@ -6,30 +6,43 @@
 //! counters — into a structured [`SweepReport`] that serializes to
 //! `BENCH_<experiment>.json`.
 //!
-//! `sim_cells` is the one list of each experiment's configurations,
-//! and [`Engine::Trace`] executes them in two [`parallel_map`] stages:
-//! *(workload → trace)* captures each workload's run-compacted
-//! [`AccessTrace`] once, then *(trace → config rows)* replays every one
-//! of the workload's configurations from the shared trace
-//! ([`Simulation::replay_sweep`], which replays only the misses of each
-//! cache size) — O(workloads + configs·misses) instead of
-//! O(workloads × configs).
+//! `sim_cells` is the one list of each experiment's configurations.
+//! [`run_all`] joins the cells of every simulation experiment it is
+//! given into one union plan, ordered workload-major, and
+//! [`Engine::Trace`] replays each workload's group once, one
+//! [`parallel_map`] item per workload: [`Simulation::replay_sweep`] over
+//! the run-compacted [`AccessTrace`](ccrp_sim::AccessTrace) the
+//! [`Suite`] captured, so a sweep captures nothing. The kernel walks
+//! each distinct cache size's misses once and times each distinct
+//! (memory model, refill config) once, so the configurations the grids
+//! share cost nothing extra: every Tables 1–8 cell and every
+//! 16-entry-CLB cell of Tables 9–10 is a Figure 9 cell, and every
+//! refill timing of Tables 11–13 is one of Figure 9's. Each experiment
+//! then folds from its own cells. [`run`] is `run_all` of one
+//! experiment.
 //!
-//! [`Engine::Reexec`] re-executes the full per-fetch trace for every
-//! cell, one [`parallel_map`] item per cell (metrics runs always take
-//! the trace path). It has no CLI flag: it is
-//! the oracle the trace engine is tested and timed against
+//! [`Engine::Reexec`] runs each workload of the plan under the emulator
+//! afresh (`TracedWorkload::build`) and steps every cell over that live
+//! per-fetch trace, one [`parallel_map`] item per cell (metrics runs
+//! always take the trace path). It has no CLI flag: it is the oracle
+//! the trace engine is tested and timed against
 //! (`engines_fold_to_identical_results`, the `tracereplay_bench`
-//! target), and debug builds assert one replayed cell per workload
-//! against its re-executed twin.
+//! target), and debug builds assert one replayed cell per workload group
+//! against its twin stepped over a fresh emulator run.
 //!
 //! Determinism: cells are generated in the nesting order of the paper's
 //! tables, each cell's simulation is itself deterministic, and results
 //! are merged back by cell index — so the folded rows (and their JSON)
-//! are bit-identical for any worker count.
-//! Only the `timing` section of the JSON varies between runs (under the
-//! trace engine a cell's wall time is its workload group's one-pass
-//! replay time); the `results`/`cells` sections compare byte-for-byte.
+//! are bit-identical for any worker count, and for any set of
+//! experiments run together. Only the `timing` section of the JSON
+//! varies between runs; the `results`/`cells` sections compare
+//! byte-for-byte. Under the trace engine a cell's `wall_us` is its
+//! workload group's replay time, shared by that workload's cells in
+//! every experiment of the plan; under `Reexec` it is the cell's own.
+//! Every simulation report of one `run_all` call carries the same
+//! `suite_build_us`, and its `total_wall_us` spans the suite build, the
+//! whole plan's replay and its own fold, so those totals overlap rather
+//! than add up.
 
 use std::ops::Range;
 use std::panic;
@@ -37,9 +50,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use ccrp::CompressedImage;
 use ccrp_probe::{MetricSet, MetricsCollector};
-use ccrp_sim::{AccessTrace, Comparison, DataCacheModel, MemoryModel, Simulation, SystemConfig};
-use ccrp_workloads::figure5_corpus;
+use ccrp_sim::{Comparison, DataCacheModel, MemoryModel, Simulation, SystemConfig};
+use ccrp_workloads::{figure5_corpus, TracedWorkload, Workload};
 
 use crate::experiments::clb::{ClbRow, CLB_SIZES};
 use crate::experiments::dcache::{DcacheRow, DCACHE_MISS_PCTS};
@@ -149,15 +163,16 @@ impl Experiment {
 }
 
 /// How a sweep executes its simulation cells (see the module docs for
-/// the two-stage trace pipeline).
+/// the union plan both engines run).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
-    /// Re-execute the full per-fetch trace for every cell — the oracle
-    /// the trace engine is checked and timed against. A metrics run
-    /// takes the trace path instead.
+    /// Run each workload under the emulator afresh and step every cell
+    /// over its full per-fetch trace — the oracle the trace engine is
+    /// checked and timed against. A metrics run takes the trace path
+    /// instead.
     Reexec,
-    /// Capture each workload's [`AccessTrace`] once, then replay all of
-    /// its configurations from the shared trace, misses only.
+    /// Replay all of a workload's configurations, misses only, from the
+    /// [`AccessTrace`](ccrp_sim::AccessTrace) the suite captured.
     Trace,
 }
 
@@ -234,7 +249,9 @@ pub struct SweepReport {
     /// Time spent building (or waiting on) the workload suite; zero when
     /// the suite was already cached or the experiment does not need it.
     pub suite_build: Duration,
-    /// End-to-end wall time, including suite build.
+    /// End-to-end wall time, including suite build. For a simulation
+    /// experiment it spans the whole union plan of its [`run_all`]
+    /// call, which the call's other simulation reports share.
     pub total_wall: Duration,
     /// Every executed cell, in generation order.
     pub cells: Vec<CellRecord>,
@@ -435,7 +452,7 @@ fn results_json(results: &ExperimentResults) -> Json {
 /// the experiment it belongs to.
 #[derive(Debug, Clone, Copy)]
 struct SimCell {
-    workload: &'static str,
+    workload: TracedWorkload,
     memory: MemoryModel,
     cache_bytes: u32,
     clb_entries: usize,
@@ -447,7 +464,7 @@ impl SimCell {
     fn label(&self) -> String {
         let mut label = format!(
             "{}/{}/{}B/clb{}",
-            self.workload,
+            self.workload.name(),
             self.memory.name(),
             self.cache_bytes,
             self.clb_entries
@@ -468,18 +485,28 @@ impl SimCell {
             }))
     }
 
-    fn simulate(&self, suite: &Suite) -> Comparison {
-        let prepared = suite.get(self.workload);
+    /// Steps both processors over `live`, a fresh emulator run of the
+    /// cell's workload (see [`execute`]).
+    fn simulate(&self, image: &CompressedImage, live: &Workload) -> Comparison {
         Simulation::new(self.config())
-            .compare(&prepared.image, prepared.workload.trace.iter())
+            .compare(image, live.trace.iter())
             .expect("paper configurations are valid")
     }
 }
 
+/// Runs `workload` under the emulator afresh, for the per-fetch trace
+/// the re-execution oracle steps cells over — independent of the trace
+/// the suite captured.
+fn execute(workload: TracedWorkload) -> Workload {
+    workload
+        .build()
+        .unwrap_or_else(|e| panic!("{} must build: {e}", workload.name()))
+}
+
 /// The memory models Tables 1–8 print for `workload` (§4.2.1 adds DRAM
 /// for matrix25A only).
-fn tables_1_8_memories(workload: &str) -> &'static [MemoryModel] {
-    if workload == "matrix25A" {
+fn tables_1_8_memories(workload: TracedWorkload) -> &'static [MemoryModel] {
+    if workload == TracedWorkload::Matrix25A {
         &[
             MemoryModel::Eprom,
             MemoryModel::BurstEprom,
@@ -490,7 +517,7 @@ fn tables_1_8_memories(workload: &str) -> &'static [MemoryModel] {
     }
 }
 
-fn sim_cells(experiment: Experiment, suite: &Suite) -> Vec<SimCell> {
+fn sim_cells(experiment: Experiment) -> Vec<SimCell> {
     let mut cells = Vec::new();
     let mut push = |workload, memory, cache_bytes, clb_entries, dcache_miss_pct| {
         cells.push(SimCell {
@@ -504,42 +531,43 @@ fn sim_cells(experiment: Experiment, suite: &Suite) -> Vec<SimCell> {
     match experiment {
         Experiment::Fig5 => unreachable!("fig5 has no simulation cells"),
         Experiment::Tables1To8 => {
-            for prepared in suite.iter() {
-                let name = prepared.workload.name;
-                for &memory in tables_1_8_memories(name) {
+            for workload in TracedWorkload::ALL {
+                for &memory in tables_1_8_memories(workload) {
                     for &cache in &CACHE_SIZES {
-                        push(name, memory, cache, 16, None);
+                        push(workload, memory, cache, 16, None);
                     }
                 }
             }
         }
         Experiment::Tables9To10 => {
-            for name in ["NASA7", "espresso"] {
-                let name = suite.get(name).workload.name;
+            for workload in [TracedWorkload::Nasa7, TracedWorkload::Espresso] {
                 for memory in [MemoryModel::Eprom, MemoryModel::BurstEprom] {
                     for &cache in &CACHE_SIZES {
                         for &clb in &CLB_SIZES {
-                            push(name, memory, cache, clb, None);
+                            push(workload, memory, cache, clb, None);
                         }
                     }
                 }
             }
         }
         Experiment::Fig9 => {
-            for prepared in suite.iter() {
+            for workload in TracedWorkload::ALL {
                 for &memory in &MemoryModel::ALL {
                     for &cache in &CACHE_SIZES {
-                        push(prepared.workload.name, memory, cache, 16, None);
+                        push(workload, memory, cache, 16, None);
                     }
                 }
             }
         }
         Experiment::Tables11To13 => {
-            for name in ["NASA7", "espresso", "fpppp"] {
-                let name = suite.get(name).workload.name;
+            for workload in [
+                TracedWorkload::Nasa7,
+                TracedWorkload::Espresso,
+                TracedWorkload::Fpppp,
+            ] {
                 for memory in [MemoryModel::Eprom, MemoryModel::BurstEprom] {
                     for &pct in &DCACHE_MISS_PCTS {
-                        push(name, memory, 1024, 16, Some(pct));
+                        push(workload, memory, 1024, 16, Some(pct));
                     }
                 }
             }
@@ -568,8 +596,9 @@ fn fold(experiment: Experiment, cells: &[SimCell], outcomes: &[Comparison]) -> E
         Experiment::Tables1To8 => {
             let mut tables: Vec<(&'static str, Vec<PerfPoint>)> = Vec::new();
             for (cell, cmp) in iter {
-                if tables.last().is_none_or(|(name, _)| *name != cell.workload) {
-                    tables.push((cell.workload, Vec::new()));
+                let name = cell.workload.name();
+                if tables.last().is_none_or(|(last, _)| *last != name) {
+                    tables.push((name, Vec::new()));
                 }
                 tables
                     .last_mut()
@@ -593,11 +622,9 @@ fn fold(experiment: Experiment, cells: &[SimCell], outcomes: &[Comparison]) -> E
                     let (_, cmp) = iter.next().expect("cells come in CLB_SIZES groups");
                     record(slot, cmp);
                 }
-                if tables
-                    .last()
-                    .is_none_or(|(name, _)| *name != first.workload)
-                {
-                    tables.push((first.workload, Vec::new()));
+                let name = first.workload.name();
+                if tables.last().is_none_or(|(last, _)| *last != name) {
+                    tables.push((name, Vec::new()));
                 }
                 tables.last_mut().expect("pushed above").1.push(ClbRow {
                     memory: first.memory,
@@ -609,14 +636,15 @@ fn fold(experiment: Experiment, cells: &[SimCell], outcomes: &[Comparison]) -> E
             ExperimentResults::Tables9To10(tables)
         }
         Experiment::Fig9 => ExperimentResults::Fig9(
-            iter.map(|(cell, cmp)| (cell.workload, perf_point(cell, cmp)))
+            iter.map(|(cell, cmp)| (cell.workload.name(), perf_point(cell, cmp)))
                 .collect(),
         ),
         Experiment::Tables11To13 => {
             let mut tables: Vec<(&'static str, Vec<DcacheRow>)> = Vec::new();
             for (cell, cmp) in iter {
-                if tables.last().is_none_or(|(name, _)| *name != cell.workload) {
-                    tables.push((cell.workload, Vec::new()));
+                let name = cell.workload.name();
+                if tables.last().is_none_or(|(last, _)| *last != name) {
+                    tables.push((name, Vec::new()));
                 }
                 tables.last_mut().expect("pushed above").1.push(DcacheRow {
                     memory: cell.memory,
@@ -629,59 +657,41 @@ fn fold(experiment: Experiment, cells: &[SimCell], outcomes: &[Comparison]) -> E
     }
 }
 
-/// One contiguous range of cells sharing a workload — the unit of the
-/// trace engine's second stage.
-struct CellGroup<'a> {
-    workload: &'static str,
-    range: Range<usize>,
-    trace: &'a AccessTrace,
-}
+/// A cell's simulated outcome (with its probe metrics on a metrics run)
+/// and the wall time charged to it.
+type Outcome = ((Comparison, Option<MetricSet>), Duration);
 
-/// Splits `cells` into contiguous same-workload ranges. Cell generation
-/// follows the table nesting order (workload outermost), so each
-/// workload forms exactly one range.
-fn workload_ranges(cells: &[SimCell]) -> Vec<(&'static str, Range<usize>)> {
-    let mut ranges: Vec<(&'static str, Range<usize>)> = Vec::new();
+/// Splits `cells` into contiguous same-workload ranges. A [`Plan`] is
+/// ordered workload-major, so each workload forms exactly one range.
+fn workload_ranges(cells: &[SimCell]) -> Vec<(TracedWorkload, Range<usize>)> {
+    let mut ranges: Vec<(TracedWorkload, Range<usize>)> = Vec::new();
     for (index, cell) in cells.iter().enumerate() {
         match ranges.last_mut() {
-            Some((name, range)) if *name == cell.workload => range.end = index + 1,
+            Some((workload, range)) if *workload == cell.workload => range.end = index + 1,
             _ => ranges.push((cell.workload, index..index + 1)),
         }
     }
     ranges
 }
 
-/// The trace engine: stage one *(workload → trace)* captures each
-/// workload's [`AccessTrace`] once; stage two *(trace → config rows)*
-/// replays every cell of the workload from the shared trace — through
-/// the miss-stream sweep kernel for plain sweeps, or per cell with a
-/// probe attached when metrics were requested (the replayed event
-/// stream is identical to the re-executed one, so the histograms
-/// agree). Both stages run on [`parallel_map`], and the flattened
-/// outcomes keep cell generation order, so folding is unchanged.
+/// The trace engine: one [`parallel_map`] item per workload replays
+/// every cell of that workload from the trace the suite captured —
+/// through the miss-stream sweep kernel for plain sweeps, or per cell
+/// with a probe attached when metrics were requested (the replayed
+/// event stream is identical to the re-executed one, so the histograms
+/// agree). Every cell of a group is charged the group's wall time. The
+/// flattened outcomes keep the order of `cells`.
 fn trace_engine_outcomes(
     jobs: usize,
     cells: &[SimCell],
     suite: &Suite,
     metrics: bool,
-) -> Vec<((Comparison, Option<MetricSet>), Duration)> {
+) -> Vec<Outcome> {
     let ranges = workload_ranges(cells);
-    let captures = parallel_map(jobs, &ranges, |(name, _)| {
-        AccessTrace::capture(suite.get(name).workload.trace.iter())
-    });
-    let groups: Vec<CellGroup<'_>> = ranges
-        .iter()
-        .zip(&captures)
-        .map(|((workload, range), (trace, _))| CellGroup {
-            workload,
-            range: range.clone(),
-            trace,
-        })
-        .collect();
-
-    let replayed = parallel_map(jobs, &groups, |group| {
-        let prepared = suite.get(group.workload);
-        let group_cells = &cells[group.range.clone()];
+    let replayed = parallel_map(jobs, &ranges, |(workload, range)| {
+        let prepared = suite.get(workload.name());
+        let trace = &prepared.workload.trace;
+        let group_cells = &cells[range.clone()];
         let outcomes: Vec<(Comparison, Option<MetricSet>)> = if metrics {
             group_cells
                 .iter()
@@ -689,26 +699,27 @@ fn trace_engine_outcomes(
                     let mut collector = MetricsCollector::new();
                     let comparison = Simulation::new(cell.config())
                         .ccrp_probed(&mut collector)
-                        .compare(&prepared.image, group.trace)
+                        .compare(&prepared.image, trace)
                         .expect("paper configurations are valid");
                     (comparison, Some(collector.into_metrics()))
                 })
                 .collect()
         } else {
             let configs: Vec<SystemConfig> = group_cells.iter().map(SimCell::config).collect();
-            Simulation::replay_sweep(&prepared.image, group.trace, &configs)
+            Simulation::replay_sweep(&prepared.image, trace, &configs)
                 .expect("paper configurations are valid")
                 .into_iter()
                 .map(|comparison| (comparison, None))
                 .collect()
         };
         // Cold-start consistency (debug builds): a replayed cell must
-        // equal its re-executed twin — one probe per workload group.
+        // equal its twin stepped over a fresh emulator run — one probe
+        // per workload group.
         #[cfg(debug_assertions)]
         if let (Some(cell), Some((comparison, _))) = (group_cells.first(), outcomes.first()) {
             debug_assert_eq!(
                 *comparison,
-                cell.simulate(suite),
+                cell.simulate(&prepared.image, &execute(*workload)),
                 "replayed and re-executed stats diverge for {}",
                 cell.label()
             );
@@ -725,87 +736,175 @@ fn trace_engine_outcomes(
     flat
 }
 
-/// Runs one experiment across `options.jobs` workers.
-pub fn run(experiment: Experiment, options: &SweepOptions) -> SweepReport {
-    let jobs = options.jobs.max(1);
-    let total_start = Instant::now();
-
-    if experiment == Experiment::Fig5 {
-        let programs = figure5_corpus();
-        let outcomes = parallel_map(jobs, &programs, figure5_row);
-        let cells = programs
-            .iter()
-            .zip(&outcomes)
-            .map(|(program, (_, wall))| CellRecord {
-                label: program.name.to_string(),
-                comparison: None,
-                wall: *wall,
-            })
-            .collect();
-        let rows: Vec<Fig5Row> = outcomes.into_iter().map(|(row, _)| row).collect();
-        let weighted = weighted_average(&rows);
-        return SweepReport {
-            experiment,
-            jobs,
-            suite_build: Duration::ZERO,
-            total_wall: total_start.elapsed(),
-            cells,
-            results: ExperimentResults::Fig5 { rows, weighted },
-            // Figure 5 is a static-compression experiment: nothing
-            // refills, so a metrics run yields an empty registry.
-            metrics: options.metrics.then(MetricSet::new),
-        };
+/// The re-execution oracle: each workload of `cells` runs under the
+/// emulator once, then every one of its cells steps both processors
+/// over that live per-fetch trace, one [`parallel_map`] item (and wall
+/// time) per cell. Outcomes keep the order of `cells`.
+fn reexec_outcomes(jobs: usize, cells: &[SimCell], suite: &Suite) -> Vec<Outcome> {
+    let mut outcomes = Vec::with_capacity(cells.len());
+    for (workload, range) in workload_ranges(cells) {
+        let live = execute(workload);
+        let image = &suite.get(workload.name()).image;
+        outcomes.extend(parallel_map(jobs, &cells[range], |cell| {
+            (cell.simulate(image, &live), None)
+        }));
     }
+    outcomes
+}
 
-    let build_start = Instant::now();
-    let suite = suite_with_jobs(jobs);
-    let suite_build = build_start.elapsed();
+/// The union plan of one [`run_all`] call: the cells of every requested
+/// simulation experiment, ordered workload-major so that each workload
+/// forms one group, and where each experiment's cells sit in it.
+struct Plan {
+    cells: Vec<SimCell>,
+    /// Per experiment, the plan index of each of its cells, in the
+    /// experiment's generation order.
+    slots: Vec<Vec<usize>>,
+}
 
-    let sim_cells = sim_cells(experiment, suite);
-    let outcomes = match options.engine {
-        Engine::Reexec if !options.metrics => {
-            parallel_map(jobs, &sim_cells, |cell| (cell.simulate(suite), None))
+impl Plan {
+    fn new(experiments: &[Experiment]) -> Plan {
+        let grids: Vec<Vec<SimCell>> = experiments.iter().map(|&e| sim_cells(e)).collect();
+        let mut cells = Vec::with_capacity(grids.iter().map(Vec::len).sum());
+        let mut slots: Vec<Vec<usize>> = grids.iter().map(|grid| vec![0; grid.len()]).collect();
+        for workload in TracedWorkload::ALL {
+            for (grid, grid_slots) in grids.iter().zip(&mut slots) {
+                for (cell, slot) in grid.iter().zip(grid_slots) {
+                    if cell.workload == workload {
+                        *slot = cells.len();
+                        cells.push(*cell);
+                    }
+                }
+            }
         }
-        _ => trace_engine_outcomes(jobs, &sim_cells, suite, options.metrics),
-    };
-    let cells = sim_cells
+        Plan { cells, slots }
+    }
+}
+
+/// Figure 5: the static compression of the corpus, one cell per
+/// program.
+fn run_fig5(jobs: usize, metrics: bool) -> SweepReport {
+    let total_start = Instant::now();
+    let programs = figure5_corpus();
+    let outcomes = parallel_map(jobs, programs, figure5_row);
+    let cells = programs
         .iter()
         .zip(&outcomes)
-        .map(|(cell, ((cmp, _), wall))| CellRecord {
-            label: cell.label(),
-            comparison: Some(*cmp),
+        .map(|(program, (_, wall))| CellRecord {
+            label: program.name.to_string(),
+            comparison: None,
             wall: *wall,
         })
         .collect();
-    // Fold per-cell metrics in generation order, so the aggregate (like
-    // everything else in results_json) is independent of `jobs`.
-    let metrics = options.metrics.then(|| {
-        let mut folded = MetricSet::new();
-        for ((_, cell_metrics), _) in &outcomes {
-            if let Some(cell_metrics) = cell_metrics {
-                folded.merge(cell_metrics);
-            }
-        }
-        folded
-    });
-    let comparisons: Vec<Comparison> = outcomes.into_iter().map(|((cmp, _), _)| cmp).collect();
-    let results = fold(experiment, &sim_cells, &comparisons);
-
+    let rows: Vec<Fig5Row> = outcomes.into_iter().map(|(row, _)| row).collect();
+    let weighted = weighted_average(&rows);
     SweepReport {
-        experiment,
+        experiment: Experiment::Fig5,
         jobs,
-        suite_build,
+        suite_build: Duration::ZERO,
         total_wall: total_start.elapsed(),
         cells,
-        results,
-        metrics,
+        results: ExperimentResults::Fig5 { rows, weighted },
+        // Figure 5 is a static-compression experiment: nothing
+        // refills, so a metrics run yields an empty registry.
+        metrics: metrics.then(MetricSet::new),
     }
+}
+
+/// Runs the simulation experiments `experiments` (Figure 5 excluded) as
+/// one [`Plan`], folding each experiment's report from its own cells.
+fn run_plan(experiments: &[Experiment], jobs: usize, options: &SweepOptions) -> Vec<SweepReport> {
+    if experiments.is_empty() {
+        return Vec::new();
+    }
+    let total_start = Instant::now();
+    let suite = suite_with_jobs(jobs);
+    let suite_build = total_start.elapsed();
+
+    let plan = Plan::new(experiments);
+    let outcomes = match options.engine {
+        Engine::Reexec if !options.metrics => reexec_outcomes(jobs, &plan.cells, suite),
+        _ => trace_engine_outcomes(jobs, &plan.cells, suite, options.metrics),
+    };
+    experiments
+        .iter()
+        .zip(&plan.slots)
+        .map(|(&experiment, slots)| {
+            let sim_cells: Vec<SimCell> = slots.iter().map(|&i| plan.cells[i]).collect();
+            let outcomes: Vec<&Outcome> = slots.iter().map(|&i| &outcomes[i]).collect();
+            let cells = sim_cells
+                .iter()
+                .zip(&outcomes)
+                .map(|(cell, ((cmp, _), wall))| CellRecord {
+                    label: cell.label(),
+                    comparison: Some(*cmp),
+                    wall: *wall,
+                })
+                .collect();
+            // Fold per-cell metrics in generation order, so the
+            // aggregate (like everything else in results_json) is
+            // independent of `jobs`.
+            let metrics = options.metrics.then(|| {
+                let mut folded = MetricSet::new();
+                for ((_, cell_metrics), _) in &outcomes {
+                    if let Some(cell_metrics) = cell_metrics {
+                        folded.merge(cell_metrics);
+                    }
+                }
+                folded
+            });
+            let comparisons: Vec<Comparison> = outcomes.iter().map(|((cmp, _), _)| *cmp).collect();
+            SweepReport {
+                experiment,
+                jobs,
+                suite_build,
+                total_wall: total_start.elapsed(),
+                cells,
+                results: fold(experiment, &sim_cells, &comparisons),
+                metrics,
+            }
+        })
+        .collect()
+}
+
+/// Runs `experiments` across `options.jobs` workers and returns their
+/// reports in the same order.
+///
+/// The simulation experiments share one union plan (see the module
+/// docs): each workload's cells from all of them are replayed together,
+/// once, and every experiment folds from its own cells. Figure 5 runs
+/// on its own. Each report's `results` and `cells` are exactly those
+/// [`run`] gives for the experiment alone.
+pub fn run_all(experiments: &[Experiment], options: &SweepOptions) -> Vec<SweepReport> {
+    let jobs = options.jobs.max(1);
+    let simulated: Vec<Experiment> = experiments
+        .iter()
+        .copied()
+        .filter(|&e| e != Experiment::Fig5)
+        .collect();
+    let mut swept = run_plan(&simulated, jobs, options).into_iter();
+    experiments
+        .iter()
+        .map(|&experiment| match experiment {
+            Experiment::Fig5 => run_fig5(jobs, options.metrics),
+            _ => swept
+                .next()
+                .expect("run_plan reports every simulated experiment"),
+        })
+        .collect()
+}
+
+/// Runs one experiment across `options.jobs` workers: [`run_all`] of
+/// that experiment alone.
+pub fn run(experiment: Experiment, options: &SweepOptions) -> SweepReport {
+    run_all(&[experiment], options)
+        .pop()
+        .expect("run_all reports every experiment")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::suite::suite;
 
     #[test]
     fn parallel_map_preserves_item_order() {
@@ -876,43 +975,79 @@ mod tests {
             (Experiment::Fig9, 120),
             (Experiment::Tables11To13, 30),
         ] {
-            assert_eq!(
-                sim_cells(experiment, suite()).len(),
-                cells,
-                "{experiment:?}"
-            );
+            assert_eq!(sim_cells(experiment).len(), cells, "{experiment:?}");
         }
     }
 
+    /// The four experiments that simulate (Figure 5 is static).
+    const SIMULATED: [Experiment; 4] = [
+        Experiment::Tables1To8,
+        Experiment::Tables9To10,
+        Experiment::Fig9,
+        Experiment::Tables11To13,
+    ];
+
     #[test]
     fn engines_fold_to_identical_results() {
-        // The trace engine (two-stage capture/replay, the default) and
-        // the reexec oracle (per-cell re-execution) must serialize their
-        // deterministic sections byte-for-byte identically.
+        // The trace engine (the default: replay of the suite's captured
+        // traces) and the reexec oracle (fresh emulator runs, stepped
+        // per cell) must serialize their deterministic sections
+        // byte-for-byte identically.
         assert_eq!(SweepOptions::default().engine, Engine::Trace);
-        for experiment in [Experiment::Tables11To13, Experiment::Tables9To10] {
-            let traced = run(
-                experiment,
-                &SweepOptions {
-                    jobs: 2,
-                    engine: Engine::Trace,
-                    ..Default::default()
-                },
-            );
-            let reexecuted = run(
-                experiment,
-                &SweepOptions {
-                    jobs: 3,
-                    engine: Engine::Reexec,
-                    ..Default::default()
-                },
-            );
+        let traced = run_all(
+            &SIMULATED,
+            &SweepOptions {
+                jobs: 2,
+                engine: Engine::Trace,
+                ..Default::default()
+            },
+        );
+        let reexecuted = run_all(
+            &SIMULATED,
+            &SweepOptions {
+                jobs: 3,
+                engine: Engine::Reexec,
+                ..Default::default()
+            },
+        );
+        for (traced, reexecuted) in traced.iter().zip(&reexecuted) {
+            let experiment = traced.experiment;
+            assert_eq!(reexecuted.experiment, experiment);
             assert_eq!(traced.results, reexecuted.results, "{experiment:?}");
             assert_eq!(
                 traced.results_json().to_compact(),
                 reexecuted.results_json().to_compact(),
                 "{experiment:?}"
             );
+        }
+    }
+
+    #[test]
+    fn union_plan_matches_single_experiment_runs() {
+        // `run_all` replays each workload once for every experiment;
+        // each report must equal the experiment run on its own, in the
+        // order asked for, whatever the worker count.
+        let options = |jobs| SweepOptions {
+            jobs,
+            ..Default::default()
+        };
+        let alone: Vec<String> = Experiment::ALL
+            .into_iter()
+            .map(|experiment| run(experiment, &options(1)).results_json().to_compact())
+            .collect();
+        for jobs in [1, 3] {
+            let reports = run_all(&Experiment::ALL, &options(jobs));
+            assert_eq!(reports.len(), Experiment::ALL.len());
+            for ((experiment, report), alone) in
+                Experiment::ALL.into_iter().zip(&reports).zip(&alone)
+            {
+                assert_eq!(report.experiment, experiment);
+                assert_eq!(
+                    &report.results_json().to_compact(),
+                    alone,
+                    "{experiment:?} at {jobs} jobs"
+                );
+            }
         }
     }
 

@@ -1,17 +1,25 @@
-//! Shared experiment context: the eight traced workloads, compressed
+//! Shared experiment context: the eight traced workloads, each executed
+//! once under the emulator with its fetch trace captured, and compressed
 //! once with the preselected code, cached for every experiment.
+//!
+//! The suite is where a process captures each workload's trace: the
+//! build keeps the run-compacted [`AccessTrace`] and drops the per-fetch
+//! trace, so every sweep, matrix and ablation replays the same captured
+//! trace and none re-captures it.
 
 use std::sync::OnceLock;
 
 use ccrp::CompressedImage;
 use ccrp_compress::BlockAlignment;
+use ccrp_sim::AccessTrace;
 use ccrp_workloads::{preselected_code, TracedWorkload, Workload};
 
 /// A workload and its compressed image, ready for simulation.
 #[derive(Debug)]
 pub struct Prepared {
-    /// The traced workload.
-    pub workload: Workload,
+    /// The traced workload, holding its run-compacted fetch trace (the
+    /// per-fetch trace is dropped once captured).
+    pub workload: Workload<AccessTrace>,
     /// Its text compressed with the preselected code (word-aligned
     /// blocks, as §3.1 simulates).
     pub image: CompressedImage,
@@ -36,8 +44,9 @@ impl Suite {
     }
 
     /// Builds the suite across `jobs` worker threads (1 = serial). Each
-    /// workload's assembly, tracing, and compression is an independent
-    /// job; the result order is always [`TracedWorkload::ALL`]'s.
+    /// workload's assembly, execution, trace capture, and compression is
+    /// an independent job; the result order is always
+    /// [`TracedWorkload::ALL`]'s.
     ///
     /// # Panics
     ///
@@ -45,9 +54,20 @@ impl Suite {
     pub fn build_with_jobs(jobs: usize) -> Suite {
         let code = preselected_code();
         let prepared = crate::runner::parallel_map(jobs, &TracedWorkload::ALL, |&wl| {
-            let workload = wl
+            let Workload {
+                name,
+                image,
+                trace,
+                text,
+            } = wl
                 .build()
                 .unwrap_or_else(|e| panic!("{} must build: {e}", wl.name()));
+            let workload = Workload {
+                name,
+                image,
+                trace: AccessTrace::capture(trace.iter()),
+                text,
+            };
             let image =
                 CompressedImage::build(0, &workload.text, code.clone(), BlockAlignment::Word)
                     .unwrap_or_else(|e| panic!("{} must compress: {e}", wl.name()));

@@ -6,9 +6,10 @@
 //! across `--jobs` worker threads, and written as a machine-readable
 //! `BENCH_<experiment>.json` results file under `--out`; `--tables`
 //! also prints the paper-style tables. Each workload executes once, its
-//! compacted fetch trace is captured, and every configuration replays
-//! it. Any worker count produces bit-identical results; only the
-//! `timing` section of the JSON varies.
+//! compacted fetch trace is captured, and one replay per workload covers
+//! every configuration of every experiment asked for
+//! ([`runner::run_all`]). Any worker count produces bit-identical
+//! results; only the `timing` section of the JSON varies.
 //!
 //! `--codecs` runs the codec × memory-model ablation matrix instead:
 //! every workload compressed with each [`ccrp_compress::LineCodec`]
@@ -90,16 +91,17 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         );
     }
 
+    let reports = runner::run_all(
+        &experiments,
+        &SweepOptions {
+            jobs,
+            metrics,
+            ..Default::default()
+        },
+    );
     let mut summaries = Vec::new();
-    for experiment in experiments {
-        let report = runner::run(
-            experiment,
-            &SweepOptions {
-                jobs,
-                metrics,
-                ..Default::default()
-            },
-        );
+    for report in reports {
+        let experiment = report.experiment;
         let path = Path::new(out_dir).join(format!("BENCH_{}.json", experiment.name()));
         let path = path.to_string_lossy().into_owned();
         write_file(&path, report.to_json().to_pretty().as_bytes())?;

@@ -88,7 +88,8 @@ COMMANDS:
       run the paper experiments across a worker pool and write
       machine-readable BENCH_<experiment>.json results files into DIR
       (default: the current directory); each workload executes once
-      and its captured trace replays for every configuration; --tables
+      and one replay of its captured trace covers every configuration
+      of every experiment asked for; --tables
       prints the paper-style tables; --codecs runs the codec ×
       memory-model ablation matrix into BENCH_codecs.json instead,
       --isa-compare the cross-ISA matrix into BENCH_isa_compare.json;

@@ -21,10 +21,11 @@ pub struct CorpusProgram {
     pub text: Vec<u8>,
 }
 
-/// Builds the ten Figure-5 programs: lex, pswarp, yacc, who, eightq,
-/// matrix25A, lloopO1, xlisp, espresso, spim.
+/// The ten Figure-5 programs: lex, pswarp, yacc, who, eightq,
+/// matrix25A, lloopO1, xlisp, espresso, spim — built once and cached,
+/// like the [`preselected_code`] trained on them.
 ///
-/// Three of them (eightq, matrix25A, lloopO1, espresso) reuse the traced
+/// Four of them (eightq, matrix25A, lloopO1, espresso) reuse the traced
 /// kernels' padded text so the compression and performance experiments
 /// see the same bytes; the rest are synthesized with fitting profiles.
 ///
@@ -32,7 +33,12 @@ pub struct CorpusProgram {
 ///
 /// Panics if a kernel fails to assemble — a bug in this crate, not a
 /// data condition.
-pub fn figure5_corpus() -> Vec<CorpusProgram> {
+pub fn figure5_corpus() -> &'static [CorpusProgram] {
+    static CORPUS: OnceLock<Vec<CorpusProgram>> = OnceLock::new();
+    CORPUS.get_or_init(build_corpus)
+}
+
+fn build_corpus() -> Vec<CorpusProgram> {
     let kernel_text = |w: TracedWorkload| {
         w.padded_text()
             .unwrap_or_else(|e| panic!("{} kernel must build: {e}", w.name()))
@@ -151,13 +157,24 @@ mod tests {
         // one size is garbled in the source. We carry the legible
         // per-program numbers.
         assert_eq!(total, 663_710);
-        for p in &corpus {
+        for p in corpus {
             let rounded = (p.paper_bytes as usize).div_ceil(4) * 4;
             // Kernel-derived entries may slightly exceed the paper size
             // when the kernel itself is larger; synthesized entries match
             // exactly.
             assert!(p.text.len() >= rounded, "{}", p.name);
             assert!(p.text.len() <= rounded.max(12 * 1024), "{}", p.name);
+        }
+    }
+
+    #[test]
+    fn cached_corpus_equals_a_fresh_build() {
+        let fresh = build_corpus();
+        assert_eq!(fresh.len(), figure5_corpus().len());
+        for (a, b) in fresh.iter().zip(figure5_corpus()) {
+            assert_eq!(a.name, b.name);
+            assert_eq!(a.paper_bytes, b.paper_bytes);
+            assert_eq!(a.text, b.text, "{}", a.name);
         }
     }
 

@@ -69,14 +69,18 @@ impl From<EmuError> for WorkloadError {
 
 /// A built benchmark: its executable image, captured trace, and the
 /// full-size program text used for the compression experiments.
+///
+/// `T` is the form the trace is kept in: the emulator's per-fetch
+/// [`ProgramTrace`], as [`TracedWorkload::build`] returns it, or a
+/// compacted form a caller converts it into and keeps instead.
 #[derive(Debug, Clone)]
-pub struct Workload {
+pub struct Workload<T = ProgramTrace> {
     /// Display name as in the paper's tables.
     pub name: &'static str,
     /// The assembled kernel (the part that executes).
     pub image: ProgramImage,
     /// The instruction/data trace captured by the emulator.
-    pub trace: ProgramTrace,
+    pub trace: T,
     /// Program text sized like the paper's binary: the kernel followed
     /// by synthesized "library" code, for the static-compression runs.
     /// The executed kernel occupies the front, so every traced address

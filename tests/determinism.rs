@@ -18,7 +18,7 @@ fn codegen_is_stable_across_calls() {
 fn corpus_and_code_are_stable() {
     let first = figure5_corpus();
     let second = figure5_corpus();
-    for (a, b) in first.iter().zip(&second) {
+    for (a, b) in first.iter().zip(second) {
         assert_eq!(a.name, b.name);
         assert_eq!(a.text, b.text, "{}", a.name);
     }

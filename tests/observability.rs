@@ -31,19 +31,17 @@ fn results_only(text: &str) -> String {
 
 /// The committed benchmark results are the probe-off reference: a fresh
 /// sweep with probes compiled out must reproduce their deterministic
-/// sections exactly, proving observability costs nothing when off.
+/// sections exactly, proving observability costs nothing when off. The
+/// sweep takes the path `ccrp-tools sweep --experiment all` takes: one
+/// `run_all` over every experiment, replaying the union of their grids.
 #[test]
 fn probe_off_sweep_reproduces_committed_bench_files() {
-    for (file, experiment) in [
-        ("BENCH_fig5.json", Experiment::Fig5),
-        ("BENCH_tables1_8.json", Experiment::Tables1To8),
-        ("BENCH_tables9_10.json", Experiment::Tables9To10),
-        ("BENCH_fig9.json", Experiment::Fig9),
-        ("BENCH_tables11_13.json", Experiment::Tables11To13),
-    ] {
+    let reports = runner::run_all(&Experiment::ALL, &SweepOptions::default());
+    assert_eq!(reports.len(), Experiment::ALL.len());
+    for report in &reports {
+        let file = format!("BENCH_{}.json", report.experiment.name());
         let committed =
-            std::fs::read_to_string(repo_path(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
-        let report = runner::run(experiment, &SweepOptions::default());
+            std::fs::read_to_string(repo_path(&file)).unwrap_or_else(|e| panic!("{file}: {e}"));
         assert_eq!(
             results_only(&committed),
             report.results_json().to_compact(),

@@ -2,37 +2,58 @@
 //! trace-replay sweep engine reproduce direct (live) simulation for the
 //! paper's workloads, and reject corrupted trace files with typed
 //! errors — the properties `ccrp-tools sweep` and the bench gate rest
-//! on.
+//! on. The live side always comes from a fresh emulator run, never
+//! from the suite, which keeps only the captured trace.
 
 use ccrp::FaultInjector;
 use ccrp_bench::experiments::perf::CACHE_SIZES;
 use ccrp_bench::experiments::{clb, dcache};
 use ccrp_bench::{suite, Prepared};
 use ccrp_sim::{AccessTrace, DataCacheModel, MemoryModel, Simulation, SystemConfig, TraceError};
+use ccrp_workloads::{TracedWorkload, Workload};
 
-/// Captures `prepared`'s trace, round-trips it through the on-disk
+/// Runs `prepared`'s workload under the emulator afresh, for its live
+/// per-fetch trace.
+fn fresh(prepared: &Prepared) -> Workload {
+    TracedWorkload::ALL
+        .into_iter()
+        .find(|w| w.name() == prepared.workload.name)
+        .expect("suite workloads are traced workloads")
+        .build()
+        .expect("workload builds")
+}
+
+/// Captures `live`'s trace, round-trips it through the on-disk
 /// container form, and returns the loaded trace.
-fn round_tripped(prepared: &Prepared) -> AccessTrace {
-    let captured = AccessTrace::capture(prepared.workload.trace.iter());
-    let bytes = captured.to_bytes(ccrp::crc32(prepared.workload.name.as_bytes()));
+fn round_tripped(live: &Workload) -> AccessTrace {
+    let captured = AccessTrace::capture(live.trace.iter());
+    let bytes = captured.to_bytes(ccrp::crc32(live.name.as_bytes()));
     let (loaded, _) = AccessTrace::from_bytes(&bytes).expect("freshly written traces load");
     assert_eq!(loaded.fetches(), captured.fetches());
     loaded
 }
 
-/// Capture → serialize → load → replay equals direct simulation for
+/// The suite's captured trace equals a capture of a fresh run, and
+/// capture → serialize → load → replay equals direct simulation, for
 /// every paper workload under the standard configurations.
 #[test]
 fn every_workload_replays_serialized_traces_to_direct_results() {
     for prepared in suite().iter() {
-        let loaded = round_tripped(prepared);
+        let live = fresh(prepared);
+        assert_eq!(
+            prepared.workload.trace,
+            AccessTrace::capture(live.trace.iter()),
+            "{}: the suite's trace is not a capture of a fresh run",
+            prepared.workload.name
+        );
+        let loaded = round_tripped(&live);
         for memory in MemoryModel::ALL {
             for cache_bytes in [256u32, 1024] {
                 let config = SystemConfig::new()
                     .with_cache_bytes(cache_bytes)
                     .with_memory(memory);
                 let direct = Simulation::new(config)
-                    .compare(&prepared.image, prepared.workload.trace.iter())
+                    .compare(&prepared.image, live.trace.iter())
                     .expect("paper configurations are valid");
                 let replayed = Simulation::new(config)
                     .compare(&prepared.image, &loaded)
@@ -86,10 +107,11 @@ fn pinned_experiment_cells_agree_across_engines() {
                 )),
         ),
     ];
-    let loaded = round_tripped(first);
+    let live = fresh(first);
+    let loaded = round_tripped(&live);
     for (experiment, config) in cells {
         let reexec = Simulation::new(config)
-            .compare(&first.image, first.workload.trace.iter())
+            .compare(&first.image, live.trace.iter())
             .expect("paper configurations are valid");
         let replay = Simulation::replay_sweep(&first.image, &loaded, &[config])
             .expect("paper configurations are valid");
@@ -103,7 +125,7 @@ fn pinned_experiment_cells_agree_across_engines() {
 #[test]
 fn stomped_trace_files_are_rejected_with_typed_errors() {
     let first = suite().iter().next().expect("suite has workloads");
-    let trace = AccessTrace::capture(first.workload.trace.iter());
+    let trace = AccessTrace::capture(fresh(first).trace.iter());
     let pristine = trace.to_bytes(0xC0DE_F00D);
     let mut injector = FaultInjector::new(2026);
     let mut rejected = 0;
