@@ -135,46 +135,6 @@ impl Clb {
     pub fn resident(&self) -> impl Iterator<Item = u32> + '_ {
         self.slots.iter().map(|&(tag, _)| tag)
     }
-
-    /// A point-in-time copy of the CLB's full state — contents, LRU
-    /// order, and counters — for checkpointed replay.
-    pub fn snapshot(&self) -> ClbSnapshot {
-        ClbSnapshot {
-            capacity: self.capacity,
-            slots: self.slots.clone(),
-            stats: self.stats,
-        }
-    }
-
-    /// Restores the CLB to exactly the state `snapshot` captured,
-    /// adopting its capacity, resident entries (in LRU order), and
-    /// counters. Subsequent probes behave bit-for-bit as they would
-    /// have on the snapshotted CLB.
-    pub fn restore(&mut self, snapshot: &ClbSnapshot) {
-        self.capacity = snapshot.capacity;
-        self.slots.clone_from(&snapshot.slots);
-        self.stats = snapshot.stats;
-    }
-}
-
-/// A [`Clb`]'s captured state; see [`Clb::snapshot`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClbSnapshot {
-    capacity: usize,
-    slots: Vec<(u32, LatEntry)>,
-    stats: ClbStats,
-}
-
-impl ClbSnapshot {
-    /// Number of resident entries captured.
-    pub fn resident_len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The captured counters.
-    pub fn stats(&self) -> ClbStats {
-        self.stats
-    }
 }
 
 #[cfg(test)]
@@ -291,48 +251,5 @@ mod tests {
     fn miss_rate_zero_when_unprobed() {
         let clb = Clb::new(1).unwrap();
         assert_eq!(clb.stats().miss_rate(), 0.0);
-    }
-
-    #[test]
-    fn snapshot_restore_resumes_identically() {
-        // Drive one CLB to an interesting state, snapshot, then keep
-        // driving it and a restored copy with the same probe sequence:
-        // every observable (hit/miss outcome, evictions, stats) must
-        // match step for step.
-        let mut original = Clb::new(3).unwrap();
-        for i in 0..5u32 {
-            if original.probe(i % 4).is_none() {
-                original.insert(i % 4, entry(i % 4));
-            }
-        }
-        let snap = original.snapshot();
-        assert_eq!(snap.resident_len(), 3);
-        let mut restored = Clb::new(3).unwrap();
-        restored.restore(&snap);
-        for i in 0..32u32 {
-            let index = (i * 7) % 6;
-            let a = original.probe(index).is_some();
-            let b = restored.probe(index).is_some();
-            assert_eq!(a, b, "probe {i}");
-            if !a {
-                assert_eq!(
-                    original.insert(index, entry(index)),
-                    restored.insert(index, entry(index)),
-                    "eviction {i}"
-                );
-            }
-        }
-        assert_eq!(original.stats(), restored.stats());
-    }
-
-    #[test]
-    fn restore_adopts_snapshot_capacity() {
-        let mut small = Clb::new(2).unwrap();
-        small.insert(1, entry(1));
-        let snap = small.snapshot();
-        let mut other = Clb::new(16).unwrap();
-        other.restore(&snap);
-        assert_eq!(other.capacity(), 2);
-        assert!(other.probe(1).is_some());
     }
 }

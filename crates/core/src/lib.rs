@@ -69,7 +69,7 @@ mod refill;
 mod snapshot;
 
 pub use budget::{BudgetExhausted, StepBudget};
-pub use clb::{Clb, ClbSnapshot, ClbStats};
+pub use clb::{Clb, ClbStats};
 pub use compact_lat::{CompactLatEntry, COMPACT_ENTRY_BYTES};
 pub use crc::crc32;
 pub use error::CcrpError;
@@ -77,8 +77,7 @@ pub use fault::{ContainerLayout, Fault, FaultInjector, FaultKind, FaultPlan, Fau
 pub use image::{CompressedImage, LineLocation};
 pub use lat::{LatEntry, LineAddressTable, ENTRY_BYTES, RECORDS_PER_ENTRY};
 pub use refill::{
-    Burst, DegradePolicy, IntegrityCheck, MemoryTiming, RefillConfig, RefillEngine,
-    RefillEngineSnapshot, RefillOutcome,
+    Burst, DegradePolicy, IntegrityCheck, MemoryTiming, RefillConfig, RefillEngine, RefillOutcome,
 };
 pub use snapshot::{
     read_frame, write_frame, ByteReader, ByteWriter, SnapshotError, SnapshotHeader,

@@ -12,7 +12,7 @@ use ccrp_compress::LineCodec;
 use ccrp_probe::{Event, NullProbe, Probe};
 
 use crate::addr::LINE_SIZE;
-use crate::clb::{Clb, ClbSnapshot, ClbStats};
+use crate::clb::{Clb, ClbStats};
 use crate::error::CcrpError;
 use crate::image::{CompressedImage, LineLocation};
 
@@ -45,7 +45,7 @@ impl Burst {
 pub trait MemoryTiming {
     /// Starts a read of `words` consecutive 32-bit words at cycle `now`
     /// (a new random access; bursts never span calls) and returns when
-    /// each word arrives.
+    /// each word arrives. Every burst reads at least one word.
     fn read_burst(&mut self, words: u32, now: u64) -> Burst;
 }
 
@@ -205,22 +205,6 @@ impl RefillEngine {
     /// CLB hit/miss statistics.
     pub fn clb_stats(&self) -> ClbStats {
         self.clb.stats()
-    }
-
-    /// Captures the engine's mutable state. Only the CLB is state:
-    /// decode rate, policy, and integrity mode are configuration.
-    pub fn snapshot(&self) -> RefillEngineSnapshot {
-        RefillEngineSnapshot {
-            clb: self.clb.snapshot(),
-        }
-    }
-
-    /// Restores the state captured by [`snapshot`](Self::snapshot);
-    /// configuration fields are untouched. Refills after a restore
-    /// proceed bit-for-bit as they would have on the snapshotted
-    /// engine under the same configuration.
-    pub fn restore(&mut self, snapshot: &RefillEngineSnapshot) {
-        self.clb.restore(&snapshot.clb);
     }
 
     /// Whether `error` is something the degradation policy covers:
@@ -470,20 +454,6 @@ impl RefillEngine {
         };
         progress.time = progress.time.max(ready_at);
         Ok(ready_at)
-    }
-}
-
-/// A [`RefillEngine`]'s captured mutable state; see
-/// [`RefillEngine::snapshot`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RefillEngineSnapshot {
-    clb: ClbSnapshot,
-}
-
-impl RefillEngineSnapshot {
-    /// The captured CLB state.
-    pub fn clb(&self) -> &ClbSnapshot {
-        &self.clb
     }
 }
 

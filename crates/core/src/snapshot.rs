@@ -1,7 +1,7 @@
 //! CRC-framed binary snapshot container and panic-free byte codecs.
 //!
-//! Checkpointable machine state (the emulator's `ArchState`, the
-//! simulator steppers) serializes through this module: a fixed 28-byte
+//! Checkpointable machine state (the emulator's `ArchState`) and
+//! captured `.trace` files serialize through this module: a fixed 28-byte
 //! header — magic, format version, program fingerprint, payload length,
 //! and two CRC-32 words (one over the payload, one over the header
 //! itself, both via [`crc32`](crate::crc32)) — followed by the payload.

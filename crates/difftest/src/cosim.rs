@@ -18,9 +18,9 @@ use ccrp::{CompressedImage, DegradePolicy};
 use ccrp_asm::ProgramImage;
 use ccrp_compress::{BlockAlignment, ByteCode, ByteHistogram, PositionalCode, PositionalHistogram};
 use ccrp_emu::{Machine, MachineConfig, TraceSink};
-use ccrp_isa::{disassemble_word, FpReg, Reg};
+use ccrp_isa::{disassemble_word, FpReg};
 
-use crate::lockstep::{run_lockstep, LockstepVariant};
+use crate::lockstep::{compare_cores, run_lockstep, LockstepVariant};
 
 /// Records the data accesses one instruction performed, in order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -217,33 +217,32 @@ pub fn run_cosim_with(
         variants,
         image.entry(),
         max_steps,
-        |reference, variant, ref_accesses, var_accesses| {
-            compare_state(reference, variant, ref_accesses, var_accesses)
-        },
+        compare_state,
         |pc| disasm_window(image, pc),
     )
 }
 
 /// Compares the full post-step architectural state, returning the first
-/// differing `(field, reference-vs-variant detail)`.
+/// differing `(field, reference-vs-variant detail)`: [`compare_cores`]
+/// with the MIPS-private state checked right after the GPRs.
 pub(crate) fn compare_state(
     reference: &Machine,
     variant: &Machine,
     ref_accesses: &[(u32, bool)],
     var_accesses: &[(u32, bool)],
 ) -> Option<(String, String)> {
-    if reference.pc() != variant.pc() {
-        return Some((
-            "pc".to_string(),
-            format!("{:#010x} vs {:#010x}", reference.pc(), variant.pc()),
-        ));
-    }
-    for reg in Reg::all() {
-        let (a, b) = (reference.reg(reg), variant.reg(reg));
-        if a != b {
-            return Some((reg.to_string(), format!("{a:#010x} vs {b:#010x}")));
-        }
-    }
+    compare_cores(
+        reference,
+        variant,
+        ref_accesses,
+        var_accesses,
+        Some(compare_mips_private),
+    )
+}
+
+/// The MIPS state the [`IsaCore`](ccrp_emu::IsaCore) surface cannot
+/// see: HI/LO, the FPA register file and its condition flag.
+fn compare_mips_private(reference: &Machine, variant: &Machine) -> Option<(String, String)> {
     if reference.hi() != variant.hi() || reference.lo() != variant.lo() {
         return Some((
             "hi/lo".to_string(),
@@ -266,31 +265,6 @@ pub(crate) fn compare_state(
         return Some((
             "fp_cond".to_string(),
             format!("{} vs {}", reference.fp_cond(), variant.fp_cond()),
-        ));
-    }
-    if reference.exit_code() != variant.exit_code() {
-        return Some((
-            "exit_code".to_string(),
-            format!("{:?} vs {:?}", reference.exit_code(), variant.exit_code()),
-        ));
-    }
-    if ref_accesses != var_accesses {
-        return Some((
-            "data-access log".to_string(),
-            format!("{ref_accesses:x?} vs {var_accesses:x?}"),
-        ));
-    }
-    for &(addr, _store) in ref_accesses {
-        let word = addr & !3;
-        let (a, b) = (reference.read_word(word), variant.read_word(word));
-        if a != b {
-            return Some((format!("mem[{word:#010x}]"), format!("{a:x?} vs {b:x?}")));
-        }
-    }
-    if reference.output() != variant.output() {
-        return Some((
-            "output".to_string(),
-            format!("{:?} vs {:?}", reference.output(), variant.output()),
         ));
     }
     None
@@ -413,6 +387,45 @@ mod tests {
                 }
             }
             CosimVerdict::Match { .. } => panic!("corruption went unnoticed"),
+        }
+    }
+
+    #[test]
+    fn mips_private_state_is_compared_right_after_the_gprs() {
+        // Program pairs of equal length whose GPRs end equal: (reference,
+        // variant, field `compare_state` reports, field the generic
+        // comparator alone reports).
+        let cases = [
+            // Only HI/LO differ.
+            (
+                "li $t0, 3\nli $t1, 5\nmult $t0, $t1\nli $t1, 0\nli $v0, 10\nsyscall",
+                "li $t0, 3\nli $t1, 6\nmult $t0, $t1\nli $t1, 0\nli $v0, 10\nsyscall",
+                "hi/lo",
+                None,
+            ),
+            // An FPA register and the exit status differ: the FPA file
+            // comes first.
+            (
+                "li $t0, 7\nmtc1 $t0, $f2\nli $t0, 0\nli $v0, 10\nsyscall",
+                "li $t0, 9\nmtc1 $t0, $f2\nli $t0, 0\nli $v0, 10\nnop",
+                "$f2",
+                Some("exit_code"),
+            ),
+        ];
+        let run = |body: &str| {
+            let image = assemble(&format!("main:\n{body}\n")).expect("assembles");
+            let mut machine = Machine::new(&image);
+            for _ in 0..body.lines().count() {
+                machine.step(&mut ccrp_emu::NullSink).expect("steps");
+            }
+            machine
+        };
+        for (reference, variant, field, generic) in cases {
+            let (a, b) = (run(reference), run(variant));
+            let mismatch = compare_state(&a, &b, &[], &[]).map(|(field, _)| field);
+            assert_eq!(mismatch.as_deref(), Some(field), "{variant}");
+            let mismatch = compare_cores(&a, &b, &[], &[], None).map(|(field, _)| field);
+            assert_eq!(mismatch.as_deref(), generic, "{variant}");
         }
     }
 

@@ -46,7 +46,7 @@ pub use cosim::{
     build_rom, minimize_lines, run_cosim, run_cosim_with, CosimVariant, CosimVerdict,
     DivergenceReport, RecordingSink,
 };
-pub use lockstep::{compare_cores, run_lockstep, LockstepVariant};
+pub use lockstep::{compare_cores, run_lockstep, LockstepVariant, PrivateCompare};
 pub use progen::{GeneratedProgram, ProgGen, SCRATCH_BASE, SCRATCH_SIZE};
 pub use rng::SplitMix64;
 pub use rv32::{build_rv32_rom, run_rv32_cosim, run_trial_rv32};

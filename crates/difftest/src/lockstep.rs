@@ -123,18 +123,23 @@ where
     }
 }
 
-/// The ISA-generic half of a state comparison: PC, every GPR (named via
-/// [`Isa::gpr_name`]), exit status, the ordered data-access log, the
-/// memory words this instruction touched, and console output — in that
-/// order, mirroring the MIPS comparator so reports read the same across
-/// architectures. ISA-private state (MIPS HI/LO, the FPA file) is the
-/// per-ISA comparator's job; this function covers everything the
-/// [`IsaCore`] surface exposes.
+/// An ISA's hook for [`compare_cores`]: compares the state the
+/// [`IsaCore`] surface cannot see, returning the first differing
+/// `(field, reference-vs-variant detail)`.
+pub type PrivateCompare<M> = fn(&M, &M) -> Option<(String, String)>;
+
+/// Compares the full post-step state, returning the first differing
+/// `(field, reference-vs-variant detail)`: PC, every GPR (named via
+/// [`Isa::gpr_name`]), then `private` — the ISA's hook for state the
+/// [`IsaCore`] surface cannot see (MIPS HI/LO and the FPA file; RV32
+/// has none) — then exit status, the ordered data-access log, the
+/// memory words this instruction touched, and console output.
 pub fn compare_cores<M: IsaCore>(
     reference: &M,
     variant: &M,
     ref_accesses: &[(u32, bool)],
     var_accesses: &[(u32, bool)],
+    private: Option<PrivateCompare<M>>,
 ) -> Option<(String, String)> {
     if reference.pc() != variant.pc() {
         return Some((
@@ -150,6 +155,9 @@ pub fn compare_cores<M: IsaCore>(
                 format!("{a:#010x} vs {b:#010x}"),
             ));
         }
+    }
+    if let Some(mismatch) = private.and_then(|private| private(reference, variant)) {
+        return Some(mismatch);
     }
     if reference.exit_code() != variant.exit_code() {
         return Some((
@@ -207,7 +215,7 @@ mod tests {
             }],
             0,
             1000,
-            compare_cores::<Machine>,
+            |r, v, ra, va| compare_cores(r, v, ra, va, None),
             |_| Vec::new(),
         )
         .expect("runs");
@@ -224,7 +232,7 @@ mod tests {
             }],
             0x40_0000,
             1000,
-            compare_cores::<Machine>,
+            |r, v, ra, va| compare_cores(r, v, ra, va, None),
             |pc| vec![format!("window at {pc:#x}")],
         )
         .expect("runs");
@@ -254,7 +262,7 @@ mod tests {
             }],
             0,
             1000,
-            compare_cores::<Machine>,
+            |r, v, ra, va| compare_cores(r, v, ra, va, None),
             |_| Vec::new(),
         )
         .expect("runs");
@@ -279,7 +287,7 @@ mod tests {
             }],
             0,
             16,
-            compare_cores::<Machine>,
+            |r, v, ra, va| compare_cores(r, v, ra, va, None),
             |_| Vec::new(),
         )
         .expect_err("must trip the budget");

@@ -75,7 +75,7 @@ pub fn run_rv32_cosim(image: &Rv32Image, max_steps: u64) -> Result<CosimVerdict,
         variants,
         image.entry(),
         max_steps,
-        compare_cores::<Rv32Machine>,
+        |r, v, ra, va| compare_cores(r, v, ra, va, None),
         |pc| rv32_disasm_window(image, pc),
     )
 }
@@ -290,7 +290,7 @@ mod tests {
             }],
             image.entry(),
             100_000,
-            compare_cores::<Rv32Machine>,
+            |r, v, ra, va| compare_cores(r, v, ra, va, None),
             |pc| rv32_disasm_window(&image, pc),
         )
         .expect("runs");

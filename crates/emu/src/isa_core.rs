@@ -10,8 +10,8 @@
 //! and `ccrp-difftest`'s generic driver works against either.
 //!
 //! State the trait cannot see (MIPS HI/LO and the FPA register file,
-//! for instance) is compared through a per-ISA hook the driver accepts
-//! alongside the machines, so adding an architecture never weakens the
+//! for instance) is compared through a per-ISA hook the generic
+//! comparator accepts, so adding an architecture never weakens the
 //! comparison for another.
 
 use crate::TraceSink;
@@ -59,28 +59,37 @@ impl IsaCore for crate::Machine {
     type Isa = ccrp_isa::Mips;
     type Fault = crate::EmuError;
 
+    // The lockstep comparator reads these after every step of every
+    // variant, from another crate: `#[inline]` keeps them as cheap as
+    // the inherent accessors.
+    #[inline]
     fn pc(&self) -> u32 {
         crate::Machine::pc(self)
     }
 
+    /// Indexes the register file directly (caller contract: `index <
+    /// GPR_COUNT`, = 32).
+    #[inline]
     fn gpr(&self, index: usize) -> u32 {
-        // panic-ok: caller contract — index < GPR_COUNT (= 32).
-        let reg = ccrp_isa::Reg::new(index as u8).expect("GPR index in range");
-        self.reg(reg)
+        self.state.regs[index]
     }
 
+    #[inline]
     fn exit_code(&self) -> Option<i32> {
         crate::Machine::exit_code(self)
     }
 
+    #[inline]
     fn steps(&self) -> u64 {
         crate::Machine::steps(self)
     }
 
+    #[inline]
     fn output(&self) -> &str {
         crate::Machine::output(self)
     }
 
+    #[inline]
     fn read_word(&self, addr: u32) -> Option<u32> {
         crate::Machine::read_word(self, addr)
     }

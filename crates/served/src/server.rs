@@ -259,7 +259,11 @@ fn send_response(stream: &mut TcpStream, response: &Response) -> io::Result<()> 
 
 fn serve_connection(mut stream: TcpStream, service: &Service, queue: &JobQueue) {
     let config = service.config().clone();
-    if stream.set_read_timeout(Some(config.read_timeout)).is_err() {
+    // Replies go out as soon as they are written, as `Client::connect`
+    // sets for requests.
+    if stream.set_read_timeout(Some(config.read_timeout)).is_err()
+        || stream.set_nodelay(true).is_err()
+    {
         return;
     }
     loop {

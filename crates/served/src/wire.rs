@@ -114,7 +114,9 @@ pub fn read_frame(reader: &mut impl Read, max_bytes: u32) -> Result<Vec<u8>, Fra
     }
 }
 
-/// Writes one frame.
+/// Writes one frame, header and payload in a single write: on a TCP
+/// stream, a header sent alone would leave the payload waiting on the
+/// peer's delayed ACK under Nagle's algorithm.
 ///
 /// # Errors
 ///
@@ -123,8 +125,10 @@ pub fn read_frame(reader: &mut impl Read, max_bytes: u32) -> Result<Vec<u8>, Fra
 pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame payload too long"))?;
-    writer.write_all(&len.to_le_bytes())?;
-    writer.write_all(payload)?;
+    let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(payload);
+    writer.write_all(&frame)?;
     writer.flush()
 }
 
@@ -149,6 +153,38 @@ mod tests {
             read_frame(&mut cursor, 1024),
             Err(FrameError::Closed)
         ));
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        /// Counts `write` calls, accepting every byte.
+        #[derive(Default)]
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut out = Counting::default();
+        for (frames, payload) in [b"hello".as_slice(), b"", &[7; 300]]
+            .into_iter()
+            .enumerate()
+        {
+            write_frame(&mut out, payload).unwrap();
+            assert_eq!(out.writes, frames + 1);
+        }
+        let mut cursor = Cursor::new(out.bytes);
+        assert_eq!(read_frame(&mut cursor, 1024).unwrap(), b"hello");
+        assert_eq!(read_frame(&mut cursor, 1024).unwrap(), b"");
+        assert_eq!(read_frame(&mut cursor, 1024).unwrap(), [7; 300]);
     }
 
     #[test]

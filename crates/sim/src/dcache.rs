@@ -31,6 +31,7 @@ impl DataCacheModel {
     ///
     /// Panics if `miss_rate` is outside 0..=1.
     pub fn with_miss_rate(miss_rate: f64) -> Self {
+        // panic-ok: documented contract — the rate is a probability.
         assert!(
             (0.0..=1.0).contains(&miss_rate),
             "miss rate {miss_rate} out of range"

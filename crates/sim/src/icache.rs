@@ -148,43 +148,6 @@ impl ICache {
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
-
-    /// Captures the full cache state — tags and counters — for
-    /// checkpointed replay.
-    pub fn snapshot(&self) -> ICacheSnapshot {
-        ICacheSnapshot {
-            tags: self.tags.clone(),
-            stats: self.stats,
-        }
-    }
-
-    /// Restores a [`snapshot`](Self::snapshot), adopting its geometry
-    /// (snapshots record tag arrays whose length is a power of two by
-    /// construction, so the derived index mask is always valid).
-    pub fn restore(&mut self, snapshot: &ICacheSnapshot) {
-        self.tags.clone_from(&snapshot.tags);
-        self.index_mask = snapshot.tags.len() as u32 - 1;
-        self.stats = snapshot.stats;
-    }
-}
-
-/// The captured state of an [`ICache`] (see [`ICache::snapshot`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ICacheSnapshot {
-    tags: Vec<Option<u32>>,
-    stats: CacheStats,
-}
-
-impl ICacheSnapshot {
-    /// Number of lines the captured cache had.
-    pub fn lines(&self) -> u32 {
-        self.tags.len() as u32
-    }
-
-    /// The captured access counters.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
 }
 
 #[cfg(test)]

@@ -20,6 +20,12 @@
 //!   workload once and replays it for every configuration
 //!   ([`Simulation::replay_sweep`]).
 //!
+//! A processor runs over a trace in one of two loops, both shared by
+//! the standard processor and the CCRP, which differ only in the miss
+//! path they plug in: a live trace is stepped fetch by fetch, and a
+//! captured one is reduced to the I-cache misses of each cache size and
+//! replayed over those misses alone.
+//!
 //! # Examples
 //!
 //! ```
@@ -63,9 +69,8 @@ mod trace;
 
 pub use ccrp::{BudgetExhausted, StepBudget};
 pub use dcache::DataCacheModel;
-pub use icache::{BadCacheSize, CacheStats, ICache, ICacheSnapshot, LINE_BYTES};
-pub use memory::{standard_refill_cycles, MemoryModel, MemorySim, MemorySimSnapshot};
+pub use icache::{BadCacheSize, CacheStats, ICache, LINE_BYTES};
+pub use memory::{standard_refill_cycles, MemoryModel, MemorySim};
 pub use simulation::{SimSource, Simulation};
-pub use stepper::{CcrpSim, CcrpSimSnapshot, SimCounters, StandardSim, StandardSimSnapshot};
 pub use system::{Comparison, RunStats, SimError, SystemConfig};
 pub use trace::{AccessTrace, FetchRun, TraceError, TRACE_FORMAT_VERSION};

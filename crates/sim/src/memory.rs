@@ -62,32 +62,11 @@ impl MemorySim {
     pub fn model(&self) -> MemoryModel {
         self.model
     }
-
-    /// Captures the timing state (the DRAM precharge deadline — the one
-    /// piece of pending memory-model timing) for checkpointed replay.
-    pub fn snapshot(&self) -> MemorySimSnapshot {
-        MemorySimSnapshot {
-            model: self.model,
-            ready_at: self.ready_at,
-        }
-    }
-
-    /// Restores a [`snapshot`](Self::snapshot), adopting its model.
-    pub fn restore(&mut self, snapshot: &MemorySimSnapshot) {
-        self.model = snapshot.model;
-        self.ready_at = snapshot.ready_at;
-    }
-}
-
-/// The captured state of a [`MemorySim`] (see [`MemorySim::snapshot`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemorySimSnapshot {
-    model: MemoryModel,
-    ready_at: u64,
 }
 
 impl MemoryTiming for MemorySim {
     fn read_burst(&mut self, words: u32, now: u64) -> Burst {
+        // panic-ok: documented contract — a burst reads at least one word.
         debug_assert!(words > 0, "zero-word burst");
         match self.model {
             // Every word is an independent 3-cycle access.

@@ -3,7 +3,11 @@
 //! [`Simulation`] is the one builder every run goes through: a
 //! [`SystemConfig`] plus optional probes and an optional
 //! [`StepBudget`], executed over either a live per-fetch trace or a
-//! captured [`AccessTrace`] (see [`SimSource`]).
+//! captured [`AccessTrace`] (see [`SimSource`]). A live trace runs
+//! through the per-fetch loop and a captured one through its miss
+//! stream; both loops, and the two processors' miss paths they share,
+//! live in the `stepper` module. [`Simulation::replay_sweep`] groups
+//! many configurations over one miss stream per cache size.
 //!
 //! ```
 //! use ccrp::CompressedImage;
@@ -19,10 +23,11 @@
 //!     .with_cache_bytes(256)
 //!     .with_memory(MemoryModel::Eprom);
 //!
-//! // Live source: re-executes the per-fetch trace.
+//! // Live source: steps the per-fetch trace.
 //! let live = Simulation::new(config).compare(&image, trace.iter().copied())?;
 //!
-//! // Captured source: capture once, replay for any number of configs.
+//! // Captured source: capture once, replay only the misses for any
+//! // number of configs.
 //! let captured = AccessTrace::capture(trace.iter().copied());
 //! let replayed = Simulation::new(config).compare(&image, &captured)?;
 //! assert_eq!(live, replayed);
@@ -33,23 +38,24 @@ use ccrp::{CompressedImage, RefillEngine, StepBudget};
 use ccrp_probe::{NullProbe, Probe};
 
 use crate::icache::{CacheStats, ICache};
-use crate::stepper::{ccrp_miss, standard_miss, CcrpSim, SimCounters, StandardSim};
+use crate::stepper::{ccrp_miss, run_live, standard_miss, MissStream, SimCounters};
 use crate::system::{Comparison, RunStats, SimError, SystemConfig};
 use crate::trace::AccessTrace;
 
 /// What a [`Simulation`] executes over: a live per-fetch
 /// `(pc, data_access_count)` stream, or a captured, run-compacted
-/// [`AccessTrace`]. Both produce bit-identical [`RunStats`] and event
-/// streams; the captured form replays several times faster.
+/// [`AccessTrace`]. Both produce bit-identical [`RunStats`], event
+/// streams and errors; the captured form replays only the misses, so it
+/// runs many times faster.
 ///
 /// Any `(u32, u8)` iterator converts into the live form and an
 /// `&AccessTrace` into the captured form, so call sites pass either
 /// directly to [`Simulation`]'s execution methods.
 #[derive(Debug)]
 pub enum SimSource<'t, I: IntoIterator<Item = (u32, u8)> = std::iter::Empty<(u32, u8)>> {
-    /// Re-execute a per-fetch trace.
+    /// Step a per-fetch trace fetch by fetch.
     Live(I),
-    /// Replay a captured trace run by run.
+    /// Replay a captured trace's misses.
     Captured(&'t AccessTrace),
 }
 
@@ -78,11 +84,10 @@ impl<'t> From<&'t AccessTrace> for SimSource<'t> {
 ///   configurations from a captured trace, replaying only its misses.
 ///
 /// Probes ([`standard_probed`](Self::standard_probed) /
-/// [`ccrp_probed`](Self::ccrp_probed)) observe the identical event
-/// stream the old `_probed` functions reported; a budget
-/// ([`budgeted`](Self::budgeted)) charges the simulated cycles each
-/// step consumed, exactly like the old `_budgeted` functions, so a
-/// hostile trace or pathological memory model is bounded by fuel.
+/// [`ccrp_probed`](Self::ccrp_probed)) observe the same event stream
+/// from either source; a budget ([`budgeted`](Self::budgeted)) spends
+/// exactly the simulated cycles, so a hostile trace or pathological
+/// memory model is bounded by fuel.
 pub struct Simulation<'e, SP: Probe = NullProbe, CP: Probe = NullProbe> {
     config: SystemConfig,
     standard_probe: Option<&'e mut SP>,
@@ -138,11 +143,11 @@ impl<'e> Simulation<'e> {
         let mut first_error: Option<(u64, usize, SimError)> = None;
         let indexed: Vec<(usize, &SystemConfig)> = configs.iter().enumerate().collect();
         for (cache_bytes, by_cache) in group_by(indexed, |(_, c)| c.cache_bytes) {
-            let stream = MissStream::capture(trace, cache_bytes)?;
+            let stream = MissStream::capture(trace, ICache::new(cache_bytes)?);
             for (model, by_memory) in group_by(by_cache, |(_, c)| c.memory) {
                 let mut memory = model.timing();
                 let standard = stream
-                    .replay(|pc, counters| {
+                    .replay(None, |pc, counters| {
                         standard_miss(&mut memory, pc, counters, &mut NullProbe);
                         Ok(())
                     })
@@ -150,7 +155,7 @@ impl<'e> Simulation<'e> {
                 for (refill, group) in group_by(by_memory, |(_, c)| c.refill) {
                     let mut memory = model.timing();
                     let mut engine = RefillEngine::new(refill)?;
-                    let ccrp = stream.replay(|pc, counters| {
+                    let ccrp = stream.replay(None, |pc, counters| {
                         ccrp_miss(
                             &mut engine,
                             &mut memory,
@@ -211,85 +216,16 @@ fn group_by<T, K: PartialEq>(items: Vec<T>, key: impl Fn(&T) -> K) -> Vec<(K, Ve
     groups
 }
 
-/// One miss of a [`MissStream`].
-#[derive(Debug, Clone, Copy)]
-struct Miss {
-    /// The missing fetch's PC (its run's first).
-    pc: u32,
-    /// Fetches before it in the trace.
-    fetch: u64,
-}
-
-/// The misses one I-cache geometry takes over a captured trace, with
-/// the trace totals every processor and config on that geometry shares.
-/// Between two misses only hits happen, each one cycle, so a miss is
-/// issued at cycle `fetch + 1` plus the stalls of the refills before it.
-#[derive(Debug)]
-struct MissStream {
-    misses: Vec<Miss>,
-    cache: CacheStats,
-    data_accesses: u64,
-}
-
-impl MissStream {
-    /// One tag-only pass over `trace`'s runs, exactly as the steppers'
-    /// [`replay_run_probed`](StandardSim::replay_run_probed) access the
-    /// cache.
-    fn capture(trace: &AccessTrace, cache_bytes: u32) -> Result<Self, SimError> {
-        let mut cache = ICache::new(cache_bytes)?;
-        let mut misses = Vec::new();
-        let mut data_accesses = 0;
-        for run in trace.runs() {
-            if run.fetches == 0 {
-                continue;
-            }
-            let fetch = cache.stats().fetches;
-            if !cache.access(run.first_pc) {
-                misses.push(Miss {
-                    pc: run.first_pc,
-                    fetch,
-                });
-            }
-            cache.record_hits(u64::from(run.fetches) - 1);
-            data_accesses += u64::from(run.data);
-        }
-        Ok(MissStream {
-            misses,
-            cache: cache.stats(),
-            data_accesses,
-        })
-    }
-
-    /// Runs `refill` — a processor's miss path — on every miss in trace
-    /// order, with `counters.cycle` set to the cycle the miss issues
-    /// at, and returns the whole trace's totals.
-    ///
-    /// # Errors
-    ///
-    /// The first error `refill` returns, with the failing miss's fetch
-    /// index.
-    fn replay(
-        &self,
-        mut refill: impl FnMut(u32, &mut SimCounters) -> Result<(), SimError>,
-    ) -> Result<SimCounters, (u64, SimError)> {
-        let mut counters = SimCounters::default();
-        for miss in &self.misses {
-            counters.cycle = miss.fetch + 1 + counters.refill_cycles;
-            refill(miss.pc, &mut counters).map_err(|e| (miss.fetch, e))?;
-        }
-        Ok(SimCounters {
-            cycle: self.cache.fetches + counters.refill_cycles,
-            instructions: self.cache.fetches,
-            data_accesses: self.data_accesses,
-            ..counters
-        })
-    }
-}
-
 impl<'e, SP: Probe, CP: Probe> Simulation<'e, SP, CP> {
-    /// Attaches a cooperative budget: every step charges the simulated
-    /// cycles it consumed (minimum 1), so refill storms burn fuel
-    /// proportionally to the time they model. [`compare`](Self::compare)
+    /// Attaches a cooperative budget charged the simulated cycles, so
+    /// refill storms burn fuel proportionally to the time they model.
+    /// A live source charges each fetch as it completes (one cycle plus
+    /// its refill stall); a captured source charges, before each miss,
+    /// the cycles of the fetches before it, and the rest at the end.
+    /// Either way a run spends exactly its simulated cycles, and a
+    /// budget that trips does so after the same probe events; only the
+    /// [`BudgetExhausted::spent`](ccrp::BudgetExhausted::spent) it
+    /// reports reflects the coarser charges. [`compare`](Self::compare)
     /// charges both runs to the same budget, standard first.
     #[must_use]
     pub fn budgeted(mut self, budget: &'e mut StepBudget) -> Self {
@@ -373,7 +309,8 @@ impl<'e, SP: Probe, CP: Probe> Simulation<'e, SP, CP> {
 
     /// Runs both processors over the same source — one cell of the
     /// paper's Tables 1–13. A live source is iterated twice (hence the
-    /// `Clone` bound); a captured trace is replayed twice.
+    /// `Clone` bound); a captured trace's misses are replayed once per
+    /// processor.
     ///
     /// # Errors
     ///
@@ -426,79 +363,62 @@ impl<'e, SP: Probe, CP: Probe> Simulation<'e, SP, CP> {
     }
 }
 
-/// The standard-processor driver both source kinds share. Budget
-/// charging is per trace entry for a live source (the granularity the
-/// old `_budgeted` functions had, which served campaigns depend on) and
-/// per run for a captured one; either way the fuel spent equals the
-/// simulated cycles consumed, so exhaustion stays deterministic.
-fn drive_standard<P, I>(
+/// Runs one processor over `source` through `cache`, with `miss` as
+/// its miss path: a live source through the per-fetch loop, a captured
+/// one through its miss stream. Returns the run's totals and cache
+/// counters.
+fn drive<I: IntoIterator<Item = (u32, u8)>>(
+    mut cache: ICache,
+    source: SimSource<'_, I>,
+    budget: Option<&mut StepBudget>,
+    miss: impl FnMut(u32, &mut SimCounters) -> Result<(), SimError>,
+) -> Result<(SimCounters, CacheStats), SimError> {
+    match source {
+        SimSource::Live(fetches) => {
+            let mut counters = SimCounters::default();
+            run_live(&mut cache, &mut counters, fetches, budget, miss)?;
+            Ok((counters, cache.stats()))
+        }
+        SimSource::Captured(trace) => {
+            let stream = MissStream::capture(trace, cache);
+            let counters = stream.replay(budget, miss).map_err(|(_, e)| e)?;
+            Ok((counters, stream.cache))
+        }
+    }
+}
+
+/// The standard processor over `source`.
+fn drive_standard<P: Probe, I: IntoIterator<Item = (u32, u8)>>(
     config: &SystemConfig,
     source: SimSource<'_, I>,
     probe: &mut P,
-    mut budget: Option<&mut StepBudget>,
-) -> Result<RunStats, SimError>
-where
-    P: Probe,
-    I: IntoIterator<Item = (u32, u8)>,
-{
-    let mut sim = StandardSim::new(config)?;
-    match source {
-        SimSource::Live(fetches) => {
-            for (pc, data) in fetches {
-                let before = sim.counters().cycle;
-                sim.step_probed(pc, data, probe);
-                if let Some(budget) = budget.as_deref_mut() {
-                    budget.charge((sim.counters().cycle - before).max(1))?;
-                }
-            }
-        }
-        SimSource::Captured(trace) => {
-            for &run in trace.runs() {
-                let before = sim.counters().cycle;
-                sim.replay_run_probed(run, probe);
-                if let Some(budget) = budget.as_deref_mut() {
-                    budget.charge((sim.counters().cycle - before).max(1))?;
-                }
-            }
-        }
-    }
-    Ok(sim.stats())
+    budget: Option<&mut StepBudget>,
+) -> Result<RunStats, SimError> {
+    let cache = ICache::new(config.cache_bytes)?;
+    let mut memory = config.memory.timing();
+    let (counters, cache) = drive(cache, source, budget, |pc, counters| {
+        standard_miss(&mut memory, pc, counters, probe);
+        Ok(())
+    })?;
+    Ok(counters.stats(cache, &config.dcache, None))
 }
 
-/// The CCRP driver; see [`drive_standard`] for the budget contract.
-fn drive_ccrp<P, I>(
+/// The CCRP over `source`. Cache geometry is checked before the refill
+/// configuration.
+fn drive_ccrp<P: Probe, I: IntoIterator<Item = (u32, u8)>>(
     config: &SystemConfig,
     image: &CompressedImage,
     source: SimSource<'_, I>,
     probe: &mut P,
-    mut budget: Option<&mut StepBudget>,
-) -> Result<RunStats, SimError>
-where
-    P: Probe,
-    I: IntoIterator<Item = (u32, u8)>,
-{
-    let mut sim = CcrpSim::new(config)?;
-    match source {
-        SimSource::Live(fetches) => {
-            for (pc, data) in fetches {
-                let before = sim.counters().cycle;
-                sim.step_probed(image, pc, data, probe)?;
-                if let Some(budget) = budget.as_deref_mut() {
-                    budget.charge((sim.counters().cycle - before).max(1))?;
-                }
-            }
-        }
-        SimSource::Captured(trace) => {
-            for &run in trace.runs() {
-                let before = sim.counters().cycle;
-                sim.replay_run_probed(image, run, probe)?;
-                if let Some(budget) = budget.as_deref_mut() {
-                    budget.charge((sim.counters().cycle - before).max(1))?;
-                }
-            }
-        }
-    }
-    Ok(sim.stats())
+    budget: Option<&mut StepBudget>,
+) -> Result<RunStats, SimError> {
+    let cache = ICache::new(config.cache_bytes)?;
+    let mut engine = RefillEngine::new(config.refill)?;
+    let mut memory = config.memory.timing();
+    let (counters, cache) = drive(cache, source, budget, |pc, counters| {
+        ccrp_miss(&mut engine, &mut memory, image, pc, counters, probe)
+    })?;
+    Ok(counters.stats(cache, &config.dcache, Some(engine.clb_stats())))
 }
 
 #[cfg(test)]
@@ -508,7 +428,7 @@ mod tests {
     use super::*;
     use crate::dcache::DataCacheModel;
     use crate::memory::MemoryModel;
-    use ccrp::{CcrpError, DegradePolicy, IntegrityCheck, RefillConfig};
+    use ccrp::{BudgetExhausted, CcrpError, DegradePolicy, IntegrityCheck, RefillConfig};
     use ccrp_compress::{
         BlockAlignment, ByteCode, ByteHistogram, LineCodec, LzwLineCodec, PositionalCode,
         PositionalHistogram,
@@ -658,29 +578,47 @@ mod tests {
         configs
     }
 
-    /// The lockstep kernel the miss-stream sweep replaced — every
-    /// config's simulator pair advanced run by run — kept as the oracle
-    /// for which error a failing sweep reports.
+    /// Every config's processor pair stepped side by side, fetch by
+    /// fetch, through the live loop over `trace` — the oracle for which
+    /// error a failing sweep reports: the first invalid config, else
+    /// the earliest failing fetch, ties going to the earlier config.
     fn lockstep_sweep(
         image: &CompressedImage,
-        trace: &AccessTrace,
+        trace: &[(u32, u8)],
         configs: &[SystemConfig],
     ) -> Result<Vec<Comparison>, SimError> {
-        let mut states = Vec::new();
+        // Per config: each processor's cache, memory and totals, and
+        // the CCRP's refill engine.
+        let mut pairs = Vec::new();
         for config in configs {
-            states.push((StandardSim::new(config)?, CcrpSim::new(config)?));
+            let side = || -> Result<_, SimError> {
+                let cache = ICache::new(config.cache_bytes)?;
+                Ok((cache, config.memory.timing(), SimCounters::default()))
+            };
+            pairs.push((side()?, side()?, RefillEngine::new(config.refill)?));
         }
-        for &run in trace.runs() {
-            for (standard, ccrp) in &mut states {
-                standard.replay_run_probed(run, &mut NullProbe);
-                ccrp.replay_run_probed(image, run, &mut NullProbe)?;
+        for &fetch in trace {
+            for ((cache, memory, counters), ccrp, engine) in &mut pairs {
+                run_live(cache, counters, [fetch], None, |pc, counters| {
+                    standard_miss(memory, pc, counters, &mut NullProbe);
+                    Ok(())
+                })?;
+                let (cache, memory, counters) = ccrp;
+                run_live(cache, counters, [fetch], None, |pc, counters| {
+                    ccrp_miss(engine, memory, image, pc, counters, &mut NullProbe)
+                })?;
             }
         }
-        Ok(states
+        let stats =
+            |(cache, _, counters): &(ICache, _, SimCounters), config: &SystemConfig, clb| {
+                counters.stats(cache.stats(), &config.dcache, clb)
+            };
+        Ok(configs
             .iter()
-            .map(|(standard, ccrp)| Comparison {
-                standard: standard.stats(),
-                ccrp: ccrp.stats(),
+            .zip(&pairs)
+            .map(|(config, (standard, ccrp, engine))| Comparison {
+                standard: stats(standard, config, None),
+                ccrp: stats(ccrp, config, Some(engine.clb_stats())),
             })
             .collect())
     }
@@ -754,7 +692,7 @@ mod tests {
         ] {
             let swept = Simulation::replay_sweep(&image, &captured, &configs);
             assert_eq!(swept, Err(expected.clone()), "{configs:?}");
-            assert_eq!(swept, lockstep_sweep(&image, &captured, &configs));
+            assert_eq!(swept, lockstep_sweep(&image, &trace, &configs));
         }
     }
 
@@ -805,7 +743,7 @@ mod tests {
             vec![trap, fast],
         ] {
             let swept = Simulation::replay_sweep(&image, &captured, &configs);
-            let lockstep = lockstep_sweep(&image, &captured, &configs);
+            let lockstep = lockstep_sweep(&image, &trace, &configs);
             assert!(swept.is_err(), "{configs:?}");
             assert_eq!(swept, lockstep, "{configs:?}");
         }
@@ -834,70 +772,141 @@ mod tests {
             swept,
             Err(SimError::Ccrp(CcrpError::AddressOutOfRange { .. }))
         ));
-        assert_eq!(swept, lockstep_sweep(&pristine, &captured, &configs));
+        assert_eq!(swept, lockstep_sweep(&pristine, &trace, &configs));
+    }
+
+    /// The live-vs-captured matrix: every memory model under
+    /// `Abort`/`Fast`, `Retry`/`Full` and `Trap`/`Full`, over a pristine
+    /// image and one with a corrupted block that only `Full` integrity
+    /// detects (so six of the eighteen runs fail over `fixture`'s trace).
+    fn source_cases(mut pristine: CompressedImage) -> Vec<(CompressedImage, SystemConfig)> {
+        pristine.attach_block_crcs();
+        let line = (1..pristine.line_count())
+            .find(|&line| !pristine.locate(line as u32 * 32).unwrap().bypass)
+            .unwrap();
+        let mut corrupted = pristine.clone();
+        corrupted.corrupt_block_byte(line, 0, 0x10).unwrap();
+        let mut cases = Vec::new();
+        for image in [&pristine, &corrupted] {
+            for model in MemoryModel::ALL {
+                for (policy, integrity) in [
+                    (DegradePolicy::Abort, IntegrityCheck::Fast),
+                    (DegradePolicy::Retry { attempts: 2 }, IntegrityCheck::Full),
+                    (DegradePolicy::Trap, IntegrityCheck::Full),
+                ] {
+                    let config = SystemConfig::new()
+                        .with_cache_bytes(256)
+                        .with_memory(model)
+                        .with_refill(RefillConfig {
+                            policy,
+                            integrity,
+                            ..RefillConfig::default()
+                        });
+                    cases.push((image.clone(), config));
+                }
+            }
+        }
+        cases
     }
 
     #[test]
     fn probes_see_identical_streams_from_both_sources() {
         let (image, trace) = fixture(2048);
         let captured = AccessTrace::capture(trace.iter().copied());
-        let config = SystemConfig::new()
-            .with_cache_bytes(256)
-            .with_memory(MemoryModel::Eprom);
+        let cases = source_cases(image);
+        let mut failures = 0;
+        for (image, config) in &cases {
+            let mut live_std = EventLog::new();
+            let mut live_ccrp = EventLog::new();
+            let live = Simulation::new(*config)
+                .standard_probed(&mut live_std)
+                .ccrp_probed(&mut live_ccrp)
+                .compare(image, trace.iter().copied());
 
-        let mut live_std = EventLog::new();
-        let mut live_ccrp = EventLog::new();
-        let live = Simulation::new(config)
-            .standard_probed(&mut live_std)
-            .ccrp_probed(&mut live_ccrp)
-            .compare(&image, trace.iter().copied())
-            .unwrap();
+            let mut replay_std = EventLog::new();
+            let mut replay_ccrp = EventLog::new();
+            let replayed = Simulation::new(*config)
+                .standard_probed(&mut replay_std)
+                .ccrp_probed(&mut replay_ccrp)
+                .compare(image, &captured);
 
-        let mut replay_std = EventLog::new();
-        let mut replay_ccrp = EventLog::new();
-        let replayed = Simulation::new(config)
-            .standard_probed(&mut replay_std)
-            .ccrp_probed(&mut replay_ccrp)
-            .compare(&image, &captured)
-            .unwrap();
-
-        assert_eq!(live, replayed);
-        assert_eq!(live_std.events(), replay_std.events());
-        assert_eq!(live_ccrp.events(), replay_ccrp.events());
-        assert!(live_ccrp
-            .events()
-            .iter()
-            .any(|e| matches!(e.event, Event::RefillDone { .. })));
+            // On a failing run the logs hold the events emitted before
+            // the error.
+            assert_eq!(live, replayed, "{config:?}");
+            assert_eq!(live_std.events(), replay_std.events(), "{config:?}");
+            assert_eq!(live_ccrp.events(), replay_ccrp.events(), "{config:?}");
+            assert!(
+                live_ccrp
+                    .events()
+                    .iter()
+                    .any(|e| matches!(e.event, Event::RefillDone { .. })),
+                "{config:?}"
+            );
+            failures += usize::from(live.is_err());
+        }
+        assert_eq!(failures, 6);
     }
 
     #[test]
     fn budget_spend_is_identical_across_sources() {
+        // A budget error reports the fuel spent before the trip, which
+        // follows each source's charge granularity; the rest must match.
+        let forget_spent = |result: Result<RunStats, SimError>| match result {
+            Err(SimError::Budget(e)) => Err(SimError::Budget(BudgetExhausted { spent: 0, ..e })),
+            other => other,
+        };
         let (image, trace) = fixture(2048);
         let captured = AccessTrace::capture(trace.iter().copied());
-        let config = SystemConfig::new()
-            .with_cache_bytes(256)
-            .with_memory(MemoryModel::Eprom);
+        let cases = source_cases(image);
+        let mut refill_errors = 0;
+        for (image, config) in &cases {
+            let mut live_budget = StepBudget::unlimited();
+            let live = Simulation::new(*config)
+                .budgeted(&mut live_budget)
+                .compare(image, trace.iter().copied());
+            let mut replay_budget = StepBudget::unlimited();
+            let replayed = Simulation::new(*config)
+                .budgeted(&mut replay_budget)
+                .compare(image, &captured);
+            assert_eq!(live, replayed, "{config:?}");
+            if let Ok(cell) = &live {
+                // Fuel equals the simulated cycles either way; only the
+                // charge granularity (fetch vs miss) differs.
+                let cycles = |run: &RunStats| run.instructions + run.refill_cycles;
+                assert_eq!(live_budget.spent(), replay_budget.spent(), "{config:?}");
+                assert_eq!(
+                    live_budget.spent(),
+                    cycles(&cell.standard) + cycles(&cell.ccrp),
+                    "{config:?}"
+                );
+            }
+            // Tight budgets stop both sources alike, wherever they run
+            // out: on a hit, on a refill, or on the corrupted line.
+            for fuel in 0..300 {
+                let mut live_budget = StepBudget::limited(fuel);
+                let live = Simulation::new(*config)
+                    .budgeted(&mut live_budget)
+                    .ccrp(image, trace.iter().copied());
+                let mut replay_budget = StepBudget::limited(fuel);
+                let replayed = Simulation::new(*config)
+                    .budgeted(&mut replay_budget)
+                    .ccrp(image, &captured);
+                refill_errors += usize::from(matches!(live, Err(SimError::Ccrp(_))));
+                assert_eq!(
+                    forget_spent(live),
+                    forget_spent(replayed),
+                    "{config:?}, fuel {fuel}"
+                );
+            }
+        }
+        assert!(refill_errors > 0, "the sweep reaches the corrupted line");
 
-        let mut live_budget = StepBudget::unlimited();
-        let live = Simulation::new(config)
-            .budgeted(&mut live_budget)
-            .ccrp(&image, trace.iter().copied())
-            .unwrap();
-        let mut replay_budget = StepBudget::unlimited();
-        let replayed = Simulation::new(config)
-            .budgeted(&mut replay_budget)
-            .ccrp(&image, &captured)
-            .unwrap();
-        assert_eq!(live, replayed);
-        // Fuel equals simulated cycles either way; only the charge
-        // granularity (entry vs run) differs.
-        assert_eq!(live_budget.spent(), replay_budget.spent());
-
-        // A tight budget trips a replay too, with a typed error.
+        // A tight budget trips a replay with a typed error.
+        let (image, config) = &cases[0];
         let mut tight = StepBudget::limited(200);
-        let err = Simulation::new(config)
+        let err = Simulation::new(*config)
             .budgeted(&mut tight)
-            .ccrp(&image, &captured)
+            .ccrp(image, &captured)
             .unwrap_err();
         assert!(matches!(err, SimError::Budget(_)));
     }

@@ -1,51 +1,48 @@
-//! Incremental, checkpointable forms of the two trace-driven simulators.
+//! The two loops that run a processor over a trace, and the two miss
+//! paths they share.
 //!
-//! [`StandardSim`] and [`CcrpSim`] carry one trace entry's worth of
-//! simulation per [`step`](StandardSim::step): exactly the loop body
-//! the [`Simulation`](crate::Simulation) entry point drives — a
-//! whole-source execution and an equivalent step loop are the same
-//! computation, operation for operation. The compacted
-//! [`replay_run_probed`](StandardSim::replay_run_probed) fast path
-//! folds a [`FetchRun`] into one step plus a bulk hit update. Both
-//! processors' miss paths are the functions [`standard_miss`] and
-//! [`ccrp_miss`], which the steppers and the sweep kernel
-//! ([`Simulation::replay_sweep`](crate::Simulation::replay_sweep))
-//! share.
+//! The standard processor and the CCRP share the I-cache and differ
+//! only on a miss (§3.1): the standard processor's miss path is
+//! [`standard_miss`], the CCRP's is [`ccrp_miss`]. Whichever processor
+//! supplies the miss path, a trace runs through one of two loops:
 //!
-//! Each stepper snapshots to a plain value ([`StandardSimSnapshot`] /
-//! [`CcrpSimSnapshot`]) capturing every piece of cross-step state: cache
-//! tags and counters, the memory model's precharge deadline, the CLB
-//! (contents, LRU order, counters), and the running [`SimCounters`].
-//! Restoring a snapshot and replaying the remaining trace therefore
-//! produces results identical to an unbroken run. Only this module's
-//! tests restore a stepper today.
+//! * [`run_live`] steps a live per-fetch source fetch by fetch. It is
+//!   the reference every captured run is checked against.
+//! * [`MissStream`] walks a captured [`AccessTrace`] once per cache
+//!   size, keeping only its misses, and replays a processor over those
+//!   misses alone. Every captured run goes through it: the
+//!   [`Simulation`](crate::Simulation) execution methods and the sweep
+//!   kernel ([`Simulation::replay_sweep`](crate::Simulation::replay_sweep)).
+//!
+//! Both loops report the same [`RunStats`], the same probe events and
+//! the same first error, and an attached [`StepBudget`] spends exactly
+//! the simulated cycles under either.
 
-use ccrp::{ClbStats, CompressedImage, MemoryTiming, RefillEngine, RefillEngineSnapshot};
-use ccrp_probe::{Event, NullProbe, Probe};
+use ccrp::{ClbStats, CompressedImage, MemoryTiming, RefillEngine, StepBudget};
+use ccrp_probe::{Event, Probe};
 
 use crate::dcache::DataCacheModel;
-use crate::icache::{CacheStats, ICache, ICacheSnapshot, LINE_BYTES};
-use crate::memory::{MemorySim, MemorySimSnapshot};
-use crate::system::{RunStats, SimError, SystemConfig};
-use crate::trace::FetchRun;
+use crate::icache::{CacheStats, ICache, LINE_BYTES};
+use crate::memory::MemorySim;
+use crate::system::{RunStats, SimError};
+use crate::trace::AccessTrace;
 
 /// Words in one standard line refill (a whole 32-byte line).
 const LINE_WORDS: u32 = LINE_BYTES / 4;
 
-/// The running totals both steppers accumulate — the mutable scalar half
-/// of a simulation snapshot.
+/// The running totals of one processor's run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SimCounters {
+pub(crate) struct SimCounters {
     /// Current simulated cycle.
-    pub cycle: u64,
+    pub(crate) cycle: u64,
     /// Cycles spent waiting on line refills.
-    pub refill_cycles: u64,
+    pub(crate) refill_cycles: u64,
     /// Bytes read from instruction memory.
-    pub bytes_from_memory: u64,
+    pub(crate) bytes_from_memory: u64,
     /// Trace entries replayed.
-    pub instructions: u64,
+    pub(crate) instructions: u64,
     /// Data accesses replayed.
-    pub data_accesses: u64,
+    pub(crate) data_accesses: u64,
 }
 
 impl SimCounters {
@@ -120,330 +117,129 @@ pub(crate) fn ccrp_miss<P: Probe>(
     Ok(())
 }
 
-/// The standard (uncompressed) processor, one trace entry at a time.
-#[derive(Debug, Clone)]
-pub struct StandardSim {
-    cache: ICache,
-    memory: MemorySim,
-    dcache: DataCacheModel,
-    counters: SimCounters,
+/// Charges `cycles` to `budget`, when one is attached and there is
+/// anything to charge.
+fn charge(budget: &mut Option<&mut StepBudget>, cycles: u64) -> Result<(), SimError> {
+    match budget {
+        Some(budget) if cycles > 0 => Ok(budget.charge(cycles)?),
+        _ => Ok(()),
+    }
 }
 
-impl StandardSim {
-    /// Builds a stepper for `config`.
+/// The live loop: steps `fetches` one `(pc, data_access_count)` entry
+/// at a time through `cache`, calling `miss` — a processor's miss path
+/// — on every miss, and accumulating into `counters`. Each fetch is
+/// charged to `budget` after it completes: one cycle plus its refill
+/// stall.
+///
+/// # Errors
+///
+/// The first error `miss` returns, or [`SimError::Budget`] when the
+/// budget trips; the fetches before it stay counted.
+pub(crate) fn run_live(
+    cache: &mut ICache,
+    counters: &mut SimCounters,
+    fetches: impl IntoIterator<Item = (u32, u8)>,
+    mut budget: Option<&mut StepBudget>,
+    mut miss: impl FnMut(u32, &mut SimCounters) -> Result<(), SimError>,
+) -> Result<(), SimError> {
+    for (pc, data) in fetches {
+        let before = counters.cycle;
+        counters.instructions += 1;
+        counters.data_accesses += u64::from(data);
+        counters.cycle += 1;
+        if !cache.access(pc) {
+            miss(pc, counters)?;
+        }
+        charge(&mut budget, counters.cycle - before)?;
+    }
+    Ok(())
+}
+
+/// One miss of a [`MissStream`].
+#[derive(Debug, Clone, Copy)]
+struct Miss {
+    /// The missing fetch's PC (its run's first).
+    pc: u32,
+    /// Fetches before it in the trace.
+    fetch: u64,
+}
+
+/// The misses one I-cache geometry takes over a captured trace, with
+/// the trace totals every processor and config on that geometry shares.
+/// Between two misses only hits happen, each one cycle, so a miss is
+/// issued at cycle `fetch + 1` plus the stalls of the refills before it.
+#[derive(Debug)]
+pub(crate) struct MissStream {
+    misses: Vec<Miss>,
+    /// The cache's counters over the whole trace.
+    pub(crate) cache: CacheStats,
+    data_accesses: u64,
+}
+
+impl MissStream {
+    /// One tag-only pass of `cache` over `trace`'s runs. Only a run's
+    /// first fetch can miss: the rest stay in the line it just
+    /// accessed (see [`FetchRun`](crate::FetchRun)).
+    pub(crate) fn capture(trace: &AccessTrace, mut cache: ICache) -> Self {
+        let mut misses = Vec::new();
+        let mut data_accesses = 0;
+        for run in trace.runs() {
+            if run.fetches == 0 {
+                continue;
+            }
+            let fetch = cache.stats().fetches;
+            if !cache.access(run.first_pc) {
+                misses.push(Miss {
+                    pc: run.first_pc,
+                    fetch,
+                });
+            }
+            cache.record_hits(u64::from(run.fetches) - 1);
+            data_accesses += u64::from(run.data);
+        }
+        MissStream {
+            misses,
+            cache: cache.stats(),
+            data_accesses,
+        }
+    }
+
+    /// Runs `refill` — a processor's miss path — on every miss in trace
+    /// order, with `counters.cycle` set to the cycle the miss issues
+    /// at, and returns the whole trace's totals.
+    ///
+    /// An attached `budget` is charged, before each miss's refill, the
+    /// cycles of every fetch before that miss, and once at the end the
+    /// cycles left: exactly the simulated cycles, tripping before the
+    /// same refill (and so after the same probe events) as the live
+    /// loop.
     ///
     /// # Errors
     ///
-    /// [`SimError::Cache`] for invalid cache geometry.
-    pub fn new(config: &SystemConfig) -> Result<Self, SimError> {
-        Ok(Self {
-            cache: ICache::new(config.cache_bytes)?,
-            memory: config.memory.timing(),
-            dcache: config.dcache,
-            counters: SimCounters::default(),
+    /// The first error `refill` or the budget returns, with the failing
+    /// miss's fetch index (the trace length for the final charge).
+    pub(crate) fn replay(
+        &self,
+        mut budget: Option<&mut StepBudget>,
+        mut refill: impl FnMut(u32, &mut SimCounters) -> Result<(), SimError>,
+    ) -> Result<SimCounters, (u64, SimError)> {
+        let mut counters = SimCounters::default();
+        let mut charged = 0;
+        for miss in &self.misses {
+            let before = miss.fetch + counters.refill_cycles;
+            charge(&mut budget, before - charged).map_err(|e| (miss.fetch, e))?;
+            charged = before;
+            counters.cycle = before + 1;
+            refill(miss.pc, &mut counters).map_err(|e| (miss.fetch, e))?;
+        }
+        let cycle = self.cache.fetches + counters.refill_cycles;
+        charge(&mut budget, cycle - charged).map_err(|e| (self.cache.fetches, e))?;
+        Ok(SimCounters {
+            cycle,
+            instructions: self.cache.fetches,
+            data_accesses: self.data_accesses,
+            ..counters
         })
-    }
-
-    /// Replays one trace entry, reporting miss and burst events to
-    /// `probe`.
-    pub fn step_probed<P: Probe>(&mut self, pc: u32, data: u8, probe: &mut P) {
-        self.counters.instructions += 1;
-        self.counters.data_accesses += u64::from(data);
-        self.counters.cycle += 1;
-        if !self.cache.access(pc) {
-            standard_miss(&mut self.memory, pc, &mut self.counters, probe);
-        }
-    }
-
-    /// Replays one trace entry without probing.
-    pub fn step(&mut self, pc: u32, data: u8) {
-        self.step_probed(pc, data, &mut NullProbe);
-    }
-
-    /// Replays one compacted [`FetchRun`] — operation for operation the
-    /// same computation as stepping each of the run's fetches, because
-    /// only the run's first fetch can miss in the direct-mapped cache
-    /// (the remaining fetches stay in the just-accessed line) and every
-    /// other per-entry update is a sum. Emits the identical event
-    /// stream: misses and bursts occur only at run starts.
-    pub fn replay_run_probed<P: Probe>(&mut self, run: FetchRun, probe: &mut P) {
-        if run.fetches == 0 {
-            return;
-        }
-        self.step_probed(run.first_pc, 0, probe);
-        self.counters.data_accesses += u64::from(run.data);
-        let rest = u64::from(run.fetches) - 1;
-        self.counters.instructions += rest;
-        self.counters.cycle += rest;
-        self.cache.record_hits(rest);
-    }
-
-    /// The running totals.
-    pub fn counters(&self) -> SimCounters {
-        self.counters
-    }
-
-    /// Metrics as of the entries replayed so far, identical to what the
-    /// whole-trace simulator reports over the same prefix.
-    pub fn stats(&self) -> RunStats {
-        self.counters.stats(self.cache.stats(), &self.dcache, None)
-    }
-
-    /// Captures every piece of cross-step state.
-    pub fn snapshot(&self) -> StandardSimSnapshot {
-        StandardSimSnapshot {
-            cache: self.cache.snapshot(),
-            memory: self.memory.snapshot(),
-            counters: self.counters,
-        }
-    }
-
-    /// Restores a [`snapshot`](Self::snapshot); subsequent steps behave
-    /// as if the run had never been interrupted.
-    pub fn restore(&mut self, snapshot: &StandardSimSnapshot) {
-        self.cache.restore(&snapshot.cache);
-        self.memory.restore(&snapshot.memory);
-        self.counters = snapshot.counters;
-    }
-}
-
-/// The captured state of a [`StandardSim`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StandardSimSnapshot {
-    /// Instruction-cache tags and counters.
-    pub cache: ICacheSnapshot,
-    /// Memory-model timing state.
-    pub memory: MemorySimSnapshot,
-    /// Running totals.
-    pub counters: SimCounters,
-}
-
-/// The CCRP, one trace entry at a time.
-#[derive(Debug, Clone)]
-pub struct CcrpSim {
-    cache: ICache,
-    memory: MemorySim,
-    engine: RefillEngine,
-    dcache: DataCacheModel,
-    counters: SimCounters,
-}
-
-impl CcrpSim {
-    /// Builds a stepper for `config`.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Cache`] for invalid cache geometry, [`SimError::Ccrp`]
-    /// for an invalid refill configuration.
-    pub fn new(config: &SystemConfig) -> Result<Self, SimError> {
-        Ok(Self {
-            cache: ICache::new(config.cache_bytes)?,
-            memory: config.memory.timing(),
-            engine: RefillEngine::new(config.refill)?,
-            dcache: config.dcache,
-            counters: SimCounters::default(),
-        })
-    }
-
-    /// Replays one trace entry, refilling misses through `image`'s
-    /// LAT/CLB/decoder path and reporting the full event stream to
-    /// `probe`.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Ccrp`] when the trace fetches outside the image.
-    pub fn step_probed<P: Probe>(
-        &mut self,
-        image: &CompressedImage,
-        pc: u32,
-        data: u8,
-        probe: &mut P,
-    ) -> Result<(), SimError> {
-        self.counters.instructions += 1;
-        self.counters.data_accesses += u64::from(data);
-        self.counters.cycle += 1;
-        if !self.cache.access(pc) {
-            ccrp_miss(
-                &mut self.engine,
-                &mut self.memory,
-                image,
-                pc,
-                &mut self.counters,
-                probe,
-            )?;
-        }
-        Ok(())
-    }
-
-    /// Replays one trace entry without probing.
-    ///
-    /// # Errors
-    ///
-    /// As [`step_probed`](Self::step_probed).
-    pub fn step(&mut self, image: &CompressedImage, pc: u32, data: u8) -> Result<(), SimError> {
-        self.step_probed(image, pc, data, &mut NullProbe)
-    }
-
-    /// Replays one compacted [`FetchRun`]; see
-    /// [`StandardSim::replay_run_probed`] for the equivalence argument
-    /// (it holds unchanged here — the LAT/CLB/decoder refill path is
-    /// only entered on a miss, which only the run's first fetch can
-    /// take).
-    ///
-    /// # Errors
-    ///
-    /// As [`step_probed`](Self::step_probed).
-    pub fn replay_run_probed<P: Probe>(
-        &mut self,
-        image: &CompressedImage,
-        run: FetchRun,
-        probe: &mut P,
-    ) -> Result<(), SimError> {
-        if run.fetches == 0 {
-            return Ok(());
-        }
-        self.step_probed(image, run.first_pc, 0, probe)?;
-        self.counters.data_accesses += u64::from(run.data);
-        let rest = u64::from(run.fetches) - 1;
-        self.counters.instructions += rest;
-        self.counters.cycle += rest;
-        self.cache.record_hits(rest);
-        Ok(())
-    }
-
-    /// The running totals.
-    pub fn counters(&self) -> SimCounters {
-        self.counters
-    }
-
-    /// Metrics as of the entries replayed so far, identical to what the
-    /// whole-trace simulator reports over the same prefix.
-    pub fn stats(&self) -> RunStats {
-        self.counters.stats(
-            self.cache.stats(),
-            &self.dcache,
-            Some(self.engine.clb_stats()),
-        )
-    }
-
-    /// Captures every piece of cross-step state, CLB included.
-    pub fn snapshot(&self) -> CcrpSimSnapshot {
-        CcrpSimSnapshot {
-            cache: self.cache.snapshot(),
-            memory: self.memory.snapshot(),
-            engine: self.engine.snapshot(),
-            counters: self.counters,
-        }
-    }
-
-    /// Restores a [`snapshot`](Self::snapshot); subsequent steps behave
-    /// as if the run had never been interrupted.
-    pub fn restore(&mut self, snapshot: &CcrpSimSnapshot) {
-        self.cache.restore(&snapshot.cache);
-        self.memory.restore(&snapshot.memory);
-        self.engine.restore(&snapshot.engine);
-        self.counters = snapshot.counters;
-    }
-}
-
-/// The captured state of a [`CcrpSim`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CcrpSimSnapshot {
-    /// Instruction-cache tags and counters.
-    pub cache: ICacheSnapshot,
-    /// Memory-model timing state.
-    pub memory: MemorySimSnapshot,
-    /// Refill-engine state (the CLB: contents, LRU order, counters).
-    pub engine: RefillEngineSnapshot,
-    /// Running totals.
-    pub counters: SimCounters,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::memory::MemoryModel;
-    use crate::simulation::Simulation;
-    use ccrp_compress::{BlockAlignment, ByteCode, ByteHistogram};
-
-    fn fixture(code_bytes: usize) -> (CompressedImage, Vec<(u32, u8)>) {
-        let mut text = Vec::with_capacity(code_bytes);
-        let mut x = 5u32;
-        for i in 0..code_bytes {
-            x = x.wrapping_mul(48271);
-            text.push(match i % 4 {
-                0 => (x >> 28) as u8,
-                1 => 0,
-                2 => 0x42,
-                _ => 0x24,
-            });
-        }
-        let code = ByteCode::preselected(&ByteHistogram::of(&text)).unwrap();
-        let image = CompressedImage::build(0, &text, code, BlockAlignment::Word).unwrap();
-        let mut trace = Vec::new();
-        for _ in 0..4 {
-            for pc in (0..code_bytes as u32).step_by(4) {
-                trace.push((pc, u8::from(pc % 16 == 0)));
-            }
-        }
-        (image, trace)
-    }
-
-    #[test]
-    fn snapshot_restore_resumes_identically() {
-        // For every memory model: run to a midpoint, snapshot, keep
-        // running the original while a fresh stepper restores and
-        // replays the tail — stats must match an unbroken run.
-        let (image, trace) = fixture(2048);
-        for model in MemoryModel::ALL {
-            let config = SystemConfig::new().with_cache_bytes(256).with_memory(model);
-            let mid = trace.len() / 3;
-
-            let mut std_sim = StandardSim::new(&config).unwrap();
-            let mut ccrp_sim = CcrpSim::new(&config).unwrap();
-            for &(pc, data) in &trace[..mid] {
-                std_sim.step(pc, data);
-                ccrp_sim.step(&image, pc, data).unwrap();
-            }
-            let std_snap = std_sim.snapshot();
-            let ccrp_snap = ccrp_sim.snapshot();
-
-            let mut std_resumed = StandardSim::new(&config).unwrap();
-            std_resumed.restore(&std_snap);
-            let mut ccrp_resumed = CcrpSim::new(&config).unwrap();
-            ccrp_resumed.restore(&ccrp_snap);
-            for &(pc, data) in &trace[mid..] {
-                std_sim.step(pc, data);
-                std_resumed.step(pc, data);
-                ccrp_sim.step(&image, pc, data).unwrap();
-                ccrp_resumed.step(&image, pc, data).unwrap();
-            }
-            assert_eq!(std_sim.stats(), std_resumed.stats(), "{model:?}");
-            assert_eq!(ccrp_sim.stats(), ccrp_resumed.stats(), "{model:?}");
-            assert_eq!(std_sim.snapshot(), std_resumed.snapshot(), "{model:?}");
-            assert_eq!(ccrp_sim.snapshot(), ccrp_resumed.snapshot(), "{model:?}");
-        }
-    }
-
-    #[test]
-    fn stepper_matches_whole_trace_simulator() {
-        let (image, trace) = fixture(4096);
-        for model in MemoryModel::ALL {
-            let config = SystemConfig::new().with_cache_bytes(256).with_memory(model);
-            let std_whole = Simulation::new(config)
-                .standard(trace.iter().copied())
-                .unwrap();
-            let ccrp_whole = Simulation::new(config)
-                .ccrp(&image, trace.iter().copied())
-                .unwrap();
-            let mut std_sim = StandardSim::new(&config).unwrap();
-            let mut ccrp_sim = CcrpSim::new(&config).unwrap();
-            for &(pc, data) in &trace {
-                std_sim.step(pc, data);
-                ccrp_sim.step(&image, pc, data).unwrap();
-            }
-            assert_eq!(std_sim.stats(), std_whole, "{model:?}");
-            assert_eq!(ccrp_sim.stats(), ccrp_whole, "{model:?}");
-        }
     }
 }
