@@ -109,4 +109,31 @@ mod tests {
             assert!(r.bounded_pct < 100.0, "{}", r.name);
         }
     }
+
+    #[test]
+    fn lzw_streams_of_the_corpus_are_pinned() {
+        // Length and CRC-32 of each program's `lzw::compress` stream, as
+        // the reference `HashMap` dictionary (kept as the oracle in
+        // `lzw`'s tests) produces it: the open-addressed dictionary
+        // must emit the same bytes, not just the same sizes.
+        const STREAMS: [(&str, usize, u32); 10] = [
+            ("lex", 32618, 0x15fe_88d1),
+            ("pswarp", 36029, 0x43d4_8edc),
+            ("yacc", 30396, 0x4d18_b192),
+            ("who", 39917, 0x6e17_ca85),
+            ("eightq", 2836, 0xb510_43e7),
+            ("matrix25A", 21164, 0xe033_4c43),
+            ("lloopO1", 2512, 0x84e5_ee83),
+            ("xlisp", 40077, 0x2634_eb83),
+            ("espresso", 100688, 0x5b82_e979),
+            ("spim", 85956, 0x428f_1602),
+        ];
+        let corpus = ccrp_workloads::figure5_corpus();
+        assert_eq!(corpus.len(), STREAMS.len());
+        for (program, (name, len, crc)) in corpus.iter().zip(STREAMS) {
+            assert_eq!(program.name, name);
+            let packed = ccrp_compress::lzw::compress(&program.text);
+            assert_eq!((packed.len(), ccrp::crc32(&packed)), (len, crc), "{name}");
+        }
+    }
 }

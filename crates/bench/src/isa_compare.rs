@@ -29,8 +29,9 @@ use std::time::{Duration, Instant};
 use ccrp::CompressedImage;
 use ccrp_compress::{BlockAlignment, ByteCode, ByteHistogram};
 use ccrp_rv32::workloads::{BuiltRv32Workload, Rv32Workload};
-use ccrp_sim::{AccessTrace, MemoryModel, RunStats, Simulation, SystemConfig};
+use ccrp_sim::{MemoryModel, RunStats, Simulation, SystemConfig};
 
+use crate::capture::StreamCapture;
 use crate::codecs::CACHE_BYTES;
 use crate::json::Json;
 use crate::report::ToJson;
@@ -164,9 +165,10 @@ fn cell_from(
 /// One campaign job: all (variant, memory-model) cells of one workload.
 /// Two [`Simulation::replay_sweep`] passes cover the four RV32 stat
 /// sets (standard/CCRP over the RV32I trace, standard/CCRP over the
-/// RVC trace), each captured here from the RV32 build's run; a third
-/// covers the MIPS pair, over the trace the suite captured.
-fn run_workload(prepared: &Prepared, rv32: &BuiltRv32Workload) -> Vec<IsaCell> {
+/// RVC trace), each streamed into its
+/// [`AccessTrace`](ccrp_sim::AccessTrace) as the RV32 build ran; a
+/// third covers the MIPS pair, over the trace the suite captured.
+fn run_workload(prepared: &Prepared, rv32: BuiltRv32Workload<StreamCapture>) -> Vec<IsaCell> {
     let name = prepared.workload.name;
     assert_eq!(name, rv32.name, "workload order mismatch across ISAs");
     let configs: Vec<SystemConfig> = MemoryModel::ALL
@@ -183,8 +185,8 @@ fn run_workload(prepared: &Prepared, rv32: &BuiltRv32Workload) -> Vec<IsaCell> {
 
     let ccrp_i = self_trained(name, rv32.image_i.text_base(), rv32.image_i.text());
     let ccrp_c = self_trained(name, rv32.image_c.text_base(), rv32.image_c.text());
-    let trace_i = AccessTrace::capture(rv32.trace_i.iter());
-    let trace_c = AccessTrace::capture(rv32.trace_c.iter());
+    let trace_i = rv32.trace_i.finish();
+    let trace_c = rv32.trace_c.finish();
     let sweep_i = Simulation::replay_sweep(&ccrp_i, &trace_i, &configs)
         .unwrap_or_else(|e| panic!("{name}: rv32i sweep: {e}"));
     let sweep_c = Simulation::replay_sweep(&ccrp_c, &trace_c, &configs)
@@ -254,9 +256,9 @@ pub fn run(options: IsaCompareOptions) -> IsaCompareReport {
     let jobs: Vec<(&Prepared, Rv32Workload)> = suite.iter().zip(Rv32Workload::ALL).collect();
     let cells = parallel_map(options.jobs, &jobs, |&(prepared, workload)| {
         let rv32 = workload
-            .build()
+            .build_into::<StreamCapture>()
             .unwrap_or_else(|e| panic!("{}: rv32 build: {e}", workload.name()));
-        run_workload(prepared, &rv32)
+        run_workload(prepared, rv32)
     })
     .into_iter()
     .flat_map(|(cells, _)| cells)

@@ -3,9 +3,10 @@
 //! once with the preselected code, cached for every experiment.
 //!
 //! The suite is where a process captures each workload's trace: the
-//! build keeps the run-compacted [`AccessTrace`] and drops the per-fetch
-//! trace, so every sweep, matrix and ablation replays the same captured
-//! trace and none re-captures it.
+//! emulator streams each run straight into its run-compacted
+//! [`AccessTrace`], with no per-fetch trace in between, so every sweep,
+//! matrix and ablation replays the same captured trace and none
+//! re-captures it.
 
 use std::sync::OnceLock;
 
@@ -14,11 +15,13 @@ use ccrp_compress::BlockAlignment;
 use ccrp_sim::AccessTrace;
 use ccrp_workloads::{preselected_code, TracedWorkload, Workload};
 
+use crate::capture::StreamCapture;
+
 /// A workload and its compressed image, ready for simulation.
 #[derive(Debug)]
 pub struct Prepared {
-    /// The traced workload, holding its run-compacted fetch trace (the
-    /// per-fetch trace is dropped once captured).
+    /// The traced workload, holding its run-compacted fetch trace (no
+    /// per-fetch trace is recorded).
     pub workload: Workload<AccessTrace>,
     /// Its text compressed with the preselected code (word-aligned
     /// blocks, as §3.1 simulates).
@@ -60,12 +63,12 @@ impl Suite {
                 trace,
                 text,
             } = wl
-                .build()
+                .build_into::<StreamCapture>()
                 .unwrap_or_else(|e| panic!("{} must build: {e}", wl.name()));
             let workload = Workload {
                 name,
                 image,
-                trace: AccessTrace::capture(trace.iter()),
+                trace: trace.finish(),
                 text,
             };
             let image =

@@ -11,8 +11,6 @@
 //!
 //! [Welch 1984]: https://doi.org/10.1109/MC.1984.1659158
 
-use std::collections::HashMap;
-
 use ccrp_bitstream::{BitReader, BitWriter};
 
 use crate::error::CompressError;
@@ -21,8 +19,62 @@ const CLEAR: u32 = 256;
 const FIRST_FREE: u32 = 257;
 const MIN_WIDTH: u32 = 9;
 const MAX_WIDTH: u32 = 16;
+/// log2 of the dictionary's slot count: 2^17 slots hold the at most
+/// 65,279 entries (codes 257..2^16) of one generation at no more than
+/// half full, so linear probes stay short and always find a free slot.
+const SLOT_BITS: u32 = 17;
+
+/// The compressor's dictionary: an open-addressed table from a string's
+/// key, `(prefix code << 8) | appended byte`, to the string's code.
+///
+/// Each slot holds `key << 32 | code`, or 0 when empty — codes start at
+/// [`FIRST_FREE`], so an occupied slot is never 0. Collisions probe
+/// linearly.
+struct Dictionary {
+    slots: Vec<u64>,
+}
+
+impl Dictionary {
+    fn new() -> Self {
+        Self {
+            slots: vec![0; 1 << SLOT_BITS],
+        }
+    }
+
+    /// The code stored under `key`, or `Err` with the empty slot where
+    /// `key` belongs.
+    fn find(&self, key: u32) -> Result<u32, usize> {
+        let mask = (1 << SLOT_BITS) - 1;
+        // Fibonacci hashing: the product's top bits pick the slot.
+        let mut slot = (key.wrapping_mul(0x9E37_79B9) >> (32 - SLOT_BITS)) as usize;
+        loop {
+            match self.slots[slot] {
+                0 => return Err(slot),
+                entry if (entry >> 32) as u32 == key => return Ok(entry as u32),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Stores `code` under `key` in `slot`, an empty slot [`find`]
+    /// returned for that key.
+    ///
+    /// [`find`]: Self::find
+    fn insert(&mut self, slot: usize, key: u32, code: u32) {
+        self.slots[slot] = u64::from(key) << 32 | u64::from(code);
+    }
+
+    fn clear(&mut self) {
+        self.slots.fill(0);
+    }
+}
 
 /// Compresses `data` with `compress`-style LZW.
+///
+/// The dictionary hashes with a fixed multiplier rather than a keyed
+/// hash, so input crafted to collide can lengthen probes, to at most
+/// the 65,279 entries of one dictionary generation per input byte. Use
+/// it on trusted data, such as the program texts Figure 5 measures.
 ///
 /// # Examples
 ///
@@ -37,26 +89,26 @@ const MAX_WIDTH: u32 = 16;
 /// ```
 pub fn compress(data: &[u8]) -> Vec<u8> {
     let mut out = BitWriter::with_capacity(data.len() / 2);
-    let mut dict: HashMap<(u32, u8), u32> = HashMap::new();
+    let Some((&first, rest)) = data.split_first() else {
+        return out.into_bytes();
+    };
+    let mut dict = Dictionary::new();
     let mut next_code = FIRST_FREE;
     let mut width = MIN_WIDTH;
-    let mut current: Option<u32> = None;
+    let mut current = u32::from(first);
 
-    for &byte in data {
-        let cur = match current {
-            None => {
-                current = Some(u32::from(byte));
+    for &byte in rest {
+        let key = (current << 8) | u32::from(byte);
+        let slot = match dict.find(key) {
+            Ok(code) => {
+                current = code;
                 continue;
             }
-            Some(c) => c,
+            Err(slot) => slot,
         };
-        if let Some(&code) = dict.get(&(cur, byte)) {
-            current = Some(code);
-            continue;
-        }
-        out.write_bits(cur, width);
+        out.write_bits(current, width);
         if next_code < (1 << MAX_WIDTH) {
-            dict.insert((cur, byte), next_code);
+            dict.insert(slot, key, next_code);
             next_code += 1;
             if next_code > (1 << width) && width < MAX_WIDTH {
                 width += 1;
@@ -70,11 +122,9 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
             next_code = FIRST_FREE;
             width = MIN_WIDTH;
         }
-        current = Some(u32::from(byte));
+        current = u32::from(byte);
     }
-    if let Some(cur) = current {
-        out.write_bits(cur, width);
-    }
+    out.write_bits(current, width);
     out.into_bytes()
 }
 
@@ -152,8 +202,74 @@ pub fn decompress(packed: &[u8]) -> Result<Vec<u8>, CompressError> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use proptest::prelude::*;
+
+    /// The reference compressor: the same algorithm over a SipHash
+    /// `HashMap` dictionary. [`compress`] must emit identical bytes.
+    fn oracle(data: &[u8]) -> Vec<u8> {
+        let mut out = BitWriter::with_capacity(data.len() / 2);
+        let mut dict: HashMap<(u32, u8), u32> = HashMap::new();
+        let mut next_code = FIRST_FREE;
+        let mut width = MIN_WIDTH;
+        let mut current: Option<u32> = None;
+
+        for &byte in data {
+            let cur = match current {
+                None => {
+                    current = Some(u32::from(byte));
+                    continue;
+                }
+                Some(c) => c,
+            };
+            if let Some(&code) = dict.get(&(cur, byte)) {
+                current = Some(code);
+                continue;
+            }
+            out.write_bits(cur, width);
+            if next_code < (1 << MAX_WIDTH) {
+                dict.insert((cur, byte), next_code);
+                next_code += 1;
+                if next_code > (1 << width) && width < MAX_WIDTH {
+                    width += 1;
+                }
+            } else {
+                out.write_bits(CLEAR, width);
+                dict.clear();
+                next_code = FIRST_FREE;
+                width = MIN_WIDTH;
+            }
+            current = Some(u32::from(byte));
+        }
+        if let Some(cur) = current {
+            out.write_bits(cur, width);
+        }
+        out.into_bytes()
+    }
+
+    /// `len` bytes from a fixed linear congruential generator.
+    fn noise(len: usize) -> Vec<u8> {
+        let mut x = 0x1234_5678u32;
+        (0..len)
+            .map(|_| {
+                x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+                (x >> 16) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn matches_the_oracle_through_dictionary_resets() {
+        let data = noise(1 << 18);
+        let packed = compress(&data);
+        // No code is wider than 16 bits, so this many bits hold more
+        // codes than one dictionary generation has entries: the stream
+        // went through CLEAR at least once.
+        assert!(packed.len() * 8 / MAX_WIDTH as usize > 1 << MAX_WIDTH);
+        assert!(packed == oracle(&data), "streams differ");
+    }
 
     #[test]
     fn empty_input() {
@@ -195,12 +311,7 @@ mod tests {
     #[test]
     fn survives_dictionary_reset() {
         // Enough distinct material to fill the 16-bit dictionary.
-        let mut data = Vec::with_capacity(1 << 20);
-        let mut x = 0x1234_5678u32;
-        for _ in 0..(1 << 19) {
-            x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
-            data.push((x >> 16) as u8);
-        }
+        let data = noise(1 << 19);
         let packed = compress(&data);
         assert_eq!(decompress(&packed).unwrap(), data);
     }
@@ -225,6 +336,15 @@ mod tests {
         fn roundtrip_low_entropy(data in proptest::collection::vec(0u8..4, 0..5000)) {
             let packed = compress(&data);
             prop_assert_eq!(decompress(&packed).unwrap(), data);
+        }
+
+        #[test]
+        fn matches_the_oracle(
+            data in proptest::collection::vec(any::<u8>(), 0..5000),
+            low in proptest::collection::vec(0u8..4, 0..20000),
+        ) {
+            prop_assert_eq!(compress(&data), oracle(&data));
+            prop_assert_eq!(compress(&low), oracle(&low));
         }
     }
 }

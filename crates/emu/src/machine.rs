@@ -963,7 +963,7 @@ impl Machine {
                         break;
                     }
                     self.state.output.push(b as char);
-                    addr += 1;
+                    addr = addr.wrapping_add(1);
                 }
             }
             5 => {
@@ -971,15 +971,25 @@ impl Machine {
                 self.set_reg(Reg::V0, v as u32);
             }
             9 => {
+                // The heap may grow up to, but not into, the stack's
+                // page: a request whose break would wrap past 2^32 or
+                // extend into that page is refused with -1 and maps
+                // nothing, so no single step maps unbounded memory.
                 let old = self.state.brk;
-                self.state.brk = self.state.brk.wrapping_add(a0);
-                // Touch the region so subsequent reads are mapped.
-                let mut a = old & !0xFFF;
-                while a < self.state.brk {
-                    self.state.mem.write_u8(a, 0);
-                    a = a.saturating_add(0x1000);
+                let stack_page = self.config.initial_sp & !0xFFF;
+                match old.checked_add(a0) {
+                    Some(brk) if brk <= stack_page || a0 == 0 => {
+                        self.state.brk = brk;
+                        // Touch the region so subsequent reads are mapped.
+                        let mut a = old & !0xFFF;
+                        while a < brk {
+                            self.state.mem.write_u8(a, 0);
+                            a = a.saturating_add(0x1000);
+                        }
+                        self.set_reg(Reg::V0, old);
+                    }
+                    _ => self.set_reg(Reg::V0, -1i32 as u32),
                 }
-                self.set_reg(Reg::V0, old);
             }
             10 => self.state.exit = Some(0),
             11 => self.state.output.push((a0 & 0xFF) as u8 as char),

@@ -27,10 +27,17 @@ impl Memory {
     }
 
     /// Copies `bytes` into memory starting at `base`, mapping pages as
-    /// needed.
+    /// needed — one page lookup per page touched. Addresses wrap at the
+    /// top of the address space, as every effective address does.
     pub fn load(&mut self, base: u32, bytes: &[u8]) {
-        for (i, &b) in bytes.iter().enumerate() {
-            self.write_u8(base + i as u32, b);
+        let mut addr = base;
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let offset = addr as usize & (PAGE_SIZE - 1);
+            let (chunk, tail) = rest.split_at(rest.len().min(PAGE_SIZE - offset));
+            self.page_mut(addr)[offset..offset + chunk.len()].copy_from_slice(chunk);
+            addr = addr.wrapping_add(chunk.len() as u32);
+            rest = tail;
         }
     }
 
@@ -42,6 +49,35 @@ impl Memory {
         self.pages
             .entry(addr >> PAGE_BITS)
             .or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
+    }
+
+    /// Reads `N` consecutive bytes: one page lookup when they stay
+    /// inside one page, byte by byte (wrapping at the top of the
+    /// address space) when they straddle a page boundary. `None` if any
+    /// byte's page was never mapped.
+    fn read_bytes<const N: usize>(&self, addr: u32) -> Option<[u8; N]> {
+        let offset = addr as usize & (PAGE_SIZE - 1);
+        if offset + N <= PAGE_SIZE {
+            return self.page(addr)?[offset..].first_chunk().copied();
+        }
+        let mut bytes = [0u8; N];
+        for (i, byte) in bytes.iter_mut().enumerate() {
+            *byte = self.read_u8(addr.wrapping_add(i as u32))?;
+        }
+        Some(bytes)
+    }
+
+    /// Writes `bytes` at `addr`, mapping pages on demand — the write
+    /// half of [`read_bytes`](Self::read_bytes).
+    fn write_bytes<const N: usize>(&mut self, addr: u32, bytes: [u8; N]) {
+        let offset = addr as usize & (PAGE_SIZE - 1);
+        if offset + N <= PAGE_SIZE {
+            self.page_mut(addr)[offset..offset + N].copy_from_slice(&bytes);
+            return;
+        }
+        for (i, byte) in bytes.into_iter().enumerate() {
+            self.write_u8(addr.wrapping_add(i as u32), byte);
+        }
     }
 
     /// Reads one byte; `None` if the page was never mapped.
@@ -57,34 +93,22 @@ impl Memory {
 
     /// Reads a little-endian halfword. The caller checks alignment.
     pub fn read_u16(&self, addr: u32) -> Option<u16> {
-        Some(u16::from_le_bytes([
-            self.read_u8(addr)?,
-            self.read_u8(addr + 1)?,
-        ]))
+        self.read_bytes(addr).map(u16::from_le_bytes)
     }
 
     /// Writes a little-endian halfword.
     pub fn write_u16(&mut self, addr: u32, value: u16) {
-        let [a, b] = value.to_le_bytes();
-        self.write_u8(addr, a);
-        self.write_u8(addr + 1, b);
+        self.write_bytes(addr, value.to_le_bytes());
     }
 
     /// Reads a little-endian word. The caller checks alignment.
     pub fn read_u32(&self, addr: u32) -> Option<u32> {
-        Some(u32::from_le_bytes([
-            self.read_u8(addr)?,
-            self.read_u8(addr + 1)?,
-            self.read_u8(addr + 2)?,
-            self.read_u8(addr + 3)?,
-        ]))
+        self.read_bytes(addr).map(u32::from_le_bytes)
     }
 
     /// Writes a little-endian word.
     pub fn write_u32(&mut self, addr: u32, value: u32) {
-        for (i, b) in value.to_le_bytes().into_iter().enumerate() {
-            self.write_u8(addr + i as u32, b);
-        }
+        self.write_bytes(addr, value.to_le_bytes());
     }
 
     /// Number of mapped pages (for resource accounting in tests).
@@ -109,6 +133,11 @@ impl Memory {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::{BTreeSet, HashMap};
+
+    use proptest::collection;
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -122,6 +151,9 @@ mod tests {
     fn roundtrip_across_page_boundary() {
         let mut m = Memory::new();
         let addr = (1 << PAGE_BITS) - 2;
+        m.write_u8(addr, 0);
+        assert_eq!(m.read_u32(addr), None, "the second page is unmapped");
+        assert_eq!(m.read_u16(addr + 1), None);
         m.write_u32(addr, 0xAABB_CCDD);
         assert_eq!(m.read_u32(addr), Some(0xAABB_CCDD));
         assert_eq!(m.read_u8(addr), Some(0xDD)); // little-endian
@@ -141,5 +173,134 @@ mod tests {
         m.write_u8(0, 1);
         m.write_u8(0x00FF_FFF0, 2);
         assert_eq!(m.mapped_pages(), 2);
+    }
+
+    #[test]
+    fn load_copies_across_pages_and_wraps() {
+        let mut m = Memory::new();
+        let bytes: Vec<u8> = (0..=255).cycle().take(2 * PAGE_SIZE + 3).collect();
+        m.load(PAGE_SIZE as u32 - 1, &bytes);
+        assert_eq!(m.mapped_pages(), 4);
+        for (i, &b) in bytes.iter().enumerate() {
+            assert_eq!(m.read_u8(PAGE_SIZE as u32 - 1 + i as u32), Some(b));
+        }
+        let mut top = Memory::new();
+        top.load(u32::MAX - 1, &[1, 2, 3]);
+        assert_eq!(top.read_u8(0), Some(3), "the copy wraps to address 0");
+        assert_eq!(top.read_u16(u32::MAX - 1), Some(0x0201));
+        assert_eq!(top.read_u32(u32::MAX - 1), Some(0x0003_0201));
+        let indices: Vec<u32> = top.pages().map(|(index, _)| index).collect();
+        assert_eq!(indices, [0, u32::MAX >> PAGE_BITS]);
+    }
+
+    /// The reference the word-wide paths are checked against: one map
+    /// entry per written byte, plus the set of mapped pages.
+    #[derive(Debug, Default)]
+    struct ByteModel {
+        bytes: HashMap<u32, u8>,
+        pages: BTreeSet<u32>,
+    }
+
+    impl ByteModel {
+        fn write(&mut self, addr: u32, bytes: &[u8]) {
+            for (i, &b) in bytes.iter().enumerate() {
+                let at = addr.wrapping_add(i as u32);
+                self.pages.insert(at >> PAGE_BITS);
+                self.bytes.insert(at, b);
+            }
+        }
+
+        fn read(&self, addr: u32, width: u32) -> Option<u32> {
+            let mut value = 0;
+            for i in 0..width {
+                let at = addr.wrapping_add(i);
+                if !self.pages.contains(&(at >> PAGE_BITS)) {
+                    return None;
+                }
+                value |= u32::from(self.bytes.get(&at).copied().unwrap_or(0)) << (8 * i);
+            }
+            Some(value)
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Read { width: u32, addr: u32 },
+        Write { width: u32, addr: u32, value: u32 },
+        Load { addr: u32, bytes: Vec<u8> },
+    }
+
+    fn width() -> impl Strategy<Value = u32> {
+        (0u32..3).prop_map(|log| 1 << log)
+    }
+
+    fn addr() -> impl Strategy<Value = u32> {
+        prop_oneof![
+            // The last bytes of one of a few low pages: accesses
+            // straddle into the next page.
+            (1u32..5, 1u32..8).prop_map(|(page, back)| (page << PAGE_BITS) - back),
+            // The top of the address space, where accesses wrap to 0.
+            (0u32..8).prop_map(|back| u32::MAX - back),
+            // Anywhere in those low pages, so reads find earlier writes.
+            0u32..(5 << PAGE_BITS),
+            // Anywhere at all: mostly pages never written.
+            any::<u32>(),
+        ]
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (width(), addr()).prop_map(|(width, addr)| Op::Read { width, addr }),
+            (width(), addr(), any::<u32>()).prop_map(|(width, addr, value)| Op::Write {
+                width,
+                addr,
+                value
+            }),
+            (addr(), collection::vec(any::<u8>(), 0..(2 * PAGE_SIZE + 8)))
+                .prop_map(|(addr, bytes)| Op::Load { addr, bytes }),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn word_paths_match_a_byte_model(ops in collection::vec(op(), 1..40)) {
+            let mut m = Memory::new();
+            let mut model = ByteModel::default();
+            for op in ops {
+                match op {
+                    Op::Read { width, addr } => {
+                        let got = match width {
+                            1 => m.read_u8(addr).map(u32::from),
+                            2 => m.read_u16(addr).map(u32::from),
+                            _ => m.read_u32(addr),
+                        };
+                        prop_assert_eq!(got, model.read(addr, width), "read{} at {:#x}", width * 8, addr);
+                    }
+                    Op::Write { width, addr, value } => {
+                        match width {
+                            1 => m.write_u8(addr, value as u8),
+                            2 => m.write_u16(addr, value as u16),
+                            _ => m.write_u32(addr, value),
+                        }
+                        model.write(addr, &value.to_le_bytes()[..width as usize]);
+                    }
+                    Op::Load { addr, bytes } => {
+                        m.load(addr, &bytes);
+                        model.write(addr, &bytes);
+                    }
+                }
+            }
+            // Pages come out in ascending index order, exactly the
+            // mapped set, holding the written bytes and zeros elsewhere.
+            let indices: Vec<u32> = m.pages().map(|(index, _)| index).collect();
+            prop_assert_eq!(&indices, &model.pages.iter().copied().collect::<Vec<_>>());
+            prop_assert_eq!(m.mapped_pages(), model.pages.len());
+            let pages: HashMap<u32, &[u8; PAGE_BYTES]> = m.pages().collect();
+            for (&at, &b) in &model.bytes {
+                prop_assert_eq!(pages[&(at >> PAGE_BITS)][at as usize & (PAGE_SIZE - 1)], b);
+            }
+            let nonzero: usize = pages.values().map(|p| p.iter().filter(|&&b| b != 0).count()).sum();
+            prop_assert_eq!(nonzero, model.bytes.values().filter(|&&b| b != 0).count());
+        }
     }
 }

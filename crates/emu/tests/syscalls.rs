@@ -3,6 +3,7 @@
 
 use ccrp_asm::assemble;
 use ccrp_emu::{EmuError, Machine, NullSink};
+use ccrp_isa::Reg;
 
 fn run_output(source: &str) -> String {
     let image = assemble(source).expect("assembles");
@@ -95,6 +96,83 @@ main:
         ",
     );
     assert_eq!(out, "64");
+}
+
+#[test]
+fn print_string_wraps_at_the_top_of_the_address_space() {
+    // The string starts in the last mapped byte; reading on wraps to
+    // address 0 (the text) in every build, as effective addresses do,
+    // instead of overflowing the address in a debug build.
+    let image = assemble(
+        "
+main:
+        li   $t0, 0xFFFFFFFC
+        li   $t1, 0x41414141
+        sw   $t1, 0($t0)
+        li   $a0, 0xFFFFFFFF
+        li   $v0, 4
+        syscall
+        li   $v0, 10
+        syscall
+        ",
+    )
+    .unwrap();
+    let mut machine = Machine::new(&image);
+    machine.run(&mut NullSink).expect("runs");
+    let wrapped: String = image
+        .text_bytes()
+        .iter()
+        .take_while(|&&b| b != 0)
+        .map(|&b| b as char)
+        .collect();
+    assert_eq!(machine.output(), format!("A{wrapped}"));
+}
+
+#[test]
+fn sbrk_refuses_a_break_past_the_stack() {
+    let image = assemble(
+        "
+main:
+        li   $a0, 0x10000000     # far past the stack page
+        li   $v0, 9
+        syscall
+refused:
+        move $s0, $v0
+        li   $a0, -4096          # wraps past 2^32
+        li   $v0, 9
+        syscall
+wrapped:
+        move $s1, $v0
+        li   $a0, 4096
+        li   $v0, 9
+        syscall
+        move $s2, $v0
+        sw   $s2, 4092($s2)      # the granted region is mapped
+        li   $v0, 10
+        syscall
+        ",
+    )
+    .unwrap();
+    let mut machine = Machine::new(&image);
+    let brk = machine.arch_state().brk;
+    let pages = machine.arch_state().mem.mapped_pages();
+    for label in ["refused", "wrapped"] {
+        let stop = image.symbol(label).unwrap();
+        while machine.pc() != stop {
+            machine.step(&mut NullSink).expect("steps");
+        }
+        assert_eq!(machine.arch_state().brk, brk, "{label}: break moved");
+        assert_eq!(
+            machine.arch_state().mem.mapped_pages(),
+            pages,
+            "{label}: pages mapped"
+        );
+    }
+    machine.run(&mut NullSink).expect("runs");
+    assert_eq!(machine.reg(Reg::S0), u32::MAX, "refusal returns -1");
+    assert_eq!(machine.reg(Reg::S1), u32::MAX, "refusal returns -1");
+    assert_eq!(machine.reg(Reg::S2), brk, "a later request still works");
+    assert_eq!(machine.arch_state().brk, brk + 4096);
 }
 
 #[test]

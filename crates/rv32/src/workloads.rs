@@ -20,7 +20,7 @@
 use std::error::Error;
 use std::fmt;
 
-use ccrp_emu::ProgramTrace;
+use ccrp_emu::{ProgramTrace, TraceSink};
 
 use crate::codegen::generate_filler;
 use crate::instr::{AluImmOp, AluOp, BranchOp, LoadOp, MulOp, Rv32Instr, ShiftImmOp, StoreOp};
@@ -91,8 +91,12 @@ impl From<Rv32Fault> for Rv32WorkloadError {
 
 /// A built RV32 benchmark: both encodings of the padded program plus
 /// the trace each one produced.
+///
+/// `T` is the form the traces are kept in: the per-fetch
+/// [`ProgramTrace`], as [`Rv32Workload::build`] returns it, or any other
+/// sink the runs streamed into ([`Rv32Workload::build_into`]).
 #[derive(Debug, Clone)]
-pub struct BuiltRv32Workload {
+pub struct BuiltRv32Workload<T = ProgramTrace> {
     /// Display name, matching the MIPS side and the paper's tables.
     pub name: &'static str,
     /// The padded RV32I program (kernel first, filler after the exit).
@@ -100,10 +104,10 @@ pub struct BuiltRv32Workload {
     /// The same program assembled with RVC compression.
     pub image_c: Rv32Image,
     /// Trace captured executing `image_i`.
-    pub trace_i: ProgramTrace,
+    pub trace_i: T,
     /// Trace captured executing `image_c` (same instruction sequence,
     /// denser PCs).
-    pub trace_c: ProgramTrace,
+    pub trace_c: T,
     /// The verified printed output.
     pub output: String,
 }
@@ -242,20 +246,34 @@ impl Rv32Workload {
     }
 
     /// Assembles both encodings, executes each under the emulator
-    /// capturing traces, and checks both printed answers against the
-    /// Rust mirror.
+    /// capturing per-fetch traces, and checks both printed answers
+    /// against the Rust mirror — [`build_into`](Self::build_into) with
+    /// [`ProgramTrace`] sinks.
     ///
     /// # Errors
     ///
     /// Assembly or emulation failures, or a wrong self-check answer —
     /// all of which indicate bugs in this crate, surfaced loudly.
     pub fn build(self) -> Result<BuiltRv32Workload, Rv32WorkloadError> {
+        self.build_into()
+    }
+
+    /// As [`build`](Self::build), but each run's events go to a fresh
+    /// sink of type `S`, which the workload keeps as that encoding's
+    /// trace.
+    ///
+    /// # Errors
+    ///
+    /// As [`build`](Self::build).
+    pub fn build_into<S: TraceSink + Default>(
+        self,
+    ) -> Result<BuiltRv32Workload<S>, Rv32WorkloadError> {
         let asm = self.padded_asm()?;
         let image_i = asm.assemble(Encoding::Rv32I)?;
         let image_c = asm.assemble(Encoding::Rv32C)?;
         let expected = self.expected_output();
         let capture = |image: &Rv32Image, tag: &str| {
-            let mut trace = ProgramTrace::new();
+            let mut trace = S::default();
             let mut machine = Rv32Machine::new(image);
             machine.run(&mut trace).map_err(Rv32WorkloadError::Emu)?;
             if machine.output() != expected {

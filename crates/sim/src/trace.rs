@@ -146,12 +146,12 @@ pub struct AccessTrace {
 impl AccessTrace {
     /// Captures a trace from a per-fetch `(pc, data_access_count)`
     /// stream — the same shape `ccrp-emu` records and the live
-    /// simulators consume.
+    /// simulators consume. A trace can also grow fetch by fetch while a
+    /// program runs, through its [`Extend`] impl; both routes compact
+    /// identically.
     pub fn capture(fetches: impl IntoIterator<Item = (u32, u8)>) -> Self {
         let mut trace = AccessTrace::default();
-        for (pc, data) in fetches {
-            trace.push(pc, data);
-        }
+        trace.extend(fetches);
         trace
     }
 
@@ -298,6 +298,17 @@ impl AccessTrace {
             },
             header.fingerprint,
         ))
+    }
+}
+
+/// Appends per-fetch `(pc, data_access_count)` pairs, compacting them
+/// into the current run exactly as [`AccessTrace::capture`] does — so a
+/// trace grown in pieces equals one captured from the whole stream.
+impl Extend<(u32, u8)> for AccessTrace {
+    fn extend<I: IntoIterator<Item = (u32, u8)>>(&mut self, fetches: I) {
+        for (pc, data) in fetches {
+            self.push(pc, data);
+        }
     }
 }
 
@@ -531,6 +542,17 @@ mod tests {
             let (loaded, fp) = AccessTrace::from_bytes(&bytes).unwrap();
             prop_assert_eq!(loaded, trace);
             prop_assert_eq!(fp, fingerprint);
+        }
+
+        #[test]
+        fn extending_fetch_by_fetch_equals_capture(
+            fetches in proptest::collection::vec((0u32..256, 0u8..4), 0..200),
+        ) {
+            let mut grown = AccessTrace::default();
+            for &fetch in &fetches {
+                grown.extend([fetch]);
+            }
+            prop_assert_eq!(grown, AccessTrace::capture(fetches.iter().copied()));
         }
 
         #[test]

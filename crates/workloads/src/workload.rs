@@ -2,7 +2,7 @@ use std::error::Error;
 use std::fmt;
 
 use ccrp_asm::{assemble, AsmError, ProgramImage};
-use ccrp_emu::{EmuError, Machine, ProgramTrace};
+use ccrp_emu::{EmuError, Machine, ProgramTrace, TraceSink};
 
 use crate::codegen::{generate_text, CodeProfile};
 use crate::programs;
@@ -71,8 +71,9 @@ impl From<EmuError> for WorkloadError {
 /// full-size program text used for the compression experiments.
 ///
 /// `T` is the form the trace is kept in: the emulator's per-fetch
-/// [`ProgramTrace`], as [`TracedWorkload::build`] returns it, or a
-/// compacted form a caller converts it into and keeps instead.
+/// [`ProgramTrace`], as [`TracedWorkload::build`] returns it, or any
+/// other sink the run streamed into ([`TracedWorkload::build_into`]),
+/// typically a compacted form a caller keeps instead.
 #[derive(Debug, Clone)]
 pub struct Workload<T = ProgramTrace> {
     /// Display name as in the paper's tables.
@@ -240,16 +241,29 @@ impl TracedWorkload {
     }
 
     /// Assembles the kernel, executes it under the emulator capturing
-    /// the trace, checks the printed answer, and attaches the padded
-    /// text.
+    /// the per-fetch trace, checks the printed answer, and attaches the
+    /// padded text — [`build_into`](Self::build_into) with a
+    /// [`ProgramTrace`] sink.
     ///
     /// # Errors
     ///
     /// Assembly or emulation failures, or a wrong self-check answer —
     /// all of which indicate bugs in this crate, surfaced loudly.
     pub fn build(self) -> Result<Workload, WorkloadError> {
+        self.build_into()
+    }
+
+    /// As [`build`](Self::build), but the run's events go to a fresh
+    /// sink of type `S`, which the workload keeps as its trace — so a
+    /// caller that wants a compacted trace can build it while the
+    /// kernel runs instead of recording every fetch first.
+    ///
+    /// # Errors
+    ///
+    /// As [`build`](Self::build).
+    pub fn build_into<S: TraceSink + Default>(self) -> Result<Workload<S>, WorkloadError> {
         let image = assemble(&self.source())?;
-        let mut trace = ProgramTrace::new();
+        let mut trace = S::default();
         let mut machine = Machine::new(&image);
         machine.run(&mut trace)?;
         let expected = self.expected_output();
