@@ -231,6 +231,33 @@ mod tests {
     }
 
     #[test]
+    fn huge_clb_simulates_like_one_that_never_fills() {
+        // The CLB grows with the LAT entries it is given, so a capacity
+        // of four billion neither allocates up front nor changes a row
+        // whose program fits in 16 entries.
+        let src = write_temp("sim_clb.s", &looped_source());
+        let output = |clb: &str| {
+            let args = Args::parse(
+                &[
+                    src.clone(),
+                    "--memory".into(),
+                    "eprom".into(),
+                    "--clb".into(),
+                    clb.into(),
+                ],
+                VALUE_OPTIONS,
+                SWITCHES,
+            )
+            .unwrap();
+            let mut buffer = Vec::new();
+            run(&args, &mut buffer).unwrap();
+            String::from_utf8(buffer).unwrap()
+        };
+        assert_eq!(output("4000000000"), output("16"));
+        std::fs::remove_file(src).ok();
+    }
+
+    #[test]
     fn rejects_bad_memory_and_dcache() {
         let src = write_temp("sim_bad.s", &looped_source());
         let args = Args::parse(

@@ -5,6 +5,11 @@
 //! parallel with every instruction-cache access, so a CLB hit adds no
 //! cycles to a cache miss; a CLB miss adds the LAT-entry read to the
 //! refill.
+//!
+//! [`ClbStack`] answers the same question for every capacity at once:
+//! one pass of Mattson et al.'s LRU stack algorithm gives each probe its
+//! recency depth, and a CLB of capacity `c` hits exactly when that depth
+//! is below `c`.
 
 use crate::error::CcrpError;
 use crate::lat::LatEntry;
@@ -30,7 +35,9 @@ impl ClbStats {
     }
 }
 
-/// A fully associative, LRU-replaced buffer of LAT entries.
+/// A fully associative, LRU-replaced buffer of LAT entries. It holds
+/// at most `capacity` entries and never more than the distinct LAT
+/// entries it has been given, so a huge capacity costs nothing up front.
 ///
 /// # Examples
 ///
@@ -65,7 +72,7 @@ impl Clb {
         }
         Ok(Self {
             capacity,
-            slots: Vec::with_capacity(capacity),
+            slots: Vec::new(),
             stats: ClbStats::default(),
         })
     }
@@ -75,12 +82,13 @@ impl Clb {
         self.capacity
     }
 
-    /// Looks up `lat_index`, updating LRU order and statistics.
+    /// Looks up `lat_index`, updating LRU order and statistics. The scan
+    /// starts at the most recently used end, and a hit moves only the
+    /// entries used after it.
     pub fn probe(&mut self, lat_index: u32) -> Option<LatEntry> {
-        if let Some(pos) = self.slots.iter().position(|&(tag, _)| tag == lat_index) {
-            let slot = self.slots.remove(pos);
-            let entry = slot.1;
-            self.slots.push(slot);
+        if let Some(pos) = self.slots.iter().rposition(|&(tag, _)| tag == lat_index) {
+            let entry = self.slots[pos].1;
+            self.slots[pos..].rotate_left(1);
             self.stats.hits += 1;
             Some(entry)
         } else {
@@ -137,9 +145,65 @@ impl Clb {
     }
 }
 
+/// Mattson et al.'s LRU stack over LAT indices: one pass over a probe
+/// sequence gives every probe its recency depth, the number of distinct
+/// LAT entries probed since its own entry last was. LRU has the
+/// inclusion property, so a [`Clb`] of capacity `c` (probed, and filled
+/// on every miss) hits exactly when the depth is below `c`: one pass
+/// serves every capacity up to the stack's limit.
+///
+/// # Examples
+///
+/// ```
+/// use ccrp::ClbStack;
+///
+/// let mut stack = ClbStack::new(16);
+/// assert_eq!(stack.touch(3), None);    // first touch: every CLB misses
+/// assert_eq!(stack.touch(5), None);
+/// assert_eq!(stack.touch(3), Some(1)); // hits a CLB of 2 entries or more
+/// assert_eq!(stack.touch(3), Some(0)); // hits any CLB
+/// ```
+#[derive(Debug, Clone)]
+pub struct ClbStack {
+    /// LAT indices, most recently used last: the `limit` most recent at
+    /// most, and never more than the distinct indices touched.
+    tags: Vec<u32>,
+    limit: usize,
+}
+
+impl ClbStack {
+    /// A stack that tracks depths below `limit`, the largest CLB
+    /// capacity it is to serve.
+    pub fn new(limit: usize) -> Self {
+        Self {
+            tags: Vec::new(),
+            limit,
+        }
+    }
+
+    /// Touches `lat_index` and returns its depth before the touch (0 when
+    /// it was the last index touched), or `None` when it was not among
+    /// the `limit` most recent — a miss at every capacity up to `limit`.
+    pub fn touch(&mut self, lat_index: u32) -> Option<usize> {
+        if let Some(pos) = self.tags.iter().rposition(|&tag| tag == lat_index) {
+            let depth = self.tags.len() - 1 - pos;
+            self.tags[pos..].rotate_left(1);
+            return Some(depth);
+        }
+        if self.limit > 0 {
+            if self.tags.len() == self.limit {
+                self.tags.remove(0);
+            }
+            self.tags.push(lat_index);
+        }
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn entry(n: u32) -> LatEntry {
         LatEntry::new(n * 64, [4; 8]).expect("valid entry")
@@ -251,5 +315,84 @@ mod tests {
     fn miss_rate_zero_when_unprobed() {
         let clb = Clb::new(1).unwrap();
         assert_eq!(clb.stats().miss_rate(), 0.0);
+    }
+
+    #[test]
+    fn huge_capacity_allocates_with_use() {
+        let mut clb = Clb::new(usize::MAX).unwrap();
+        assert_eq!(clb.capacity(), usize::MAX);
+        for i in 0..40 {
+            assert!(clb.probe(i).is_none());
+            assert_eq!(clb.insert(i, entry(i)), None);
+        }
+        assert!(clb.probe(0).is_some(), "nothing is ever evicted");
+        assert_eq!(clb.resident().count(), 40);
+        assert_eq!(
+            clb.stats(),
+            ClbStats {
+                hits: 1,
+                misses: 40
+            }
+        );
+    }
+
+    #[test]
+    fn probe_keeps_lru_order() {
+        let mut clb = Clb::new(4).unwrap();
+        for i in 1..=4 {
+            clb.insert(i, entry(i));
+        }
+        assert!(clb.probe(2).is_some());
+        assert_eq!(clb.resident().collect::<Vec<_>>(), [1, 3, 4, 2]);
+        assert!(clb.probe(2).is_some(), "a hit on the MRU entry");
+        assert_eq!(clb.resident().collect::<Vec<_>>(), [1, 3, 4, 2]);
+        assert_eq!(clb.insert(5, entry(5)), Some(1));
+    }
+
+    #[test]
+    fn zero_limit_stack_never_hits() {
+        let mut stack = ClbStack::new(0);
+        assert_eq!(stack.touch(1), None);
+        assert_eq!(stack.touch(1), None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// One stack pass predicts every capacity's CLB: on each probe,
+        /// `depth < capacity` is the CLB's hit, and the totals are its
+        /// statistics. Indices come from a small range, so they are
+        /// reused heavily and at every depth.
+        #[test]
+        fn stack_depths_predict_every_capacity(
+            indices in proptest::collection::vec(0u32..24, 1..400),
+        ) {
+            let mut stack = ClbStack::new(usize::MAX);
+            let depths: Vec<Option<usize>> = indices.iter().map(|&i| stack.touch(i)).collect();
+            for capacity in 1..=20 {
+                let predicted = |depth: &Option<usize>| depth.is_some_and(|d| d < capacity);
+                let mut clb = Clb::new(capacity).unwrap();
+                for (&index, depth) in indices.iter().zip(&depths) {
+                    let hit = clb.probe(index).is_some();
+                    if !hit {
+                        clb.insert(index, entry(index));
+                    }
+                    prop_assert_eq!(hit, predicted(depth), "capacity {}", capacity);
+                }
+                let hits = depths.iter().filter(|depth| predicted(depth)).count() as u64;
+                prop_assert_eq!(
+                    clb.stats(),
+                    ClbStats { hits, misses: indices.len() as u64 - hits }
+                );
+                // A stack limited to this capacity gives the same outcomes.
+                let mut limited = ClbStack::new(capacity);
+                for (&index, depth) in indices.iter().zip(&depths) {
+                    prop_assert_eq!(
+                        limited.touch(index),
+                        depth.filter(|&d| d < capacity)
+                    );
+                }
+            }
+        }
     }
 }

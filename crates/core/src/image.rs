@@ -9,7 +9,7 @@ use crate::addr::{self, BYTES_PER_ENTRY, LINES_PER_ENTRY, LINE_SIZE};
 use crate::crc::crc32;
 use crate::error::CcrpError;
 use crate::lat::{LatEntry, LineAddressTable, RECORDS_PER_ENTRY};
-use crate::refill::{word_schedule, WordSchedule};
+use crate::refill::WordThresholds;
 
 /// Where a program line lives in compressed instruction memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,7 +32,7 @@ pub struct LineLocation {
 /// instruction ROM; the encoded LAT follows the last block (its location
 /// is the refill engine's LAT base register). The original text is
 /// retained for verification, and the bit-exact decoder timing model
-/// reads a per-line word schedule computed from it once, when the image
+/// reads per-line word thresholds computed from it once, when the image
 /// is built or loaded.
 ///
 /// # Examples
@@ -59,9 +59,9 @@ pub struct CompressedImage {
     original_text: Vec<u8>,
     text_base: u32,
     block_crcs: Option<Vec<u32>>,
-    /// The decoder's input schedule per line (all zero for bypassed
+    /// The decoder's input thresholds per line (empty for bypassed
     /// lines, which never reach the decoder).
-    schedules: Vec<WordSchedule>,
+    thresholds: Vec<WordThresholds>,
 }
 
 /// The program-wide line number of a located line.
@@ -69,23 +69,23 @@ fn global_line(loc: &LineLocation) -> usize {
     (loc.lat_index * LINES_PER_ENTRY + loc.line_in_entry) as usize
 }
 
-/// Computes every compressed line's [`WordSchedule`] from the original
-/// text, in line order.
-fn schedules(
+/// Computes every compressed line's [`WordThresholds`] from the
+/// original text, in line order.
+fn thresholds(
     codec: &dyn LineCodec,
     lines: &[CompressedLine],
     block_addresses: &[u32],
     original_text: &[u8],
-) -> Vec<WordSchedule> {
+) -> Vec<WordThresholds> {
     lines
         .iter()
         .zip(block_addresses)
         .zip(original_text.chunks_exact(LINE_SIZE as usize))
         .map(|((line, &physical), original)| {
             if line.is_bypass() {
-                [0; LINE_SIZE as usize]
+                WordThresholds::default()
             } else {
-                word_schedule(codec, original, physical, line.stored_len() as u32)
+                WordThresholds::of(codec, original, physical, line.stored_len() as u32)
             }
         })
         .collect()
@@ -160,7 +160,7 @@ impl CompressedImage {
         let lat = LineAddressTable::new(entries);
         // The LAT sits word aligned just past the last block.
         let lat_base = (cursor + 3) & !3;
-        let schedules = schedules(codec.as_ref(), &lines, &block_addresses, &original_text);
+        let thresholds = thresholds(codec.as_ref(), &lines, &block_addresses, &original_text);
 
         Ok(Self {
             codec,
@@ -172,7 +172,7 @@ impl CompressedImage {
             original_text,
             text_base,
             block_crcs: None,
-            schedules,
+            thresholds,
         })
     }
 
@@ -359,16 +359,17 @@ impl CompressedImage {
         )?)
     }
 
-    /// The decoder's input schedule for the located compressed line —
+    /// The decoder's input thresholds for the located compressed line —
     /// computed at build or load time from the bytes
     /// [`original_line`](Self::original_line) returns.
-    pub(crate) fn word_schedule(
+    pub(crate) fn word_thresholds(
         &self,
         loc: &LineLocation,
         address: u32,
-    ) -> Result<&WordSchedule, CcrpError> {
-        self.schedules
+    ) -> Result<WordThresholds, CcrpError> {
+        self.thresholds
             .get(global_line(loc))
+            .copied()
             .ok_or(CcrpError::AddressOutOfRange { address })
     }
 
@@ -464,7 +465,7 @@ impl CompressedImage {
             block_addresses.push(physical as u32);
             lines.push(line);
         }
-        let schedules = schedules(codec.as_ref(), &lines, &block_addresses, &original_text);
+        let thresholds = thresholds(codec.as_ref(), &lines, &block_addresses, &original_text);
         let image = CompressedImage {
             codec,
             alignment,
@@ -475,7 +476,7 @@ impl CompressedImage {
             original_text,
             text_base,
             block_crcs,
-            schedules,
+            thresholds,
         };
         Ok(image)
     }

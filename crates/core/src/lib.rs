@@ -13,7 +13,8 @@
 //!   maps program line addresses to compressed block locations, 8 bytes
 //!   per 8 lines = 3.125% overhead (Figs. 3 & 6);
 //! * [`Clb`] — the Cache Line Address Lookaside Buffer, a fully
-//!   associative LRU cache of LAT entries (Fig. 8);
+//!   associative LRU cache of LAT entries (Fig. 8), and [`ClbStack`],
+//!   the LRU stack pass that gives its outcome at every capacity at once;
 //! * [`CompressedImage`] — the packed compressed program plus in-memory
 //!   LAT (Fig. 4);
 //! * [`RefillEngine`] — the cache-miss path with a bit-exact model of the
@@ -69,7 +70,7 @@ mod refill;
 mod snapshot;
 
 pub use budget::{BudgetExhausted, StepBudget};
-pub use clb::{Clb, ClbStats};
+pub use clb::{Clb, ClbStack, ClbStats};
 pub use compact_lat::{CompactLatEntry, COMPACT_ENTRY_BYTES};
 pub use crc::crc32;
 pub use error::CcrpError;
