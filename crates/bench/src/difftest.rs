@@ -254,7 +254,7 @@ impl DifftestReport {
     /// reports stay byte-for-byte compatible with the earlier schemas.
     pub fn results_json(&self) -> Json {
         let sum = |f: fn(&Trial) -> u64| Json::U64(self.trials.iter().map(f).sum());
-        let base = Json::obj([
+        let Json::Obj(mut pairs) = Json::obj([
             ("schema", Json::str("ccrp-difftest/1")),
             ("programs", Json::U64(self.options.programs as u64)),
             ("seed", Json::U64(self.options.seed)),
@@ -274,32 +274,16 @@ impl DifftestReport {
             ("outcomes", Json::str(&self.outcome_string())),
             ("failures", self.failures_json(8)),
             ("acceptable", Json::Bool(self.acceptable())),
-        ]);
-        let mut pairs = match base {
-            Json::Obj(pairs) => pairs,
-            _ => unreachable!("Json::obj returns an object"),
+        ]) else {
+            unreachable!("Json::obj returns an object");
         };
-        let seed_at = pairs
-            .iter()
-            .position(|(key, _)| key == "seed")
-            .expect("seed key present");
+        // `Json` writes keys sorted, so the optional keys go at the end.
         if self.options.isa != DifftestIsa::Mips {
-            pairs.insert(
-                seed_at + 1,
-                ("isa".into(), Json::str(self.options.isa.name())),
-            );
+            pairs.push(("isa".into(), Json::str(self.options.isa.name())));
         }
         if let Some(every) = self.options.checkpoint_every {
-            let seed_at = pairs
-                .iter()
-                .position(|(key, _)| key == "seed")
-                .expect("seed key present");
-            pairs.insert(seed_at + 1, ("checkpoint_every".into(), Json::U64(every)));
-            let refills_at = pairs
-                .iter()
-                .position(|(key, _)| key == "refills")
-                .expect("refills key present");
-            pairs.insert(refills_at + 1, ("segments".into(), sum(|t| t.segments)));
+            pairs.push(("checkpoint_every".into(), Json::U64(every)));
+            pairs.push(("segments".into(), sum(|t| t.segments)));
         }
         Json::Obj(pairs)
     }

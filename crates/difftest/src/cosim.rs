@@ -127,17 +127,17 @@ pub struct CosimVariant {
 /// or the *reference* machine faulted / exceeded `max_steps`, which
 /// means the generated program itself is invalid.
 pub fn run_cosim(image: &ProgramImage, max_steps: u64) -> Result<CosimVerdict, String> {
-    run_cosim_with(image, standard_variants(image)?, max_steps)
+    let rom = build_rom(image)?;
+    run_cosim_with(image, standard_variants(image, &rom)?, max_steps)
 }
 
-/// The standard variant matrix shared by [`run_cosim`] and the segmented
-/// runner.
-pub(crate) fn standard_variants(image: &ProgramImage) -> Result<Vec<CosimVariant>, String> {
-    let rom = build_rom(image)?;
-    let v1 = CompressedImage::from_bytes(&rom.to_bytes())
-        .map_err(|e| format!("v1 container round-trip failed: {e}"))?;
-    let v2 = CompressedImage::from_bytes(&rom.to_bytes_v2())
-        .map_err(|e| format!("v2 container round-trip failed: {e}"))?;
+/// The standard variant matrix over `rom`, `image`'s [`build_rom`]
+/// image, shared by [`run_cosim`] and the trials.
+pub(crate) fn standard_variants(
+    image: &ProgramImage,
+    rom: &CompressedImage,
+) -> Result<Vec<CosimVariant>, String> {
+    let (v1, v2) = container_round_trips(rom)?;
     // A self-trained positional ROM, round-tripped through a v2
     // container: exercises the codec-id byte, the codec-params section,
     // and the positional decode path under lockstep comparison.
@@ -158,7 +158,7 @@ pub(crate) fn standard_variants(image: &ProgramImage) -> Result<Vec<CosimVariant
     Ok(vec![
         CosimVariant {
             label: "direct-abort",
-            rom,
+            rom: rom.clone(),
             policy: DegradePolicy::Abort,
         },
         CosimVariant {
@@ -179,6 +179,18 @@ pub(crate) fn standard_variants(image: &ProgramImage) -> Result<Vec<CosimVariant
     ])
 }
 
+/// `rom` read back from its serialized v1 and v2 containers, in that
+/// order.
+pub(crate) fn container_round_trips(
+    rom: &CompressedImage,
+) -> Result<(CompressedImage, CompressedImage), String> {
+    let v1 = CompressedImage::from_bytes(&rom.to_bytes())
+        .map_err(|e| format!("v1 container round-trip failed: {e}"))?;
+    let v2 = CompressedImage::from_bytes(&rom.to_bytes_v2())
+        .map_err(|e| format!("v2 container round-trip failed: {e}"))?;
+    Ok((v1, v2))
+}
+
 /// Runs `image` on the reference machine and on each variant in
 /// lockstep, through the ISA-generic [`run_lockstep`] driver. A variant
 /// that fails to construct (eager expansion of a corrupt ROM under
@@ -194,11 +206,29 @@ pub fn run_cosim_with(
     variants: Vec<CosimVariant>,
     max_steps: u64,
 ) -> Result<CosimVerdict, String> {
+    let (mut reference, variants) = machines(image, variants, max_steps);
+    run_lockstep(
+        &mut reference,
+        variants,
+        image.entry(),
+        max_steps,
+        compare_state,
+        |pc| disasm_window(image, pc),
+    )
+}
+
+/// The reference machine for `image` and one lockstep variant per
+/// compressed ROM, all under a `max_steps` budget. Each ROM is dropped
+/// once its machine is built.
+pub(crate) fn machines(
+    image: &ProgramImage,
+    variants: Vec<CosimVariant>,
+    max_steps: u64,
+) -> (Machine, Vec<LockstepVariant<Machine>>) {
     let config = MachineConfig {
         max_steps,
         ..MachineConfig::default()
     };
-    let reference = Machine::with_config(image, config.clone());
     let variants = variants
         .into_iter()
         .map(|variant| LockstepVariant {
@@ -212,14 +242,7 @@ pub fn run_cosim_with(
             .map_err(|err| format!("{err:?}")),
         })
         .collect();
-    run_lockstep(
-        reference,
-        variants,
-        image.entry(),
-        max_steps,
-        compare_state,
-        |pc| disasm_window(image, pc),
-    )
+    (Machine::with_config(image, config), variants)
 }
 
 /// Compares the full post-step architectural state, returning the first

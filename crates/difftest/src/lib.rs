@@ -50,10 +50,10 @@ pub use lockstep::{compare_cores, run_lockstep, LockstepVariant, PrivateCompare}
 pub use progen::{GeneratedProgram, ProgGen, SCRATCH_BASE, SCRATCH_SIZE};
 pub use rng::SplitMix64;
 pub use rv32::{build_rv32_rom, run_rv32_cosim, run_trial_rv32};
-pub use segmented::{run_cosim_segmented, SegmentedVerdict};
+pub use segmented::{run_cosim_segmented, run_cosim_segmented_with, SegmentedVerdict};
 pub use timing::{check_refill_invariants, LinearMemory, TimingReport};
 
-use ccrp_asm::assemble;
+use ccrp_asm::{assemble, ProgramImage};
 
 /// Per-trial instruction budget. Generated programs retire well under
 /// 100k instructions; hitting this means the generator broke.
@@ -63,9 +63,10 @@ pub const TRIAL_MAX_STEPS: u64 = 2_000_000;
 pub const SHRINK_BUDGET: usize = 200;
 
 /// How one trial ended.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum TrialOutcome {
     /// Every variant matched and every timing invariant held.
+    #[default]
     Match,
     /// A compressed variant disagreed with the reference.
     Divergence(Box<DivergenceReport>),
@@ -76,22 +77,10 @@ pub enum TrialOutcome {
     GenFailure(String),
 }
 
-impl TrialOutcome {
-    /// Stable one-character code for campaign summaries.
-    pub fn code(&self) -> char {
-        match self {
-            TrialOutcome::Match => 'M',
-            TrialOutcome::Divergence(_) => 'D',
-            TrialOutcome::TimingViolation(_) => 'T',
-            TrialOutcome::GenFailure(_) => 'G',
-        }
-    }
-}
-
 /// Everything one trial produced: the verdict plus deterministic
 /// workload statistics (pure functions of the seed, so campaign
 /// aggregates are jobs-independent).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrialReport {
     /// The verdict.
     pub outcome: TrialOutcome,
@@ -112,15 +101,36 @@ pub struct TrialReport {
 /// invariants. On divergence the repro is shrunk before reporting.
 /// Deterministic: the report is a pure function of `seed`.
 pub fn run_trial(seed: u64) -> TrialReport {
+    trial(seed, |image, variants| {
+        run_cosim_with(image, variants, TRIAL_MAX_STEPS).map(|verdict| SegmentedVerdict {
+            verdict,
+            segments: 0,
+        })
+    })
+}
+
+/// Runs the same differential trial as [`run_trial`], but drives the
+/// co-simulation through the checkpoint-segmented runner with a
+/// checkpoint every `every` retired instructions. The verdict is
+/// byte-identical to the monolithic trial's; only
+/// [`TrialReport::segments`] differs (the segment count instead of 0).
+/// On divergence the shrinker re-checks candidates with the monolithic
+/// runner — the verdicts agree, and the monolithic path is cheaper.
+pub fn run_trial_segmented(seed: u64, every: u64) -> TrialReport {
+    trial(seed, |image, variants| {
+        run_cosim_segmented_with(image, variants, TRIAL_MAX_STEPS, every)
+    })
+}
+
+/// The trial body behind [`run_trial`] and [`run_trial_segmented`]:
+/// `cosimulate` is the co-simulation step, run over the standard
+/// variants of the one ROM the trial builds.
+fn trial(
+    seed: u64,
+    cosimulate: impl FnOnce(&ProgramImage, Vec<CosimVariant>) -> Result<SegmentedVerdict, String>,
+) -> TrialReport {
     let generated = ProgGen::generate(seed);
-    let mut report = TrialReport {
-        outcome: TrialOutcome::Match,
-        instructions: 0,
-        text_bytes: 0,
-        lat_entries: 0,
-        refills: 0,
-        segments: 0,
-    };
+    let mut report = TrialReport::default();
     let image = match assemble(&generated.source()) {
         Ok(image) => image,
         Err(err) => {
@@ -130,12 +140,20 @@ pub fn run_trial(seed: u64) -> TrialReport {
     };
     report.text_bytes = u64::from(image.text_size());
     report.lat_entries = u64::from(image.text_lines().div_ceil(8));
-    match run_cosim(&image, TRIAL_MAX_STEPS) {
+    let cosimulated = build_rom(&image).and_then(|rom| {
+        let segmented = cosimulate(&image, cosim::standard_variants(&image, &rom)?)?;
+        Ok((segmented, rom))
+    });
+    let (segmented, rom) = match cosimulated {
+        Ok(cosimulated) => cosimulated,
         Err(err) => {
             report.outcome = TrialOutcome::GenFailure(err);
             return report;
         }
-        Ok(CosimVerdict::Divergence(mut divergence)) => {
+    };
+    report.segments = segmented.segments;
+    match segmented.verdict {
+        CosimVerdict::Divergence(mut divergence) => {
             let minimal = minimize_lines(
                 &generated.lines,
                 &generated.removable,
@@ -149,90 +167,12 @@ pub fn run_trial(seed: u64) -> TrialReport {
             report.outcome = TrialOutcome::Divergence(divergence);
             return report;
         }
-        Ok(CosimVerdict::Match { instructions }) => {
-            report.instructions = instructions;
-        }
+        CosimVerdict::Match { instructions } => report.instructions = instructions,
     }
-    match build_rom(&image) {
-        Ok(rom) => {
-            let timing = check_refill_invariants(&rom);
-            report.refills = timing.refills;
-            if !timing.clean() {
-                report.outcome = TrialOutcome::TimingViolation(timing.violations.join("; "));
-            }
-        }
-        Err(err) => {
-            report.outcome = TrialOutcome::GenFailure(err);
-        }
-    }
-    report
-}
-
-/// Runs the same differential trial as [`run_trial`], but drives the
-/// co-simulation through the checkpoint-segmented runner with a
-/// checkpoint every `every` retired instructions. The verdict is
-/// byte-identical to the monolithic trial's; only
-/// [`TrialReport::segments`] differs (the segment count instead of 0).
-/// On divergence the shrinker re-checks candidates with the monolithic
-/// runner — the verdicts agree, and the monolithic path is cheaper.
-pub fn run_trial_segmented(seed: u64, every: u64) -> TrialReport {
-    let generated = ProgGen::generate(seed);
-    let mut report = TrialReport {
-        outcome: TrialOutcome::Match,
-        instructions: 0,
-        text_bytes: 0,
-        lat_entries: 0,
-        refills: 0,
-        segments: 0,
-    };
-    let image = match assemble(&generated.source()) {
-        Ok(image) => image,
-        Err(err) => {
-            report.outcome = TrialOutcome::GenFailure(format!("assembly failed: {err}"));
-            return report;
-        }
-    };
-    report.text_bytes = u64::from(image.text_size());
-    report.lat_entries = u64::from(image.text_lines().div_ceil(8));
-    match run_cosim_segmented(&image, TRIAL_MAX_STEPS, every) {
-        Err(err) => {
-            report.outcome = TrialOutcome::GenFailure(err);
-            return report;
-        }
-        Ok(segmented) => {
-            report.segments = segmented.segments;
-            match segmented.verdict {
-                CosimVerdict::Divergence(mut divergence) => {
-                    let minimal = minimize_lines(
-                        &generated.lines,
-                        &generated.removable,
-                        SHRINK_BUDGET,
-                        |source| match assemble(source) {
-                            Ok(image) => cosim::diverges(&run_cosim(&image, TRIAL_MAX_STEPS)),
-                            Err(_) => false,
-                        },
-                    );
-                    divergence.minimized = Some(minimal.join("\n"));
-                    report.outcome = TrialOutcome::Divergence(divergence);
-                    return report;
-                }
-                CosimVerdict::Match { instructions } => {
-                    report.instructions = instructions;
-                }
-            }
-        }
-    }
-    match build_rom(&image) {
-        Ok(rom) => {
-            let timing = check_refill_invariants(&rom);
-            report.refills = timing.refills;
-            if !timing.clean() {
-                report.outcome = TrialOutcome::TimingViolation(timing.violations.join("; "));
-            }
-        }
-        Err(err) => {
-            report.outcome = TrialOutcome::GenFailure(err);
-        }
+    let timing = check_refill_invariants(&rom);
+    report.refills = timing.refills;
+    if !timing.clean() {
+        report.outcome = TrialOutcome::TimingViolation(timing.violations.join("; "));
     }
     report
 }
@@ -272,12 +212,5 @@ mod tests {
             comparable.segments = 0;
             assert_eq!(comparable, monolithic, "seed {seed} drifted");
         }
-    }
-
-    #[test]
-    fn outcome_codes_are_stable() {
-        assert_eq!(TrialOutcome::Match.code(), 'M');
-        assert_eq!(TrialOutcome::TimingViolation(String::new()).code(), 'T');
-        assert_eq!(TrialOutcome::GenFailure(String::new()).code(), 'G');
     }
 }

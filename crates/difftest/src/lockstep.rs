@@ -10,7 +10,10 @@
 //! ([`run_rv32_cosim`](crate::rv32::run_rv32_cosim)) are both thin
 //! wrappers: they construct the machines and supply the per-ISA
 //! comparator and disassembly-window hooks, while the stepping,
-//! fault-matching, budget, and reporting logic lives here once.
+//! fault-matching, budget, and reporting logic lives here once. The
+//! checkpoint-segmented runner
+//! ([`run_cosim_segmented_with`](crate::segmented::run_cosim_segmented_with))
+//! resumes the same driver once per segment.
 //!
 //! The driver's observable behaviour is pinned by the MIPS campaign's
 //! committed `BENCH_difftest.json`: construction failures surface as
@@ -18,7 +21,6 @@
 //! infrastructure error (the *generated program* is broken, not the
 //! compression), and the first state mismatch wins.
 
-use ccrp::StepBudget;
 use ccrp_emu::IsaCore;
 use ccrp_isa::Isa;
 
@@ -38,7 +40,8 @@ pub struct LockstepVariant<M> {
 /// Runs `reference` and every variant in lockstep until the reference
 /// exits, comparing with `compare` after each retired instruction and
 /// rendering divergence windows with `window`. `entry` is the program
-/// entry point (the PC reported for construction failures).
+/// entry point (the PC reported for construction failures). The
+/// reference is borrowed, so the caller can read its end state.
 ///
 /// # Errors
 ///
@@ -47,7 +50,7 @@ pub struct LockstepVariant<M> {
 /// way the generated program is invalid, which is a harness bug rather
 /// than a compression divergence.
 pub fn run_lockstep<M, C, W>(
-    mut reference: M,
+    reference: &mut M,
     variants: Vec<LockstepVariant<M>>,
     entry: u32,
     max_steps: u64,
@@ -59,67 +62,126 @@ where
     C: Fn(&M, &M, &[(u32, bool)], &[(u32, bool)]) -> Option<(String, String)>,
     W: Fn(u32) -> Vec<String>,
 {
-    let mut running: Vec<(&'static str, M, RecordingSink)> = Vec::new();
-    for variant in variants {
-        match variant.machine {
-            Ok(machine) => running.push((variant.label, machine, RecordingSink::default())),
-            Err(err) => {
-                return Ok(CosimVerdict::Divergence(Box::new(DivergenceReport {
-                    step: 0,
-                    pc: entry,
-                    variant: variant.label,
-                    field: "construction".to_string(),
-                    detail: format!("reference constructed, variant failed: {err}"),
-                    window: window(entry),
-                    minimized: None,
-                })));
-            }
-        }
-    }
-    let mut ref_sink = RecordingSink::default();
+    let mut lockstep = match Lockstep::new(variants, entry, compare, window) {
+        Ok(lockstep) => lockstep,
+        Err(divergence) => return Ok(CosimVerdict::Divergence(divergence)),
+    };
     // The fuel guard backing the generator's termination-by-construction
     // invariant: if a generated program ever loops, the campaign reports
     // a budget error instead of hanging a worker.
-    let mut budget = StepBudget::limited(max_steps);
-    let mut step: u64 = 0;
-    loop {
-        if budget.charge(1).is_err() {
-            return Err(format!("reference exceeded step budget {max_steps}"));
-        }
-        let pc = reference.pc();
-        ref_sink.accesses.clear();
-        let ref_result = reference.step_traced(&mut ref_sink);
-        step += 1;
-        for (label, machine, sink) in &mut running {
-            sink.accesses.clear();
-            let var_result = machine.step_traced(sink);
-            let mismatch = match (&ref_result, &var_result) {
-                (Ok(()), Ok(())) => {
-                    compare(&reference, machine, &ref_sink.accesses, &sink.accesses)
+    lockstep
+        .run(reference, 0, max_steps)?
+        .ok_or_else(|| format!("reference exceeded step budget {max_steps}"))
+}
+
+/// The resumable driver behind [`run_lockstep`]: the variant machines,
+/// their data-access logs, and the hooks that compare states and render
+/// divergence windows.
+pub(crate) struct Lockstep<M, C, W> {
+    variants: Vec<(&'static str, M, RecordingSink)>,
+    ref_sink: RecordingSink,
+    compare: C,
+    window: W,
+}
+
+impl<M, C, W> Lockstep<M, C, W>
+where
+    M: IsaCore,
+    C: Fn(&M, &M, &[(u32, bool)], &[(u32, bool)]) -> Option<(String, String)>,
+    W: Fn(u32) -> Vec<String>,
+{
+    /// Takes the variant machines. The first variant that failed to
+    /// construct comes back as a step-0 divergence at `entry`.
+    pub(crate) fn new(
+        variants: Vec<LockstepVariant<M>>,
+        entry: u32,
+        compare: C,
+        window: W,
+    ) -> Result<Self, Box<DivergenceReport>> {
+        let mut running = Vec::new();
+        for variant in variants {
+            match variant.machine {
+                Ok(machine) => running.push((variant.label, machine, RecordingSink::default())),
+                Err(err) => {
+                    return Err(Box::new(DivergenceReport {
+                        step: 0,
+                        pc: entry,
+                        variant: variant.label,
+                        field: "construction".to_string(),
+                        detail: format!("reference constructed, variant failed: {err}"),
+                        window: window(entry),
+                        minimized: None,
+                    }));
                 }
-                (Err(a), Err(b)) if a == b => None,
-                (a, b) => Some(("fault".to_string(), format!("reference {a:?} vs {b:?}"))),
-            };
-            if let Some((field, detail)) = mismatch {
-                return Ok(CosimVerdict::Divergence(Box::new(DivergenceReport {
-                    step,
-                    pc,
-                    variant: label,
-                    field,
-                    detail,
-                    window: window(pc),
-                    minimized: None,
-                })));
             }
         }
-        if let Err(err) = ref_result {
-            // All variants reproduced the same fault (else we returned
-            // above), so this is a generator bug, not a divergence.
-            return Err(format!("generated program faulted identically: {err:?}"));
+        Ok(Self {
+            variants: running,
+            ref_sink: RecordingSink::default(),
+            compare,
+            window,
+        })
+    }
+
+    /// The variant machines with their labels, for a caller that
+    /// restores them between runs.
+    pub(crate) fn variants_mut(&mut self) -> impl Iterator<Item = (&'static str, &mut M)> {
+        self.variants
+            .iter_mut()
+            .map(|(label, machine, _)| (*label, machine))
+    }
+
+    /// Steps `reference` and every variant from retired-instruction
+    /// count `step` until the count reaches `until`. Returns the verdict
+    /// once a variant diverges or the reference exits, and `None` when
+    /// `until` came first.
+    ///
+    /// # Errors
+    ///
+    /// The reference faulted and every variant reproduced the fault.
+    pub(crate) fn run(
+        &mut self,
+        reference: &mut M,
+        mut step: u64,
+        until: u64,
+    ) -> Result<Option<CosimVerdict>, String> {
+        while step < until {
+            let pc = reference.pc();
+            self.ref_sink.accesses.clear();
+            let ref_result = reference.step_traced(&mut self.ref_sink);
+            step += 1;
+            for (label, machine, sink) in &mut self.variants {
+                sink.accesses.clear();
+                let var_result = machine.step_traced(sink);
+                let mismatch = match (&ref_result, &var_result) {
+                    (Ok(()), Ok(())) => {
+                        (self.compare)(reference, machine, &self.ref_sink.accesses, &sink.accesses)
+                    }
+                    (Err(a), Err(b)) if a == b => None,
+                    (a, b) => Some(("fault".to_string(), format!("reference {a:?} vs {b:?}"))),
+                };
+                if let Some((field, detail)) = mismatch {
+                    return Ok(Some(CosimVerdict::Divergence(Box::new(DivergenceReport {
+                        step,
+                        pc,
+                        variant: label,
+                        field,
+                        detail,
+                        window: (self.window)(pc),
+                        minimized: None,
+                    }))));
+                }
+            }
+            if let Err(err) = ref_result {
+                // All variants reproduced the same fault (else we returned
+                // above), so this is a generator bug, not a divergence.
+                return Err(format!("generated program faulted identically: {err:?}"));
+            }
+            if reference.exit_code().is_some() {
+                return Ok(Some(CosimVerdict::Match { instructions: step }));
+            }
         }
-        if reference.exit_code().is_some() {
-            return Ok(CosimVerdict::Match { instructions: step });
-        }
+        Ok(None)
     }
 }
 
@@ -208,7 +270,7 @@ mod tests {
     #[test]
     fn identical_machines_match_through_the_generic_driver() {
         let verdict = run_lockstep(
-            machine(EXITING),
+            &mut machine(EXITING),
             vec![LockstepVariant {
                 label: "twin",
                 machine: Ok(machine(EXITING)),
@@ -225,7 +287,7 @@ mod tests {
     #[test]
     fn construction_failure_is_a_step_zero_divergence() {
         let verdict = run_lockstep(
-            machine(EXITING),
+            &mut machine(EXITING),
             vec![LockstepVariant {
                 label: "broken",
                 machine: Err("deliberately unbuildable".to_string()),
@@ -255,7 +317,7 @@ mod tests {
             syscall
         ";
         let verdict = run_lockstep(
-            machine(EXITING),
+            &mut machine(EXITING),
             vec![LockstepVariant {
                 label: "other",
                 machine: Ok(machine(other)),
@@ -280,7 +342,7 @@ mod tests {
             j    main
         ";
         let err = run_lockstep(
-            machine(looping),
+            &mut machine(looping),
             vec![LockstepVariant {
                 label: "twin",
                 machine: Ok(machine(looping)),

@@ -17,12 +17,11 @@
 
 use ccrp::CompressedImage;
 use ccrp_compress::{BlockAlignment, ByteCode, ByteHistogram};
-use ccrp_emu::NullSink;
 use ccrp_isa::Isa;
 use ccrp_rv32::progen::Rv32ProgGen;
 use ccrp_rv32::{rvc, Encoding, Rv32Config, Rv32Image, Rv32Machine, Rv32c};
 
-use crate::cosim::{CosimVerdict, DivergenceReport};
+use crate::cosim::{container_round_trips, CosimVerdict, DivergenceReport};
 use crate::lockstep::{compare_cores, run_lockstep, LockstepVariant};
 use crate::timing::check_refill_invariants;
 use crate::{TrialOutcome, TrialReport, TRIAL_MAX_STEPS};
@@ -53,31 +52,45 @@ pub fn build_rv32_rom(image: &Rv32Image) -> Result<CompressedImage, String> {
 /// `max_steps` (an invalid generated program). Variant misbehaviour is
 /// a [`CosimVerdict::Divergence`], never an `Err`.
 pub fn run_rv32_cosim(image: &Rv32Image, max_steps: u64) -> Result<CosimVerdict, String> {
+    rv32_lockstep(image, max_steps).map(|(verdict, ..)| verdict)
+}
+
+/// [`run_rv32_cosim`], also returning the reference machine, whose end
+/// state a matching run leaves readable, and the directly built ROM.
+fn rv32_lockstep(
+    image: &Rv32Image,
+    max_steps: u64,
+) -> Result<(CosimVerdict, Rv32Machine, CompressedImage), String> {
     let rom = build_rv32_rom(image)?;
-    let v1 = CompressedImage::from_bytes(&rom.to_bytes())
-        .map_err(|e| format!("v1 container round-trip failed: {e}"))?;
-    let v2 = CompressedImage::from_bytes(&rom.to_bytes_v2())
-        .map_err(|e| format!("v2 container round-trip failed: {e}"))?;
     let config = Rv32Config {
         max_steps,
         ..Rv32Config::default()
     };
-    let reference = Rv32Machine::with_config(image, config.clone());
-    let variants = [("direct", rom), ("v1-container", v1), ("v2-container", v2)]
+    // The round-trip images live only until their machines are built.
+    let variants = {
+        let (v1, v2) = container_round_trips(&rom)?;
+        [
+            ("direct", &rom),
+            ("v1-container", &v1),
+            ("v2-container", &v2),
+        ]
         .into_iter()
         .map(|(label, rom)| LockstepVariant {
             label,
-            machine: Rv32Machine::with_compressed_text(image, &rom, config.clone()),
+            machine: Rv32Machine::with_compressed_text(image, rom, config.clone()),
         })
-        .collect();
-    run_lockstep(
-        reference,
+        .collect()
+    };
+    let mut reference = Rv32Machine::with_config(image, config);
+    let verdict = run_lockstep(
+        &mut reference,
         variants,
         image.entry(),
         max_steps,
         |r, v, ra, va| compare_cores(r, v, ra, va, None),
         |pc| rv32_disasm_window(image, pc),
-    )
+    )?;
+    Ok((verdict, reference, rom))
 }
 
 /// Disassembles ±4 instructions around `pc`, marking the faulting line.
@@ -118,20 +131,14 @@ struct FinalState {
 /// Runs the full RV32 differential trial for `seed`: generate, assemble
 /// *both* encodings, lockstep each against its compressed variants,
 /// sweep the refill timing invariants over both ROMs, then check the
-/// two encodings reached the same architectural end state.
+/// two encodings reached the same architectural end state — each read
+/// from its lockstep reference.
 /// Deterministic: the report is a pure function of `seed`.
 /// [`TrialReport::instructions`], `text_bytes`, `lat_entries`, and
 /// `refills` each sum both encodings' legs.
 pub fn run_trial_rv32(seed: u64) -> TrialReport {
     let generated = Rv32ProgGen::generate(seed);
-    let mut report = TrialReport {
-        outcome: TrialOutcome::Match,
-        instructions: 0,
-        text_bytes: 0,
-        lat_entries: 0,
-        refills: 0,
-        segments: 0,
-    };
+    let mut report = TrialReport::default();
     let mut finals: Vec<FinalState> = Vec::new();
     for (tag, encoding) in [("rv32i", Encoding::Rv32I), ("rv32c", Encoding::Rv32C)] {
         let image = match generated.assemble(encoding) {
@@ -143,55 +150,35 @@ pub fn run_trial_rv32(seed: u64) -> TrialReport {
         };
         report.text_bytes += u64::from(image.text_size());
         report.lat_entries += u64::from(image.text_lines().div_ceil(8));
-        match run_rv32_cosim(&image, TRIAL_MAX_STEPS) {
+        let (reference, rom) = match rv32_lockstep(&image, TRIAL_MAX_STEPS) {
             Err(err) => {
                 report.outcome = TrialOutcome::GenFailure(format!("{tag}: {err}"));
                 return report;
             }
-            Ok(CosimVerdict::Divergence(divergence)) => {
+            Ok((CosimVerdict::Divergence(divergence), ..)) => {
                 // The generator has no line-level shrinker (programs are
                 // typed item streams, not text), so the report ships the
                 // disassembled window unminimized.
                 report.outcome = TrialOutcome::Divergence(divergence);
                 return report;
             }
-            Ok(CosimVerdict::Match { instructions }) => {
+            Ok((CosimVerdict::Match { instructions }, reference, rom)) => {
                 report.instructions += instructions;
+                (reference, rom)
             }
-        }
-        match build_rv32_rom(&image) {
-            Ok(rom) => {
-                let timing = check_refill_invariants(&rom);
-                report.refills += timing.refills;
-                if !timing.clean() {
-                    report.outcome = TrialOutcome::TimingViolation(format!(
-                        "{tag}: {}",
-                        timing.violations.join("; ")
-                    ));
-                    return report;
-                }
-            }
-            Err(err) => {
-                report.outcome = TrialOutcome::GenFailure(format!("{tag}: {err}"));
-                return report;
-            }
-        }
-        let mut machine = Rv32Machine::with_config(
-            &image,
-            Rv32Config {
-                max_steps: TRIAL_MAX_STEPS,
-                ..Rv32Config::default()
-            },
-        );
-        if let Err(err) = machine.run(&mut NullSink) {
-            report.outcome = TrialOutcome::GenFailure(format!("{tag} rerun faulted: {err}"));
+        };
+        let timing = check_refill_invariants(&rom);
+        report.refills += timing.refills;
+        if !timing.clean() {
+            report.outcome =
+                TrialOutcome::TimingViolation(format!("{tag}: {}", timing.violations.join("; ")));
             return report;
         }
         finals.push(FinalState {
-            output: machine.output().to_string(),
-            exit: machine.exit_code(),
+            output: reference.output().to_string(),
+            exit: reference.exit_code(),
             gprs: (0..Rv32c::GPR_COUNT)
-                .map(|index| ccrp_emu::IsaCore::gpr(&machine, index))
+                .map(|index| ccrp_emu::IsaCore::gpr(&reference, index))
                 .collect(),
         });
     }
@@ -281,9 +268,9 @@ mod tests {
         let mut rom = build_rv32_rom(&image).expect("builds");
         rom.corrupt_block_byte(0, 0, 0xFF).expect("corrupts");
         let config = Rv32Config::default();
-        let reference = Rv32Machine::with_config(&image, config.clone());
+        let mut reference = Rv32Machine::with_config(&image, config.clone());
         let verdict = run_lockstep(
-            reference,
+            &mut reference,
             vec![LockstepVariant {
                 label: "corrupt",
                 machine: Rv32Machine::with_compressed_text(&image, &rom, config),

@@ -8,31 +8,40 @@
 //!    instructions (exercising the full byte round-trip, not just a
 //!    clone);
 //! 2. **Replay** — each segment restores the reference and every
-//!    compressed variant from its opening checkpoint and replays in
-//!    lockstep, comparing full architectural state after every
-//!    instruction, exactly as the monolithic runner does.
+//!    compressed variant from its opening checkpoint and resumes the
+//!    lockstep driver behind [`run_lockstep`](crate::run_lockstep) up to
+//!    the next checkpoint, so stepping, fault matching and divergence
+//!    reports are the monolithic runner's own.
 //!
 //! Segments replay in segment order and every comparison uses absolute
 //! retired-instruction counts, so the verdict — down to the
-//! [`DivergenceReport`] field and detail strings — is byte-identical to
-//! the monolithic runner's. After each non-final segment the replayed
-//! reference is checked against the next recorded checkpoint, so a
-//! restore that silently desynchronized is caught immediately rather
-//! than surfacing as a bogus divergence downstream.
+//! [`DivergenceReport`](crate::DivergenceReport) field and detail
+//! strings — is byte-identical to the monolithic runner's. It fails in
+//! the same order too: a variant that cannot be built is a step-0
+//! divergence before anything is recorded, and a reference that runs
+//! out of steps is an error only once the replay of those steps found no
+//! divergence. After each non-final segment the replayed reference is
+//! checked against the next recorded checkpoint, so a restore that
+//! silently desynchronized is caught immediately rather than surfacing
+//! as a bogus divergence downstream.
 
-use ccrp_emu::{Checkpoint, Machine, MachineConfig, NullSink};
+use ccrp_asm::ProgramImage;
+use ccrp_emu::{Checkpoint, Machine, NullSink};
 
 use crate::cosim::{
-    compare_state, disasm_window, standard_variants, CosimVerdict, DivergenceReport, RecordingSink,
+    build_rom, compare_state, disasm_window, machines, standard_variants, CosimVariant,
+    CosimVerdict,
 };
-use ccrp_asm::ProgramImage;
+use crate::lockstep::Lockstep;
 
 /// Outcome of one segmented lockstep run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentedVerdict {
     /// The verdict, identical to what the monolithic runner returns.
     pub verdict: CosimVerdict,
-    /// Segments the run was split into (at least 1).
+    /// Segments the run was split into: at least 1, except 0 when a
+    /// variant failed to construct (a step-0 divergence), since nothing
+    /// was recorded or replayed.
     pub segments: u64,
 }
 
@@ -44,43 +53,61 @@ pub struct SegmentedVerdict {
 ///
 /// The same infrastructure failures as [`run_cosim`](crate::run_cosim)
 /// (compression broke, the reference faulted or exceeded `max_steps`),
-/// plus `every == 0` and internal desynchronization (a replayed segment
-/// not reaching the next recorded checkpoint — a checkpointing bug, not
-/// a program divergence).
+/// plus those of [`run_cosim_segmented_with`].
 pub fn run_cosim_segmented(
     image: &ProgramImage,
+    max_steps: u64,
+    every: u64,
+) -> Result<SegmentedVerdict, String> {
+    let rom = build_rom(image)?;
+    run_cosim_segmented_with(image, standard_variants(image, &rom)?, max_steps, every)
+}
+
+/// Runs `image` on the reference machine and on each variant in
+/// segmented form, as [`run_cosim_with`](crate::run_cosim_with) does
+/// monolithically: checkpoint-recording pass, then per-segment lockstep
+/// replay. `every` is the checkpoint interval in retired instructions.
+///
+/// # Errors
+///
+/// The monolithic runner's infrastructure failures (the reference
+/// faulted identically on every variant, or exceeded `max_steps`), plus
+/// `every == 0` and internal desynchronization (a replayed segment not
+/// reaching the next recorded checkpoint — a checkpointing bug, not a
+/// program divergence).
+pub fn run_cosim_segmented_with(
+    image: &ProgramImage,
+    variants: Vec<CosimVariant>,
     max_steps: u64,
     every: u64,
 ) -> Result<SegmentedVerdict, String> {
     if every == 0 {
         return Err("checkpoint interval must be at least 1".to_string());
     }
-    let variants = standard_variants(image)?;
-    let config = MachineConfig {
-        max_steps,
-        ..MachineConfig::default()
+    let (mut reference, variants) = machines(image, variants, max_steps);
+    let mut lockstep = match Lockstep::new(variants, image.entry(), compare_state, |pc| {
+        disasm_window(image, pc)
+    }) {
+        Ok(lockstep) => lockstep,
+        Err(divergence) => {
+            return Ok(SegmentedVerdict {
+                verdict: CosimVerdict::Divergence(divergence),
+                segments: 0,
+            })
+        }
     };
 
     // Pass 1: reference-only recording. Checkpoints round-trip through
     // bytes so the serialized form is what replay actually consumes.
-    let mut reference = Machine::with_config(image, config.clone());
+    // They fall strictly inside the budget, and a fault or exit ends the
+    // recording: the final segment replays on to the reference's end or
+    // to `max_steps`, where the driver decides the verdict.
     let mut checkpoints = vec![record_checkpoint(&reference, 0)?];
-    let mut budget = ccrp::StepBudget::limited(max_steps);
-    let mut total_steps: u64 = 0;
-    let mut reference_faulted = false;
-    while reference.exit_code().is_none() {
-        if budget.charge(1).is_err() {
-            return Err(format!("reference exceeded step budget {max_steps}"));
-        }
-        let result = reference.step(&mut NullSink);
-        total_steps += 1;
-        if result.is_err() {
-            // The fault replays inside the final segment, where the
-            // variant comparison decides whether it is a divergence.
-            reference_faulted = true;
+    for step in 1..max_steps {
+        if reference.step(&mut NullSink).is_err() || reference.exit_code().is_some() {
             break;
         }
-        if reference.exit_code().is_none() && total_steps.is_multiple_of(every) {
+        if step.is_multiple_of(every) {
             reference.note_segment_boundary(checkpoints.len() as u32);
             checkpoints.push(record_checkpoint(&reference, checkpoints.len())?);
         }
@@ -88,101 +115,32 @@ pub fn run_cosim_segmented(
     let segments = checkpoints.len() as u64;
 
     // Pass 2: per-segment lockstep replay, in segment order.
-    let mut reference = Machine::with_config(image, config.clone());
-    let mut running: Vec<(&'static str, Machine, RecordingSink)> = Vec::new();
-    for variant in variants {
-        match Machine::with_compressed_text(image, &variant.rom, variant.policy, config.clone()) {
-            Ok(machine) => running.push((variant.label, machine, RecordingSink::default())),
-            Err(err) => {
-                return Ok(SegmentedVerdict {
-                    verdict: CosimVerdict::Divergence(Box::new(DivergenceReport {
-                        step: 0,
-                        pc: image.entry(),
-                        variant: variant.label,
-                        field: "construction".to_string(),
-                        detail: format!("reference constructed, variant failed: {err:?}"),
-                        window: disasm_window(image, image.entry()),
-                        minimized: None,
-                    })),
-                    segments,
-                });
-            }
-        }
-    }
-    let mut ref_sink = RecordingSink::default();
     for (index, checkpoint) in checkpoints.iter().enumerate() {
-        let seg_end = checkpoints
-            .get(index + 1)
-            .map_or(total_steps, Checkpoint::steps);
+        let next = checkpoints.get(index + 1);
+        let until = next.map_or(max_steps, Checkpoint::steps);
         reference
             .restore(checkpoint)
             .map_err(|e| format!("segment {index}: reference restore failed: {e}"))?;
-        for (label, machine, _) in &mut running {
+        for (label, machine) in lockstep.variants_mut() {
             machine
                 .restore(checkpoint)
                 .map_err(|e| format!("segment {index}: variant {label} restore failed: {e}"))?;
         }
-        let mut step = checkpoint.steps();
-        while step < seg_end {
-            let pc = reference.pc();
-            ref_sink.accesses.clear();
-            let ref_result = reference.step(&mut ref_sink);
-            step += 1;
-            for (label, machine, sink) in &mut running {
-                sink.accesses.clear();
-                let var_result = machine.step(sink);
-                let mismatch = match (&ref_result, &var_result) {
-                    (Ok(()), Ok(())) => {
-                        compare_state(&reference, machine, &ref_sink.accesses, &sink.accesses)
-                    }
-                    (Err(a), Err(b)) if a == b => None,
-                    (a, b) => Some(("fault".to_string(), format!("reference {a:?} vs {b:?}"))),
-                };
-                if let Some((field, detail)) = mismatch {
-                    return Ok(SegmentedVerdict {
-                        verdict: CosimVerdict::Divergence(Box::new(DivergenceReport {
-                            step,
-                            pc,
-                            variant: label,
-                            field,
-                            detail,
-                            window: disasm_window(image, pc),
-                            minimized: None,
-                        })),
-                        segments,
-                    });
-                }
-            }
-            if let Err(err) = ref_result {
-                // All variants reproduced the fault (else we returned
-                // above) — a generator bug, exactly as in the monolithic
-                // runner.
-                return Err(format!("generated program faulted identically: {err:?}"));
-            }
+        if let Some(verdict) = lockstep.run(&mut reference, checkpoint.steps(), until)? {
+            return Ok(SegmentedVerdict { verdict, segments });
         }
         // Chain verification: the replayed reference must land exactly on
         // the next recorded checkpoint.
-        if let Some(next) = checkpoints.get(index + 1) {
+        if let Some(next) = next {
             if reference.arch_state() != next.arch_state() {
                 return Err(format!(
-                    "segment {index} replay desynchronized: state at step {seg_end} \
+                    "segment {index} replay desynchronized: state at step {until} \
                      does not match the recorded checkpoint"
                 ));
             }
         }
     }
-    if reference_faulted {
-        // Unreachable in practice: the fault re-raises inside the final
-        // segment and returns there. Kept as a backstop so a checkpoint
-        // bug cannot convert a faulting program into a silent Match.
-        return Err("reference fault did not reproduce during replay".to_string());
-    }
-    Ok(SegmentedVerdict {
-        verdict: CosimVerdict::Match {
-            instructions: total_steps,
-        },
-        segments,
-    })
+    Err(format!("reference exceeded step budget {max_steps}"))
 }
 
 /// Serializes and re-parses a checkpoint, so the recorded state replay
@@ -195,9 +153,9 @@ fn record_checkpoint(machine: &Machine, index: usize) -> Result<Checkpoint, Stri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cosim::{build_rom, run_cosim, run_cosim_with, CosimVariant};
+    use crate::cosim::{run_cosim, run_cosim_with};
     use crate::progen::ProgGen;
-    use ccrp::DegradePolicy;
+    use ccrp::{CompressedImage, DegradePolicy};
     use ccrp_asm::assemble;
 
     #[test]
@@ -219,26 +177,134 @@ mod tests {
         }
     }
 
-    #[test]
-    fn corrupt_rom_divergence_matches_monolithic_report() {
-        let image = assemble(&ProgGen::generate(3).source()).expect("assembles");
-        let mut rom = build_rom(&image).expect("builds");
-        rom.corrupt_block_byte(0, 0, 0xFF).expect("corrupts");
-        let variants = |rom: &ccrp::CompressedImage| {
-            vec![CosimVariant {
-                label: "corrupt-trap",
-                rom: rom.clone(),
-                policy: DegradePolicy::Trap,
-            }]
+    /// Both runners over the same variants: the monolithic verdict and
+    /// the segmented one for each interval, which must agree exactly.
+    fn both_runners(
+        image: &ProgramImage,
+        variants: &[CosimVariant],
+        max_steps: u64,
+        intervals: &[u64],
+    ) -> Result<CosimVerdict, String> {
+        let cloned = || {
+            variants
+                .iter()
+                .map(|v| CosimVariant {
+                    label: v.label,
+                    rom: v.rom.clone(),
+                    policy: v.policy,
+                })
+                .collect::<Vec<_>>()
         };
-        let monolithic = run_cosim_with(&image, variants(&rom), 100_000).expect("runs");
-        // The segmented path uses the standard matrix, so exercise the
-        // corrupt ROM through the monolithic harness and just assert the
-        // segmented standard run still matches its own monolithic twin.
-        assert!(matches!(monolithic, CosimVerdict::Divergence(_)));
-        let seg = run_cosim_segmented(&image, 100_000, 13).expect("segmented runs");
-        let mono = run_cosim(&image, 100_000).expect("monolithic runs");
-        assert_eq!(seg.verdict, mono);
+        let monolithic = run_cosim_with(image, cloned(), max_steps);
+        for &every in intervals {
+            let segmented = run_cosim_segmented_with(image, cloned(), max_steps, every)
+                .map(|segmented| segmented.verdict);
+            assert_eq!(segmented, monolithic, "every {every}: verdict drifted");
+        }
+        monolithic
+    }
+
+    #[test]
+    fn corrupt_rom_divergences_match_monolithic_reports() {
+        let image = assemble(&ProgGen::generate(3).source()).expect("assembles");
+        let plain = build_rom(&image).expect("builds");
+        let with_crcs = CompressedImage::from_bytes(&plain.to_bytes_v2()).expect("parses");
+        let mut reports = Vec::new();
+        for rom in [&plain, &with_crcs] {
+            for line in [0, rom.line_count() - 1] {
+                let mut corrupt = rom.clone();
+                corrupt.corrupt_block_byte(line, 0, 0xFF).expect("corrupts");
+                for policy in [
+                    DegradePolicy::Abort,
+                    DegradePolicy::Trap,
+                    DegradePolicy::Retry { attempts: 2 },
+                ] {
+                    let variants = [CosimVariant {
+                        label: "corrupt",
+                        rom: corrupt.clone(),
+                        policy,
+                    }];
+                    match both_runners(&image, &variants, 100_000, &[1, 13, 1_000_000]) {
+                        Ok(CosimVerdict::Divergence(report)) => {
+                            reports.push((report.step, report.field))
+                        }
+                        other => panic!("line {line} under {policy:?}: {other:?}"),
+                    }
+                }
+            }
+        }
+        // Without CRC records the corrupt line decodes to wrong
+        // instructions, caught where it first runs: step 1 for line 0,
+        // step 481 for the last line. With them, Abort refuses to build
+        // the machine and Trap and Retry fault on the line's first fetch.
+        let expected = [
+            (1, "$s0"),
+            (1, "$s0"),
+            (1, "$s0"),
+            (481, "$v0"),
+            (481, "$v0"),
+            (481, "$v0"),
+            (0, "construction"),
+            (1, "fault"),
+            (1, "fault"),
+            (0, "construction"),
+            (481, "fault"),
+            (481, "fault"),
+        ]
+        .map(|(step, field)| (step, field.to_string()));
+        assert_eq!(reports, expected);
+    }
+
+    #[test]
+    fn failure_order_matches_monolithic_on_a_looping_program() {
+        let image = assemble(
+            "
+            main:
+                li    $t0, 0
+                li    $t1, 0
+            loop:
+                addiu $t0, $t0, 1
+                addu  $t1, $t1, $t0
+                xor   $t2, $t0, $t1
+                sll   $t3, $t2, 2
+                or    $t4, $t3, $t0
+                j     loop
+                nop
+            ",
+        )
+        .expect("assembles");
+        assert_eq!(image.text_size(), 40, "ten instructions");
+        let pristine = build_rom(&image).expect("builds");
+        let mut corrupt = CompressedImage::from_bytes(&pristine.to_bytes_v2()).expect("parses");
+        corrupt.corrupt_block_byte(0, 0, 0xFF).expect("corrupts");
+        let variant = |policy| CosimVariant {
+            label: "corrupt",
+            rom: corrupt.clone(),
+            policy,
+        };
+        // A variant that cannot be built is a step-0 divergence, found
+        // before the reference could run out of steps.
+        let unbuildable = both_runners(&image, &[variant(DegradePolicy::Abort)], 1_000, &[10]);
+        assert!(
+            matches!(&unbuildable, Ok(CosimVerdict::Divergence(r)) if r.step == 0),
+            "{unbuildable:?}"
+        );
+        let segmented =
+            run_cosim_segmented_with(&image, vec![variant(DegradePolicy::Abort)], 1_000, 10);
+        assert_eq!(segmented.expect("runs").segments, 0, "nothing was recorded");
+        // A variant that faults on its first fetch diverges at step 1,
+        // although the reference never ends.
+        let faulting = both_runners(&image, &[variant(DegradePolicy::Trap)], 1_000, &[10]);
+        assert!(
+            matches!(&faulting, Ok(CosimVerdict::Divergence(r)) if r.step == 1 && r.field == "fault"),
+            "{faulting:?}"
+        );
+        // Pristine variants match every step, so the budget ends the run.
+        let variants = standard_variants(&image, &pristine).expect("builds");
+        assert_eq!(
+            both_runners(&image, &variants, 1_000, &[10]),
+            Err("reference exceeded step budget 1000".to_string())
+        );
     }
 
     #[test]
