@@ -119,6 +119,7 @@ impl StepBudget {
     ///
     /// [`BudgetExhausted`] when the fuel runs out, or when the
     /// cancellation flag is observed raised at a poll interval.
+    #[inline]
     pub fn charge(&mut self, amount: u64) -> Result<(), BudgetExhausted> {
         if let Some(remaining) = self.remaining {
             let Some(left) = remaining.checked_sub(amount) else {

@@ -736,6 +736,40 @@ mod compressed_rom_tests {
     }
 
     #[test]
+    fn fetch_faults_match_on_plain_and_rom_machines() {
+        // The assembler fills each jump's delay slot with a `nop`.
+        let cases = [
+            ("main: li $t0, 2\n jr $t0", EmuError::BadFetch { pc: 2 }, 3),
+            ("main: jr $ra", EmuError::BadFetch { pc: 0x00FF_FFF0 }, 2),
+            (
+                "main: nop\n nop\n j bad\n nop\n bad: .word 0xFFFFFFFF",
+                EmuError::IllegalInstruction {
+                    pc: 20,
+                    word: 0xFFFF_FFFF,
+                },
+                4,
+            ),
+        ];
+        for (src, expected, steps) in cases {
+            let image = assemble(src).unwrap();
+            let rom = rom_for(&image);
+            let rom_machine = |policy| {
+                Machine::with_compressed_text(&image, &rom, policy, MachineConfig::default())
+                    .unwrap()
+            };
+            let machines = [
+                ("plain", Machine::new(&image)),
+                ("abort", rom_machine(DegradePolicy::Abort)),
+                ("trap", rom_machine(DegradePolicy::Trap)),
+            ];
+            for (kind, mut m) in machines {
+                assert_eq!(m.run(&mut NullSink), Err(expected), "{src:?} ({kind})");
+                assert_eq!(m.steps(), steps, "{src:?} ({kind})");
+            }
+        }
+    }
+
+    #[test]
     fn mismatched_rom_rejected() {
         let image = assemble(SUM_SRC).unwrap();
         let other = assemble("main: li $v0, 10\n syscall").unwrap();

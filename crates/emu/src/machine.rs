@@ -100,8 +100,10 @@ pub struct Machine {
     pub(crate) state: ArchState,
     pub(crate) text_base: u32,
     /// Pre-decoded text segment; `None` entries are data words (jump
-    /// tables) or invalid encodings and fault if fetched. Derived state:
-    /// rebuilt from memory / the ROM on restore, never serialized.
+    /// tables), invalid encodings, or words of a ROM line not yet
+    /// expanded, so a `Some` entry needs no ROM check when fetched.
+    /// Derived state: rebuilt from memory / the ROM on restore, never
+    /// serialized.
     pub(crate) decoded: Vec<Option<Instruction>>,
     /// Compressed instruction ROM for demand line expansion, when the
     /// machine was built with [`with_compressed_text`]
@@ -403,7 +405,26 @@ impl Machine {
         self.execute(inst, pc, sink)
     }
 
+    /// Fetches the decoded instruction at `pc`: one bounds-checked index
+    /// when it is decoded, which a ROM line is only once expanded.
+    /// Everything else (faults and demand expansion) goes through
+    /// [`fetch_slow`](Self::fetch_slow).
+    #[inline]
     fn fetch(&mut self, pc: u32) -> Result<Instruction, EmuError> {
+        if pc.is_multiple_of(4) && pc >= self.text_base {
+            if let Some(Some(inst)) = self.decoded.get(((pc - self.text_base) / 4) as usize) {
+                return Ok(*inst);
+            }
+        }
+        self.fetch_slow(pc)
+    }
+
+    /// The fetch path for a `pc` with no decoded instruction: a bad
+    /// address, a ROM line not yet expanded, or a word that does not
+    /// decode.
+    #[cold]
+    #[inline(never)]
+    fn fetch_slow(&mut self, pc: u32) -> Result<Instruction, EmuError> {
         if !pc.is_multiple_of(4) || pc < self.text_base {
             return Err(EmuError::BadFetch { pc });
         }

@@ -158,6 +158,7 @@ impl AccessTrace {
     /// Appends one fetch, extending the current run when the PC stays
     /// in its line (and its counters cannot overflow — a split run
     /// replays identically, see the module docs).
+    #[inline]
     fn push(&mut self, pc: u32, data: u8) {
         self.fetches += 1;
         self.data += u64::from(data);

@@ -40,7 +40,8 @@ pub fn figure5_corpus() -> &'static [CorpusProgram] {
 
 fn build_corpus() -> Vec<CorpusProgram> {
     let kernel_text = |w: TracedWorkload| {
-        w.padded_text()
+        w.kernel()
+            .map(|kernel| kernel.text.clone())
             .unwrap_or_else(|e| panic!("{} kernel must build: {e}", w.name()))
     };
     let synth = |profile: CodeProfile, bytes: u32, seed: u64| {

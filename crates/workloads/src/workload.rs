@@ -1,5 +1,6 @@
 use std::error::Error;
 use std::fmt;
+use std::sync::OnceLock;
 
 use ccrp_asm::{assemble, AsmError, ProgramImage};
 use ccrp_emu::{EmuError, Machine, ProgramTrace, TraceSink};
@@ -210,19 +211,45 @@ impl TracedWorkload {
     }
 
     /// Kernel text plus synthesized library padding, sized to
-    /// [`paper_text_bytes`](Self::paper_text_bytes).
+    /// [`paper_text_bytes`](Self::paper_text_bytes). Assembles and pads
+    /// afresh on every call, so timing it times that work;
+    /// [`build`](Self::build) and the Figure-5 corpus share one cached
+    /// copy per process instead.
     ///
     /// # Errors
     ///
     /// [`WorkloadError::Asm`] on kernel bugs.
     pub fn padded_text(self) -> Result<Vec<u8>, WorkloadError> {
-        let image = self.assemble_kernel()?;
-        Ok(pad_text(
+        Ok(self.pad(&self.assemble_kernel()?))
+    }
+
+    /// Pads the assembled kernel's text to the paper's size.
+    fn pad(self, image: &ProgramImage) -> Vec<u8> {
+        pad_text(
             image.text_bytes(),
             self.paper_text_bytes(),
             self.profile(),
             self.seed(),
-        ))
+        )
+    }
+
+    /// The kernel assembled and padded once per process, shared by
+    /// [`build_into`](Self::build_into) and the Figure-5 corpus.
+    ///
+    /// # Errors
+    ///
+    /// [`WorkloadError::Asm`] on kernel bugs.
+    pub(crate) fn kernel(self) -> Result<&'static Kernel, WorkloadError> {
+        static KERNELS: [OnceLock<Result<Kernel, AsmError>>; TracedWorkload::ALL.len()] =
+            [const { OnceLock::new() }; TracedWorkload::ALL.len()];
+        KERNELS[self as usize]
+            .get_or_init(|| {
+                let image = assemble(&self.source())?;
+                let text = self.pad(&image);
+                Ok(Kernel { image, text })
+            })
+            .as_ref()
+            .map_err(|e| WorkloadError::Asm(e.clone()))
     }
 
     fn seed(self) -> u64 {
@@ -240,10 +267,10 @@ impl TracedWorkload {
         }
     }
 
-    /// Assembles the kernel, executes it under the emulator capturing
-    /// the per-fetch trace, checks the printed answer, and attaches the
-    /// padded text — [`build_into`](Self::build_into) with a
-    /// [`ProgramTrace`] sink.
+    /// Assembles the kernel (once per process), executes it under the
+    /// emulator capturing the per-fetch trace, checks the printed
+    /// answer, and attaches the padded text —
+    /// [`build_into`](Self::build_into) with a [`ProgramTrace`] sink.
     ///
     /// # Errors
     ///
@@ -262,9 +289,9 @@ impl TracedWorkload {
     ///
     /// As [`build`](Self::build).
     pub fn build_into<S: TraceSink + Default>(self) -> Result<Workload<S>, WorkloadError> {
-        let image = assemble(&self.source())?;
+        let kernel = self.kernel()?;
         let mut trace = S::default();
-        let mut machine = Machine::new(&image);
+        let mut machine = Machine::new(&kernel.image);
         machine.run(&mut trace)?;
         let expected = self.expected_output();
         if machine.output() != expected {
@@ -274,19 +301,22 @@ impl TracedWorkload {
                 actual: machine.output().to_string(),
             });
         }
-        let text = pad_text(
-            image.text_bytes(),
-            self.paper_text_bytes(),
-            self.profile(),
-            self.seed(),
-        );
         Ok(Workload {
             name: self.name(),
-            image,
+            image: kernel.image.clone(),
             trace,
-            text,
+            text: kernel.text.clone(),
         })
     }
+}
+
+/// A traced kernel as [`TracedWorkload::kernel`] caches it.
+#[derive(Debug)]
+pub(crate) struct Kernel {
+    /// The assembled kernel.
+    pub(crate) image: ProgramImage,
+    /// Its text followed by the synthesized library padding.
+    pub(crate) text: Vec<u8>,
 }
 
 /// Appends synthesized library code after the kernel up to
@@ -324,6 +354,15 @@ mod tests {
             for (pc, _) in w.trace.iter() {
                 assert!(pc < kernel_end, "{}: pc {pc:#x} outside kernel", w.name);
             }
+        }
+    }
+
+    #[test]
+    fn cached_kernels_match_fresh_builds() {
+        for wl in TracedWorkload::ALL {
+            let kernel = wl.kernel().expect("assembles");
+            assert_eq!(kernel.image, wl.assemble_kernel().expect("assembles"));
+            assert_eq!(kernel.text, wl.padded_text().expect("assembles"));
         }
     }
 
