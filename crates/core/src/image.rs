@@ -26,6 +26,14 @@ pub struct LineLocation {
     pub bypass: bool,
 }
 
+impl LineLocation {
+    /// The program-wide line number: the line's index from the program
+    /// start, `lat_index × 8 + line_in_entry`.
+    pub fn global_line(&self) -> usize {
+        (self.lat_index * LINES_PER_ENTRY + self.line_in_entry) as usize
+    }
+}
+
 /// A program compressed for CCRP execution.
 ///
 /// Blocks are packed contiguously from physical address 0 of the
@@ -62,11 +70,6 @@ pub struct CompressedImage {
     /// The decoder's input thresholds per line (empty for bypassed
     /// lines, which never reach the decoder).
     thresholds: Vec<WordThresholds>,
-}
-
-/// The program-wide line number of a located line.
-fn global_line(loc: &LineLocation) -> usize {
-    (loc.lat_index * LINES_PER_ENTRY + loc.line_in_entry) as usize
 }
 
 /// Computes every compressed line's [`WordThresholds`] from the
@@ -297,7 +300,7 @@ impl CompressedImage {
     /// [`CcrpError::AddressOutOfRange`] outside the program text.
     pub fn stored_line(&self, address: u32) -> Result<&CompressedLine, CcrpError> {
         let loc = self.locate(address)?;
-        Ok(&self.lines[global_line(&loc)])
+        Ok(&self.lines[loc.global_line()])
     }
 
     /// The original 32 bytes of the line covering `address`.
@@ -307,7 +310,7 @@ impl CompressedImage {
     /// [`CcrpError::AddressOutOfRange`] outside the program text.
     pub fn original_line(&self, address: u32) -> Result<&[u8], CcrpError> {
         let loc = self.locate(address)?;
-        let start = global_line(&loc) * LINE_SIZE as usize;
+        let start = loc.global_line() * LINE_SIZE as usize;
         Ok(&self.original_text[start..start + LINE_SIZE as usize])
     }
 
@@ -336,7 +339,7 @@ impl CompressedImage {
         address: u32,
         out: &mut [u8; 32],
     ) -> Result<(), CcrpError> {
-        let global = global_line(loc);
+        let global = loc.global_line();
         let stored = self
             .lines
             .get(global)
@@ -368,7 +371,7 @@ impl CompressedImage {
         address: u32,
     ) -> Result<WordThresholds, CcrpError> {
         self.thresholds
-            .get(global_line(loc))
+            .get(loc.global_line())
             .copied()
             .ok_or(CcrpError::AddressOutOfRange { address })
     }

@@ -47,6 +47,18 @@ impl MemoryModel {
             ready_at: 0,
         }
     }
+
+    /// Whether a burst's timing depends only on its word count and its
+    /// issue cycle: every `read_burst(words, now)` of an instance equals
+    /// a fresh instance's `read_burst(words, 0)` shifted by `now`,
+    /// whatever bursts came before. True for the two EPROMs; DRAM's
+    /// precharge carries from one burst to the next.
+    pub(crate) fn is_history_free(self) -> bool {
+        match self {
+            MemoryModel::Eprom | MemoryModel::BurstEprom => true,
+            MemoryModel::ScDram => false,
+        }
+    }
 }
 
 /// A stateful timing instance of one [`MemoryModel`].
@@ -100,6 +112,7 @@ pub fn standard_refill_cycles(model: MemoryModel) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Every word's arrival cycle of a `words`-word read at `now`.
     fn arrivals(timing: &mut MemorySim, words: u32, now: u64) -> Vec<u64> {
@@ -149,5 +162,41 @@ mod tests {
     fn names_match_tables() {
         assert_eq!(MemoryModel::Eprom.name(), "EPROM");
         assert_eq!(MemoryModel::BurstEprom.name(), "Burst EPROM");
+    }
+
+    #[test]
+    fn only_the_eproms_are_history_free() {
+        // DRAM's precharge is state a burst leaves for the next one; a
+        // model with state must never be timed as history-free.
+        assert!(!MemoryModel::ScDram.is_history_free());
+        assert!(MemoryModel::Eprom.is_history_free());
+        assert!(MemoryModel::BurstEprom.is_history_free());
+    }
+
+    proptest! {
+        /// A history-free model times a burst the same after any earlier
+        /// bursts as a fresh instance does at cycle 0, shifted to `now`.
+        #[test]
+        fn history_free_bursts_ignore_earlier_bursts(
+            earlier in proptest::collection::vec((1u32..=9, 0u64..40), 0..24),
+            words in 1u32..=9,
+            gap in 0u64..40,
+        ) {
+            for model in MemoryModel::ALL.into_iter().filter(|m| m.is_history_free()) {
+                let mut timing = model.timing();
+                let mut now = 0;
+                for &(words, gap) in &earlier {
+                    now += gap;
+                    timing.read_burst(words, now);
+                }
+                now += gap;
+                let fresh = model.timing().read_burst(words, 0);
+                let expected = Burst {
+                    first: fresh.first + now,
+                    interval: fresh.interval,
+                };
+                prop_assert_eq!(timing.read_burst(words, now), expected, "{:?}", model);
+            }
+        }
     }
 }

@@ -34,6 +34,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+use std::num::NonZeroU32;
+
 use ccrp::{ClbStats, CompressedImage, RefillEngine, StepBudget};
 use ccrp_probe::{NullProbe, Probe};
 
@@ -124,10 +126,27 @@ impl<'e> Simulation<'e> {
     /// [`RefillEngine::refill_located`], which takes that CLB outcome
     /// instead of walking a CLB and is exact up to a run's first failing
     /// miss. Each config's [`RunStats`] come from those totals plus its
-    /// analytic data-cache term. Hits are never replayed per config: the
-    /// cost is O(cache sizes × (runs + misses × min(deepest CLB, distinct
-    /// LAT entries)) + distinct timings × misses), and a replayed refill
-    /// is a few arithmetic operations.
+    /// analytic data-cache term.
+    ///
+    /// Under a history-free memory (EPROM, Burst EPROM: a burst's timing
+    /// depends only on its word count and issue cycle) a CCRP refill's
+    /// cycles past issue and bus bytes depend only on the line and the
+    /// CLB outcome: `refill_located` reads the immutable image, the
+    /// line's location and the outcome, and every burst it makes ends a
+    /// fixed distance after it starts. So each timing keeps a memo per
+    /// (line, CLB outcome): the first miss calls `refill_located`, every
+    /// later one adds the stored pair. Errors are never stored, so a
+    /// failing line is timed again and fails at the same first miss; and
+    /// under [`IntegrityCheck::Full`](ccrp::IntegrityCheck::Full) the
+    /// decode and CRC check of an immutable image give the same verdict
+    /// every time. DRAM's precharge carries from one burst to the next,
+    /// so its memo is empty and every miss is timed.
+    ///
+    /// Hits are never replayed per config: every timing walks the misses
+    /// alone, O(cache sizes × (runs + misses × min(deepest CLB, distinct
+    /// LAT entries)) + distinct timings × misses), and calls
+    /// `refill_located` once per distinct (line, CLB outcome) under a
+    /// history-free memory and once per miss under DRAM.
     ///
     /// # Errors
     ///
@@ -165,6 +184,15 @@ impl<'e> Simulation<'e> {
                     let mut memory = model.timing();
                     let engine = RefillEngine::new(refill)?;
                     let mut clb = ClbStats::default();
+                    // (cycles past issue, bus bytes) per (line, CLB
+                    // outcome), once timed; empty for a memory with state,
+                    // so every lookup misses and every miss is timed.
+                    let slots = if model.is_history_free() {
+                        2 * image.line_count()
+                    } else {
+                        0
+                    };
+                    let mut memo: Vec<Option<(NonZeroU32, u32)>> = vec![None; slots];
                     let ccrp = stream.replay(None, |index, pc, counters| {
                         let (location, clb_hit) = match located.get(index) {
                             Some(miss) => (miss.location, miss.clb_hit(refill.clb_entries)),
@@ -177,15 +205,31 @@ impl<'e> Simulation<'e> {
                         } else {
                             clb.misses += 1;
                         }
-                        let outcome = engine.refill_located(
-                            image,
-                            pc,
-                            &location,
-                            clb_hit,
-                            counters.cycle,
-                            &mut memory,
-                        )?;
-                        counters.charge_refill(outcome.ready_at, u64::from(outcome.bytes_fetched));
+                        let slot = 2 * location.global_line() + usize::from(clb_hit);
+                        let now = counters.cycle;
+                        let (cycles, bytes) = match memo.get_mut(slot) {
+                            Some(Some((cycles, bytes))) => (u64::from(cycles.get()), *bytes),
+                            entry => {
+                                let outcome = engine.refill_located(
+                                    image,
+                                    pc,
+                                    &location,
+                                    clb_hit,
+                                    now,
+                                    &mut memory,
+                                )?;
+                                let cycles = outcome.ready_at - now;
+                                // A refill takes at least one cycle, and far
+                                // fewer than 2^32; a value outside that is
+                                // simply timed again.
+                                let stored = u32::try_from(cycles).ok().and_then(NonZeroU32::new);
+                                if let (Some(entry), Some(stored)) = (entry, stored) {
+                                    *entry = Some((stored, outcome.bytes_fetched));
+                                }
+                                (cycles, outcome.bytes_fetched)
+                            }
+                        };
+                        counters.charge_refill(now + cycles, u64::from(bytes));
                         Ok(())
                     });
                     match ccrp {
@@ -669,6 +713,17 @@ mod tests {
         let build = |codec: &Arc<dyn LineCodec>, alignment| {
             CompressedImage::build_with_codec(0, &text, Arc::clone(codec), alignment).unwrap()
         };
+        // Xorshift bytes: incompressible, so their lines are stored raw.
+        let mut x = 0x2545_f491u32;
+        let noise: Vec<u8> = (0..4096)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                x as u8
+            })
+            .collect();
+        let noise_code = ByteCode::preselected(&ByteHistogram::of(&noise)).unwrap();
         let images = [
             ("byte-huffman", build(&huffman, BlockAlignment::Word)),
             ("positional", build(&positional, BlockAlignment::Word)),
@@ -676,6 +731,12 @@ mod tests {
             ("lzw", build(&lzw, BlockAlignment::Word)),
             // Blocks start mid-word: the schedule folds the offset in.
             ("byte-aligned", build(&huffman, BlockAlignment::Byte)),
+            // A raw refill ends at its burst's last word, so a miss right
+            // after it issues inside DRAM's precharge.
+            (
+                "incompressible",
+                CompressedImage::build(0, &noise, noise_code, BlockAlignment::Word).unwrap(),
+            ),
         ];
         let (_, byte_aligned) = &images[3];
         let mid_word = |line: u32| {
@@ -686,6 +747,8 @@ mod tests {
                 .is_multiple_of(4)
         };
         assert!((0..byte_aligned.line_count() as u32).any(mid_word));
+        let (_, incompressible) = &images[4];
+        assert!(incompressible.bypass_count() > 0);
         let configs = sweep_configs();
         for (name, image) in &images {
             for stride in [4, 2] {
