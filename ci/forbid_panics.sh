@@ -50,9 +50,14 @@
 # consumes ROMs built from fuzzed programs, so every fault must surface
 # as a typed Rv32Error/Rv32Fault — never a panic.
 #
+# The assembler (ccrp-asm) joined once the daemon's Run and SweepCell
+# requests fed it client-supplied source: every source must assemble
+# or fail with a typed AsmError, so its library code returns errors
+# where it once asserted, expected or called unreachable!.
+#
 # Scope and escape hatches:
 #   * only library source under
-#     crates/{core,compress,bitstream,testutil,difftest,emu,served,rv32,sim}/src
+#     crates/{core,compress,bitstream,testutil,difftest,emu,served,rv32,sim,asm}/src
 #     is scanned;
 #   * everything from the first `#[cfg(test)]` line to end-of-file is
 #     ignored (test modules may panic freely);
@@ -66,7 +71,7 @@ cd "$(dirname "$0")/.."
 
 hits=$(find crates/core/src crates/compress/src crates/bitstream/src \
             crates/testutil/src crates/difftest/src crates/emu/src \
-            crates/served/src crates/rv32/src crates/sim/src \
+            crates/served/src crates/rv32/src crates/sim/src crates/asm/src \
             -name '*.rs' | sort | while IFS= read -r file; do
     awk '
         /^[[:space:]]*#\[cfg\(test\)\]/ { exit }
@@ -87,4 +92,4 @@ if [ -n "$hits" ]; then
     echo "       mark a documented contract with a 'panic-ok:' comment." >&2
     exit 1
 fi
-echo "forbid_panics: crates/{core,compress,bitstream,testutil,difftest,emu,served,rv32,sim} library code is panic-free."
+echo "forbid_panics: crates/{core,compress,bitstream,testutil,difftest,emu,served,rv32,sim,asm} library code is panic-free."

@@ -1,10 +1,12 @@
 use std::collections::BTreeMap;
 
+use ccrp_isa::Instruction;
+
 use crate::error::{AsmError, AsmErrorKind};
 use crate::expr::Expr;
 use crate::image::ProgramImage;
-use crate::instrs::{encode_instr, is_control_transfer, plan_words};
-use crate::parser::{parse_line, DirArg, Item};
+use crate::instrs::{fold_case, Instr};
+use crate::parser::{DirArg, Item, Program};
 
 /// How the assembler handles branch delay slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -79,13 +81,7 @@ pub fn assemble(source: &str) -> Result<ProgramImage, AsmError> {
 ///
 /// Returns the first [`AsmError`] encountered, tagged with its source line.
 pub fn assemble_with(source: &str, options: AssembleOptions) -> Result<ProgramImage, AsmError> {
-    let mut items: Vec<(usize, Item)> = Vec::new();
-    for (idx, line) in source.lines().enumerate() {
-        let line_no = idx + 1;
-        for item in parse_line(line, line_no)? {
-            items.push((line_no, item));
-        }
-    }
+    let program = Program::parse(source)?;
 
     // ---- Pass 1: addresses and symbols ----------------------------------
     let mut symbols: BTreeMap<String, u32> = BTreeMap::new();
@@ -94,37 +90,51 @@ pub fn assemble_with(source: &str, options: AssembleOptions) -> Result<ProgramIm
     let mut data_lc = options.data_base;
     let mut mode = options.delay_slots;
 
-    for &(line_no, ref item) in &items {
-        match item {
+    for &(line_no, ref item) in &program.items {
+        match *item {
             Item::Label(name) => {
                 let addr = match section {
                     Section::Text => text_lc,
                     Section::Data => data_lc,
                 };
-                if symbols.insert(name.clone(), addr).is_some() {
+                if symbols.contains_key(name) {
                     return Err(AsmError::new(
                         line_no,
-                        AsmErrorKind::DuplicateLabel(name.clone()),
+                        AsmErrorKind::DuplicateLabel(name.to_string()),
                     ));
                 }
+                symbols.insert(name.to_string(), addr);
             }
-            Item::Instr { mnemonic, operands } => {
+            Item::Instr {
+                name,
+                mnemonic,
+                ref operands,
+            } => {
                 if section != Section::Text {
                     return Err(AsmError::new(
                         line_no,
                         AsmErrorKind::Syntax("instruction outside .text".into()),
                     ));
                 }
-                let mut words = plan_words(mnemonic, operands, line_no)?;
-                if mode == DelaySlotMode::Reorder && is_control_transfer(mnemonic) {
-                    words += 1;
-                }
-                text_lc += (words * 4) as u32;
-            }
-            Item::Directive { name, args } => {
-                directive_pass1(
+                let instr = Instr {
+                    mnemonic,
                     name,
-                    args,
+                    ops: &program.operands[operands.clone()],
+                    line: line_no,
+                };
+                let delay_nop = mode == DelaySlotMode::Reorder && instr.is_control_transfer();
+                let words = instr.plan_words()? + usize::from(delay_nop);
+                advance(&mut text_lc, words as u64 * 4, line_no)?;
+            }
+            Item::Directive {
+                name,
+                directive,
+                ref args,
+            } => {
+                directive_pass1(
+                    directive,
+                    name,
+                    &program.args[args.clone()],
                     line_no,
                     &mut section,
                     &mut text_lc,
@@ -142,38 +152,49 @@ pub fn assemble_with(source: &str, options: AssembleOptions) -> Result<ProgramIm
     section = Section::Text;
     mode = options.delay_slots;
 
-    for &(line_no, ref item) in &items {
-        match item {
+    for &(line_no, ref item) in &program.items {
+        match *item {
             Item::Label(_) => {}
-            Item::Instr { mnemonic, operands } => {
+            Item::Instr {
+                name,
+                mnemonic,
+                ref operands,
+            } => {
+                let instr = Instr {
+                    mnemonic,
+                    name,
+                    ops: &program.operands[operands.clone()],
+                    line: line_no,
+                };
                 let addr = options.text_base + text.len() as u32;
-                let mut planned = plan_words(mnemonic, operands, line_no)?;
-                let insert_nop = mode == DelaySlotMode::Reorder && is_control_transfer(mnemonic);
-                if insert_nop {
-                    planned += 1;
-                }
-                let mut encoded = encode_instr(mnemonic, operands, addr, &symbols, line_no)?;
-                if insert_nop {
-                    encoded.push(ccrp_isa::Instruction::NOP);
-                }
-                if encoded.len() != planned {
+                let delay_nop = mode == DelaySlotMode::Reorder && instr.is_control_transfer();
+                let planned = instr.plan_words()? + usize::from(delay_nop);
+                let (first, second) = instr.encode(addr, &symbols)?;
+                let words = [Some(first), second, delay_nop.then_some(Instruction::NOP)];
+                let emitted = words.iter().flatten().count();
+                if emitted != planned {
                     return Err(AsmError::new(
                         line_no,
                         AsmErrorKind::SizeMismatch {
-                            mnemonic: mnemonic.clone(),
+                            mnemonic: instr.folded_name(),
                             planned,
-                            emitted: encoded.len(),
+                            emitted,
                         },
                     ));
                 }
-                for inst in encoded {
-                    text.extend_from_slice(&inst.encode().to_le_bytes());
+                for word in words.iter().flatten() {
+                    text.extend_from_slice(&word.encode().to_le_bytes());
                 }
             }
-            Item::Directive { name, args } => {
+            Item::Directive {
+                name,
+                directive,
+                ref args,
+            } => {
                 directive_pass2(
+                    directive,
                     name,
-                    args,
+                    &program.args[args.clone()],
                     line_no,
                     &mut section,
                     &mut text,
@@ -186,6 +207,12 @@ pub fn assemble_with(source: &str, options: AssembleOptions) -> Result<ProgramIm
         }
     }
 
+    if !text.len().is_multiple_of(4) {
+        return Err(AsmError::new(
+            0,
+            AsmErrorKind::UnalignedText { size: text.len() },
+        ));
+    }
     let entry = symbols.get("main").copied().unwrap_or(options.text_base);
     Ok(ProgramImage::new(
         options.text_base,
@@ -197,93 +224,134 @@ pub fn assemble_with(source: &str, options: AssembleOptions) -> Result<ProgramIm
     ))
 }
 
-fn align_up(value: u32, align: u32) -> u32 {
-    debug_assert!(align.is_power_of_two());
-    (value + align - 1) & !(align - 1)
+/// An assembler directive, resolved once when its line is parsed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Directive {
+    Text,
+    Data,
+    /// Accepted for source compatibility and ignored: `.globl`, `.ent`, ...
+    Ignored,
+    Set,
+    Equ,
+    Align,
+    Space,
+    Byte,
+    Half,
+    Word,
+    Float,
+    Double,
+    Ascii,
+    Asciiz,
+    Unknown,
 }
 
-struct DirSize {
-    bytes: u32,
+impl Directive {
+    /// Resolves a directive name (without its `.`), in any letter case,
+    /// without allocating.
+    pub(crate) fn resolve(name: &str) -> Directive {
+        let mut buf = [0; 8];
+        match fold_case(name, &mut buf).unwrap_or_default() {
+            b"text" => Directive::Text,
+            b"data" => Directive::Data,
+            b"globl" | b"global" | b"ent" | b"end" | b"extern" | b"frame" | b"mask" | b"fmask"
+            | b"file" => Directive::Ignored,
+            b"set" => Directive::Set,
+            b"equ" => Directive::Equ,
+            b"align" => Directive::Align,
+            b"space" => Directive::Space,
+            b"byte" => Directive::Byte,
+            b"half" => Directive::Half,
+            b"word" => Directive::Word,
+            b"float" => Directive::Float,
+            b"double" => Directive::Double,
+            b"ascii" => Directive::Ascii,
+            b"asciiz" => Directive::Asciiz,
+            _ => Directive::Unknown,
+        }
+    }
 }
 
-/// Computes the size effect of a data-emitting directive without
-/// evaluating symbol-dependent arguments (only `.space`/`.align` need a
-/// value, and those must be constant).
-fn directive_size(
-    name: &str,
-    args: &[DirArg],
-    line_no: usize,
-    symbols: &BTreeMap<String, u32>,
-) -> Result<Option<DirSize>, AsmError> {
-    let unit = match name {
-        "byte" => 1,
-        "half" => 2,
-        "word" => 4,
-        "float" => 4,
-        "double" => 8,
-        "ascii" | "asciiz" => {
-            let mut total = 0u32;
-            for arg in args {
-                match arg {
-                    DirArg::Str(s) => {
-                        total += s.len() as u32;
-                        if name == "asciiz" {
-                            total += 1;
-                        }
-                    }
-                    _ => {
-                        return Err(AsmError::new(
-                            line_no,
-                            AsmErrorKind::Syntax(format!(".{name} expects string literals")),
-                        ))
-                    }
-                }
-            }
-            return Ok(Some(DirSize { bytes: total }));
-        }
-        "space" => {
-            let n = constant_arg(args, line_no, ".space", symbols)?;
-            if n < 0 {
-                return Err(AsmError::new(
-                    line_no,
-                    AsmErrorKind::ValueOutOfRange {
-                        what: ".space size",
-                        value: n,
-                    },
-                ));
-            }
-            return Ok(Some(DirSize { bytes: n as u32 }));
-        }
-        _ => return Ok(None),
-    };
-    Ok(Some(DirSize {
-        bytes: unit * args.len() as u32,
-    }))
+/// Moves a location counter on by `bytes`, which must keep it inside the
+/// 32-bit address space.
+fn advance(lc: &mut u32, bytes: u64, line_no: usize) -> Result<(), AsmError> {
+    let next = u64::from(*lc) + bytes;
+    *lc = u32::try_from(next).map_err(|_| {
+        AsmError::new(
+            line_no,
+            AsmErrorKind::ValueOutOfRange {
+                what: "32-bit location counter",
+                value: next as i64,
+            },
+        )
+    })?;
+    Ok(())
+}
+
+fn syntax(line_no: usize, msg: String) -> AsmError {
+    AsmError::new(line_no, AsmErrorKind::Syntax(msg))
 }
 
 /// Evaluates a directive's single expression argument. Symbols must have
 /// been defined on earlier lines (labels or `.equ` constants), so both
 /// passes compute identical values.
 fn constant_arg(
-    args: &[DirArg],
+    args: &[DirArg<'_>],
     line_no: usize,
     what: &str,
     symbols: &BTreeMap<String, u32>,
 ) -> Result<i64, AsmError> {
     match args {
         [DirArg::Expr(e)] => e.eval(symbols, line_no),
-        [DirArg::Ident(sym)] => Expr::Sym(sym.clone()).eval(symbols, line_no),
-        _ => Err(AsmError::new(
+        [DirArg::Ident(sym)] => Expr::Sym(sym).eval(symbols, line_no),
+        _ => Err(syntax(
             line_no,
-            AsmErrorKind::Syntax(format!("{what} expects one constant expression")),
+            format!("{what} expects one constant expression"),
         )),
     }
 }
 
+/// The `.space` size: non-negative and within the address space.
+fn space_size(
+    args: &[DirArg<'_>],
+    line_no: usize,
+    symbols: &BTreeMap<String, u32>,
+) -> Result<u32, AsmError> {
+    let n = constant_arg(args, line_no, ".space", symbols)?;
+    u32::try_from(n).map_err(|_| {
+        AsmError::new(
+            line_no,
+            AsmErrorKind::ValueOutOfRange {
+                what: ".space size",
+                value: n,
+            },
+        )
+    })
+}
+
+/// The `.align` boundary in bytes, from its exponent.
+fn alignment(
+    args: &[DirArg<'_>],
+    line_no: usize,
+    symbols: &BTreeMap<String, u32>,
+) -> Result<u32, AsmError> {
+    let n = constant_arg(args, line_no, ".align", symbols)?;
+    if !(0..=16).contains(&n) {
+        return Err(AsmError::new(
+            line_no,
+            AsmErrorKind::ValueOutOfRange {
+                what: ".align exponent",
+                value: n,
+            },
+        ));
+    }
+    Ok(1 << n)
+}
+
 #[allow(clippy::too_many_arguments)]
 fn directive_pass1(
+    directive: Directive,
     name: &str,
-    args: &[DirArg],
+    args: &[DirArg<'_>],
     line_no: usize,
     section: &mut Section,
     text_lc: &mut u32,
@@ -291,98 +359,106 @@ fn directive_pass1(
     mode: &mut DelaySlotMode,
     symbols: &mut BTreeMap<String, u32>,
 ) -> Result<(), AsmError> {
-    match name {
-        "text" => *section = Section::Text,
-        "data" => *section = Section::Data,
-        "globl" | "global" | "ent" | "end" | "extern" | "frame" | "mask" | "fmask" | "file" => {}
-        "set" => apply_set(args, line_no, mode)?,
-        "equ" => {
+    let lc = match *section {
+        Section::Text => text_lc,
+        Section::Data => data_lc,
+    };
+    let count = args.len() as u64;
+    let bytes = match directive {
+        Directive::Text => {
+            *section = Section::Text;
+            return Ok(());
+        }
+        Directive::Data => {
+            *section = Section::Data;
+            return Ok(());
+        }
+        Directive::Ignored => return Ok(()),
+        Directive::Set => return apply_set(args, line_no, mode),
+        Directive::Equ => {
             let (name, value) = equ_args(args, symbols, line_no)?;
-            if symbols.insert(name.clone(), value).is_some() {
-                return Err(AsmError::new(line_no, AsmErrorKind::DuplicateLabel(name)));
-            }
-        }
-        "align" => {
-            let n = constant_arg(args, line_no, ".align", symbols)?;
-            if !(0..=16).contains(&n) {
+            if symbols.contains_key(name) {
                 return Err(AsmError::new(
                     line_no,
-                    AsmErrorKind::ValueOutOfRange {
-                        what: ".align exponent",
-                        value: n,
-                    },
+                    AsmErrorKind::DuplicateLabel(name.to_string()),
                 ));
             }
-            let align = 1u32 << n;
-            match *section {
-                Section::Text => *text_lc = align_up(*text_lc, align),
-                Section::Data => *data_lc = align_up(*data_lc, align),
+            symbols.insert(name.to_string(), value);
+            return Ok(());
+        }
+        Directive::Align => {
+            let align = u64::from(alignment(args, line_no, symbols)?);
+            u64::from(*lc).next_multiple_of(align) - u64::from(*lc)
+        }
+        Directive::Space => u64::from(space_size(args, line_no, symbols)?),
+        Directive::Ascii | Directive::Asciiz => {
+            let mut total = 0;
+            for arg in args {
+                let DirArg::Str(s) = arg else {
+                    return Err(syntax(
+                        line_no,
+                        format!(".{} expects string literals", name.to_ascii_lowercase()),
+                    ));
+                };
+                total += s.len() as u64 + u64::from(directive == Directive::Asciiz);
             }
+            total
         }
-        _ => {
-            let Some(size) = directive_size(name, args, line_no, symbols)? else {
-                return Err(AsmError::new(
-                    line_no,
-                    AsmErrorKind::UnknownMnemonic(format!(".{name}")),
-                ));
-            };
-            let lc = match *section {
-                Section::Text => text_lc,
-                Section::Data => data_lc,
-            };
-            *lc += size.bytes;
+        Directive::Byte => count,
+        Directive::Half => 2 * count,
+        Directive::Word | Directive::Float => 4 * count,
+        Directive::Double => 8 * count,
+        Directive::Unknown => {
+            return Err(AsmError::new(
+                line_no,
+                AsmErrorKind::UnknownMnemonic(format!(".{}", name.to_ascii_lowercase())),
+            ))
         }
-    }
-    Ok(())
+    };
+    advance(lc, bytes, line_no)
 }
 
-fn apply_set(args: &[DirArg], line_no: usize, mode: &mut DelaySlotMode) -> Result<(), AsmError> {
+fn apply_set(
+    args: &[DirArg<'_>],
+    line_no: usize,
+    mode: &mut DelaySlotMode,
+) -> Result<(), AsmError> {
     match args {
         [DirArg::Ident(word)] => {
-            match word.as_str() {
+            match *word {
                 "reorder" => *mode = DelaySlotMode::Reorder,
                 "noreorder" => *mode = DelaySlotMode::NoReorder,
                 // accepted and ignored for source compatibility
                 "noat" | "at" | "nomacro" | "macro" | "volatile" | "novolatile" => {}
-                other => {
-                    return Err(AsmError::new(
-                        line_no,
-                        AsmErrorKind::Syntax(format!("unknown .set option `{other}`")),
-                    ))
-                }
+                other => return Err(syntax(line_no, format!("unknown .set option `{other}`"))),
             }
             Ok(())
         }
-        _ => Err(AsmError::new(
-            line_no,
-            AsmErrorKind::Syntax(".set expects one option name".into()),
-        )),
+        _ => Err(syntax(line_no, ".set expects one option name".into())),
     }
 }
 
-fn equ_args(
-    args: &[DirArg],
+fn equ_args<'a>(
+    args: &[DirArg<'a>],
     symbols: &BTreeMap<String, u32>,
     line_no: usize,
-) -> Result<(String, u32), AsmError> {
+) -> Result<(&'a str, u32), AsmError> {
     match args {
         [DirArg::Ident(name), DirArg::Expr(e)] => {
             // .equ may reference previously defined symbols only, so both
             // passes compute identical values.
             let v = e.eval(symbols, line_no)?;
-            Ok((name.clone(), v as u32))
+            Ok((name, v as u32))
         }
-        _ => Err(AsmError::new(
-            line_no,
-            AsmErrorKind::Syntax(".equ expects `name, expression`".into()),
-        )),
+        _ => Err(syntax(line_no, ".equ expects `name, expression`".into())),
     }
 }
 
 #[allow(clippy::too_many_arguments)]
 fn directive_pass2(
+    directive: Directive,
     name: &str,
-    args: &[DirArg],
+    args: &[DirArg<'_>],
     line_no: usize,
     section: &mut Section,
     text: &mut Vec<u8>,
@@ -391,150 +467,105 @@ fn directive_pass2(
     mode: &mut DelaySlotMode,
     symbols: &BTreeMap<String, u32>,
 ) -> Result<(), AsmError> {
-    match name {
-        "text" => {
+    let (buf, base) = match directive {
+        Directive::Text => {
             *section = Section::Text;
             return Ok(());
         }
-        "data" => {
+        Directive::Data => {
             *section = Section::Data;
             return Ok(());
         }
-        "globl" | "global" | "ent" | "end" | "extern" | "frame" | "mask" | "fmask" | "file"
-        | "equ" => return Ok(()),
-        "set" => return apply_set(args, line_no, mode),
-        _ => {}
-    }
-
-    let (buf, base) = match *section {
-        Section::Text => (text, options.text_base),
-        Section::Data => (data, options.data_base),
+        Directive::Ignored | Directive::Equ | Directive::Unknown => return Ok(()),
+        Directive::Set => return apply_set(args, line_no, mode),
+        _ => match *section {
+            Section::Text => (text, options.text_base),
+            Section::Data => (data, options.data_base),
+        },
     };
-
-    if name == "align" {
-        let n = constant_arg(args, line_no, ".align", symbols)?;
-        let align = 1u32 << n;
-        let target = align_up(base + buf.len() as u32, align);
-        buf.resize((target - base) as usize, 0);
-        return Ok(());
-    }
 
     // Data directives emit at the current location counter; alignment is
     // the programmer's responsibility via `.align`, as in classic `as`.
-    let arg_value = |arg: &DirArg| -> Result<i64, AsmError> {
+    // Pass 1 has checked every size and kept the counters in range.
+    let integer = |arg: &DirArg<'_>| -> Result<i64, AsmError> {
         match arg {
             DirArg::Expr(e) => e.eval(symbols, line_no),
-            DirArg::Ident(sym) => Expr::Sym(sym.clone()).eval(symbols, line_no),
-            DirArg::Float(_) | DirArg::Str(_) => Err(AsmError::new(
+            DirArg::Ident(sym) => Expr::Sym(sym).eval(symbols, line_no),
+            DirArg::Float(_) | DirArg::Str(_) => Err(syntax(
                 line_no,
-                AsmErrorKind::Syntax(format!(".{name} expects integer expressions")),
+                format!(".{} expects integer expressions", name.to_ascii_lowercase()),
             )),
         }
     };
+    let float = |arg: &DirArg<'_>| -> Result<f64, AsmError> {
+        match arg {
+            DirArg::Float(v) => Ok(*v),
+            DirArg::Expr(e) if e.is_constant() => Ok(e.eval(symbols, line_no)? as f64),
+            _ => Err(syntax(
+                line_no,
+                format!(".{} expects numeric literals", name.to_ascii_lowercase()),
+            )),
+        }
+    };
+    let in_range = |v: i64, lo: i64, hi: i64, what: &'static str| {
+        if (lo..=hi).contains(&v) {
+            Ok(v)
+        } else {
+            Err(AsmError::new(
+                line_no,
+                AsmErrorKind::ValueOutOfRange { what, value: v },
+            ))
+        }
+    };
 
-    match name {
-        "byte" => {
+    match directive {
+        Directive::Align => {
+            let align = alignment(args, line_no, symbols)?;
+            let target = (base + buf.len() as u32).next_multiple_of(align);
+            buf.resize((target - base) as usize, 0);
+        }
+        Directive::Space => {
+            let n = space_size(args, line_no, symbols)?;
+            buf.resize(buf.len() + n as usize, 0);
+        }
+        Directive::Byte => {
             for arg in args {
-                let v = arg_value(arg)?;
-                if !(-128..=255).contains(&v) {
-                    return Err(AsmError::new(
-                        line_no,
-                        AsmErrorKind::ValueOutOfRange {
-                            what: ".byte value",
-                            value: v,
-                        },
-                    ));
-                }
+                let v = in_range(integer(arg)?, -128, 255, ".byte value")?;
                 buf.push(v as u8);
             }
         }
-        "half" => {
+        Directive::Half => {
             for arg in args {
-                let v = arg_value(arg)?;
-                if !(-32768..=65535).contains(&v) {
-                    return Err(AsmError::new(
-                        line_no,
-                        AsmErrorKind::ValueOutOfRange {
-                            what: ".half value",
-                            value: v,
-                        },
-                    ));
-                }
+                let v = in_range(integer(arg)?, -32768, 65535, ".half value")?;
                 buf.extend_from_slice(&(v as u16).to_le_bytes());
             }
         }
-        "word" => {
+        Directive::Word => {
             for arg in args {
-                let v = arg_value(arg)?;
-                if v < i64::from(i32::MIN) || v > i64::from(u32::MAX) {
-                    return Err(AsmError::new(
-                        line_no,
-                        AsmErrorKind::ValueOutOfRange {
-                            what: ".word value",
-                            value: v,
-                        },
-                    ));
-                }
+                let (lo, hi) = (i64::from(i32::MIN), i64::from(u32::MAX));
+                let v = in_range(integer(arg)?, lo, hi, ".word value")?;
                 buf.extend_from_slice(&(v as u32).to_le_bytes());
             }
         }
-        "float" => {
+        Directive::Float => {
             for arg in args {
-                let v = match arg {
-                    DirArg::Float(v) => *v,
-                    DirArg::Expr(e) if e.is_constant() => e.eval(symbols, line_no)? as f64,
-                    _ => {
-                        return Err(AsmError::new(
-                            line_no,
-                            AsmErrorKind::Syntax(".float expects numeric literals".into()),
-                        ))
-                    }
-                };
-                buf.extend_from_slice(&(v as f32).to_le_bytes());
+                buf.extend_from_slice(&(float(arg)? as f32).to_le_bytes());
             }
         }
-        "double" => {
+        Directive::Double => {
             for arg in args {
-                let v = match arg {
-                    DirArg::Float(v) => *v,
-                    DirArg::Expr(e) if e.is_constant() => e.eval(symbols, line_no)? as f64,
-                    _ => {
-                        return Err(AsmError::new(
-                            line_no,
-                            AsmErrorKind::Syntax(".double expects numeric literals".into()),
-                        ))
-                    }
-                };
-                buf.extend_from_slice(&v.to_le_bytes());
+                buf.extend_from_slice(&float(arg)?.to_le_bytes());
             }
         }
-        "ascii" | "asciiz" => {
+        _ => {
             for arg in args {
-                match arg {
-                    DirArg::Str(s) => {
-                        buf.extend_from_slice(s.as_bytes());
-                        if name == "asciiz" {
-                            buf.push(0);
-                        }
-                    }
-                    _ => {
-                        return Err(AsmError::new(
-                            line_no,
-                            AsmErrorKind::Syntax(format!(".{name} expects string literals")),
-                        ))
+                if let DirArg::Str(s) = arg {
+                    buf.extend_from_slice(s.as_bytes());
+                    if directive == Directive::Asciiz {
+                        buf.push(0);
                     }
                 }
             }
-        }
-        "space" => {
-            let n = constant_arg(args, line_no, ".space", symbols)?;
-            buf.resize(buf.len() + n as usize, 0);
-        }
-        other => {
-            return Err(AsmError::new(
-                line_no,
-                AsmErrorKind::UnknownMnemonic(format!(".{other}")),
-            ))
         }
     }
     Ok(())

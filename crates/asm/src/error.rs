@@ -63,6 +63,17 @@ pub enum AsmErrorKind {
     DivideByZero,
     /// An underlying ISA-level error (bad register, field overflow, ...).
     Isa(IsaError),
+    /// An operand's expression holds more operators and parentheses than
+    /// the assembler will nest.
+    ExprTooDeep {
+        /// The most operators and parentheses one expression may hold.
+        limit: usize,
+    },
+    /// Data directives left the text segment ending in a partial word.
+    UnalignedText {
+        /// The text segment's size in bytes.
+        size: usize,
+    },
     /// The two assembler passes disagreed about an instruction's size;
     /// this indicates an assembler bug, surfaced as an error for safety.
     SizeMismatch {
@@ -102,6 +113,14 @@ impl fmt::Display for AsmError {
             }
             AsmErrorKind::DivideByZero => write!(f, "division by zero in constant expression"),
             AsmErrorKind::Isa(e) => write!(f, "{e}"),
+            AsmErrorKind::ExprTooDeep { limit } => write!(
+                f,
+                "expression holds more than {limit} operators and parentheses"
+            ),
+            AsmErrorKind::UnalignedText { size } => write!(
+                f,
+                "text segment of {size} bytes is not a whole number of words"
+            ),
             AsmErrorKind::SizeMismatch {
                 mnemonic,
                 planned,

@@ -3,111 +3,104 @@ use std::collections::BTreeMap;
 use crate::error::{AsmError, AsmErrorKind};
 use crate::token::Token;
 
+/// The most operators and parenthesis pairs one operand's expression may
+/// hold. Parsing recurses once per parenthesis and unary operator, and
+/// evaluation once per operator, so this bounds both: a hostile source
+/// gets [`AsmErrorKind::ExprTooDeep`] instead of overflowing the stack.
+pub(crate) const MAX_EXPR_DEPTH: usize = 256;
+
 /// A constant expression appearing as an instruction or directive operand.
 ///
 /// Symbols are resolved against the final symbol table during pass 2, so
 /// forward references assemble correctly.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Expr {
+pub(crate) enum Expr<'a> {
     /// Integer literal.
     Num(i64),
     /// Symbol reference (label or `.equ` constant).
-    Sym(String),
+    Sym(&'a str),
     /// Binary operation.
-    Bin(BinOp, Box<Expr>, Box<Expr>),
+    Bin(BinOp, Box<Expr<'a>>, Box<Expr<'a>>),
     /// Unary negation.
-    Neg(Box<Expr>),
+    Neg(Box<Expr<'a>>),
     /// Bitwise complement.
-    Not(Box<Expr>),
+    Not(Box<Expr<'a>>),
     /// `%hi(expr)` — the high 16 bits, adjusted for the signed `lo` part
     /// exactly as MIPS linkers compute it.
-    Hi(Box<Expr>),
+    Hi(Box<Expr<'a>>),
     /// `%lo(expr)` — the low 16 bits.
-    Lo(Box<Expr>),
+    Lo(Box<Expr<'a>>),
 }
 
 /// Binary operators, in C-like precedence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BinOp {
-    /// Addition.
+pub(crate) enum BinOp {
     Add,
-    /// Subtraction.
     Sub,
-    /// Multiplication.
     Mul,
     /// Truncating division.
     Div,
-    /// Left shift (`<<`).
     Shl,
     /// Logical right shift (`>>`).
     Shr,
-    /// Bitwise AND.
     And,
-    /// Bitwise OR.
     Or,
-    /// Bitwise XOR.
     Xor,
 }
 
-/// A cursor over a token slice shared by the operand and expression parsers.
+/// A cursor over one line's tokens, shared by the operand and expression
+/// parsers.
 #[derive(Debug)]
-pub struct Cursor<'a> {
-    tokens: &'a [Token],
+pub(crate) struct Cursor<'t, 'a> {
+    tokens: &'t [Token<'a>],
     pos: usize,
     line: usize,
+    /// Operators and parentheses spent by the expression being parsed.
+    depth: usize,
 }
 
-impl<'a> Cursor<'a> {
+impl<'t, 'a> Cursor<'t, 'a> {
     /// Creates a cursor at the start of `tokens`, reporting errors at `line`.
-    pub fn new(tokens: &'a [Token], line: usize) -> Self {
+    pub(crate) fn new(tokens: &'t [Token<'a>], line: usize) -> Self {
         Self {
             tokens,
             pos: 0,
             line,
+            depth: 0,
         }
     }
 
-    /// Peeks the next token without consuming it.
-    pub fn peek(&self) -> Option<&'a Token> {
-        self.tokens.get(self.pos)
-    }
-
-    /// Peeks `ahead` tokens past the cursor (0 = same as [`peek`][Self::peek]).
-    pub fn peek_at(&self, ahead: usize) -> Option<&'a Token> {
+    /// Peeks `ahead` tokens past the cursor (0 = the next token).
+    pub(crate) fn peek_at(&self, ahead: usize) -> Option<&'t Token<'a>> {
         self.tokens.get(self.pos + ahead)
     }
 
-    /// Number of tokens consumed so far.
-    pub fn consumed(&self) -> usize {
-        self.pos
+    /// Peeks the next token without consuming it.
+    pub(crate) fn peek(&self) -> Option<&'t Token<'a>> {
+        self.peek_at(0)
     }
 
     /// Consumes and returns the next token.
-    pub fn next(&mut self) -> Option<&'a Token> {
-        let tok = self.tokens.get(self.pos);
-        if tok.is_some() {
-            self.pos += 1;
-        }
+    pub(crate) fn next(&mut self) -> Option<&'t Token<'a>> {
+        let tok = self.peek();
+        self.pos += usize::from(tok.is_some());
         tok
     }
 
     /// True when all tokens are consumed.
-    pub fn at_end(&self) -> bool {
+    pub(crate) fn at_end(&self) -> bool {
         self.pos >= self.tokens.len()
     }
 
     /// Consumes the next token if it equals `punct`.
-    pub fn eat_punct(&mut self, punct: char) -> bool {
-        if self.peek() == Some(&Token::Punct(punct)) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
+    pub(crate) fn eat_punct(&mut self, punct: char) -> bool {
+        let hit = self.peek() == Some(&Token::Punct(punct));
+        self.pos += usize::from(hit);
+        hit
     }
 
     /// Requires `punct` as the next token.
-    pub fn expect_punct(&mut self, punct: char) -> Result<(), AsmError> {
+    pub(crate) fn expect_punct(&mut self, punct: char) -> Result<(), AsmError> {
         if self.eat_punct(punct) {
             Ok(())
         } else {
@@ -116,145 +109,118 @@ impl<'a> Cursor<'a> {
     }
 
     /// Builds a syntax error at this cursor's line.
-    pub fn syntax(&self, msg: impl Into<String>) -> AsmError {
+    pub(crate) fn syntax(&self, msg: impl Into<String>) -> AsmError {
         AsmError::new(self.line, AsmErrorKind::Syntax(msg.into()))
+    }
+
+    /// Spends one operator or parenthesis of the expression's budget.
+    fn deepen(&mut self) -> Result<(), AsmError> {
+        self.depth += 1;
+        if self.depth > MAX_EXPR_DEPTH {
+            return Err(AsmError::new(
+                self.line,
+                AsmErrorKind::ExprTooDeep {
+                    limit: MAX_EXPR_DEPTH,
+                },
+            ));
+        }
+        Ok(())
+    }
+
+    /// The binary operator at the cursor, its precedence (higher binds
+    /// tighter) and its width in tokens.
+    fn peek_binop(&self) -> Option<(BinOp, u8, usize)> {
+        let Some(Token::Punct(c)) = self.peek() else {
+            return None;
+        };
+        let doubled = self.peek_at(1) == Some(&Token::Punct(*c));
+        Some(match c {
+            '|' => (BinOp::Or, 0, 1),
+            '^' => (BinOp::Xor, 1, 1),
+            '&' => (BinOp::And, 2, 1),
+            '<' if doubled => (BinOp::Shl, 3, 2),
+            '>' if doubled => (BinOp::Shr, 3, 2),
+            '+' => (BinOp::Add, 4, 1),
+            '-' => (BinOp::Sub, 4, 1),
+            '*' => (BinOp::Mul, 5, 1),
+            '/' => (BinOp::Div, 5, 1),
+            _ => return None,
+        })
     }
 }
 
-/// Parses an expression at C-like precedence from `cur`.
+/// Parses one operand's expression at C-like precedence from `cur`.
 ///
 /// Grammar (loosest to tightest): `|` `^` `&`, shifts, `+ -`, `* /`,
-/// unary `- ~ %hi %lo`, atoms (number, symbol, parenthesized).
+/// unary `- ~ + %hi %lo`, atoms (number, symbol, parenthesized). A
+/// negated or complemented literal folds into the literal it evaluates
+/// to.
 ///
 /// # Errors
 ///
-/// Returns a syntax error if no valid expression starts at the cursor.
-pub fn parse_expr(cur: &mut Cursor<'_>) -> Result<Expr, AsmError> {
-    parse_or(cur)
+/// Returns a syntax error if no valid expression starts at the cursor,
+/// and [`AsmErrorKind::ExprTooDeep`] past [`MAX_EXPR_DEPTH`] operators
+/// and parentheses.
+pub(crate) fn parse_expr<'a>(cur: &mut Cursor<'_, 'a>) -> Result<Expr<'a>, AsmError> {
+    cur.depth = 0;
+    parse_binary(cur, 0)
 }
 
-fn parse_or(cur: &mut Cursor<'_>) -> Result<Expr, AsmError> {
-    let mut lhs = parse_xor(cur)?;
-    while cur.eat_punct('|') {
-        let rhs = parse_xor(cur)?;
-        lhs = Expr::Bin(BinOp::Or, Box::new(lhs), Box::new(rhs));
-    }
-    Ok(lhs)
-}
-
-fn parse_xor(cur: &mut Cursor<'_>) -> Result<Expr, AsmError> {
-    let mut lhs = parse_and(cur)?;
-    while cur.eat_punct('^') {
-        let rhs = parse_and(cur)?;
-        lhs = Expr::Bin(BinOp::Xor, Box::new(lhs), Box::new(rhs));
-    }
-    Ok(lhs)
-}
-
-fn parse_and(cur: &mut Cursor<'_>) -> Result<Expr, AsmError> {
-    let mut lhs = parse_shift(cur)?;
-    while cur.eat_punct('&') {
-        let rhs = parse_shift(cur)?;
-        lhs = Expr::Bin(BinOp::And, Box::new(lhs), Box::new(rhs));
-    }
-    Ok(lhs)
-}
-
-fn parse_shift(cur: &mut Cursor<'_>) -> Result<Expr, AsmError> {
-    let mut lhs = parse_additive(cur)?;
-    loop {
-        if cur.peek() == Some(&Token::Punct('<')) {
-            let save = cur.pos;
-            cur.next();
-            if !cur.eat_punct('<') {
-                cur.pos = save;
-                break;
-            }
-            let rhs = parse_additive(cur)?;
-            lhs = Expr::Bin(BinOp::Shl, Box::new(lhs), Box::new(rhs));
-        } else if cur.peek() == Some(&Token::Punct('>')) {
-            let save = cur.pos;
-            cur.next();
-            if !cur.eat_punct('>') {
-                cur.pos = save;
-                break;
-            }
-            let rhs = parse_additive(cur)?;
-            lhs = Expr::Bin(BinOp::Shr, Box::new(lhs), Box::new(rhs));
-        } else {
-            break;
-        }
-    }
-    Ok(lhs)
-}
-
-fn parse_additive(cur: &mut Cursor<'_>) -> Result<Expr, AsmError> {
-    let mut lhs = parse_multiplicative(cur)?;
-    loop {
-        if cur.eat_punct('+') {
-            let rhs = parse_multiplicative(cur)?;
-            lhs = Expr::Bin(BinOp::Add, Box::new(lhs), Box::new(rhs));
-        } else if cur.eat_punct('-') {
-            let rhs = parse_multiplicative(cur)?;
-            lhs = Expr::Bin(BinOp::Sub, Box::new(lhs), Box::new(rhs));
-        } else {
-            break;
-        }
-    }
-    Ok(lhs)
-}
-
-fn parse_multiplicative(cur: &mut Cursor<'_>) -> Result<Expr, AsmError> {
+/// Precedence climbing: operators binding at least `min_prec`, each
+/// left-associative.
+fn parse_binary<'a>(cur: &mut Cursor<'_, 'a>, min_prec: u8) -> Result<Expr<'a>, AsmError> {
     let mut lhs = parse_unary(cur)?;
-    loop {
-        if cur.eat_punct('*') {
-            let rhs = parse_unary(cur)?;
-            lhs = Expr::Bin(BinOp::Mul, Box::new(lhs), Box::new(rhs));
-        } else if cur.eat_punct('/') {
-            let rhs = parse_unary(cur)?;
-            lhs = Expr::Bin(BinOp::Div, Box::new(lhs), Box::new(rhs));
-        } else {
+    while let Some((op, prec, width)) = cur.peek_binop() {
+        if prec < min_prec {
             break;
         }
+        cur.deepen()?;
+        cur.pos += width;
+        let rhs = parse_binary(cur, prec + 1)?;
+        lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
     }
     Ok(lhs)
 }
 
-fn parse_unary(cur: &mut Cursor<'_>) -> Result<Expr, AsmError> {
-    if cur.eat_punct('-') {
-        return Ok(Expr::Neg(Box::new(parse_unary(cur)?)));
+fn parse_unary<'a>(cur: &mut Cursor<'_, 'a>) -> Result<Expr<'a>, AsmError> {
+    let token = cur.next();
+    if matches!(
+        token,
+        Some(Token::Punct('-' | '~' | '+' | '(') | Token::HiOp | Token::LoOp)
+    ) {
+        cur.deepen()?;
     }
-    if cur.eat_punct('~') {
-        return Ok(Expr::Not(Box::new(parse_unary(cur)?)));
-    }
-    if cur.eat_punct('+') {
-        return parse_unary(cur);
-    }
-    match cur.next() {
+    match token {
+        Some(Token::Punct('-')) => Ok(match parse_unary(cur)? {
+            Expr::Num(n) => Expr::Num(n.wrapping_neg()),
+            e => Expr::Neg(Box::new(e)),
+        }),
+        Some(Token::Punct('~')) => Ok(match parse_unary(cur)? {
+            Expr::Num(n) => Expr::Num(!n),
+            e => Expr::Not(Box::new(e)),
+        }),
+        Some(Token::Punct('+')) => parse_unary(cur),
         Some(Token::Num(n)) => Ok(Expr::Num(*n)),
-        Some(Token::Ident(name)) => Ok(Expr::Sym(name.clone())),
-        Some(Token::HiOp) => {
-            cur.expect_punct('(')?;
-            let inner = parse_expr(cur)?;
-            cur.expect_punct(')')?;
-            Ok(Expr::Hi(Box::new(inner)))
-        }
-        Some(Token::LoOp) => {
-            cur.expect_punct('(')?;
-            let inner = parse_expr(cur)?;
-            cur.expect_punct(')')?;
-            Ok(Expr::Lo(Box::new(inner)))
-        }
-        Some(Token::Punct('(')) => {
-            let inner = parse_expr(cur)?;
-            cur.expect_punct(')')?;
-            Ok(inner)
-        }
+        Some(&Token::Ident(name)) => Ok(Expr::Sym(name)),
+        Some(Token::HiOp) => Ok(Expr::Hi(Box::new(parse_group(cur, true)?))),
+        Some(Token::LoOp) => Ok(Expr::Lo(Box::new(parse_group(cur, true)?))),
+        Some(Token::Punct('(')) => parse_group(cur, false),
         other => Err(cur.syntax(format!("expected expression, found {other:?}"))),
     }
 }
 
-impl Expr {
+/// A parenthesized expression whose `(` is consumed already, or is the
+/// next token when `open` (after `%hi`/`%lo`).
+fn parse_group<'a>(cur: &mut Cursor<'_, 'a>, open: bool) -> Result<Expr<'a>, AsmError> {
+    if open {
+        cur.expect_punct('(')?;
+    }
+    let inner = parse_binary(cur, 0)?;
+    cur.expect_punct(')')?;
+    Ok(inner)
+}
+
+impl Expr<'_> {
     /// Evaluates the expression against a symbol table.
     ///
     /// # Errors
@@ -262,13 +228,16 @@ impl Expr {
     /// [`AsmErrorKind::UndefinedSymbol`] for an unknown name or
     /// [`AsmErrorKind::DivideByZero`] for a zero divisor; errors carry
     /// `line` for reporting.
-    pub fn eval(&self, symbols: &BTreeMap<String, u32>, line: usize) -> Result<i64, AsmError> {
+    pub(crate) fn eval(
+        &self,
+        symbols: &BTreeMap<String, u32>,
+        line: usize,
+    ) -> Result<i64, AsmError> {
         match self {
             Expr::Num(n) => Ok(*n),
-            Expr::Sym(name) => symbols
-                .get(name)
-                .map(|&v| i64::from(v))
-                .ok_or_else(|| AsmError::new(line, AsmErrorKind::UndefinedSymbol(name.clone()))),
+            Expr::Sym(name) => symbols.get(*name).map(|&v| i64::from(v)).ok_or_else(|| {
+                AsmError::new(line, AsmErrorKind::UndefinedSymbol(name.to_string()))
+            }),
             Expr::Neg(e) => Ok(e.eval(symbols, line)?.wrapping_neg()),
             Expr::Not(e) => Ok(!e.eval(symbols, line)?),
             Expr::Hi(e) => {
@@ -305,7 +274,7 @@ impl Expr {
     }
 
     /// True when the expression references no symbols (pure literal).
-    pub fn is_constant(&self) -> bool {
+    pub(crate) fn is_constant(&self) -> bool {
         match self {
             Expr::Num(_) => true,
             Expr::Sym(_) => false,
@@ -320,14 +289,19 @@ mod tests {
     use super::*;
     use crate::token::tokenize_line;
 
-    fn eval_str(src: &str, symbols: &[(&str, u32)]) -> Result<i64, AsmError> {
-        let toks = tokenize_line(src, 1).unwrap();
+    fn parse(src: &str) -> Result<Expr<'_>, AsmError> {
+        let mut toks = Vec::new();
+        tokenize_line(src, 1, &mut toks).unwrap();
         let mut cur = Cursor::new(&toks, 1);
         let expr = parse_expr(&mut cur)?;
         assert!(cur.at_end(), "trailing tokens in {src}");
+        Ok(expr)
+    }
+
+    fn eval_str(src: &str, symbols: &[(&str, u32)]) -> Result<i64, AsmError> {
         let table: BTreeMap<String, u32> =
             symbols.iter().map(|&(k, v)| (k.to_string(), v)).collect();
-        expr.eval(&table, 1)
+        parse(src)?.eval(&table, 1)
     }
 
     #[test]
@@ -338,6 +312,8 @@ mod tests {
         assert_eq!(eval_str("255 & 0x0F", &[]).unwrap(), 15);
         assert_eq!(eval_str("6/2-1", &[]).unwrap(), 2);
         assert_eq!(eval_str("0x10 >> 2", &[]).unwrap(), 4);
+        assert_eq!(eval_str("10-4-3", &[]).unwrap(), 3);
+        assert_eq!(eval_str("1|6^3&5", &[]).unwrap(), 1 | (6 ^ (3 & 5)));
     }
 
     #[test]
@@ -345,6 +321,9 @@ mod tests {
         assert_eq!(eval_str("-5", &[]).unwrap(), -5);
         assert_eq!(eval_str("~0", &[]).unwrap(), -1);
         assert_eq!(eval_str("--3", &[]).unwrap(), 3);
+        // A negated literal is the literal; a negated symbol stays a node.
+        assert_eq!(parse("-5").unwrap(), Expr::Num(-5));
+        assert_eq!(parse("-a").unwrap(), Expr::Neg(Box::new(Expr::Sym("a"))));
     }
 
     #[test]
@@ -377,11 +356,23 @@ mod tests {
 
     #[test]
     fn constant_detection() {
-        let toks = tokenize_line("3*(4+1)", 1).unwrap();
-        let expr = parse_expr(&mut Cursor::new(&toks, 1)).unwrap();
-        assert!(expr.is_constant());
-        let toks = tokenize_line("label+4", 1).unwrap();
-        let expr = parse_expr(&mut Cursor::new(&toks, 1)).unwrap();
-        assert!(!expr.is_constant());
+        assert!(parse("3*(4+1)").unwrap().is_constant());
+        assert!(!parse("label+4").unwrap().is_constant());
+    }
+
+    #[test]
+    fn depth_is_bounded() {
+        let nested = |n| format!("{}1{}", "(".repeat(n), ")".repeat(n));
+        assert_eq!(eval_str(&nested(MAX_EXPR_DEPTH), &[]).unwrap(), 1);
+        let too_deep = AsmErrorKind::ExprTooDeep {
+            limit: MAX_EXPR_DEPTH,
+        };
+        for src in [
+            nested(MAX_EXPR_DEPTH + 1),
+            format!("{}1", "-".repeat(MAX_EXPR_DEPTH + 1)),
+            format!("1{}", "+1".repeat(MAX_EXPR_DEPTH + 1)),
+        ] {
+            assert_eq!(parse(&src).unwrap_err().kind, too_deep);
+        }
     }
 }

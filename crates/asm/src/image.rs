@@ -33,6 +33,8 @@ pub struct ProgramImage {
 }
 
 impl ProgramImage {
+    /// An image from assembled segments; `text` is whole words (the
+    /// assembler rejects a source that leaves a partial one).
     pub(crate) fn new(
         text_base: u32,
         text: Vec<u8>,
@@ -41,7 +43,6 @@ impl ProgramImage {
         entry: u32,
         symbols: BTreeMap<String, u32>,
     ) -> Self {
-        assert_eq!(text.len() % 4, 0, "text segment must be whole words");
         Self {
             text_base,
             text,

@@ -52,9 +52,7 @@ mod token;
 
 pub use assembler::{assemble, assemble_with, AssembleOptions, DelaySlotMode};
 pub use error::{AsmError, AsmErrorKind};
-pub use expr::{BinOp, Expr};
 pub use image::ProgramImage;
-pub use parser::{DirArg, Item, Operand};
 
 #[cfg(test)]
 mod tests {

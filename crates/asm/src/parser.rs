@@ -1,231 +1,216 @@
+use std::ops::Range;
+
 use ccrp_isa::{FpReg, Reg};
 
+use crate::assembler::Directive;
 use crate::error::AsmError;
 use crate::expr::{parse_expr, Cursor, Expr};
+use crate::instrs::Mnemonic;
 use crate::token::{tokenize_line, Token};
 
 /// One operand of an instruction.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Operand {
+pub(crate) enum Operand<'a> {
     /// A general-purpose register.
     Reg(Reg),
     /// A floating-point register.
     Fp(FpReg),
     /// A constant expression (immediate, branch target, symbol).
-    Expr(Expr),
+    Expr(Expr<'a>),
     /// A memory operand `offset(base)`.
-    Mem {
-        /// The signed displacement expression.
-        offset: Expr,
-        /// The base register.
-        base: Reg,
-    },
+    Mem { offset: Expr<'a>, base: Reg },
 }
 
 /// One argument of a directive.
 #[derive(Debug, Clone, PartialEq)]
-pub enum DirArg {
+pub(crate) enum DirArg<'a> {
     /// A constant expression.
-    Expr(Expr),
+    Expr(Expr<'a>),
     /// A string literal.
     Str(String),
     /// A floating-point literal.
     Float(f64),
     /// A bare identifier (e.g. the mode name in `.set noreorder`).
-    Ident(String),
+    Ident(&'a str),
 }
 
 /// A parsed source item. One source line can produce several items
-/// (labels followed by an instruction, for example).
+/// (labels followed by an instruction, for example). Names borrow from
+/// the source; operands and arguments live in the [`Program`]'s arenas.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Item {
+pub(crate) enum Item<'a> {
     /// A label definition (`name:`).
-    Label(String),
+    Label(&'a str),
     /// An instruction or pseudo-instruction.
     Instr {
-        /// Lower-cased mnemonic.
-        mnemonic: String,
-        /// Parsed operands in source order.
-        operands: Vec<Operand>,
+        /// The name as written.
+        name: &'a str,
+        mnemonic: Mnemonic,
+        /// Indices into [`Program::operands`], in source order.
+        operands: Range<usize>,
     },
-    /// An assembler directive (leading `.` stripped, lower-cased).
+    /// An assembler directive.
     Directive {
-        /// Directive name, e.g. `word`.
-        name: String,
-        /// Directive arguments.
-        args: Vec<DirArg>,
+        /// The name as written, without its leading `.`.
+        name: &'a str,
+        directive: Directive,
+        /// Indices into [`Program::args`], in source order.
+        args: Range<usize>,
     },
 }
 
-/// Parses one source line into items (possibly empty for blank/comment
-/// lines).
-///
-/// # Errors
-///
-/// Propagates tokenizer errors and reports malformed operands, all tagged
-/// with `line_no`.
-pub fn parse_line(line: &str, line_no: usize) -> Result<Vec<Item>, AsmError> {
-    let tokens = tokenize_line(line, line_no)?;
-    let mut cur = Cursor::new(&tokens, line_no);
-    let mut items = Vec::new();
+/// A whole source, parsed: its items with their 1-based lines, and the
+/// two arenas the items' operand and argument ranges index.
+#[derive(Debug, Default)]
+pub(crate) struct Program<'a> {
+    pub(crate) items: Vec<(usize, Item<'a>)>,
+    pub(crate) operands: Vec<Operand<'a>>,
+    pub(crate) args: Vec<DirArg<'a>>,
+}
 
-    // Leading labels: `name:` possibly several on one line.
-    loop {
-        let is_label = matches!(
-            (cur.peek(), tokens.get(pos_of(&cur) + 1)),
-            (Some(Token::Ident(_)), Some(Token::Punct(':')))
-        );
-        if !is_label {
-            break;
+impl<'a> Program<'a> {
+    /// Parses every line of `source`, reusing one token buffer.
+    ///
+    /// # Errors
+    ///
+    /// The first tokenizer or syntax error, tagged with its line.
+    pub(crate) fn parse(source: &'a str) -> Result<Self, AsmError> {
+        let mut program = Program::default();
+        let mut tokens = Vec::new();
+        for (idx, line) in source.lines().enumerate() {
+            tokenize_line(line, idx + 1, &mut tokens)?;
+            program.parse_line(&tokens, idx + 1)?;
         }
-        if let Some(Token::Ident(name)) = cur.next() {
-            cur.next(); // the ':'
-            items.push(Item::Label(name.clone()));
-        }
+        Ok(program)
     }
 
-    match cur.peek() {
-        None => Ok(items),
-        Some(Token::Ident(name)) if name.starts_with('.') => {
-            let name = name[1..].to_ascii_lowercase();
+    /// Parses one tokenized line into items (none for blank/comment
+    /// lines).
+    fn parse_line(&mut self, tokens: &[Token<'a>], line_no: usize) -> Result<(), AsmError> {
+        let mut cur = Cursor::new(tokens, line_no);
+        // Leading labels: `name:` possibly several on one line.
+        while let (Some(&Token::Ident(name)), Some(Token::Punct(':'))) =
+            (cur.peek(), cur.peek_at(1))
+        {
+            self.items.push((line_no, Item::Label(name)));
             cur.next();
-            let args = parse_dir_args(&mut cur)?;
-            items.push(Item::Directive { name, args });
-            expect_end(&cur)?;
-            Ok(items)
-        }
-        Some(Token::Ident(_)) => {
-            let mnemonic = match cur.next() {
-                Some(Token::Ident(name)) => name.to_ascii_lowercase(),
-                _ => unreachable!("peeked an identifier"),
-            };
-            let operands = parse_operands(&mut cur)?;
-            items.push(Item::Instr { mnemonic, operands });
-            expect_end(&cur)?;
-            Ok(items)
-        }
-        Some(other) => Err(cur.syntax(format!(
-            "expected instruction or directive, found {other:?}"
-        ))),
-    }
-}
-
-// Cursor does not expose its position publicly; recover it by pointer
-// arithmetic over the token slice for the two-token label lookahead.
-fn pos_of(cur: &Cursor<'_>) -> usize {
-    cur.consumed()
-}
-
-fn expect_end(cur: &Cursor<'_>) -> Result<(), AsmError> {
-    if cur.at_end() {
-        Ok(())
-    } else {
-        Err(cur.syntax("trailing tokens after statement"))
-    }
-}
-
-fn parse_operands(cur: &mut Cursor<'_>) -> Result<Vec<Operand>, AsmError> {
-    let mut ops = Vec::new();
-    if cur.at_end() {
-        return Ok(ops);
-    }
-    loop {
-        ops.push(parse_operand(cur)?);
-        if !cur.eat_punct(',') {
-            break;
-        }
-    }
-    Ok(ops)
-}
-
-fn parse_operand(cur: &mut Cursor<'_>) -> Result<Operand, AsmError> {
-    match cur.peek() {
-        Some(Token::Reg(r)) => {
-            let r = *r;
             cur.next();
-            Ok(Operand::Reg(r))
         }
-        Some(Token::Fp(f)) => {
-            let f = *f;
-            cur.next();
-            Ok(Operand::Fp(f))
-        }
-        Some(Token::Punct('(')) => {
-            // `(reg)` is a memory operand with zero offset; `(expr...` is a
-            // parenthesized expression. Disambiguate by the token after '('.
-            if let Some(Token::Reg(_)) = cur.peek_at(1) {
-                cur.next();
-                let base = match cur.next() {
-                    Some(Token::Reg(r)) => *r,
-                    _ => unreachable!("peeked a register"),
-                };
-                cur.expect_punct(')')?;
-                return Ok(Operand::Mem {
-                    offset: Expr::Num(0),
-                    base,
-                });
+        let item = match cur.next() {
+            None => return Ok(()),
+            Some(&Token::Ident(name)) => match name.strip_prefix('.') {
+                Some(name) => {
+                    let start = self.args.len();
+                    self.parse_dir_args(&mut cur)?;
+                    Item::Directive {
+                        name,
+                        directive: Directive::resolve(name),
+                        args: start..self.args.len(),
+                    }
+                }
+                None => {
+                    let start = self.operands.len();
+                    self.parse_operands(&mut cur)?;
+                    Item::Instr {
+                        name,
+                        mnemonic: Mnemonic::resolve(name),
+                        operands: start..self.operands.len(),
+                    }
+                }
+            },
+            Some(other) => {
+                return Err(cur.syntax(format!(
+                    "expected instruction or directive, found {other:?}"
+                )))
             }
-            let expr = parse_expr(cur)?;
-            finish_expr_operand(cur, expr)
+        };
+        if !cur.at_end() {
+            return Err(cur.syntax("trailing tokens after statement"));
+        }
+        self.items.push((line_no, item));
+        Ok(())
+    }
+
+    fn parse_operands(&mut self, cur: &mut Cursor<'_, 'a>) -> Result<(), AsmError> {
+        if cur.at_end() {
+            return Ok(());
+        }
+        loop {
+            let operand = parse_operand(cur)?;
+            self.operands.push(operand);
+            if !cur.eat_punct(',') {
+                return Ok(());
+            }
+        }
+    }
+
+    fn parse_dir_args(&mut self, cur: &mut Cursor<'_, 'a>) -> Result<(), AsmError> {
+        if cur.at_end() {
+            return Ok(());
+        }
+        loop {
+            let arg = match (cur.peek(), cur.peek_at(1)) {
+                (Some(Token::Str(s)), _) => {
+                    cur.next();
+                    DirArg::Str(s.clone())
+                }
+                (Some(Token::Float(v)), _) => {
+                    cur.next();
+                    DirArg::Float(*v)
+                }
+                (Some(Token::Punct('-')), Some(Token::Float(v))) => {
+                    cur.next();
+                    cur.next();
+                    DirArg::Float(-v)
+                }
+                (Some(&Token::Ident(name)), next) if !is_operator(next) => {
+                    cur.next();
+                    DirArg::Ident(name)
+                }
+                _ => DirArg::Expr(parse_expr(cur)?),
+            };
+            self.args.push(arg);
+            if !cur.eat_punct(',') {
+                return Ok(());
+            }
+        }
+    }
+}
+
+fn parse_operand<'a>(cur: &mut Cursor<'_, 'a>) -> Result<Operand<'a>, AsmError> {
+    match (cur.peek(), cur.peek_at(1)) {
+        (Some(Token::Reg(r)), _) => {
+            cur.next();
+            Ok(Operand::Reg(*r))
+        }
+        (Some(Token::Fp(f)), _) => {
+            cur.next();
+            Ok(Operand::Fp(*f))
+        }
+        // `(reg)` is a memory operand with zero offset; `(expr...` is a
+        // parenthesized expression.
+        (Some(Token::Punct('(')), Some(Token::Reg(base))) => {
+            cur.next();
+            cur.next();
+            cur.expect_punct(')')?;
+            Ok(Operand::Mem {
+                offset: Expr::Num(0),
+                base: *base,
+            })
         }
         _ => {
-            let expr = parse_expr(cur)?;
-            finish_expr_operand(cur, expr)
+            let offset = parse_expr(cur)?;
+            if !cur.eat_punct('(') {
+                return Ok(Operand::Expr(offset));
+            }
+            let base = match cur.next() {
+                Some(Token::Reg(r)) => *r,
+                other => return Err(cur.syntax(format!("expected base register, found {other:?}"))),
+            };
+            cur.expect_punct(')')?;
+            Ok(Operand::Mem { offset, base })
         }
     }
-}
-
-fn finish_expr_operand(cur: &mut Cursor<'_>, expr: Expr) -> Result<Operand, AsmError> {
-    if cur.eat_punct('(') {
-        let base = match cur.next() {
-            Some(Token::Reg(r)) => *r,
-            other => return Err(cur.syntax(format!("expected base register, found {other:?}"))),
-        };
-        cur.expect_punct(')')?;
-        Ok(Operand::Mem { offset: expr, base })
-    } else {
-        Ok(Operand::Expr(expr))
-    }
-}
-
-fn parse_dir_args(cur: &mut Cursor<'_>) -> Result<Vec<DirArg>, AsmError> {
-    let mut args = Vec::new();
-    if cur.at_end() {
-        return Ok(args);
-    }
-    loop {
-        let arg = match cur.peek() {
-            Some(Token::Str(s)) => {
-                let s = s.clone();
-                cur.next();
-                DirArg::Str(s)
-            }
-            Some(Token::Float(v)) => {
-                let v = *v;
-                cur.next();
-                DirArg::Float(v)
-            }
-            Some(Token::Punct('-')) if matches!(cur.peek_at(1), Some(Token::Float(_))) => {
-                cur.next();
-                let v = match cur.next() {
-                    Some(Token::Float(v)) => *v,
-                    _ => unreachable!("peeked a float"),
-                };
-                DirArg::Float(-v)
-            }
-            Some(Token::Ident(name)) if !looks_like_expression(cur) => {
-                let name = name.clone();
-                cur.next();
-                DirArg::Ident(name)
-            }
-            _ => DirArg::Expr(parse_expr(cur)?),
-        };
-        args.push(arg);
-        if !cur.eat_punct(',') {
-            break;
-        }
-    }
-    Ok(args)
 }
 
 /// An identifier followed by an arithmetic operator is an expression
@@ -233,18 +218,12 @@ fn parse_dir_args(cur: &mut Cursor<'_>) -> Result<Vec<DirArg>, AsmError> {
 /// argument (`.set noreorder`, `.globl main`). Symbol references in data
 /// directives still work because `Ident` args are converted to symbol
 /// expressions by the assembler when the directive expects values.
-fn looks_like_expression(cur: &Cursor<'_>) -> bool {
+fn is_operator(token: Option<&Token<'_>>) -> bool {
     matches!(
-        cur.peek_at(1),
-        Some(Token::Punct('+'))
-            | Some(Token::Punct('-'))
-            | Some(Token::Punct('*'))
-            | Some(Token::Punct('/'))
-            | Some(Token::Punct('<'))
-            | Some(Token::Punct('>'))
-            | Some(Token::Punct('&'))
-            | Some(Token::Punct('|'))
-            | Some(Token::Punct('^'))
+        token,
+        Some(Token::Punct(
+            '+' | '-' | '*' | '/' | '<' | '>' | '&' | '|' | '^'
+        ))
     )
 }
 
@@ -252,16 +231,26 @@ fn looks_like_expression(cur: &Cursor<'_>) -> bool {
 mod tests {
     use super::*;
 
+    fn parse(src: &str) -> Program<'_> {
+        Program::parse(src).unwrap()
+    }
+
     #[test]
     fn parses_label_and_instruction() {
-        let items = parse_line("loop: addiu $t0, $t0, -1", 1).unwrap();
-        assert_eq!(items.len(), 2);
-        assert_eq!(items[0], Item::Label("loop".into()));
-        match &items[1] {
-            Item::Instr { mnemonic, operands } => {
-                assert_eq!(mnemonic, "addiu");
+        let program = parse("loop: addiu $t0, $t0, -1");
+        assert_eq!(program.items.len(), 2);
+        assert_eq!(program.items[0], (1, Item::Label("loop")));
+        match &program.items[1].1 {
+            Item::Instr {
+                name,
+                mnemonic,
+                operands,
+            } => {
+                assert_eq!(*name, "addiu");
+                assert_eq!(*mnemonic, Mnemonic::resolve("ADDIU"));
                 assert_eq!(operands.len(), 3);
-                assert_eq!(operands[0], Operand::Reg(Reg::T0));
+                assert_eq!(program.operands[0], Operand::Reg(Reg::T0));
+                assert_eq!(program.operands[2], Operand::Expr(Expr::Num(-1)));
             }
             other => panic!("{other:?}"),
         }
@@ -269,89 +258,76 @@ mod tests {
 
     #[test]
     fn parses_memory_operands() {
-        let items = parse_line("lw $ra, 20($sp)", 1).unwrap();
-        match &items[0] {
-            Item::Instr { operands, .. } => {
-                assert!(matches!(
-                    &operands[1],
-                    Operand::Mem { base, .. } if *base == Reg::SP
-                ));
-            }
-            other => panic!("{other:?}"),
-        }
+        let program = parse("lw $ra, 20($sp)\nlw $t0, ($a0)");
+        assert!(matches!(
+            &program.operands[1],
+            Operand::Mem { base, .. } if *base == Reg::SP
+        ));
         // Zero-offset shorthand.
-        let items = parse_line("lw $t0, ($a0)", 1).unwrap();
-        match &items[0] {
-            Item::Instr { operands, .. } => {
-                assert_eq!(
-                    operands[1],
-                    Operand::Mem {
-                        offset: Expr::Num(0),
-                        base: Reg::A0
-                    }
-                );
+        assert_eq!(
+            program.operands[3],
+            Operand::Mem {
+                offset: Expr::Num(0),
+                base: Reg::A0
             }
-            other => panic!("{other:?}"),
-        }
+        );
     }
 
     #[test]
     fn parses_directives() {
-        let items = parse_line(".word 1, 2, table+8", 1).unwrap();
-        match &items[0] {
-            Item::Directive { name, args } => {
-                assert_eq!(name, "word");
-                assert_eq!(args.len(), 3);
-                assert!(matches!(&args[2], DirArg::Expr(_)));
-            }
-            other => panic!("{other:?}"),
-        }
-        let items = parse_line(".set noreorder", 1).unwrap();
-        match &items[0] {
-            Item::Directive { name, args } => {
-                assert_eq!(name, "set");
-                assert_eq!(args[0], DirArg::Ident("noreorder".into()));
-            }
-            other => panic!("{other:?}"),
-        }
-        let items = parse_line(".double 1.5, -2.25", 1).unwrap();
-        match &items[0] {
-            Item::Directive { args, .. } => {
-                assert_eq!(args[0], DirArg::Float(1.5));
-                assert_eq!(args[1], DirArg::Float(-2.25));
-            }
-            other => panic!("{other:?}"),
-        }
+        let program = parse(".word 1, 2, table+8\n.SET noreorder\n.double 1.5, -2.25");
+        let directives: Vec<_> = program
+            .items
+            .iter()
+            .map(|(_, item)| match item {
+                Item::Directive {
+                    directive, args, ..
+                } => (*directive, args.clone()),
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            directives,
+            vec![
+                (Directive::Word, 0..3),
+                (Directive::Set, 3..4),
+                (Directive::Double, 4..6)
+            ]
+        );
+        assert!(matches!(&program.args[2], DirArg::Expr(_)));
+        assert_eq!(program.args[3], DirArg::Ident("noreorder"));
+        assert_eq!(program.args[4], DirArg::Float(1.5));
+        assert_eq!(program.args[5], DirArg::Float(-2.25));
     }
 
     #[test]
     fn empty_and_comment_lines() {
-        assert!(parse_line("", 1).unwrap().is_empty());
-        assert!(parse_line("   # nothing", 1).unwrap().is_empty());
+        assert!(parse("").items.is_empty());
+        assert!(parse("   # nothing").items.is_empty());
     }
 
     #[test]
     fn bare_label_line() {
-        let items = parse_line("end:", 1).unwrap();
-        assert_eq!(items, vec![Item::Label("end".into())]);
+        assert_eq!(parse("end:").items, vec![(1, Item::Label("end"))]);
     }
 
     #[test]
     fn rejects_trailing_garbage() {
-        assert!(parse_line("lw $t0, 4($sp) $t1", 1).is_err());
-        assert!(parse_line("add $t0, $t1 extra", 1).is_err());
-        assert!(parse_line("1 + 2", 1).is_err());
+        assert!(Program::parse("lw $t0, 4($sp) $t1").is_err());
+        assert!(Program::parse("add $t0, $t1 extra").is_err());
+        assert!(Program::parse("1 + 2").is_err());
     }
 
     #[test]
-    fn fp_operands() {
-        let items = parse_line("add.d $f4, $f2, $f0", 1).unwrap();
-        match &items[0] {
-            Item::Instr { mnemonic, operands } => {
-                assert_eq!(mnemonic, "add.d");
-                assert!(matches!(operands[0], Operand::Fp(_)));
+    fn unknown_names_wait_for_pass_one() {
+        let program = parse("bogus $t0\nadd.d $f4, $f2, $f0");
+        assert!(matches!(
+            program.items[0].1,
+            Item::Instr {
+                mnemonic: Mnemonic::Unknown,
+                ..
             }
-            other => panic!("{other:?}"),
-        }
+        ));
+        assert!(matches!(program.operands[1], Operand::Fp(_)));
     }
 }

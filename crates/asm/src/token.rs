@@ -2,11 +2,12 @@ use ccrp_isa::{FpReg, Reg};
 
 use crate::error::{AsmError, AsmErrorKind};
 
-/// A lexical token of MIPS assembly source.
+/// A lexical token of MIPS assembly source, borrowing names from the
+/// line it was scanned from.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub(crate) enum Token<'a> {
     /// Mnemonic, directive, or symbol name (may contain `.` and `_`).
-    Ident(String),
+    Ident(&'a str),
     /// A general-purpose register (`$t0`, `$29`, ...).
     Reg(Reg),
     /// A floating-point register (`$f12`).
@@ -25,166 +26,139 @@ pub enum Token {
     LoOp,
 }
 
-fn is_ident_start(c: char) -> bool {
-    c.is_ascii_alphabetic() || c == '_' || c == '.'
+fn is_ident_start(b: u8) -> bool {
+    b.is_ascii_alphabetic() || b == b'_' || b == b'.'
 }
 
-fn is_ident_char(c: char) -> bool {
-    c.is_ascii_alphanumeric() || c == '_' || c == '.'
+fn is_ident_char(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_' || b == b'.'
 }
 
-/// Splits one source line into tokens. Comments (`#` or `;` to end of
-/// line) are stripped.
+/// The end of the run of bytes from `start` that satisfy `accept`.
+fn scan(bytes: &[u8], start: usize, accept: impl Fn(u8) -> bool) -> usize {
+    bytes[start..]
+        .iter()
+        .position(|&b| !accept(b))
+        .map_or(bytes.len(), |n| start + n)
+}
+
+/// Splits one source line into `tokens` (cleared first), scanning its
+/// bytes once. Names and numbers are slices of `line`; a run of ASCII
+/// bytes never ends inside a multi-byte character, and every other
+/// character is decoded whole. Comments (`#` or `;` to end of line) are
+/// stripped.
 ///
 /// # Errors
 ///
 /// Returns an [`AsmError`] (tagged with `line_no`) on malformed numbers,
 /// unknown registers, unterminated strings, or stray characters.
-pub fn tokenize_line(line: &str, line_no: usize) -> Result<Vec<Token>, AsmError> {
-    let mut tokens = Vec::new();
-    let mut chars = line.char_indices().peekable();
+pub(crate) fn tokenize_line<'a>(
+    line: &'a str,
+    line_no: usize,
+    tokens: &mut Vec<Token<'a>>,
+) -> Result<(), AsmError> {
+    tokens.clear();
+    let bytes = line.as_bytes();
     let err = |kind| AsmError::new(line_no, kind);
-
-    while let Some(&(start, c)) = chars.peek() {
-        match c {
-            '#' | ';' => break,
-            c if c.is_whitespace() => {
-                chars.next();
+    let mut i = 0;
+    while let Some(&b) = bytes.get(i) {
+        let start = i;
+        let token = match b {
+            b'#' | b';' => break,
+            b' ' | b'\t' | b'\n' | b'\x0B' | b'\x0C' | b'\r' => {
+                i += 1;
+                continue;
             }
-            '"' => {
-                chars.next();
+            b'"' => {
                 let mut s = String::new();
-                let mut closed = false;
-                while let Some((_, c)) = chars.next() {
-                    match c {
-                        '"' => {
-                            closed = true;
+                let mut chars = line[i + 1..].char_indices();
+                loop {
+                    match chars.next() {
+                        None => return Err(err(AsmErrorKind::UnterminatedString)),
+                        Some((at, '"')) => {
+                            i += 1 + at + 1;
                             break;
                         }
-                        '\\' => {
-                            let esc = chars
-                                .next()
-                                .ok_or_else(|| err(AsmErrorKind::UnterminatedString))?
-                                .1;
-                            s.push(unescape(esc));
-                        }
-                        c => s.push(c),
+                        Some((_, '\\')) => match chars.next() {
+                            Some((_, esc)) => s.push(unescape(esc)),
+                            None => return Err(err(AsmErrorKind::UnterminatedString)),
+                        },
+                        Some((_, c)) => s.push(c),
                     }
                 }
-                if !closed {
-                    return Err(err(AsmErrorKind::UnterminatedString));
-                }
-                tokens.push(Token::Str(s));
+                Token::Str(s)
             }
-            '\'' => {
-                chars.next();
-                let c = chars
-                    .next()
-                    .ok_or_else(|| err(AsmErrorKind::UnterminatedString))?
-                    .1;
-                let value = if c == '\\' {
-                    let esc = chars
+            b'\'' => {
+                let mut chars = line[i + 1..].char_indices();
+                let mut next = || {
+                    chars
                         .next()
-                        .ok_or_else(|| err(AsmErrorKind::UnterminatedString))?
-                        .1;
-                    unescape(esc)
-                } else {
-                    c
+                        .ok_or_else(|| err(AsmErrorKind::UnterminatedString))
                 };
-                match chars.next() {
-                    Some((_, '\'')) => tokens.push(Token::Num(value as i64)),
+                let value = match next()?.1 {
+                    '\\' => unescape(next()?.1),
+                    c => c,
+                };
+                match next()? {
+                    (at, '\'') => i += 1 + at + 1,
                     _ => return Err(err(AsmErrorKind::UnterminatedString)),
                 }
+                Token::Num(value as i64)
             }
-            '$' => {
-                chars.next();
-                let mut name = String::from("$");
-                while let Some(&(_, c)) = chars.peek() {
-                    if c.is_ascii_alphanumeric() {
-                        name.push(c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                if let Ok(fp) = name.parse::<FpReg>() {
-                    tokens.push(Token::Fp(fp));
-                } else {
-                    let reg = name.parse::<Reg>().map_err(|e| err(AsmErrorKind::Isa(e)))?;
-                    tokens.push(Token::Reg(reg));
+            b'$' => {
+                i = scan(bytes, i + 1, |b| b.is_ascii_alphanumeric());
+                let name = &line[start..i];
+                match FpReg::from_name(name) {
+                    Some(fp) => Token::Fp(fp),
+                    None => Token::Reg(name.parse().map_err(|e| err(AsmErrorKind::Isa(e)))?),
                 }
             }
-            '%' => {
-                chars.next();
-                let mut name = String::new();
-                while let Some(&(_, c)) = chars.peek() {
-                    if c.is_ascii_alphabetic() {
-                        name.push(c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                match name.as_str() {
-                    "hi" => tokens.push(Token::HiOp),
-                    "lo" => tokens.push(Token::LoOp),
-                    _ => {
+            b'%' => {
+                i = scan(bytes, i + 1, |b| b.is_ascii_alphabetic());
+                match &line[start + 1..i] {
+                    "hi" => Token::HiOp,
+                    "lo" => Token::LoOp,
+                    name => {
                         return Err(err(AsmErrorKind::Syntax(format!(
                             "unknown relocation operator %{name}"
                         ))))
                     }
                 }
             }
-            c if c.is_ascii_digit() => {
-                let mut text = String::new();
-                while let Some(&(_, c)) = chars.peek() {
-                    if c.is_ascii_alphanumeric() || c == '.' {
-                        text.push(c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
+            b'0'..=b'9' => {
+                i = scan(bytes, i, |b| b.is_ascii_alphanumeric() || b == b'.');
                 // Scientific notation: 1.5e-3 / 2e+6 need the sign pulled in.
-                if text.ends_with('e') || text.ends_with('E') {
-                    if let Some(&(_, sign)) = chars.peek() {
-                        if sign == '+' || sign == '-' {
-                            text.push(sign);
-                            chars.next();
-                            while let Some(&(_, c)) = chars.peek() {
-                                if c.is_ascii_digit() {
-                                    text.push(c);
-                                    chars.next();
-                                } else {
-                                    break;
-                                }
-                            }
-                        }
-                    }
+                if matches!(bytes[i - 1], b'e' | b'E') && matches!(bytes.get(i), Some(b'+' | b'-'))
+                {
+                    i = scan(bytes, i + 1, |b| b.is_ascii_digit());
                 }
-                tokens.push(parse_number(&text, line_no)?);
-                let _ = start;
+                parse_number(&line[start..i], line_no)?
             }
-            c if is_ident_start(c) => {
-                let mut name = String::new();
-                while let Some(&(_, c)) = chars.peek() {
-                    if is_ident_char(c) {
-                        name.push(c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
+            b if is_ident_start(b) => {
+                i = scan(bytes, i, is_ident_char);
+                Token::Ident(&line[start..i])
+            }
+            b',' | b'(' | b')' | b':' | b'+' | b'-' | b'*' | b'/' | b'&' | b'|' | b'^' | b'~'
+            | b'<' | b'>' => {
+                i += 1;
+                Token::Punct(char::from(b))
+            }
+            _ => {
+                // Any other character, decoded whole: Unicode whitespace
+                // separates tokens, anything else starts none.
+                let Some(c) = line[i..].chars().next() else {
+                    break;
+                };
+                if !c.is_whitespace() {
+                    return Err(err(AsmErrorKind::UnexpectedChar(c)));
                 }
-                tokens.push(Token::Ident(name));
+                i += c.len_utf8();
+                continue;
             }
-            ',' | '(' | ')' | ':' | '+' | '-' | '*' | '/' | '&' | '|' | '^' | '~' | '<' | '>' => {
-                chars.next();
-                tokens.push(Token::Punct(c));
-            }
-            other => return Err(err(AsmErrorKind::UnexpectedChar(other))),
-        }
+        };
+        tokens.push(token);
     }
-    Ok(tokens)
+    Ok(())
 }
 
 fn unescape(c: char) -> char {
@@ -197,7 +171,7 @@ fn unescape(c: char) -> char {
     }
 }
 
-fn parse_number(text: &str, line_no: usize) -> Result<Token, AsmError> {
+fn parse_number<'a>(text: &str, line_no: usize) -> Result<Token<'a>, AsmError> {
     let bad = || AsmError::new(line_no, AsmErrorKind::BadNumber(text.to_string()));
     if let Some(hex) = text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
         return u64::from_str_radix(hex, 16)
@@ -209,7 +183,7 @@ fn parse_number(text: &str, line_no: usize) -> Result<Token, AsmError> {
             .map(|v| Token::Num(v as i64))
             .map_err(|_| bad());
     }
-    if text.contains('.') || text.contains('e') || text.contains('E') {
+    if text.bytes().any(|b| matches!(b, b'.' | b'e' | b'E')) {
         return text.parse::<f64>().map(Token::Float).map_err(|_| bad());
     }
     text.parse::<i64>().map(Token::Num).map_err(|_| bad())
@@ -219,15 +193,20 @@ fn parse_number(text: &str, line_no: usize) -> Result<Token, AsmError> {
 mod tests {
     use super::*;
 
+    fn tokenize_line(line: &str, line_no: usize) -> Result<Vec<Token<'_>>, AsmError> {
+        let mut tokens = Vec::new();
+        super::tokenize_line(line, line_no, &mut tokens).map(|()| tokens)
+    }
+
     #[test]
     fn tokenizes_instruction_line() {
         let toks = tokenize_line("loop: addiu $t0, $t0, -1  # decrement", 1).unwrap();
         assert_eq!(
             toks,
             vec![
-                Token::Ident("loop".into()),
+                Token::Ident("loop"),
                 Token::Punct(':'),
-                Token::Ident("addiu".into()),
+                Token::Ident("addiu"),
                 Token::Reg(Reg::T0),
                 Token::Punct(','),
                 Token::Reg(Reg::T0),
@@ -244,6 +223,7 @@ mod tests {
         assert_eq!(tokenize_line("0b101", 1).unwrap(), vec![Token::Num(5)]);
         assert_eq!(tokenize_line("'A'", 1).unwrap(), vec![Token::Num(65)]);
         assert_eq!(tokenize_line("'\\n'", 1).unwrap(), vec![Token::Num(10)]);
+        assert_eq!(tokenize_line("'é'", 1).unwrap(), vec![Token::Num(0xE9)]);
         assert_eq!(tokenize_line("3.5", 1).unwrap(), vec![Token::Float(3.5)]);
         assert_eq!(tokenize_line("1e3", 1).unwrap(), vec![Token::Float(1000.0)]);
         assert_eq!(
@@ -263,6 +243,9 @@ mod tests {
     fn tokenizes_strings_with_escapes() {
         let toks = tokenize_line(r#".asciiz "hi\n""#, 1).unwrap();
         assert_eq!(toks[1], Token::Str("hi\n".into()));
+        let toks = tokenize_line(r#".ascii "é€\"", 7"#, 1).unwrap();
+        assert_eq!(toks[1], Token::Str("é€\"".into()));
+        assert_eq!(toks[3], Token::Num(7));
     }
 
     #[test]
@@ -285,6 +268,20 @@ mod tests {
         assert!(tokenize_line("\"open", 1).is_err());
         assert!(tokenize_line("$t99", 1).is_err());
         assert!(tokenize_line("0xZZ", 1).is_err());
+    }
+
+    #[test]
+    fn multi_byte_characters_are_decoded_whole() {
+        let kind = |line| tokenize_line(line, 1).unwrap_err().kind;
+        assert_eq!(kind("nop é"), AsmErrorKind::UnexpectedChar('é'));
+        assert_eq!(kind("li $t0, 1€"), AsmErrorKind::UnexpectedChar('€'));
+        // `$` then a non-ASCII character names no register at all.
+        assert!(matches!(kind("move $t0, $é"), AsmErrorKind::Isa(_)));
+        // Unicode whitespace separates tokens as ASCII whitespace does.
+        assert_eq!(
+            tokenize_line("\u{A0}nop\u{2003}", 1).unwrap(),
+            vec![Token::Ident("nop")]
+        );
     }
 
     #[test]

@@ -1,0 +1,174 @@
+//! Hostile sources: the daemon assembles whatever a client sends, on a
+//! worker thread with the default 2 MiB stack, so every source must come
+//! back as an image or a typed error — never a panic, a stack overflow,
+//! or a 4 GiB allocation.
+
+use ccrp_asm::{assemble, AsmErrorKind};
+use proptest::prelude::*;
+
+/// The daemon's `max_source_bytes`.
+const SOURCE_LIMIT: usize = 64 << 10;
+
+/// Assembles `source` on a thread with a default-sized (2 MiB) stack and
+/// returns the error kind, if any.
+fn on_small_stack(source: String) -> Result<(), AsmErrorKind> {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || assemble(&source).map(drop).map_err(|e| e.kind))
+        .expect("thread spawns")
+        .join()
+        .expect("assemble returns instead of overflowing its stack")
+}
+
+fn nested(depth: usize) -> String {
+    format!("li $t0, {}1{}", "(".repeat(depth), ")".repeat(depth))
+}
+
+#[test]
+fn sixty_four_kib_of_nesting_is_an_error() {
+    let too_deep = Err(AsmErrorKind::ExprTooDeep { limit: 256 });
+    assert_eq!(on_small_stack(nested(SOURCE_LIMIT)), too_deep);
+    let minus = format!("li $t0, {}1", "-".repeat(SOURCE_LIMIT));
+    assert_eq!(on_small_stack(minus), too_deep);
+    // A flat chain nests too: `1+1+...` is a left-deep tree.
+    let chain = format!("li $t0, 1{}", "+1".repeat(SOURCE_LIMIT / 2));
+    assert_eq!(on_small_stack(chain), too_deep);
+    assert_eq!(on_small_stack(nested(257)), too_deep);
+}
+
+#[test]
+fn nesting_at_the_limit_assembles() {
+    assert_eq!(on_small_stack(nested(256)), Ok(()));
+    assert_eq!(
+        on_small_stack(format!("li $t0, {}7", "-".repeat(256))),
+        Ok(())
+    );
+    assert_eq!(
+        on_small_stack(format!("li $t0, 1{}", "+1".repeat(256))),
+        Ok(())
+    );
+}
+
+#[test]
+fn a_partial_text_word_is_an_error() {
+    let err = assemble(".half 1").unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "text segment of 2 bytes is not a whole number of words"
+    );
+    assert_eq!(
+        (err.line, err.kind),
+        (0, AsmErrorKind::UnalignedText { size: 2 })
+    );
+    assert!(assemble("nop\n.byte 1, 2, 3, 4\nnop").is_ok());
+}
+
+#[test]
+fn space_past_the_address_space_is_an_error() {
+    // Both fail in pass 1, before any segment is allocated.
+    let err = assemble(".space 0x100000000").unwrap_err();
+    assert!(matches!(
+        err.kind,
+        AsmErrorKind::ValueOutOfRange {
+            what: ".space size",
+            ..
+        }
+    ));
+    let err = assemble(".data\n.space 0xFFF00000\n.space 0x200000").unwrap_err();
+    assert_eq!(err.line, 2);
+    assert!(matches!(
+        err.kind,
+        AsmErrorKind::ValueOutOfRange {
+            what: "32-bit location counter",
+            ..
+        }
+    ));
+}
+
+/// Source fragments, from single characters (multi-byte ones included)
+/// to whole mnemonics, directives and operands. The numbers are short,
+/// so that no run of them asks `.space` for gigabytes.
+const FRAGMENTS: &[&str] = &[
+    "li",
+    "lw",
+    "sw",
+    "addu",
+    "addiu",
+    "b",
+    "beq",
+    "blt",
+    "jal",
+    "jr",
+    "la",
+    "l.d",
+    "cvt.s.d",
+    "c.eq.s",
+    "syscall",
+    ".word",
+    ".half",
+    ".byte",
+    ".space",
+    ".align",
+    ".ascii",
+    ".text",
+    ".data",
+    ".set",
+    "noreorder",
+    ".equ",
+    ".float",
+    "$t0",
+    "$ra",
+    "$f2",
+    "$f3",
+    "$32",
+    "$",
+    "x",
+    "main",
+    ":",
+    ",",
+    " ",
+    "\n",
+    "(",
+    ")",
+    "-",
+    "+",
+    "*",
+    "/",
+    "~",
+    "<<",
+    ">>",
+    "%hi",
+    "%lo",
+    "%",
+    "0",
+    "7",
+    "12",
+    "0x7F",
+    "1.5",
+    "1e",
+    "\"s\"",
+    "\"",
+    "'",
+    "'a'",
+    "\\",
+    "#",
+    ";",
+    "é",
+    "€",
+    "\u{a0}",
+    "\u{1F600}",
+    "\t",
+    "\r",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    #[test]
+    fn assemble_returns_on_any_fragment_soup(
+        fragments in proptest::collection::vec(proptest::sample::select(FRAGMENTS), 0..64),
+    ) {
+        let source: String = fragments.concat();
+        let _ = assemble(&source);
+    }
+}

@@ -8,7 +8,9 @@
 use std::time::Instant;
 
 use ccrp::{Burst, CompressedImage, MemoryTiming, RefillConfig, RefillEngine};
+use ccrp_bench::difftest::trial_seed;
 use ccrp_compress::{block, lzw, BlockAlignment, ByteCode, ByteHistogram};
+use ccrp_difftest::ProgGen;
 use ccrp_sim::{ICache, MemoryModel, Simulation, SystemConfig};
 use ccrp_workloads::{generate_text, CodeProfile, TracedWorkload};
 
@@ -140,6 +142,22 @@ fn frontend_benches() {
     bench("assemble_eightq", None, || {
         ccrp_asm::assemble(std::hint::black_box(&source)).expect("assembles")
     });
+    let assemble_all = |sources: &[String]| {
+        let words = sources.iter().map(|source| {
+            let image = ccrp_asm::assemble(std::hint::black_box(source)).expect("assembles");
+            image.text_size()
+        });
+        words.sum::<u32>()
+    };
+    let kernels: Vec<String> = TracedWorkload::ALL.iter().map(|w| w.source()).collect();
+    bench("assemble_kernels", None, || assemble_all(&kernels));
+    // The 150 MIPS programs of `difftest` chunk 1 under seed 1, seeded
+    // as the campaign seeds them.
+    let chunk_seed = trial_seed(1, 1);
+    let chunk: Vec<String> = (0..150)
+        .map(|trial| ProgGen::generate(trial_seed(chunk_seed, trial)).source())
+        .collect();
+    bench("assemble_difftest_chunk", None, || assemble_all(&chunk));
     let image = ccrp_asm::assemble(&source).expect("assembles");
     bench("emulate_eightq", None, || {
         let mut machine = ccrp_emu::Machine::new(&image);

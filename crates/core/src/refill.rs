@@ -15,7 +15,7 @@ use crate::addr::LINE_SIZE;
 use crate::clb::{Clb, ClbStats};
 use crate::error::CcrpError;
 use crate::image::{CompressedImage, LineLocation};
-use crate::lat::LatEntry;
+use crate::lat::{LatEntry, RECORDS_PER_ENTRY};
 
 /// When the words of one memory burst arrive: word `i` at
 /// `first + i * interval`. Every memory of §4.2.1 is affine in this
@@ -509,9 +509,11 @@ impl RefillEngine {
         probe: &mut P,
     ) -> Result<u64, CcrpError> {
         // Cross-check the (possibly stale or corrupt) table entry against
-        // the image layout before trusting its pointer on the bus.
+        // the image layout before trusting its pointer on the bus. A
+        // caller-made location may name a slot the entry does not have.
         let slot = location.line_in_entry as usize;
-        if entry.block_address(slot) != location.physical
+        if slot >= RECORDS_PER_ENTRY
+            || entry.block_address(slot) != location.physical
             || entry.block_length(slot) != location.stored_len
             || entry.is_uncompressed(slot) != location.bypass
         {
@@ -1096,6 +1098,44 @@ mod tests {
                     &mut TestMemory::new(3),
                 );
                 assert_eq!(outcome, expected, "{policy:?}, CLB hit {clb_hit}");
+            }
+        }
+    }
+
+    #[test]
+    fn located_refill_rejects_a_slot_past_the_entry() {
+        let image = test_image(512);
+        let location = LineLocation {
+            line_in_entry: 8,
+            ..image.locate(0).unwrap()
+        };
+        for policy in [
+            DegradePolicy::Abort,
+            DegradePolicy::Trap,
+            DegradePolicy::Retry { attempts: 2 },
+        ] {
+            let engine = RefillEngine::new(RefillConfig {
+                policy,
+                ..RefillConfig::default()
+            })
+            .unwrap();
+            for clb_hit in [false, true] {
+                let outcome = engine.refill_located(
+                    &image,
+                    0,
+                    &location,
+                    clb_hit,
+                    0,
+                    &mut TestMemory::new(3),
+                );
+                let expected = match policy {
+                    DegradePolicy::Abort => CcrpError::Integrity {
+                        what: "LAT entry disagrees with the image layout",
+                        address: 0,
+                    },
+                    _ => CcrpError::MachineCheck { address: 0 },
+                };
+                assert_eq!(outcome, Err(expected), "{policy:?}, CLB hit {clb_hit}");
             }
         }
     }

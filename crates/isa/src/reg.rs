@@ -151,6 +151,44 @@ impl Reg {
     pub fn all() -> impl Iterator<Item = Reg> {
         (0u8..32).map(Reg)
     }
+
+    /// Looks a register up by name, with or without the `$` sigil: a
+    /// number `0`–`31`, an [ABI name](ABI_NAMES), or `s8` (the MIPS
+    /// alias of `fp`). Allocates nothing; [`FromStr`] is this lookup
+    /// plus the error.
+    ///
+    /// ```
+    /// use ccrp_isa::Reg;
+    ///
+    /// assert_eq!(Reg::from_name("$t0"), Some(Reg::T0));
+    /// assert_eq!(Reg::from_name("29"), Some(Reg::SP));
+    /// assert_eq!(Reg::from_name("$s8"), Some(Reg::FP));
+    /// assert_eq!(Reg::from_name("$32"), None);
+    /// ```
+    pub fn from_name(name: &str) -> Option<Reg> {
+        let body = name.strip_prefix('$').unwrap_or(name);
+        // A number (`u8` syntax); no ABI name starts with a digit or `+`.
+        if let Some(b'0'..=b'9' | b'+') = body.as_bytes().first() {
+            return Reg::new(body.parse().ok()?).ok();
+        }
+        // The ABI names by their bytes, in register order.
+        let n = match body.as_bytes() {
+            b"zero" => 0,
+            b"at" => 1,
+            [b'v', d @ b'0'..=b'1'] => 2 + (d - b'0'),
+            [b'a', d @ b'0'..=b'3'] => 4 + (d - b'0'),
+            [b't', d @ b'0'..=b'7'] => 8 + (d - b'0'),
+            [b's', d @ b'0'..=b'7'] => 16 + (d - b'0'),
+            [b't', d @ b'8'..=b'9'] => 24 + (d - b'8'),
+            [b'k', d @ b'0'..=b'1'] => 26 + (d - b'0'),
+            b"gp" => 28,
+            b"sp" => 29,
+            b"fp" | b"s8" => 30,
+            b"ra" => 31,
+            _ => return None,
+        };
+        Some(Reg(n))
+    }
 }
 
 impl fmt::Display for Reg {
@@ -163,21 +201,12 @@ impl FromStr for Reg {
     type Err = IsaError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let body = s.strip_prefix('$').unwrap_or(s);
-        if let Ok(n) = body.parse::<u8>() {
-            return Reg::new(n);
-        }
-        // `$s8` is an alias for `$fp` on MIPS.
-        if body == "s8" {
-            return Ok(Reg::FP);
-        }
-        ABI_NAMES
-            .iter()
-            .position(|&name| name == body)
-            .map(|n| Reg(n as u8))
-            .ok_or_else(|| IsaError::UnknownRegister {
+        Reg::from_name(s).ok_or_else(|| match s.strip_prefix('$').unwrap_or(s).parse::<u8>() {
+            Ok(number) => IsaError::RegisterOutOfRange { number },
+            Err(_) => IsaError::UnknownRegister {
                 name: s.to_string(),
-            })
+            },
+        })
     }
 }
 
@@ -226,6 +255,21 @@ impl FpReg {
     pub fn all() -> impl Iterator<Item = FpReg> {
         (0u8..32).map(FpReg)
     }
+
+    /// Looks an FP register up by name, `f0`–`f31` with or without the
+    /// `$` sigil. Allocates nothing; [`FromStr`] is this lookup plus the
+    /// error.
+    ///
+    /// ```
+    /// use ccrp_isa::FpReg;
+    ///
+    /// assert_eq!(FpReg::from_name("$f12"), FpReg::new(12).ok());
+    /// assert_eq!(FpReg::from_name("$f32"), None);
+    /// assert_eq!(FpReg::from_name("$fp"), None);
+    /// ```
+    pub fn from_name(name: &str) -> Option<FpReg> {
+        FpReg::new(fp_number(name)?).ok()
+    }
 }
 
 impl fmt::Display for FpReg {
@@ -238,14 +282,19 @@ impl FromStr for FpReg {
     type Err = IsaError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let body = s.strip_prefix('$').unwrap_or(s);
-        body.strip_prefix('f')
-            .and_then(|n| n.parse::<u8>().ok())
-            .ok_or_else(|| IsaError::UnknownRegister {
+        FpReg::from_name(s).ok_or_else(|| match fp_number(s) {
+            Some(number) => IsaError::RegisterOutOfRange { number },
+            None => IsaError::UnknownRegister {
                 name: s.to_string(),
-            })
-            .and_then(FpReg::new)
+            },
+        })
     }
+}
+
+/// The number in an `f<n>` name (`$` optional), in range or not.
+fn fp_number(name: &str) -> Option<u8> {
+    let body = name.strip_prefix('$').unwrap_or(name);
+    body.strip_prefix('f')?.parse().ok()
 }
 
 #[cfg(test)]
@@ -298,6 +347,40 @@ mod tests {
     fn fp_roundtrip() {
         for reg in FpReg::all() {
             assert_eq!(reg.to_string().parse::<FpReg>().unwrap(), reg);
+        }
+    }
+
+    #[test]
+    fn lookups_agree_with_the_name_table_and_errors_keep_their_kind() {
+        for (n, name) in ABI_NAMES.iter().enumerate() {
+            assert_eq!(Reg::from_name(name), Reg::new(n as u8).ok(), "{name}");
+        }
+        assert_eq!(Reg::from_name("$08"), Some(Reg::T0));
+        for name in [
+            "$", "$T0", "$t10", "$v2", "$a4", "$k2", "$f0", "$256", "$-1",
+        ] {
+            assert_eq!(Reg::from_name(name), None, "{name}");
+        }
+        assert_eq!(
+            "$32".parse::<Reg>(),
+            Err(IsaError::RegisterOutOfRange { number: 32 })
+        );
+        assert_eq!(
+            "$256".parse::<Reg>(),
+            Err(IsaError::UnknownRegister {
+                name: "$256".into()
+            })
+        );
+        assert_eq!(FpReg::from_name("$f007"), FpReg::new(7).ok());
+        assert_eq!(
+            "$f32".parse::<FpReg>(),
+            Err(IsaError::RegisterOutOfRange { number: 32 })
+        );
+        for name in ["$f", "$fp", "$t0", "$f1x"] {
+            assert_eq!(
+                name.parse::<FpReg>(),
+                Err(IsaError::UnknownRegister { name: name.into() })
+            );
         }
     }
 }
