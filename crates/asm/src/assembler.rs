@@ -124,7 +124,7 @@ pub fn assemble_with(source: &str, options: AssembleOptions) -> Result<ProgramIm
                 };
                 let delay_nop = mode == DelaySlotMode::Reorder && instr.is_control_transfer();
                 let words = instr.plan_words()? + usize::from(delay_nop);
-                advance(&mut text_lc, words as u64 * 4, line_no)?;
+                advance(&mut text_lc, options.text_base, words as u64 * 4, line_no)?;
             }
             Item::Directive {
                 name,
@@ -139,6 +139,7 @@ pub fn assemble_with(source: &str, options: AssembleOptions) -> Result<ProgramIm
                     &mut section,
                     &mut text_lc,
                     &mut data_lc,
+                    &options,
                     &mut mode,
                     &mut symbols,
                 )?;
@@ -271,19 +272,31 @@ impl Directive {
     }
 }
 
+/// The most bytes one segment may span: the paper's 24-bit physical
+/// address space. Pass 1 holds both segments to it, so pass 2 never
+/// sizes a buffer past 16 MiB, whatever a `.space` asks for.
+const MAX_SEGMENT_BYTES: u64 = 1 << 24;
+
 /// Moves a location counter on by `bytes`, which must keep it inside the
-/// 32-bit address space.
-fn advance(lc: &mut u32, bytes: u64, line_no: usize) -> Result<(), AsmError> {
+/// 32-bit address space and keep its segment, which starts at `base`,
+/// within [`MAX_SEGMENT_BYTES`].
+fn advance(lc: &mut u32, base: u32, bytes: u64, line_no: usize) -> Result<(), AsmError> {
     let next = u64::from(*lc) + bytes;
-    *lc = u32::try_from(next).map_err(|_| {
+    let out_of_range = |what, value: u64| {
         AsmError::new(
             line_no,
             AsmErrorKind::ValueOutOfRange {
-                what: "32-bit location counter",
-                value: next as i64,
+                what,
+                value: value as i64,
             },
         )
-    })?;
+    };
+    let counter = u32::try_from(next).map_err(|_| out_of_range("32-bit location counter", next))?;
+    let size = next - u64::from(base);
+    if size > MAX_SEGMENT_BYTES {
+        return Err(out_of_range("24-bit segment size", size));
+    }
+    *lc = counter;
     Ok(())
 }
 
@@ -356,12 +369,13 @@ fn directive_pass1(
     section: &mut Section,
     text_lc: &mut u32,
     data_lc: &mut u32,
+    options: &AssembleOptions,
     mode: &mut DelaySlotMode,
     symbols: &mut BTreeMap<String, u32>,
 ) -> Result<(), AsmError> {
-    let lc = match *section {
-        Section::Text => text_lc,
-        Section::Data => data_lc,
+    let (lc, base) = match *section {
+        Section::Text => (text_lc, options.text_base),
+        Section::Data => (data_lc, options.data_base),
     };
     let count = args.len() as u64;
     let bytes = match directive {
@@ -415,7 +429,7 @@ fn directive_pass1(
             ))
         }
     };
-    advance(lc, bytes, line_no)
+    advance(lc, base, bytes, line_no)
 }
 
 fn apply_set(

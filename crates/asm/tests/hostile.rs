@@ -1,7 +1,7 @@
 //! Hostile sources: the daemon assembles whatever a client sends, on a
 //! worker thread with the default 2 MiB stack, so every source must come
 //! back as an image or a typed error — never a panic, a stack overflow,
-//! or a 4 GiB allocation.
+//! or a segment past the 24-bit physical space.
 
 use ccrp_asm::{assemble, AsmErrorKind};
 use proptest::prelude::*;
@@ -83,6 +83,36 @@ fn space_past_the_address_space_is_an_error() {
             ..
         }
     ));
+    // So do 23 bytes asking for 64 MiB: a segment stops at the paper's
+    // 24-bit physical space.
+    let err = assemble(".data\n.space 0x4000000").unwrap_err();
+    assert_eq!(
+        (err.line, err.kind),
+        (
+            2,
+            AsmErrorKind::ValueOutOfRange {
+                what: "24-bit segment size",
+                value: 0x400_0000,
+            }
+        )
+    );
+    // A segment may fill that space exactly, but not one byte more, and
+    // instructions count too.
+    let full = assemble(".data\n.space 0x1000000").expect("16 MiB fits");
+    assert_eq!(full.data_bytes().len(), 1 << 24);
+    let err = assemble(".data\n.space 0xFFFFFF\n.byte 1, 2").unwrap_err();
+    assert_eq!(err.line, 3);
+    let err = assemble(".space 0xFFFFFC\nnop\nnop").unwrap_err();
+    assert_eq!(
+        (err.line, err.kind),
+        (
+            3,
+            AsmErrorKind::ValueOutOfRange {
+                what: "24-bit segment size",
+                value: (1 << 24) + 4,
+            }
+        )
+    );
 }
 
 /// Source fragments, from single characters (multi-byte ones included)

@@ -193,11 +193,6 @@ pub fn run(options: CodecsOptions) -> CodecsReport {
 }
 
 impl CodecsReport {
-    /// The cells of one workload, in codec-major order.
-    pub fn workload_cells<'a>(&'a self, workload: &'a str) -> impl Iterator<Item = &'a CodecCell> {
-        self.cells.iter().filter(move |c| c.workload == workload)
-    }
-
     /// The deterministic half of the report: identical across job counts
     /// and machines.
     pub fn results_json(&self) -> Json {

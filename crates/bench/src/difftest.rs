@@ -152,8 +152,9 @@ pub struct DifftestReport {
     pub total_wall: Duration,
 }
 
-/// Decorrelates per-trial seeds (the SplitMix64 increment constant),
-/// matching the fault-injection campaign's derivation.
+/// Decorrelates per-trial seeds (the SplitMix64 increment constant).
+/// The fault-injection and hostile-client campaigns derive theirs here
+/// too.
 pub fn trial_seed(seed: u64, trial: usize) -> u64 {
     seed ^ (trial as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }

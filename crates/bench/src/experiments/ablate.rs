@@ -3,9 +3,9 @@
 //! decoder throughput (§3.4).
 
 use ccrp::{CompactLatEntry, CompressedImage, COMPACT_ENTRY_BYTES, RECORDS_PER_ENTRY};
-use ccrp_compress::{BlockAlignment, PositionalCode, PositionalHistogram};
+use ccrp_compress::BlockAlignment;
 use ccrp_sim::{MemoryModel, Simulation, SystemConfig};
-use ccrp_workloads::{figure5_corpus, preselected_code};
+use ccrp_workloads::{preselected_code, preselected_positional_code};
 
 use crate::suite::{Prepared, Suite};
 
@@ -130,25 +130,10 @@ pub struct PositionalRow {
     pub positional_bits_per_byte: f64,
 }
 
-/// Builds the corpus-trained positional code (the positional analogue of
-/// [`preselected_code`]).
-///
-/// # Panics
-///
-/// Panics if code construction fails (impossible for the non-empty
-/// corpus).
-pub fn corpus_positional_code() -> PositionalCode {
-    let mut histograms = PositionalHistogram::new();
-    for program in figure5_corpus() {
-        histograms.update(&program.text);
-    }
-    PositionalCode::preselected(&histograms).expect("corpus is non-empty")
-}
-
 /// Measures both preselected codes over every workload text.
 pub fn positional_extension(suite: &Suite) -> Vec<PositionalRow> {
     let single = preselected_code();
-    let positional = corpus_positional_code();
+    let positional = preselected_positional_code();
     suite
         .iter()
         .map(|p| {

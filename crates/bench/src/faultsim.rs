@@ -28,6 +28,7 @@ use std::time::{Duration, Instant};
 use ccrp::{CompressedImage, ContainerLayout, FaultPlan, FaultRegion};
 use ccrp_compress::{BlockAlignment, ByteCode, ByteHistogram};
 
+use crate::difftest::trial_seed;
 use crate::json::Json;
 use crate::report::ToJson;
 use crate::runner::parallel_map;
@@ -143,11 +144,6 @@ pub fn mode_of(trial: usize) -> Mode {
 /// The region trial `trial` injects into (cycling all regions per mode).
 pub fn region_of(trial: usize) -> FaultRegion {
     FaultRegion::ALL[(trial / 2) % FaultRegion::ALL.len()]
-}
-
-/// Decorrelates per-trial seeds (the SplitMix64 increment constant).
-fn trial_seed(seed: u64, trial: usize) -> u64 {
-    seed ^ (trial as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 /// The deterministic program every campaign corrupts: a mix of highly

@@ -271,11 +271,6 @@ pub fn run(options: IsaCompareOptions) -> IsaCompareReport {
 }
 
 impl IsaCompareReport {
-    /// The cells of one variant, in workload-major order.
-    pub fn variant_cells(&self, variant: IsaVariant) -> impl Iterator<Item = &IsaCell> {
-        self.cells.iter().filter(move |c| c.variant == variant)
-    }
-
     /// The deterministic half of the report: identical across job
     /// counts and machines.
     pub fn results_json(&self) -> Json {

@@ -13,7 +13,7 @@ use ccrp_sim::MemoryModel;
 
 use crate::experiments::clb::{ClbRow, CLB_SIZES};
 use crate::experiments::dcache::DcacheRow;
-use crate::experiments::fig5::{weighted_average, Fig5Row};
+use crate::experiments::fig5::Fig5Row;
 use crate::experiments::perf::PerfPoint;
 use crate::runner::{ExperimentResults, SweepReport};
 use crate::table::Table;
@@ -232,12 +232,6 @@ pub fn report(report: &SweepReport) -> String {
         ExperimentResults::Fig9(points) => fig9(points),
         ExperimentResults::Tables11To13(tables) => tables_11_13(tables),
     }
-}
-
-/// Re-exported so callers rendering raw Figure 5 rows can compute the
-/// average the same way the runner does.
-pub fn fig5_with_average(rows: &[Fig5Row]) -> String {
-    fig5(rows, &weighted_average(rows))
 }
 
 #[cfg(test)]

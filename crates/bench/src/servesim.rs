@@ -51,6 +51,7 @@ use ccrp_served::{
     Service, ServiceConfig, ServiceCounters,
 };
 
+use crate::difftest::trial_seed;
 use crate::faultsim::campaign_image;
 use crate::json::Json;
 use crate::report::ToJson;
@@ -158,11 +159,6 @@ pub fn kind_of(trial: usize) -> TrialKind {
 /// The container region corrupt-upload trials inject into.
 pub fn region_of(trial: usize) -> FaultRegion {
     FaultRegion::ALL[(trial / TrialKind::ALL.len()) % FaultRegion::ALL.len()]
-}
-
-/// Decorrelates per-trial seeds (the SplitMix64 increment constant).
-fn trial_seed(seed: u64, trial: usize) -> u64 {
-    seed ^ (trial as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 /// How one hostile-client trial ended.

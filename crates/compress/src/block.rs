@@ -8,7 +8,6 @@
 
 use ccrp_bitstream::BitWriter;
 
-use crate::code::ByteCode;
 use crate::codec::LineCodec;
 use crate::error::CompressError;
 
@@ -101,22 +100,13 @@ impl CompressedLine {
     }
 }
 
-/// Compresses one cache line with `code`, bypassing if compression would
-/// not shrink it below [`LINE_SIZE`] after `alignment` padding.
+/// Compresses one cache line with `codec`, bypassing if compression
+/// would not shrink it below [`LINE_SIZE`] after `alignment` padding.
 ///
 /// # Panics
 ///
 /// Panics if `line` is not exactly [`LINE_SIZE`] bytes.
-pub fn compress_line(code: &ByteCode, line: &[u8], alignment: BlockAlignment) -> CompressedLine {
-    compress_line_with(code, line, alignment)
-}
-
-/// [`compress_line`] for any [`LineCodec`].
-///
-/// # Panics
-///
-/// Panics if `line` is not exactly [`LINE_SIZE`] bytes.
-pub fn compress_line_with(
+pub fn compress_line(
     codec: &dyn LineCodec,
     line: &[u8],
     alignment: BlockAlignment,
@@ -150,19 +140,6 @@ pub fn compress_line_with(
 /// Propagates decode failures on corrupt data; `out` then holds the
 /// bytes expanded before the failure.
 pub fn decompress_line_into(
-    code: &ByteCode,
-    line: &CompressedLine,
-    out: &mut [u8; LINE_SIZE],
-) -> Result<(), CompressError> {
-    decompress_line_into_with(code, line, out)
-}
-
-/// [`decompress_line_into`] for any [`LineCodec`].
-///
-/// # Errors
-///
-/// As for [`decompress_line_into`].
-pub fn decompress_line_into_with(
     codec: &dyn LineCodec,
     line: &CompressedLine,
     out: &mut [u8; LINE_SIZE],
@@ -181,11 +158,11 @@ pub fn decompress_line_into_with(
 ///
 /// Propagates decode failures on corrupt data.
 pub fn decompress_line(
-    code: &ByteCode,
+    codec: &dyn LineCodec,
     line: &CompressedLine,
 ) -> Result<[u8; LINE_SIZE], CompressError> {
     let mut out = [0u8; LINE_SIZE];
-    decompress_line_into(code, line, &mut out)?;
+    decompress_line_into(codec, line, &mut out)?;
     Ok(out)
 }
 
@@ -193,15 +170,6 @@ pub fn decompress_line(
 /// zero padded to [`LINE_SIZE`] first (zero is the `nop` encoding on
 /// MIPS, matching how linkers pad text sections).
 pub fn compress_image(
-    code: &ByteCode,
-    text: &[u8],
-    alignment: BlockAlignment,
-) -> Vec<CompressedLine> {
-    compress_image_with(code, text, alignment)
-}
-
-/// [`compress_image`] for any [`LineCodec`].
-pub fn compress_image_with(
     codec: &dyn LineCodec,
     text: &[u8],
     alignment: BlockAlignment,
@@ -209,11 +177,11 @@ pub fn compress_image_with(
     let mut lines = Vec::with_capacity(text.len().div_ceil(LINE_SIZE));
     for chunk in text.chunks(LINE_SIZE) {
         if chunk.len() == LINE_SIZE {
-            lines.push(compress_line_with(codec, chunk, alignment));
+            lines.push(compress_line(codec, chunk, alignment));
         } else {
             let mut padded = [0u8; LINE_SIZE];
             padded[..chunk.len()].copy_from_slice(chunk);
-            lines.push(compress_line_with(codec, &padded, alignment));
+            lines.push(compress_line(codec, &padded, alignment));
         }
     }
     lines
@@ -228,6 +196,7 @@ pub fn compressed_size(lines: &[CompressedLine]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::code::ByteCode;
     use crate::histogram::ByteHistogram;
     use proptest::prelude::*;
 

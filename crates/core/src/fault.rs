@@ -16,6 +16,7 @@ use std::ops::Range;
 use ccrp_compress::CodecId;
 
 use crate::error::CcrpError;
+use crate::SplitMix64;
 
 /// A region of the serialized container a fault can land in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,27 +126,6 @@ pub struct ContainerLayout {
     pub version: u16,
 }
 
-/// A deterministic pseudo-random generator (SplitMix64). Hand-rolled so
-/// `ccrp-core` needs no RNG dependency; statistical quality is ample for
-/// spreading fault offsets.
-#[derive(Debug, Clone)]
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform value in `0..bound` (`bound > 0`) by multiply-shift.
-    fn below(&mut self, bound: usize) -> usize {
-        ((u128::from(self.next_u64()) * bound as u128) >> 64) as usize
-    }
-}
-
 /// A seeded generator of [`FaultPlan`]s.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
@@ -156,7 +136,7 @@ impl FaultInjector {
     /// Creates an injector; equal seeds produce equal plan sequences.
     pub fn new(seed: u64) -> Self {
         Self {
-            rng: SplitMix64(seed),
+            rng: SplitMix64::new(seed),
         }
     }
 
@@ -175,7 +155,7 @@ impl FaultInjector {
             return FaultPlan { faults };
         }
         for _ in 0..count {
-            let offset = range.start + self.rng.below(range.end - range.start);
+            let offset = range.start + self.rng.below((range.end - range.start) as u64) as usize;
             let kind = if self.rng.next_u64() & 1 == 0 {
                 FaultKind::BitFlip {
                     bit: (self.rng.next_u64() & 7) as u8,
@@ -204,7 +184,7 @@ impl FaultInjector {
             return FaultPlan { faults };
         }
         for _ in 0..count {
-            let offset = self.rng.below(len);
+            let offset = self.rng.below(len as u64) as usize;
             let kind = if self.rng.next_u64() & 1 == 0 {
                 FaultKind::BitFlip {
                     bit: (self.rng.next_u64() & 7) as u8,

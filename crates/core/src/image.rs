@@ -133,7 +133,7 @@ impl CompressedImage {
         let padded = original_text.len().div_ceil(LINE_SIZE as usize) * LINE_SIZE as usize;
         original_text.resize(padded, 0);
 
-        let lines = block::compress_image_with(codec.as_ref(), &original_text, alignment);
+        let lines = block::compress_image(codec.as_ref(), &original_text, alignment);
         let mut block_addresses = Vec::with_capacity(lines.len());
         let mut cursor: u32 = 0;
         for line in &lines {
@@ -203,12 +203,6 @@ impl CompressedImage {
     /// image was built or loaded with a non-default codec).
     pub fn codec(&self) -> &dyn LineCodec {
         self.codec.as_ref()
-    }
-
-    /// A shared handle to the line codec (for building sibling images
-    /// with the same decoder).
-    pub fn codec_handle(&self) -> Arc<dyn LineCodec> {
-        Arc::clone(&self.codec)
     }
 
     /// The block alignment the image was packed with.
@@ -293,16 +287,6 @@ impl CompressedImage {
         })
     }
 
-    /// The stored (possibly compressed) block covering `address`.
-    ///
-    /// # Errors
-    ///
-    /// [`CcrpError::AddressOutOfRange`] outside the program text.
-    pub fn stored_line(&self, address: u32) -> Result<&CompressedLine, CcrpError> {
-        let loc = self.locate(address)?;
-        Ok(&self.lines[loc.global_line()])
-    }
-
     /// The original 32 bytes of the line covering `address`.
     ///
     /// # Errors
@@ -355,7 +339,7 @@ impl CompressedImage {
                 });
             }
         }
-        Ok(block::decompress_line_into_with(
+        Ok(block::decompress_line_into(
             self.codec.as_ref(),
             stored,
             out,
@@ -463,7 +447,7 @@ impl CompressedImage {
                 data.to_vec(),
                 entry.is_uncompressed(slot),
             )?;
-            block::decompress_line_into_with(codec.as_ref(), &line, &mut expanded)?;
+            block::decompress_line_into(codec.as_ref(), &line, &mut expanded)?;
             original_text.extend_from_slice(&expanded);
             block_addresses.push(physical as u32);
             lines.push(line);

@@ -67,6 +67,7 @@ mod fault;
 mod image;
 mod lat;
 mod refill;
+mod rng;
 mod snapshot;
 
 pub use budget::{BudgetExhausted, StepBudget};
@@ -80,6 +81,7 @@ pub use lat::{LatEntry, LineAddressTable, ENTRY_BYTES, RECORDS_PER_ENTRY};
 pub use refill::{
     Burst, DegradePolicy, IntegrityCheck, MemoryTiming, RefillConfig, RefillEngine, RefillOutcome,
 };
+pub use rng::SplitMix64;
 pub use snapshot::{
     read_frame, write_frame, ByteReader, ByteWriter, SnapshotError, SnapshotHeader,
     SNAPSHOT_HEADER_BYTES, SNAPSHOT_MAGIC,

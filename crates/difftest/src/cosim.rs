@@ -18,9 +18,9 @@ use ccrp::{CompressedImage, DegradePolicy};
 use ccrp_asm::ProgramImage;
 use ccrp_compress::{BlockAlignment, ByteCode, ByteHistogram, PositionalCode, PositionalHistogram};
 use ccrp_emu::{Machine, MachineConfig, TraceSink};
-use ccrp_isa::{disassemble_word, FpReg};
+use ccrp_isa::disassemble_word;
 
-use crate::lockstep::{compare_cores, run_lockstep, LockstepVariant};
+use crate::lockstep::{run_lockstep, LockstepVariant};
 
 /// Records the data accesses one instruction performed, in order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -207,14 +207,9 @@ pub fn run_cosim_with(
     max_steps: u64,
 ) -> Result<CosimVerdict, String> {
     let (mut reference, variants) = machines(image, variants, max_steps);
-    run_lockstep(
-        &mut reference,
-        variants,
-        image.entry(),
-        max_steps,
-        compare_state,
-        |pc| disasm_window(image, pc),
-    )
+    run_lockstep(&mut reference, variants, image.entry(), max_steps, |pc| {
+        disasm_window(image, pc)
+    })
 }
 
 /// The reference machine for `image` and one lockstep variant per
@@ -225,10 +220,7 @@ pub(crate) fn machines(
     variants: Vec<CosimVariant>,
     max_steps: u64,
 ) -> (Machine, Vec<LockstepVariant<Machine>>) {
-    let config = MachineConfig {
-        max_steps,
-        ..MachineConfig::default()
-    };
+    let config = MachineConfig { max_steps };
     let variants = variants
         .into_iter()
         .map(|variant| LockstepVariant {
@@ -243,54 +235,6 @@ pub(crate) fn machines(
         })
         .collect();
     (Machine::with_config(image, config), variants)
-}
-
-/// Compares the full post-step architectural state, returning the first
-/// differing `(field, reference-vs-variant detail)`: [`compare_cores`]
-/// with the MIPS-private state checked right after the GPRs.
-pub(crate) fn compare_state(
-    reference: &Machine,
-    variant: &Machine,
-    ref_accesses: &[(u32, bool)],
-    var_accesses: &[(u32, bool)],
-) -> Option<(String, String)> {
-    compare_cores(
-        reference,
-        variant,
-        ref_accesses,
-        var_accesses,
-        Some(compare_mips_private),
-    )
-}
-
-/// The MIPS state the [`IsaCore`](ccrp_emu::IsaCore) surface cannot
-/// see: HI/LO, the FPA register file and its condition flag.
-fn compare_mips_private(reference: &Machine, variant: &Machine) -> Option<(String, String)> {
-    if reference.hi() != variant.hi() || reference.lo() != variant.lo() {
-        return Some((
-            "hi/lo".to_string(),
-            format!(
-                "{:#010x}:{:#010x} vs {:#010x}:{:#010x}",
-                reference.hi(),
-                reference.lo(),
-                variant.hi(),
-                variant.lo()
-            ),
-        ));
-    }
-    for reg in FpReg::all() {
-        let (a, b) = (reference.fp_bits(reg), variant.fp_bits(reg));
-        if a != b {
-            return Some((reg.to_string(), format!("{a:#010x} vs {b:#010x}")));
-        }
-    }
-    if reference.fp_cond() != variant.fp_cond() {
-        return Some((
-            "fp_cond".to_string(),
-            format!("{} vs {}", reference.fp_cond(), variant.fp_cond()),
-        ));
-    }
-    None
 }
 
 /// Disassembles ±4 instructions around `pc`, marking the faulting line.
@@ -369,6 +313,7 @@ pub fn diverges(verdict: &Result<CosimVerdict, String>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lockstep::compare_cores;
     use crate::progen::ProgGen;
     use ccrp_asm::assemble;
 
@@ -415,24 +360,21 @@ mod tests {
 
     #[test]
     fn mips_private_state_is_compared_right_after_the_gprs() {
-        // Program pairs of equal length whose GPRs end equal: (reference,
-        // variant, field `compare_state` reports, field the generic
-        // comparator alone reports).
+        // Program pairs of equal length whose GPRs end equal, with the
+        // field and detail the comparison reports.
         let cases = [
             // Only HI/LO differ.
             (
                 "li $t0, 3\nli $t1, 5\nmult $t0, $t1\nli $t1, 0\nli $v0, 10\nsyscall",
                 "li $t0, 3\nli $t1, 6\nmult $t0, $t1\nli $t1, 0\nli $v0, 10\nsyscall",
-                "hi/lo",
-                None,
+                ("hi/lo", "0x00000000:0x0000000f vs 0x00000000:0x00000012"),
             ),
             // An FPA register and the exit status differ: the FPA file
             // comes first.
             (
                 "li $t0, 7\nmtc1 $t0, $f2\nli $t0, 0\nli $v0, 10\nsyscall",
                 "li $t0, 9\nmtc1 $t0, $f2\nli $t0, 0\nli $v0, 10\nnop",
-                "$f2",
-                Some("exit_code"),
+                ("$f2", "0x00000007 vs 0x00000009"),
             ),
         ];
         let run = |body: &str| {
@@ -443,12 +385,14 @@ mod tests {
             }
             machine
         };
-        for (reference, variant, field, generic) in cases {
+        for (reference, variant, (field, detail)) in cases {
             let (a, b) = (run(reference), run(variant));
-            let mismatch = compare_state(&a, &b, &[], &[]).map(|(field, _)| field);
-            assert_eq!(mismatch.as_deref(), Some(field), "{variant}");
-            let mismatch = compare_cores(&a, &b, &[], &[], None).map(|(field, _)| field);
-            assert_eq!(mismatch.as_deref(), generic, "{variant}");
+            let mismatch = compare_cores(&a, &b, &[], &[]);
+            assert_eq!(
+                mismatch,
+                Some((field.to_string(), detail.to_string())),
+                "{variant}"
+            );
         }
     }
 

@@ -37,18 +37,17 @@
 pub mod cosim;
 pub mod lockstep;
 pub mod progen;
-pub mod rng;
 pub mod rv32;
 pub mod segmented;
 pub mod timing;
 
+pub use ccrp::SplitMix64;
 pub use cosim::{
     build_rom, minimize_lines, run_cosim, run_cosim_with, CosimVariant, CosimVerdict,
     DivergenceReport, RecordingSink,
 };
-pub use lockstep::{compare_cores, run_lockstep, LockstepVariant, PrivateCompare};
+pub use lockstep::{compare_cores, run_lockstep, LockstepVariant};
 pub use progen::{GeneratedProgram, ProgGen, SCRATCH_BASE, SCRATCH_SIZE};
-pub use rng::SplitMix64;
 pub use rv32::{build_rv32_rom, run_rv32_cosim, run_trial_rv32};
 pub use segmented::{run_cosim_segmented, run_cosim_segmented_with, SegmentedVerdict};
 pub use timing::{check_refill_invariants, LinearMemory, TimingReport};

@@ -4,12 +4,12 @@
 //! the MIPS-specific [`cosim`](crate::cosim) module and made generic
 //! over [`IsaCore`]: one reference machine and any number of variant
 //! machines execute the same program an instruction at a time, and
-//! after every retired instruction a caller-supplied comparator checks
-//! the full architectural state. The MIPS path
+//! after every retired instruction [`compare_cores`] checks the full
+//! architectural state. The MIPS path
 //! ([`run_cosim_with`](crate::cosim::run_cosim_with)) and the RV32 path
 //! ([`run_rv32_cosim`](crate::rv32::run_rv32_cosim)) are both thin
 //! wrappers: they construct the machines and supply the per-ISA
-//! comparator and disassembly-window hooks, while the stepping,
+//! disassembly-window hook, while the stepping, comparison,
 //! fault-matching, budget, and reporting logic lives here once. The
 //! checkpoint-segmented runner
 //! ([`run_cosim_segmented_with`](crate::segmented::run_cosim_segmented_with))
@@ -22,7 +22,6 @@
 //! compression), and the first state mismatch wins.
 
 use ccrp_emu::IsaCore;
-use ccrp_isa::Isa;
 
 use crate::cosim::{CosimVerdict, DivergenceReport, RecordingSink};
 
@@ -38,10 +37,11 @@ pub struct LockstepVariant<M> {
 }
 
 /// Runs `reference` and every variant in lockstep until the reference
-/// exits, comparing with `compare` after each retired instruction and
-/// rendering divergence windows with `window`. `entry` is the program
-/// entry point (the PC reported for construction failures). The
-/// reference is borrowed, so the caller can read its end state.
+/// exits, comparing with [`compare_cores`] after each retired
+/// instruction and rendering divergence windows with `window`. `entry`
+/// is the program entry point (the PC reported for construction
+/// failures). The reference is borrowed, so the caller can read its end
+/// state.
 ///
 /// # Errors
 ///
@@ -49,20 +49,18 @@ pub struct LockstepVariant<M> {
 /// faulted and every variant reproduced the identical fault — either
 /// way the generated program is invalid, which is a harness bug rather
 /// than a compression divergence.
-pub fn run_lockstep<M, C, W>(
+pub fn run_lockstep<M, W>(
     reference: &mut M,
     variants: Vec<LockstepVariant<M>>,
     entry: u32,
     max_steps: u64,
-    compare: C,
     window: W,
 ) -> Result<CosimVerdict, String>
 where
     M: IsaCore,
-    C: Fn(&M, &M, &[(u32, bool)], &[(u32, bool)]) -> Option<(String, String)>,
     W: Fn(u32) -> Vec<String>,
 {
-    let mut lockstep = match Lockstep::new(variants, entry, compare, window) {
+    let mut lockstep = match Lockstep::new(variants, entry, window) {
         Ok(lockstep) => lockstep,
         Err(divergence) => return Ok(CosimVerdict::Divergence(divergence)),
     };
@@ -75,19 +73,16 @@ where
 }
 
 /// The resumable driver behind [`run_lockstep`]: the variant machines,
-/// their data-access logs, and the hooks that compare states and render
-/// divergence windows.
-pub(crate) struct Lockstep<M, C, W> {
+/// their data-access logs, and the hook that renders divergence windows.
+pub(crate) struct Lockstep<M, W> {
     variants: Vec<(&'static str, M, RecordingSink)>,
     ref_sink: RecordingSink,
-    compare: C,
     window: W,
 }
 
-impl<M, C, W> Lockstep<M, C, W>
+impl<M, W> Lockstep<M, W>
 where
     M: IsaCore,
-    C: Fn(&M, &M, &[(u32, bool)], &[(u32, bool)]) -> Option<(String, String)>,
     W: Fn(u32) -> Vec<String>,
 {
     /// Takes the variant machines. The first variant that failed to
@@ -95,7 +90,6 @@ where
     pub(crate) fn new(
         variants: Vec<LockstepVariant<M>>,
         entry: u32,
-        compare: C,
         window: W,
     ) -> Result<Self, Box<DivergenceReport>> {
         let mut running = Vec::new();
@@ -118,7 +112,6 @@ where
         Ok(Self {
             variants: running,
             ref_sink: RecordingSink::default(),
-            compare,
             window,
         })
     }
@@ -155,7 +148,7 @@ where
                 let var_result = machine.step_traced(sink);
                 let mismatch = match (&ref_result, &var_result) {
                     (Ok(()), Ok(())) => {
-                        (self.compare)(reference, machine, &self.ref_sink.accesses, &sink.accesses)
+                        compare_cores(reference, machine, &self.ref_sink.accesses, &sink.accesses)
                     }
                     (Err(a), Err(b)) if a == b => None,
                     (a, b) => Some(("fault".to_string(), format!("reference {a:?} vs {b:?}"))),
@@ -185,23 +178,17 @@ where
     }
 }
 
-/// An ISA's hook for [`compare_cores`]: compares the state the
-/// [`IsaCore`] surface cannot see, returning the first differing
-/// `(field, reference-vs-variant detail)`.
-pub type PrivateCompare<M> = fn(&M, &M) -> Option<(String, String)>;
-
 /// Compares the full post-step state, returning the first differing
-/// `(field, reference-vs-variant detail)`: PC, every GPR (named via
-/// [`Isa::gpr_name`]), then `private` — the ISA's hook for state the
-/// [`IsaCore`] surface cannot see (MIPS HI/LO and the FPA file; RV32
-/// has none) — then exit status, the ordered data-access log, the
-/// memory words this instruction touched, and console output.
+/// `(field, reference-vs-variant detail)`: PC, every GPR (named from
+/// [`IsaCore::GPR_NAMES`]), then the state only the core itself can see
+/// ([`IsaCore::private_mismatch`]: MIPS HI/LO and the FPA file; RV32
+/// has none), then exit status, the ordered data-access log, the memory
+/// words this instruction touched, and console output.
 pub fn compare_cores<M: IsaCore>(
     reference: &M,
     variant: &M,
     ref_accesses: &[(u32, bool)],
     var_accesses: &[(u32, bool)],
-    private: Option<PrivateCompare<M>>,
 ) -> Option<(String, String)> {
     if reference.pc() != variant.pc() {
         return Some((
@@ -209,16 +196,13 @@ pub fn compare_cores<M: IsaCore>(
             format!("{:#010x} vs {:#010x}", reference.pc(), variant.pc()),
         ));
     }
-    for index in 0..<M::Isa as Isa>::GPR_COUNT {
+    for (index, name) in M::GPR_NAMES.iter().enumerate() {
         let (a, b) = (reference.gpr(index), variant.gpr(index));
         if a != b {
-            return Some((
-                <M::Isa as Isa>::gpr_name(index).to_string(),
-                format!("{a:#010x} vs {b:#010x}"),
-            ));
+            return Some((name.to_string(), format!("{a:#010x} vs {b:#010x}")));
         }
     }
-    if let Some(mismatch) = private.and_then(|private| private(reference, variant)) {
+    if let Some(mismatch) = reference.private_mismatch(variant) {
         return Some(mismatch);
     }
     if reference.exit_code() != variant.exit_code() {
@@ -253,7 +237,6 @@ pub fn compare_cores<M: IsaCore>(
 mod tests {
     use super::*;
     use ccrp_emu::{Machine, MachineConfig};
-    use ccrp_isa::Mips;
 
     fn machine(source: &str) -> Machine {
         let image = ccrp_asm::assemble(source).expect("assembles");
@@ -277,7 +260,6 @@ mod tests {
             }],
             0,
             1000,
-            |r, v, ra, va| compare_cores(r, v, ra, va, None),
             |_| Vec::new(),
         )
         .expect("runs");
@@ -294,7 +276,6 @@ mod tests {
             }],
             0x40_0000,
             1000,
-            |r, v, ra, va| compare_cores(r, v, ra, va, None),
             |pc| vec![format!("window at {pc:#x}")],
         )
         .expect("runs");
@@ -324,7 +305,6 @@ mod tests {
             }],
             0,
             1000,
-            |r, v, ra, va| compare_cores(r, v, ra, va, None),
             |_| Vec::new(),
         )
         .expect("runs");
@@ -332,7 +312,7 @@ mod tests {
             panic!("expected a divergence");
         };
         assert_eq!(report.step, 1);
-        assert_eq!(report.field, Mips::gpr_name(8), "diverged in $t0");
+        assert_eq!(report.field, "$t0");
     }
 
     #[test]
@@ -349,7 +329,6 @@ mod tests {
             }],
             0,
             16,
-            |r, v, ra, va| compare_cores(r, v, ra, va, None),
             |_| Vec::new(),
         )
         .expect_err("must trip the budget");

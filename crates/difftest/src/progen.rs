@@ -25,12 +25,11 @@
 
 use std::fmt::Write as _;
 
+use ccrp::SplitMix64;
 use ccrp_isa::Reg;
 
-use crate::rng::SplitMix64;
-
 /// Base address of the 256-byte scratch buffer all loads/stores target.
-/// Sits below the default stack (`0x00F0_0000`) in the paper's 24-bit
+/// Sits below the stack ([`ccrp_emu::INITIAL_SP`]) in the paper's 24-bit
 /// physical space; the prologue stores to every word so loads never see
 /// unmapped memory.
 pub const SCRATCH_BASE: u32 = 0x00EF_FF00;
@@ -538,7 +537,6 @@ mod tests {
                 &image,
                 MachineConfig {
                     max_steps: 2_000_000,
-                    ..MachineConfig::default()
                 },
             );
             let summary = machine

@@ -17,12 +17,12 @@
 
 use ccrp::CompressedImage;
 use ccrp_compress::{BlockAlignment, ByteCode, ByteHistogram};
-use ccrp_isa::Isa;
+use ccrp_emu::IsaCore;
 use ccrp_rv32::progen::Rv32ProgGen;
-use ccrp_rv32::{rvc, Encoding, Rv32Config, Rv32Image, Rv32Machine, Rv32c};
+use ccrp_rv32::{disassemble, rvc, Encoding, Rv32Config, Rv32Image, Rv32Machine};
 
 use crate::cosim::{container_round_trips, CosimVerdict, DivergenceReport};
-use crate::lockstep::{compare_cores, run_lockstep, LockstepVariant};
+use crate::lockstep::{run_lockstep, LockstepVariant};
 use crate::timing::check_refill_invariants;
 use crate::{TrialOutcome, TrialReport, TRIAL_MAX_STEPS};
 
@@ -62,10 +62,7 @@ fn rv32_lockstep(
     max_steps: u64,
 ) -> Result<(CosimVerdict, Rv32Machine, CompressedImage), String> {
     let rom = build_rv32_rom(image)?;
-    let config = Rv32Config {
-        max_steps,
-        ..Rv32Config::default()
-    };
+    let config = Rv32Config { max_steps };
     // The round-trip images live only until their machines are built.
     let variants = {
         let (v1, v2) = container_round_trips(&rom)?;
@@ -82,14 +79,9 @@ fn rv32_lockstep(
         .collect()
     };
     let mut reference = Rv32Machine::with_config(image, config);
-    let verdict = run_lockstep(
-        &mut reference,
-        variants,
-        image.entry(),
-        max_steps,
-        |r, v, ra, va| compare_cores(r, v, ra, va, None),
-        |pc| rv32_disasm_window(image, pc),
-    )?;
+    let verdict = run_lockstep(&mut reference, variants, image.entry(), max_steps, |pc| {
+        rv32_disasm_window(image, pc)
+    })?;
     Ok((verdict, reference, rom))
 }
 
@@ -115,7 +107,7 @@ pub fn rv32_disasm_window(image: &Rv32Image, pc: u32) -> Vec<String> {
             let marker = if addr == pc { '>' } else { ' ' };
             format!(
                 "{marker} {addr:#010x}  {}",
-                Rv32c::disassemble_bytes(&text[addr as usize..])
+                disassemble(&text[addr as usize..])
             )
         })
         .collect()
@@ -125,7 +117,7 @@ pub fn rv32_disasm_window(image: &Rv32Image, pc: u32) -> Vec<String> {
 struct FinalState {
     output: String,
     exit: Option<i32>,
-    gprs: Vec<u32>,
+    gprs: [u32; 32],
 }
 
 /// Runs the full RV32 differential trial for `seed`: generate, assemble
@@ -177,9 +169,7 @@ pub fn run_trial_rv32(seed: u64) -> TrialReport {
         finals.push(FinalState {
             output: reference.output().to_string(),
             exit: reference.exit_code(),
-            gprs: (0..Rv32c::GPR_COUNT)
-                .map(|index| ccrp_emu::IsaCore::gpr(&reference, index))
-                .collect(),
+            gprs: std::array::from_fn(|index| IsaCore::gpr(&reference, index)),
         });
     }
     if let Some(divergence) = cross_encoding_divergence(&finals[0], &finals[1]) {
@@ -210,10 +200,10 @@ fn cross_encoding_divergence(i: &FinalState, c: &FinalState) -> Option<(String, 
             format!("rv32i {:?} vs rv32c {:?}", i.exit, c.exit),
         ));
     }
-    for (index, (a, b)) in i.gprs.iter().zip(&c.gprs).enumerate() {
+    for ((a, b), name) in i.gprs.iter().zip(&c.gprs).zip(Rv32Machine::GPR_NAMES) {
         if a != b {
             return Some((
-                Rv32c::gpr_name(index).to_string(),
+                name.to_string(),
                 format!("rv32i {a:#010x} vs rv32c {b:#010x}"),
             ));
         }
@@ -277,7 +267,6 @@ mod tests {
             }],
             image.entry(),
             100_000,
-            |r, v, ra, va| compare_cores(r, v, ra, va, None),
             |pc| rv32_disasm_window(&image, pc),
         )
         .expect("runs");

@@ -29,8 +29,7 @@ use ccrp_asm::ProgramImage;
 use ccrp_emu::{Checkpoint, Machine, NullSink};
 
 use crate::cosim::{
-    build_rom, compare_state, disasm_window, machines, standard_variants, CosimVariant,
-    CosimVerdict,
+    build_rom, disasm_window, machines, standard_variants, CosimVariant, CosimVerdict,
 };
 use crate::lockstep::Lockstep;
 
@@ -85,9 +84,7 @@ pub fn run_cosim_segmented_with(
         return Err("checkpoint interval must be at least 1".to_string());
     }
     let (mut reference, variants) = machines(image, variants, max_steps);
-    let mut lockstep = match Lockstep::new(variants, image.entry(), compare_state, |pc| {
-        disasm_window(image, pc)
-    }) {
+    let mut lockstep = match Lockstep::new(variants, image.entry(), |pc| disasm_window(image, pc)) {
         Ok(lockstep) => lockstep,
         Err(divergence) => {
             return Ok(SegmentedVerdict {

@@ -9,23 +9,25 @@
 //! it for MIPS, `ccrp-rv32`'s machine implements it for RV32I/RV32C,
 //! and `ccrp-difftest`'s generic driver works against either.
 //!
-//! State the trait cannot see (MIPS HI/LO and the FPA register file,
-//! for instance) is compared through a per-ISA hook the generic
-//! comparator accepts, so adding an architecture never weakens the
-//! comparison for another.
+//! State the surface cannot see (MIPS HI/LO and the FPA register file,
+//! for instance) each core compares itself, in
+//! [`IsaCore::private_mismatch`], so adding an architecture never
+//! weakens the comparison for another.
 
-use crate::TraceSink;
-use ccrp_isa::Isa;
+use ccrp_isa::FpReg;
 use std::fmt;
 
-/// A steppable, observable machine for one [`Isa`].
+use crate::TraceSink;
+
+/// A steppable, observable machine for one instruction set.
 ///
 /// Implementations promise that two machines constructed from the same
 /// program image and stepped identically expose identical observations
 /// — the whole premise of lockstep co-simulation.
 pub trait IsaCore {
-    /// The architecture this core executes.
-    type Isa: Isa;
+    /// The conventional name of each general-purpose register,
+    /// including any sigil, so divergence reports read naturally.
+    const GPR_NAMES: [&'static str; 32];
 
     /// A fault raised by one step: bad fetch, illegal instruction,
     /// unmapped access, step-budget exhaustion. Faults are compared
@@ -35,7 +37,7 @@ pub trait IsaCore {
     /// Current program counter.
     fn pc(&self) -> u32;
 
-    /// General-purpose register `index` (`0..Isa::GPR_COUNT`).
+    /// General-purpose register `index` (`0..32`).
     fn gpr(&self, index: usize) -> u32;
 
     /// `Some(code)` once the program has exited.
@@ -53,10 +55,24 @@ pub trait IsaCore {
     /// Executes one instruction, reporting fetches and data accesses to
     /// `sink`.
     fn step_traced(&mut self, sink: &mut dyn TraceSink) -> Result<(), Self::Fault>;
+
+    /// The first difference in the state the rest of this surface
+    /// cannot see, as `(field, self-vs-other detail)`. Cores with no
+    /// such state keep the default, `None`.
+    fn private_mismatch(&self, _other: &Self) -> Option<(String, String)> {
+        None
+    }
 }
 
 impl IsaCore for crate::Machine {
-    type Isa = ccrp_isa::Mips;
+    /// The ABI names with the `$` sigil, matching `Reg`'s `Display`
+    /// output byte for byte.
+    const GPR_NAMES: [&'static str; 32] = [
+        "$zero", "$at", "$v0", "$v1", "$a0", "$a1", "$a2", "$a3", "$t0", "$t1", "$t2", "$t3",
+        "$t4", "$t5", "$t6", "$t7", "$s0", "$s1", "$s2", "$s3", "$s4", "$s5", "$s6", "$s7", "$t8",
+        "$t9", "$k0", "$k1", "$gp", "$sp", "$fp", "$ra",
+    ];
+
     type Fault = crate::EmuError;
 
     // The lockstep comparator reads these after every step of every
@@ -68,7 +84,7 @@ impl IsaCore for crate::Machine {
     }
 
     /// Indexes the register file directly (caller contract: `index <
-    /// GPR_COUNT`, = 32).
+    /// 32`).
     #[inline]
     fn gpr(&self, index: usize) -> u32 {
         self.state.regs[index]
@@ -97,6 +113,35 @@ impl IsaCore for crate::Machine {
     fn step_traced(&mut self, mut sink: &mut dyn TraceSink) -> Result<(), Self::Fault> {
         self.step(&mut sink)
     }
+
+    /// HI/LO, then the FPA register file, then its condition flag.
+    fn private_mismatch(&self, other: &Self) -> Option<(String, String)> {
+        if self.hi() != other.hi() || self.lo() != other.lo() {
+            return Some((
+                "hi/lo".to_string(),
+                format!(
+                    "{:#010x}:{:#010x} vs {:#010x}:{:#010x}",
+                    self.hi(),
+                    self.lo(),
+                    other.hi(),
+                    other.lo()
+                ),
+            ));
+        }
+        for reg in FpReg::all() {
+            let (a, b) = (self.fp_bits(reg), other.fp_bits(reg));
+            if a != b {
+                return Some((reg.to_string(), format!("{a:#010x} vs {b:#010x}")));
+            }
+        }
+        if self.fp_cond() != other.fp_cond() {
+            return Some((
+                "fp_cond".to_string(),
+                format!("{} vs {}", self.fp_cond(), other.fp_cond()),
+            ));
+        }
+        None
+    }
 }
 
 #[cfg(test)]
@@ -104,7 +149,7 @@ mod tests {
     use super::*;
     use crate::{Machine, NullSink};
     use ccrp_asm::assemble;
-    use ccrp_isa::{Isa, Mips};
+    use ccrp_isa::{Reg, ABI_NAMES};
 
     #[test]
     fn machine_observes_identically_through_the_trait() {
@@ -124,7 +169,7 @@ mod tests {
             let b = IsaCore::step_traced(&mut via_trait, &mut NullSink);
             assert_eq!(a, b);
             assert_eq!(Machine::pc(&direct), IsaCore::pc(&via_trait));
-            for i in 0..Mips::GPR_COUNT {
+            for i in 0..Machine::GPR_NAMES.len() {
                 assert_eq!(direct.gpr(i), via_trait.gpr(i));
             }
             if direct.exit_code().is_some() || a.is_err() {
@@ -132,5 +177,13 @@ mod tests {
             }
         }
         assert_eq!(IsaCore::exit_code(&via_trait), Some(0));
+    }
+
+    #[test]
+    fn gpr_names_match_reg_display() {
+        for (i, reg) in Reg::all().enumerate() {
+            assert_eq!(Machine::GPR_NAMES[i], reg.to_string());
+            assert_eq!(Machine::GPR_NAMES[i], format!("${}", ABI_NAMES[i]));
+        }
     }
 }

@@ -50,7 +50,7 @@ pub use ccrp::{BudgetExhausted, DegradePolicy, StepBudget};
 pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_VERSION};
 pub use error::EmuError;
 pub use isa_core::IsaCore;
-pub use machine::{Machine, MachineConfig, RunSummary};
+pub use machine::{Machine, MachineConfig, RunSummary, INITIAL_SP};
 pub use memory::{Memory, PAGE_BYTES};
 pub use state::ArchState;
 pub use trace::{CountingSink, NullSink, ProgramTrace, TraceSink};
@@ -353,13 +353,7 @@ mod tests {
     #[test]
     fn step_limit_enforced() {
         let image = assemble("main: b main").unwrap();
-        let mut m = Machine::with_config(
-            &image,
-            MachineConfig {
-                max_steps: 100,
-                ..MachineConfig::default()
-            },
-        );
+        let mut m = Machine::with_config(&image, MachineConfig { max_steps: 100 });
         let err = m.run(&mut NullSink).unwrap_err();
         assert!(matches!(err, EmuError::StepLimitExceeded { limit: 100 }));
     }

@@ -13,12 +13,14 @@ use crate::memory::Memory;
 use crate::state::ArchState;
 use crate::trace::TraceSink;
 
+/// The initial stack pointer of every machine, MIPS and RV32 alike:
+/// near the top of the paper's 24-bit physical address space, growing
+/// down.
+pub const INITIAL_SP: u32 = 0x00F0_0000;
+
 /// Configuration for a [`Machine`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MachineConfig {
-    /// Initial stack pointer. Defaults to near the top of the paper's
-    /// 24-bit physical address space, growing down.
-    pub initial_sp: u32,
     /// Instruction budget; exceeding it is an error so runaway workloads
     /// fail loudly.
     pub max_steps: u64,
@@ -27,7 +29,6 @@ pub struct MachineConfig {
 impl Default for MachineConfig {
     fn default() -> Self {
         Self {
-            initial_sp: 0x00F0_0000,
             max_steps: 200_000_000,
         }
     }
@@ -133,10 +134,10 @@ impl Machine {
             mem.load(image.data_base(), image.data_bytes());
         }
         // Map the top stack page so leaf functions can spill immediately.
-        mem.write_u32(config.initial_sp, 0);
+        mem.write_u32(INITIAL_SP, 0);
         let decoded = image.text_words().map(|w| decode(w).ok()).collect();
         let mut regs = [0u32; 32];
-        regs[Reg::SP.number() as usize] = config.initial_sp;
+        regs[Reg::SP.number() as usize] = INITIAL_SP;
         regs[Reg::GP.number() as usize] = image.data_base();
         // Returning from `main` jumps to an address outside text, which
         // reports BadFetch; workloads exit via syscall instead.
@@ -997,7 +998,7 @@ impl Machine {
                 // extend into that page is refused with -1 and maps
                 // nothing, so no single step maps unbounded memory.
                 let old = self.state.brk;
-                let stack_page = self.config.initial_sp & !0xFFF;
+                let stack_page = INITIAL_SP & !0xFFF;
                 match old.checked_add(a0) {
                     Some(brk) if brk <= stack_page || a0 == 0 => {
                         self.state.brk = brk;

@@ -32,8 +32,10 @@ impl Instruction {
     /// # Panics
     ///
     /// Panics if a field value violates its documented range (`shamt > 31`,
-    /// `code >= 2^20`, or a 26-bit jump `target` overflow); these are
-    /// programmer errors, not data errors.
+    /// `code >= 2^20`, or a 26-bit jump `target` overflow), or if an
+    /// [`FpCvt`](Instruction::FpCvt) converts a format to itself; these
+    /// are programmer errors, not data errors. The assembler checks each
+    /// before it encodes, and [`decode`](crate::decode) builds none.
     pub fn encode(&self) -> u32 {
         match *self {
             Instruction::RAlu { op, rd, rs, rt } => r_type(
@@ -44,6 +46,7 @@ impl Instruction {
                 op.funct(),
             ),
             Instruction::Shift { op, rd, rt, shamt } => {
+                // panic-ok: the documented field-range contract.
                 assert!(shamt < 32, "shift amount {shamt} out of range");
                 r_type(
                     0,
@@ -75,10 +78,12 @@ impl Instruction {
                 r_type(rs.number().into(), 0, rd.number().into(), 0, 0x09)
             }
             Instruction::Syscall { code } => {
+                // panic-ok: the documented field-range contract.
                 assert!(code < (1 << 20), "syscall code {code} out of range");
                 (OP_SPECIAL << 26) | (code << 6) | 0x0C
             }
             Instruction::Break { code } => {
+                // panic-ok: the documented field-range contract.
                 assert!(code < (1 << 20), "break code {code} out of range");
                 (OP_SPECIAL << 26) | (code << 6) | 0x0D
             }
@@ -105,6 +110,7 @@ impl Instruction {
                 i_type(opcode, rs.number().into(), rt_field, offset as u16)
             }
             Instruction::Jump { link, target } => {
+                // panic-ok: the documented field-range contract.
                 assert!(target < (1 << 26), "jump target {target:#x} out of range");
                 let op = if link { 0x03 } else { 0x02 };
                 (op << 26) | target
@@ -158,6 +164,7 @@ impl Instruction {
             }
             Instruction::FpCvt { to, from, fd, fs } => {
                 use crate::instr::FpFmt::*;
+                // panic-ok: the documented distinct-format contract.
                 assert!(to != from, "cvt with identical formats");
                 let funct = match to {
                     Single => 0x20,

@@ -37,7 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod arch;
 mod decode;
 mod disasm;
 mod encode;
@@ -45,7 +44,6 @@ mod error;
 mod instr;
 mod reg;
 
-pub use arch::{Isa, Mips};
 pub use decode::{decode, RawWord};
 pub use disasm::disassemble_word;
 pub use error::IsaError;

@@ -7,7 +7,8 @@
 //! ISA-level 16-bit re-encoding, and do the two compose? This crate
 //! supplies everything the cross-ISA experiments need:
 //!
-//! * [`Rv32Instr`] + [`decode32`] — the user-mode RV32IM subset;
+//! * [`Rv32Instr`] + [`decode32`] — the user-mode RV32IM subset, and
+//!   [`disassemble`] for code bytes of either width;
 //! * [`rvc`] — RVC (compressed) expansion and canonical compression,
 //!   with a differential proptest suite proving every 16-bit form
 //!   architecturally equivalent to its 32-bit expansion;
@@ -20,10 +21,6 @@
 //!   padded to the paper's static text sizes;
 //! * [`progen`] — a seeded terminating-program generator for the RV32
 //!   lockstep difftest campaign.
-//!
-//! The [`Rv32`] and [`Rv32c`] markers implement
-//! [`ccrp_isa::Isa`], making this crate the second backend behind the
-//! suite's ISA abstraction (MIPS being the first).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,100 +44,24 @@ pub use instr::{AluImmOp, AluOp, BranchOp, LoadOp, MulOp, Rv32Instr, ShiftImmOp,
 pub use machine::{Rv32Config, Rv32Machine};
 pub use reg::{XReg, ABI_NAMES};
 
-use ccrp_isa::Isa;
-
-/// Decodes the instruction starting at `bytes[0]`, expanding an RVC
-/// halfword first when `compressed` front ends are allowed.
-fn decode_bytes_impl(bytes: &[u8], allow_rvc: bool) -> Result<(Rv32Instr, u32), Rv32Error> {
-    let low = match bytes {
-        [a, b, ..] => u16::from_le_bytes([*a, *b]),
-        _ => return Err(Rv32Error::InvalidEncoding { word: 0 }),
+/// Disassembles the instruction starting at `bytes[0]`, RVC included:
+/// a 16-bit form prints as `c.[expansion]`, and a halfword that starts
+/// no valid instruction as `.half 0x....` (`<truncated>` when fewer than
+/// two bytes remain), so it never fails.
+pub fn disassemble(bytes: &[u8]) -> String {
+    let [a, b, ..] = *bytes else {
+        return "<truncated>".to_string();
     };
-    if rvc::instr_bytes(low) == 2 {
-        if !allow_rvc {
-            return Err(Rv32Error::InvalidCompressed { half: low });
-        }
-        return Ok((decode32(rvc::expand(low)?)?, 2));
-    }
-    let chunk: [u8; 4] =
-        bytes
-            .get(..4)
-            .and_then(|s| s.try_into().ok())
-            .ok_or(Rv32Error::InvalidEncoding {
-                word: u32::from(low),
-            })?;
-    Ok((decode32(u32::from_le_bytes(chunk))?, 4))
-}
-
-fn disassemble_bytes_impl(bytes: &[u8], allow_rvc: bool) -> String {
-    match decode_bytes_impl(bytes, allow_rvc) {
-        Ok((instr, 2)) => format!("c.[{instr}]"),
-        Ok((instr, _)) => instr.to_string(),
-        Err(_) => match bytes {
-            [a, b, ..] => format!(".half {:#06x}", u16::from_le_bytes([*a, *b])),
-            _ => "<truncated>".to_string(),
-        },
-    }
-}
-
-/// The base RV32I(M) encoding: every instruction 32 bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Rv32;
-
-impl Isa for Rv32 {
-    const NAME: &'static str = "rv32i";
-    const GPR_COUNT: usize = 32;
-    const MIN_INSTR_BYTES: u32 = 4;
-
-    type Instr = Rv32Instr;
-    type DecodeError = Rv32Error;
-
-    fn instr_bytes(_low_halfword: u16) -> u32 {
-        4
-    }
-
-    fn gpr_name(index: usize) -> &'static str {
-        // panic-ok: caller contract — index < GPR_COUNT.
-        ABI_NAMES[index]
-    }
-
-    fn decode_bytes(bytes: &[u8]) -> Result<(Self::Instr, u32), Self::DecodeError> {
-        decode_bytes_impl(bytes, false)
-    }
-
-    fn disassemble_bytes(bytes: &[u8]) -> String {
-        disassemble_bytes_impl(bytes, false)
-    }
-}
-
-/// RV32 with the C extension: 16- and 32-bit instructions interleave.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Rv32c;
-
-impl Isa for Rv32c {
-    const NAME: &'static str = "rv32c";
-    const GPR_COUNT: usize = 32;
-    const MIN_INSTR_BYTES: u32 = 2;
-
-    type Instr = Rv32Instr;
-    type DecodeError = Rv32Error;
-
-    fn instr_bytes(low_halfword: u16) -> u32 {
-        rvc::instr_bytes(low_halfword)
-    }
-
-    fn gpr_name(index: usize) -> &'static str {
-        // panic-ok: caller contract — index < GPR_COUNT.
-        ABI_NAMES[index]
-    }
-
-    fn decode_bytes(bytes: &[u8]) -> Result<(Self::Instr, u32), Self::DecodeError> {
-        decode_bytes_impl(bytes, true)
-    }
-
-    fn disassemble_bytes(bytes: &[u8]) -> String {
-        disassemble_bytes_impl(bytes, true)
-    }
+    let low = u16::from_le_bytes([a, b]);
+    let text = if rvc::instr_bytes(low) == 2 {
+        let instr = rvc::expand(low).and_then(decode32).ok();
+        instr.map(|instr| format!("c.[{instr}]"))
+    } else {
+        let word = bytes.get(..4).and_then(|word| word.try_into().ok());
+        let instr = word.and_then(|word| decode32(u32::from_le_bytes(word)).ok());
+        instr.map(|instr| instr.to_string())
+    };
+    text.unwrap_or_else(|| format!(".half {low:#06x}"))
 }
 
 #[cfg(test)]
@@ -148,28 +69,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn the_two_isa_markers_disagree_only_on_width() {
-        // addi sp, sp, -16 as a 32-bit word decodes under both.
-        let word = 0xff010113u32.to_le_bytes();
-        assert_eq!(
-            Rv32::decode_bytes(&word).unwrap(),
-            Rv32c::decode_bytes(&word).unwrap()
-        );
-        // c.addi sp, -16 (0x1141) decodes only under Rv32c.
-        let half = 0x1141u16.to_le_bytes();
-        assert!(Rv32::decode_bytes(&half).is_err());
-        let (instr, len) = Rv32c::decode_bytes(&half).unwrap();
-        assert_eq!(len, 2);
-        assert_eq!(
-            instr,
-            Rv32Instr::AluImm {
-                op: AluImmOp::Addi,
-                rd: XReg::SP,
-                rs1: XReg::SP,
-                imm: -16
-            }
-        );
-        assert_eq!(Rv32c::instr_bytes(0x1141), 2);
-        assert_eq!(Rv32c::instr_bytes(0x0113), 4);
+    fn disassembly_spells_both_widths() {
+        // addi sp, sp, -16 as a 32-bit word, then as c.addi sp, -16.
+        let word = disassemble(&0xff010113u32.to_le_bytes());
+        assert_eq!(disassemble(&0x1141u16.to_le_bytes()), format!("c.[{word}]"));
+        assert_eq!(disassemble(&[0x13, 0x01]), ".half 0x0113", "a cut-off word");
+        assert_eq!(disassemble(&[0, 0]), ".half 0x0000", "the illegal halfword");
+        assert_eq!(disassemble(&[0x41]), "<truncated>");
     }
 }

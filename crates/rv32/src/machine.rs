@@ -15,16 +15,15 @@
 //! [`Machine`]: ccrp_emu::Machine
 
 use ccrp::CompressedImage;
-use ccrp_emu::{IsaCore, Memory, TraceSink};
+use ccrp_emu::{IsaCore, Memory, TraceSink, INITIAL_SP};
 
 use crate::instr::{AluImmOp, AluOp, BranchOp, LoadOp, MulOp, Rv32Instr, ShiftImmOp, StoreOp};
 use crate::{decode32, rvc, Rv32Fault, Rv32Image, XReg};
 
 /// Construction-time knobs, mirroring `ccrp-emu`'s `MachineConfig`.
+/// The stack starts at [`INITIAL_SP`], as on MIPS.
 #[derive(Debug, Clone)]
 pub struct Rv32Config {
-    /// Initial stack pointer.
-    pub initial_sp: u32,
     /// Hard ceiling on retired instructions before [`Rv32Fault::StepLimit`].
     pub max_steps: u64,
 }
@@ -32,7 +31,6 @@ pub struct Rv32Config {
 impl Default for Rv32Config {
     fn default() -> Self {
         Self {
-            initial_sp: 0x00F0_0000,
             max_steps: 200_000_000,
         }
     }
@@ -120,7 +118,7 @@ impl Rv32Machine {
 
     fn empty(text_len: usize, config: Rv32Config) -> Self {
         let mut regs = [0u32; 32];
-        regs[XReg::SP.number() as usize] = config.initial_sp;
+        regs[XReg::SP.number() as usize] = INITIAL_SP;
         Self {
             regs,
             pc: 0,
@@ -455,7 +453,8 @@ impl Rv32Machine {
 }
 
 impl IsaCore for Rv32Machine {
-    type Isa = crate::Rv32c;
+    const GPR_NAMES: [&'static str; 32] = crate::ABI_NAMES;
+
     type Fault = Rv32Fault;
 
     fn pc(&self) -> u32 {

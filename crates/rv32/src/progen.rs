@@ -439,7 +439,6 @@ mod tests {
             );
             let config = Rv32Config {
                 max_steps: 2_000_000,
-                ..Rv32Config::default()
             };
             let mut outputs = Vec::new();
             for image in [&image_i, &image_c] {

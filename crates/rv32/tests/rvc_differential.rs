@@ -92,7 +92,7 @@ proptest! {
             let image = Rv32Image::from_raw_text(text);
             let mut machine = Rv32Machine::with_config(
                 &image,
-                Rv32Config { max_steps: 4, ..Rv32Config::default() },
+                Rv32Config { max_steps: 4 },
             );
             // A reproducible register file: word-aligned text-page
             // addresses in every third register (so some loads and

@@ -12,24 +12,11 @@
 //! block surfaces either as a decode-time CRC mismatch or as a digest
 //! that cannot match the pristine image.
 
-use ccrp::{crc32, CcrpError, CompressedImage};
+use ccrp::{crc32, CcrpError, CompressedImage, SplitMix64};
 
 /// Hard cap on lines sampled per challenge, keeping attestation cost
 /// bounded no matter what the request asks for.
 pub const MAX_ATTEST_SAMPLES: u32 = 256;
-
-/// SplitMix64: the nonce-expansion PRNG for line selection.
-fn splitmix64(state: &mut u64) {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-}
-
-fn splitmix64_next(state: &mut u64) -> u64 {
-    splitmix64(state);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Computes the challenge digest for `nonce` over up to `samples`
 /// nonce-selected lines of a v2 image.
@@ -58,11 +45,12 @@ pub fn attest_digest(
         });
     }
     let sampled = samples.clamp(1, MAX_ATTEST_SAMPLES);
-    let mut state = nonce;
+    // The nonce expands into the line sample.
+    let mut rng = SplitMix64::new(nonce);
     let mut digest = nonce ^ 0xA076_1D64_78BD_642F;
     let mut buf = [0u8; 32];
     for _ in 0..sampled {
-        let line = (splitmix64_next(&mut state) % lines as u64) as u32;
+        let line = (rng.next_u64() % lines as u64) as u32;
         image.expand_line_into(line * 32 + image.text_base(), &mut buf)?;
         let expanded_crc = crc32(&buf);
         let stored_crc = crcs.get(line as usize).copied().unwrap_or(0);

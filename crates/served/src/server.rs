@@ -478,33 +478,38 @@ mod tests {
     }
 
     #[test]
-    fn deeply_nested_source_is_malformed_and_serving_goes_on() {
+    fn hostile_sources_are_malformed_and_serving_goes_on() {
         let mut server = start(ServiceConfig::default());
         let mut c = client(&server);
         // 3,000 nested parentheses: 6 KB, enough to overflow a 2 MiB
         // worker stack (and abort the daemon) if nesting were unbounded.
         let depth = 3_000;
-        let source = format!(
+        let nested = format!(
             "main: li $a0, {}7{}\n li $v0, 10\n syscall",
             "(".repeat(depth),
             ")".repeat(depth)
         );
-        match c.call(&Request::Run { source, fuel: 0 }).unwrap() {
-            Response::Error { kind, detail } => {
-                assert_eq!(kind, ErrorKind::Malformed);
-                assert!(detail.contains("more than 256"), "{detail}");
+        // 23 bytes asking the assembler to zero 64 MiB of data segment.
+        let spacious = ".data\n.space 0x4000000".to_owned();
+        for (source, why) in [(nested, "more than 256"), (spacious, "24-bit segment size")] {
+            match c.call(&Request::Run { source, fuel: 0 }).unwrap() {
+                Response::Error { kind, detail } => {
+                    assert_eq!(kind, ErrorKind::Malformed);
+                    assert!(detail.contains(why), "{detail}");
+                }
+                other => panic!("unexpected: {other:?}"),
             }
-            other => panic!("unexpected: {other:?}"),
-        }
-        let response = c
-            .call(&Request::Run {
-                source: "main: li $a0, 7\n li $v0, 1\n syscall\n li $v0, 10\n syscall".to_owned(),
-                fuel: 0,
-            })
-            .unwrap();
-        match response {
-            Response::Ran { output, .. } => assert_eq!(output, b"7"),
-            other => panic!("unexpected: {other:?}"),
+            let response = c
+                .call(&Request::Run {
+                    source: "main: li $a0, 7\n li $v0, 1\n syscall\n li $v0, 10\n syscall"
+                        .to_owned(),
+                    fuel: 0,
+                })
+                .unwrap();
+            match response {
+                Response::Ran { output, .. } => assert_eq!(output, b"7"),
+                other => panic!("unexpected: {other:?}"),
+            }
         }
         server.shutdown();
     }

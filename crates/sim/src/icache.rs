@@ -105,11 +105,6 @@ impl ICache {
         self.tags.len() as u32
     }
 
-    /// Capacity in bytes.
-    pub fn capacity_bytes(&self) -> u32 {
-        self.lines() * LINE_BYTES
-    }
-
     /// Performs one fetch at `address`; returns `true` on a hit. A miss
     /// installs the line (the refill engine's timing is accounted
     /// separately by the system simulator).

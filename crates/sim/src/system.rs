@@ -187,15 +187,6 @@ impl RunStats {
     pub fn total_cycles(&self) -> f64 {
         self.instructions as f64 + self.refill_cycles as f64 + self.data_stall_cycles
     }
-
-    /// Cycles per instruction.
-    pub fn cpi(&self) -> f64 {
-        if self.instructions == 0 {
-            0.0
-        } else {
-            self.total_cycles() / self.instructions as f64
-        }
-    }
 }
 
 /// Both processors' results over the same trace and configuration — one

@@ -21,10 +21,7 @@ const POLICIES: [DegradePolicy; 3] = [
 ];
 
 fn config() -> MachineConfig {
-    MachineConfig {
-        max_steps: BUDGET,
-        ..MachineConfig::default()
-    }
+    MachineConfig { max_steps: BUDGET }
 }
 
 fn fixture() -> (ProgramImage, CompressedImage) {

@@ -13,10 +13,7 @@ use proptest::prelude::*;
 const BUDGET: u64 = 2_000_000;
 
 fn config() -> MachineConfig {
-    MachineConfig {
-        max_steps: BUDGET,
-        ..MachineConfig::default()
-    }
+    MachineConfig { max_steps: BUDGET }
 }
 
 proptest! {
