@@ -61,9 +61,15 @@
 # checks, a contract its `# Panics` doc states and the assembler
 # checks before encoding, so they carry `panic-ok:` markers.
 #
+# The probe crate (ccrp-probe) joined next: every probed simulator run
+# (`ccrp-tools trace`, `sweep --metrics`) emits into its EventLog and
+# MetricsCollector.  Its only asserts are Histogram's ascending-bounds
+# and same-bounds checks, contracts their `# Panics` docs state, so
+# they carry `panic-ok:` markers.
+#
 # Scope and escape hatches:
 #   * only library source under
-#     crates/{core,compress,bitstream,testutil,difftest,emu,served,rv32,sim,asm,isa}/src
+#     crates/{core,compress,bitstream,testutil,difftest,emu,served,rv32,sim,asm,isa,probe}/src
 #     is scanned;
 #   * everything from the first `#[cfg(test)]` line to end-of-file is
 #     ignored (test modules may panic freely);
@@ -78,7 +84,7 @@ cd "$(dirname "$0")/.."
 hits=$(find crates/core/src crates/compress/src crates/bitstream/src \
             crates/testutil/src crates/difftest/src crates/emu/src \
             crates/served/src crates/rv32/src crates/sim/src crates/asm/src \
-            crates/isa/src -name '*.rs' | sort | while IFS= read -r file; do
+            crates/isa/src crates/probe/src -name '*.rs' | sort | while IFS= read -r file; do
     awk '
         /^[[:space:]]*#\[cfg\(test\)\]/ { exit }
         /^[[:space:]]*\/\// { if (/panic-ok:/) skip = 1; next }
@@ -98,4 +104,4 @@ if [ -n "$hits" ]; then
     echo "       mark a documented contract with a 'panic-ok:' comment." >&2
     exit 1
 fi
-echo "forbid_panics: crates/{core,compress,bitstream,testutil,difftest,emu,served,rv32,sim,asm,isa} library code is panic-free."
+echo "forbid_panics: crates/{core,compress,bitstream,testutil,difftest,emu,served,rv32,sim,asm,isa,probe} library code is panic-free."

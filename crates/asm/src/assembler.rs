@@ -1,4 +1,5 @@
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use ccrp_isa::Instruction;
 
@@ -145,6 +146,17 @@ pub fn assemble_with(source: &str, options: AssembleOptions) -> Result<ProgramIm
                 )?;
             }
         }
+    }
+    let text_range = options.text_base..text_lc;
+    let data_range = options.data_base..data_lc;
+    if overlap(&text_range, &data_range) {
+        return Err(AsmError::new(
+            0,
+            AsmErrorKind::SegmentOverlap {
+                text: text_range,
+                data: data_range,
+            },
+        ));
     }
 
     // ---- Pass 2: encoding ------------------------------------------------
@@ -298,6 +310,12 @@ fn advance(lc: &mut u32, base: u32, bytes: u64, line_no: usize) -> Result<(), As
     }
     *lc = counter;
     Ok(())
+}
+
+/// Whether two address ranges share an address; an empty range shares
+/// none.
+fn overlap(a: &Range<u32>, b: &Range<u32>) -> bool {
+    !a.is_empty() && !b.is_empty() && a.start < b.end && b.start < a.end
 }
 
 fn syntax(line_no: usize, msg: String) -> AsmError {

@@ -1,5 +1,6 @@
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 use ccrp_isa::IsaError;
 
@@ -74,6 +75,14 @@ pub enum AsmErrorKind {
         /// The text segment's size in bytes.
         size: usize,
     },
+    /// The text and data segments share addresses, so loading the data
+    /// would overwrite instructions.
+    SegmentOverlap {
+        /// The text segment's addresses.
+        text: Range<u32>,
+        /// The data segment's addresses.
+        data: Range<u32>,
+    },
     /// The two assembler passes disagreed about an instruction's size;
     /// this indicates an assembler bug, surfaced as an error for safety.
     SizeMismatch {
@@ -120,6 +129,11 @@ impl fmt::Display for AsmError {
             AsmErrorKind::UnalignedText { size } => write!(
                 f,
                 "text segment of {size} bytes is not a whole number of words"
+            ),
+            AsmErrorKind::SegmentOverlap { text, data } => write!(
+                f,
+                "text segment {:#x}..{:#x} overlaps data segment {:#x}..{:#x}",
+                text.start, text.end, data.start, data.end
             ),
             AsmErrorKind::SizeMismatch {
                 mnemonic,

@@ -1,9 +1,10 @@
 //! Hostile sources: the daemon assembles whatever a client sends, on a
 //! worker thread with the default 2 MiB stack, so every source must come
 //! back as an image or a typed error — never a panic, a stack overflow,
-//! or a segment past the 24-bit physical space.
+//! a segment past the 24-bit physical space, or text and data sharing
+//! addresses.
 
-use ccrp_asm::{assemble, AsmErrorKind};
+use ccrp_asm::{assemble, assemble_with, AsmErrorKind, AssembleOptions};
 use proptest::prelude::*;
 
 /// The daemon's `max_source_bytes`.
@@ -113,6 +114,57 @@ fn space_past_the_address_space_is_an_error() {
             }
         )
     );
+}
+
+#[test]
+fn text_running_into_data_is_an_error() {
+    // Text is based at 0 and data at 0x400000 by default, so 4 MiB of
+    // text puts `main` on `d`'s address.
+    let err = assemble(".space 0x400000\nmain: nop\n.data\nd: .word 5").unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "text segment 0x0..0x400004 overlaps data segment 0x400000..0x400004"
+    );
+    assert_eq!(
+        (err.line, err.kind),
+        (
+            0,
+            AsmErrorKind::SegmentOverlap {
+                text: 0..0x40_0004,
+                data: 0x40_0000..0x40_0004,
+            }
+        )
+    );
+}
+
+#[test]
+fn data_placed_below_text_may_not_reach_it() {
+    let options = AssembleOptions {
+        text_base: 0x1000,
+        data_base: 0x0F00,
+        ..AssembleOptions::default()
+    };
+    let err = assemble_with("main: nop\n.data\n.space 0x101", options).unwrap_err();
+    assert_eq!(
+        err.kind,
+        AsmErrorKind::SegmentOverlap {
+            text: 0x1000..0x1004,
+            data: 0x0F00..0x1001,
+        }
+    );
+    let image =
+        assemble_with("main: nop\n.data\n.space 0x100", options).expect("data ends at text");
+    assert_eq!(image.data_bytes().len(), 0x100);
+}
+
+#[test]
+fn adjacent_and_empty_segments_still_assemble() {
+    // Text ends exactly where data begins.
+    let image = assemble(".space 0x3FFFFC\nmain: nop\n.data\nd: .word 5").expect("adjacent");
+    assert_eq!(image.text_bytes().len(), 0x40_0000);
+    assert_eq!(image.symbol("d"), Some(0x40_0000));
+    // An empty data segment overlaps nothing, even under a label.
+    assert!(assemble(".space 0x400000\nmain: nop\n.data\nd:").is_ok());
 }
 
 /// Source fragments, from single characters (multi-byte ones included)

@@ -127,10 +127,6 @@ fn category(event: &Event) -> &'static str {
         Event::ClbHit { .. } | Event::ClbMiss { .. } | Event::ClbEvict { .. } => "clb",
         Event::MemoryBurst { .. } => "memory",
         Event::IntegrityFailure { .. } | Event::RetryBackoff { .. } => "fault",
-        Event::RequestStart { .. }
-        | Event::RequestDone { .. }
-        | Event::RequestRejected { .. }
-        | Event::CacheHit { .. } => "service",
         _ => "other",
     }
 }
@@ -176,17 +172,6 @@ fn trace_event(tid: u64, timed: &TimedEvent) -> Json {
             push("dur", Json::U64(done.saturating_sub(timed.cycle)));
             push("args", Json::obj([("words", Json::U64(u64::from(words)))]));
         }
-        Event::RequestDone { id, ticks, ok } => {
-            // A complete event spanning the request's fuel, back-dated
-            // like a refill, so Perfetto shows a request-level timeline.
-            push("ph", Json::str("X"));
-            push("ts", Json::U64(timed.cycle.saturating_sub(ticks)));
-            push("dur", Json::U64(ticks));
-            push(
-                "args",
-                Json::obj([("id", Json::U64(id)), ("ok", Json::Bool(ok))]),
-            );
-        }
         ref event => {
             push("ph", Json::str("i"));
             push("s", Json::str("t"));
@@ -209,11 +194,6 @@ fn trace_event(tid: u64, timed: &TimedEvent) -> Json {
                     ("attempt", Json::U64(u64::from(attempt))),
                     ("backoff_cycles", Json::U64(backoff_cycles)),
                 ]),
-                Event::RequestStart { id } => Json::obj([("id", Json::U64(id))]),
-                Event::RequestRejected { id, reason } => {
-                    Json::obj([("id", Json::U64(id)), ("reason", Json::str(reason))])
-                }
-                Event::CacheHit { key } => Json::obj([("key", Json::Str(format!("{key:#018x}")))]),
                 _ => Json::obj([]),
             };
             push("args", args);
@@ -334,44 +314,6 @@ mod tests {
         // The miss is an instant.
         assert!(text.contains("\"ph\":\"i\""));
         assert!(text.contains("\"address\":\"0x40\""));
-    }
-
-    #[test]
-    fn chrome_trace_renders_request_lifecycle() {
-        let events = [
-            TimedEvent {
-                cycle: 1,
-                event: Event::RequestStart { id: 3 },
-            },
-            TimedEvent {
-                cycle: 2,
-                event: Event::CacheHit { key: 0xBEEF },
-            },
-            TimedEvent {
-                cycle: 9,
-                event: Event::RequestDone {
-                    id: 3,
-                    ticks: 8,
-                    ok: true,
-                },
-            },
-            TimedEvent {
-                cycle: 10,
-                event: Event::RequestRejected {
-                    id: 4,
-                    reason: "overload",
-                },
-            },
-        ];
-        let text = chrome_trace(&[("served", &events)]).to_compact();
-        assert!(Json::parse(&text).is_ok());
-        // The done event is a complete span back-dated to its start.
-        assert!(text.contains("\"name\":\"request_done\""));
-        assert!(text.contains("\"dur\":8"));
-        assert!(text.contains("\"ts\":1"));
-        assert!(text.contains("\"cat\":\"service\""));
-        assert!(text.contains("\"reason\":\"overload\""));
-        assert!(text.contains("\"key\":\"0x000000000000beef\""));
     }
 
     #[test]

@@ -44,7 +44,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use ccrp::{CompressedImage, ContainerLayout, DegradePolicy, FaultPlan, FaultRegion};
+use ccrp::{CompressedImage, ContainerLayout, FaultPlan, FaultRegion};
 use ccrp_compress::{BlockAlignment, ByteCode, ByteHistogram};
 use ccrp_served::{
     attest_digest, read_frame, Client, ClientError, ErrorKind, Request, Response, ServerHandle,
@@ -413,7 +413,7 @@ fn classify_client_error(error: &ClientError) -> Outcome {
 /// the server gives a definitive answer — which keeps outcomes a pure
 /// function of the request bytes, not of client concurrency.
 fn call(client: &mut Client, request: &Request, retries: &AtomicU64) -> Result<Response, Outcome> {
-    match client.call_with_retry(request, DegradePolicy::Retry { attempts: 10 }) {
+    match client.call_with_retry(request, 10) {
         Ok((response, spent)) => {
             retries.fetch_add(u64::from(spent), Ordering::Relaxed);
             Ok(response)

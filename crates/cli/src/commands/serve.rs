@@ -93,7 +93,6 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 mod tests {
     use super::*;
     use crate::test_util::temp_path;
-    use ccrp::DegradePolicy;
     use ccrp_served::{Client, ErrorKind, Request, Response};
     use std::net::SocketAddr;
 
@@ -142,9 +141,7 @@ mod tests {
             text: vec![0x24; 64],
         };
         for _ in 0..2 {
-            let (response, _) = client
-                .call_with_retry(&request, DegradePolicy::Retry { attempts: 5 })
-                .unwrap();
+            let (response, _) = client.call_with_retry(&request, 5).unwrap();
             match response {
                 Response::Compressed { .. } => {}
                 Response::Error {

@@ -105,7 +105,6 @@ pub fn run_cosim_segmented_with(
             break;
         }
         if step.is_multiple_of(every) {
-            reference.note_segment_boundary(checkpoints.len() as u32);
             checkpoints.push(record_checkpoint(&reference, checkpoints.len())?);
         }
     }

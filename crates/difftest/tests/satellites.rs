@@ -116,9 +116,8 @@ fn clb_single_slot_aliasing_evicts_and_refetches_by_lat_index() {
 /// three degradation policies on the emulator's fetch path. Pristine:
 /// every policy retires the reference instruction stream. Corrupt
 /// (one flipped ROM byte in line 0's stored block): Abort fails eager
-/// expansion at construction, Trap machine-checks at the first fetch,
-/// Retry spends its budget re-reading (visible as `RetryBackoff`
-/// probe events) before machine-checking at the same line address.
+/// expansion at construction, and Trap and Retry both machine-check at
+/// the first fetch, at the same line address and step.
 #[test]
 fn v2_demand_expansion_through_all_degrade_policies() {
     let image = assemble(COUNTDOWN).expect("assembles");
@@ -156,48 +155,19 @@ fn v2_demand_expansion_through_all_degrade_policies() {
         "Abort must fail construction on a corrupt v2 ROM"
     );
 
-    // Trap: construction defers; the first fetch machine-checks with no
-    // retry traffic.
-    let mut trap =
-        Machine::with_compressed_text(&image, &corrupt, DegradePolicy::Trap, config.clone())
-            .expect("Trap defers expansion to fetch");
-    trap.enable_probe();
-    assert_eq!(
-        trap.run(&mut NullSink).err(),
-        Some(EmuError::MachineCheck { pc: line0 })
-    );
-    let log = trap.take_probe_log().expect("probe enabled");
-    assert!(log.events_of_kind("integrity_failure").next().is_some());
-    assert_eq!(log.events_of_kind("retry_backoff").count(), 0);
-
-    // Retry: the budget is spent re-reading the stored block before the
-    // machine check, with numbered backoff events along the way.
-    let mut retry = Machine::with_compressed_text(
-        &image,
-        &corrupt,
-        DegradePolicy::Retry { attempts: 2 },
-        config,
-    )
-    .expect("Retry defers expansion to fetch");
-    retry.enable_probe();
-    assert_eq!(
-        retry.run(&mut NullSink).err(),
-        Some(EmuError::MachineCheck { pc: line0 })
-    );
-    let log = retry.take_probe_log().expect("probe enabled");
-    let attempts: Vec<u32> = log
-        .events_of_kind("retry_backoff")
-        .filter_map(|t| match t.event {
-            Event::RetryBackoff {
-                address, attempt, ..
-            } => {
-                assert_eq!(address, line0);
-                Some(attempt)
-            }
-            _ => None,
-        })
-        .collect();
-    assert_eq!(attempts, vec![1, 2], "Retry{{2}} must back off twice");
+    // Trap and Retry: construction defers, and the first fetch
+    // machine-checks before any instruction retires. The emulator never
+    // re-reads, so Retry fails exactly where Trap does.
+    for policy in [DegradePolicy::Trap, DegradePolicy::Retry { attempts: 2 }] {
+        let mut machine = Machine::with_compressed_text(&image, &corrupt, policy, config.clone())
+            .expect("demand policies defer expansion to fetch");
+        assert_eq!(
+            machine.run(&mut NullSink).err(),
+            Some(EmuError::MachineCheck { pc: line0 }),
+            "{policy:?}"
+        );
+        assert_eq!(machine.steps(), 0, "{policy:?}");
+    }
 }
 
 /// Any effective fault in the packed-blocks region of a version-2

@@ -1,8 +1,9 @@
 //! Versioned, serializable machine checkpoints.
 //!
 //! A [`Checkpoint`] captures a machine's [`ArchState`] (plus which
-//! compressed-ROM lines were already expanded, so demand-policy probe
-//! event streams replay identically) at an instruction boundary.
+//! compressed-ROM lines were already expanded, so a resumed demand-policy
+//! machine expands exactly the lines an unbroken run would) at an
+//! instruction boundary.
 //! [`Machine::restore`] resumes deterministically: the restored machine
 //! retires the same instruction stream, produces the same output, and
 //! faults at the same step as the original.
@@ -23,9 +24,8 @@ use std::error::Error;
 use std::fmt;
 
 use ccrp::{read_frame, write_frame, ByteReader, ByteWriter, SnapshotError};
-use ccrp_probe::{Event, Probe};
 
-use crate::machine::Machine;
+use crate::machine::{expand_rom_line, Machine};
 use crate::memory::{Memory, PAGE_BYTES};
 use crate::state::ArchState;
 
@@ -339,10 +339,9 @@ impl Machine {
     ///
     /// Derived state is rebuilt rather than trusted: with a compressed
     /// ROM attached, the lines the checkpoint recorded as expanded are
-    /// re-expanded from the ROM (silently — no probe events, since these
-    /// refills already happened before the checkpoint). A checkpoint
-    /// from a plain machine restores into a ROM-backed one (lines
-    /// re-expand on demand) and vice versa.
+    /// re-expanded from the ROM. A checkpoint from a plain machine
+    /// restores into a ROM-backed one (lines re-expand on demand) and
+    /// vice versa.
     ///
     /// # Errors
     ///
@@ -363,42 +362,18 @@ impl Machine {
             self.decoded.fill(None);
             rom.expanded.fill(false);
             let flags = match &checkpoint.rom_expanded {
-                Some(flags) if flags.len() == lines => flags.clone(),
+                Some(flags) if flags.len() == lines => flags,
                 // Plain-machine checkpoint (or a different ROM geometry):
                 // nothing is pre-expanded; fetches re-expand on demand.
                 _ => return Ok(()),
             };
-            let mut bytes = [0u8; 32];
-            for (line, flag) in flags.iter().enumerate() {
-                if !flag {
-                    continue;
-                }
-                let line_addr = self.text_base + line as u32 * 32;
-                rom.image
-                    .expand_line_into(line_addr, &mut bytes)
-                    .map_err(|_| CheckpointError::CorruptRom { address: line_addr })?;
+            for (line, _) in flags.iter().enumerate().filter(|&(_, &flag)| flag) {
+                expand_rom_line(&rom.image, line, &mut self.decoded)
+                    .map_err(|address| CheckpointError::CorruptRom { address })?;
                 rom.expanded[line] = true;
-                for (w, chunk) in bytes.chunks_exact(4).enumerate() {
-                    let word = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-                    if let Some(slot) = self.decoded.get_mut(line * 8 + w) {
-                        *slot = ccrp_isa::decode(word).ok();
-                    }
-                }
             }
         }
         Ok(())
-    }
-
-    /// Records a segment boundary in the probe log (no-op when probing
-    /// is disabled): [`Event::SegmentBoundary`] stamped at the current
-    /// retired-instruction count. The segment scheduler calls this when
-    /// it captures a checkpoint (recording pass) or restores one (replay
-    /// pass), so traces show where segments begin.
-    pub fn note_segment_boundary(&mut self, index: u32) {
-        let retired = self.state.steps;
-        if let Some(log) = &mut self.probe_log {
-            log.emit(retired, Event::SegmentBoundary { index, retired });
-        }
     }
 }
 
@@ -536,28 +511,5 @@ mod tests {
         plain.run(&mut NullSink).unwrap();
         rom_machine.run(&mut NullSink).unwrap();
         assert_eq!(plain.arch_state(), rom_machine.arch_state());
-    }
-
-    #[test]
-    fn segment_boundary_event_is_recorded() {
-        let image = assemble(SUM_SRC).unwrap();
-        let mut m = Machine::new(&image);
-        m.enable_probe();
-        m.step(&mut NullSink).unwrap();
-        m.note_segment_boundary(1);
-        let log = m.take_probe_log().unwrap();
-        assert_eq!(
-            log.events()
-                .iter()
-                .filter(|e| matches!(
-                    e.event,
-                    Event::SegmentBoundary {
-                        index: 1,
-                        retired: 1
-                    }
-                ))
-                .count(),
-            1
-        );
     }
 }

@@ -645,11 +645,22 @@ mod compressed_rom_tests {
         ));
     }
 
-    #[test]
-    fn probe_log_records_demand_expansions() {
-        use ccrp_probe::Event;
+    /// Records every fetched program counter.
+    #[derive(Default)]
+    struct FetchedPcs(Vec<u32>);
 
-        let image = assemble(SUM_SRC).unwrap();
+    impl TraceSink for FetchedPcs {
+        fn instruction(&mut self, pc: u32) {
+            self.0.push(pc);
+        }
+        fn data_access(&mut self, _addr: u32, _store: bool) {}
+    }
+
+    #[test]
+    fn demand_expansion_marks_exactly_the_fetched_lines() {
+        // The branch skips line 1 whole: lines 0 and 2 run, line 1 never
+        // expands.
+        let image = assemble("main: b over\n .space 64\n over: li $v0, 10\n syscall").unwrap();
         let rom = rom_for(&image);
         let mut m = Machine::with_compressed_text(
             &image,
@@ -658,75 +669,45 @@ mod compressed_rom_tests {
             MachineConfig::default(),
         )
         .unwrap();
-        m.enable_probe();
-        let summary = m.run(&mut NullSink).unwrap();
-        let log = m.take_probe_log().expect("probe was enabled");
-        let refills: Vec<_> = log
-            .events()
-            .iter()
-            .filter_map(|e| match e.event {
-                Event::RefillDone { address, bytes, .. } => Some((e.cycle, address, bytes)),
-                _ => None,
-            })
-            .collect();
-        // One demand expansion per executed line, each with bus traffic,
-        // stamped within the run.
-        assert!(!refills.is_empty());
-        for &(cycle, address, bytes) in &refills {
-            assert!(cycle <= summary.instructions);
-            assert!(address.is_multiple_of(32));
-            assert!(bytes > 0 && bytes % 4 == 0);
-        }
-        // Each line is expanded at most once: addresses are unique.
-        let mut addrs: Vec<u32> = refills.iter().map(|r| r.1).collect();
-        addrs.sort_unstable();
-        addrs.dedup();
-        assert_eq!(addrs.len(), refills.len());
-        // Probing must not change execution.
-        let mut plain = Machine::with_compressed_text(
-            &image,
-            &rom,
-            DegradePolicy::Trap,
-            MachineConfig::default(),
-        )
-        .unwrap();
+        let mut fetched = FetchedPcs::default();
+        let summary = m.run(&mut fetched).unwrap();
+        let mut plain = Machine::new(&image);
         assert_eq!(plain.run(&mut NullSink).unwrap(), summary);
+
+        let expanded = m.checkpoint().rom_expanded.expect("demand ROM flags");
+        let mut wanted = vec![false; rom.line_count()];
+        for pc in fetched.0 {
+            wanted[((pc - image.text_base()) / 32) as usize] = true;
+        }
+        assert_eq!(wanted, [true, false, true]);
+        assert_eq!(expanded, wanted);
     }
 
     #[test]
-    fn probe_log_records_retry_failures() {
-        use ccrp_probe::Event;
-
+    fn trap_and_retry_machine_check_at_the_same_step() {
+        // A corrupt second line: both machines run line 0, then fail on
+        // the first fetch from line 1 with identical state.
         let image = assemble(SUM_SRC).unwrap();
         let mut rom = rom_for(&image);
         rom.attach_block_crcs();
-        rom.corrupt_block_byte(0, 0, 0x08).unwrap();
-        let mut m = Machine::with_compressed_text(
-            &image,
-            &rom,
-            DegradePolicy::Retry { attempts: 2 },
-            MachineConfig::default(),
-        )
-        .unwrap();
-        m.enable_probe();
-        assert!(m.run(&mut NullSink).is_err());
-        let log = m.take_probe_log().unwrap();
-        let failures = log
-            .events()
-            .iter()
-            .filter(|e| matches!(e.event, Event::IntegrityFailure { .. }))
-            .count();
-        let backoffs = log
-            .events()
-            .iter()
-            .filter(|e| matches!(e.event, Event::RetryBackoff { .. }))
-            .count();
-        assert_eq!(failures, 3, "initial read + 2 retries");
-        assert_eq!(backoffs, 2);
-        assert!(!log
-            .events()
-            .iter()
-            .any(|e| matches!(e.event, Event::RefillDone { .. })));
+        rom.corrupt_block_byte(1, 0, 0x08).unwrap();
+        let line1 = image.text_base() + 32;
+        let mut finals = Vec::new();
+        for policy in [DegradePolicy::Trap, DegradePolicy::Retry { attempts: 3 }] {
+            let mut m =
+                Machine::with_compressed_text(&image, &rom, policy, MachineConfig::default())
+                    .unwrap();
+            assert_eq!(
+                m.run(&mut NullSink),
+                Err(EmuError::MachineCheck { pc: line1 }),
+                "{policy:?}"
+            );
+            assert!(m.steps() > 0, "{policy:?}");
+            finals.push(m.checkpoint());
+        }
+        // Equal checkpoints: the same step count, architectural state
+        // and expanded lines.
+        assert_eq!(finals[0], finals[1]);
     }
 
     #[test]

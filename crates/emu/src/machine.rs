@@ -6,7 +6,6 @@ use ccrp_isa::{
     decode, AluOp, BranchOp, BranchZOp, Cp1MoveOp, FpCond, FpFmt, FpOp, FpReg, FpUnaryOp, HiLoOp,
     IAluOp, Instruction, MemOp, MultDivOp, Reg, ShiftOp,
 };
-use ccrp_probe::{Event, EventLog, Probe};
 
 use crate::error::EmuError;
 use crate::memory::Memory;
@@ -45,13 +44,36 @@ pub struct RunSummary {
 
 /// Compressed-ROM state for demand line expansion: decoded instructions
 /// come from the ROM's expanded lines, so in-ROM corruption is visible to
-/// the fetch path and handled per the degradation policy.
+/// the fetch path as a machine check.
 #[derive(Debug, Clone)]
 pub(crate) struct CompressedRom {
     pub(crate) image: CompressedImage,
-    pub(crate) policy: DegradePolicy,
     /// One flag per cache line: whether it has been expanded and decoded.
     pub(crate) expanded: Vec<bool>,
+}
+
+/// Expands line `line` of `rom` and decodes its eight words into their
+/// slots of `decoded`, the machine's pre-decoded text.
+///
+/// # Errors
+///
+/// The line's first address, when the line does not expand.
+pub(crate) fn expand_rom_line(
+    rom: &CompressedImage,
+    line: usize,
+    decoded: &mut [Option<Instruction>],
+) -> Result<(), u32> {
+    let line_addr = rom.text_base() + line as u32 * 32;
+    let mut bytes = [0u8; 32];
+    rom.expand_line_into(line_addr, &mut bytes)
+        .map_err(|_| line_addr)?;
+    let words = bytes
+        .chunks_exact(4)
+        .map(|w| decode(u32::from_le_bytes([w[0], w[1], w[2], w[3]])).ok());
+    for (slot, word) in decoded.iter_mut().skip(line * 8).zip(words) {
+        *slot = word;
+    }
+    Ok(())
 }
 
 /// Identifies a program image for checkpoint compatibility checks:
@@ -114,10 +136,6 @@ pub struct Machine {
     /// Identifies the loaded program, so a checkpoint taken on one
     /// program is rejected when restored into another.
     pub(crate) fingerprint: u32,
-    /// Recording sink for compressed-ROM refill events, when enabled via
-    /// [`enable_probe`](Self::enable_probe). Timestamps are dynamic
-    /// instruction counts (the emulator is not cycle accurate).
-    pub(crate) probe_log: Option<EventLog>,
 }
 
 impl Machine {
@@ -164,22 +182,22 @@ impl Machine {
             rom: None,
             config,
             fingerprint: program_fingerprint(image),
-            probe_log: None,
         }
     }
 
     /// Builds a machine whose instruction stream comes from a compressed
-    /// instruction ROM instead of the pre-decoded program text — the
-    /// execution-side counterpart of the refill engine's degradation
-    /// policies. Data accesses still see the program image's memory; only
-    /// instruction fetch goes through the ROM.
+    /// instruction ROM instead of the pre-decoded program text. Data
+    /// accesses still see the program image's memory; only instruction
+    /// fetch goes through the ROM.
     ///
-    /// Under [`DegradePolicy::Abort`] every line is expanded (and
-    /// checked) eagerly at construction, so a corrupt ROM fails here.
-    /// Under [`DegradePolicy::Trap`] and [`DegradePolicy::Retry`] lines
-    /// are expanded on first fetch; a corrupt line raises
-    /// [`EmuError::MachineCheck`] at the offending fetch, after the
-    /// retry budget (if any) is spent re-reading the ROM.
+    /// `policy` chooses only when lines are expanded; the refill engine
+    /// alone times re-reads and backoff. Under [`DegradePolicy::Abort`]
+    /// every line is expanded (and checked) eagerly at construction, so
+    /// a corrupt ROM fails here. Under [`DegradePolicy::Trap`] and
+    /// [`DegradePolicy::Retry`] each line is expanded once, on its first
+    /// fetch; a corrupt line raises [`EmuError::MachineCheck`] at that
+    /// fetch. An in-memory image reads the same bytes every time, so a
+    /// re-read could not recover it.
     ///
     /// # Errors
     ///
@@ -198,58 +216,23 @@ impl Machine {
             return Err(EmuError::RomMismatch);
         }
         let mut machine = Self::with_config(image, config);
-        let words = (rom.original_bytes() / 4) as usize;
+        machine.decoded = vec![None; (rom.original_bytes() / 4) as usize];
         match policy {
             DegradePolicy::Abort => {
-                // Fail-fast: expand and decode the whole ROM up front,
-                // reusing one stack line buffer for every expansion.
-                let mut decoded = Vec::with_capacity(words);
-                let mut bytes = [0u8; 32];
+                // Fail-fast: expand and decode the whole ROM up front.
                 for line in 0..rom.line_count() {
-                    let addr = rom.text_base() + line as u32 * 32;
-                    rom.expand_line_into(addr, &mut bytes)
-                        .map_err(|_| EmuError::MachineCheck { pc: addr })?;
-                    decoded.extend(
-                        bytes
-                            .chunks_exact(4)
-                            .map(|w| decode(u32::from_le_bytes([w[0], w[1], w[2], w[3]])).ok()),
-                    );
+                    expand_rom_line(rom, line, &mut machine.decoded)
+                        .map_err(|pc| EmuError::MachineCheck { pc })?;
                 }
-                machine.decoded = decoded;
             }
             DegradePolicy::Trap | DegradePolicy::Retry { .. } => {
-                machine.decoded = vec![None; words];
                 machine.rom = Some(CompressedRom {
                     image: rom.clone(),
-                    policy,
                     expanded: vec![false; rom.line_count()],
                 });
             }
         }
         Ok(machine)
-    }
-
-    /// Starts recording compressed-ROM refill events ([`Event::CacheMiss`]
-    /// / [`Event::RefillStart`] / [`Event::RefillDone`] per first-touch
-    /// line expansion, plus [`Event::IntegrityFailure`] and
-    /// [`Event::RetryBackoff`] on the degradation path). Timestamps are
-    /// dynamic instruction counts, and `RefillDone` reports zero latency —
-    /// the emulator is functional, not cycle accurate; `ccrp-sim` owns
-    /// timing. Only meaningful for machines built with
-    /// [`with_compressed_text`](Self::with_compressed_text) under a demand
-    /// policy (eager Abort expansion happens before probes can observe it).
-    pub fn enable_probe(&mut self) {
-        self.probe_log = Some(EventLog::new());
-    }
-
-    /// The recorded refill events, if probing is enabled.
-    pub fn probe_log(&self) -> Option<&EventLog> {
-        self.probe_log.as_ref()
-    }
-
-    /// Detaches and returns the recorded refill events.
-    pub fn take_probe_log(&mut self) -> Option<EventLog> {
-        self.probe_log.take()
     }
 
     /// Queues integers for the `read_int` syscall to return in order.
@@ -441,10 +424,10 @@ impl Machine {
         }
     }
 
-    /// Demand expansion of the compressed cache line holding `pc`, per
-    /// the ROM's degradation policy. No-op without a ROM, for already
-    /// expanded lines, and for addresses past the ROM (the subsequent
-    /// decoded-table lookup reports those as [`EmuError::BadFetch`]).
+    /// Demand expansion of the compressed cache line holding `pc`. No-op
+    /// without a ROM, for already expanded lines, and for addresses past
+    /// the ROM (the subsequent decoded-table lookup reports those as
+    /// [`EmuError::BadFetch`]).
     fn ensure_line_expanded(&mut self, pc: u32) -> Result<(), EmuError> {
         let Some(rom) = &mut self.rom else {
             return Ok(());
@@ -453,79 +436,9 @@ impl Machine {
         if rom.expanded.get(line).copied() != Some(false) {
             return Ok(());
         }
-        let line_addr = self.text_base + line as u32 * 32;
-        if let Some(log) = &mut self.probe_log {
-            log.emit(self.state.steps, Event::CacheMiss { address: line_addr });
-            log.emit(self.state.steps, Event::RefillStart { address: line_addr });
-        }
-        let budget = match rom.policy {
-            DegradePolicy::Retry { attempts } => attempts,
-            _ => 0,
-        };
-        let mut bytes = [0u8; 32];
-        let mut result = rom.image.expand_line_into(line_addr, &mut bytes);
-        let mut tries = 0;
-        while result.is_err() && tries < budget {
-            if let Some(log) = &mut self.probe_log {
-                log.emit(
-                    self.state.steps,
-                    Event::IntegrityFailure { address: line_addr },
-                );
-                log.emit(
-                    self.state.steps,
-                    Event::RetryBackoff {
-                        address: line_addr,
-                        attempt: tries + 1,
-                        backoff_cycles: 1 << tries.min(16),
-                    },
-                );
-            }
-            // Model a re-read of the stored block: recoverable only for
-            // transient upsets, which an in-memory image cannot exhibit —
-            // but the escalation path is exercised either way.
-            result = rom.image.expand_line_into(line_addr, &mut bytes);
-            tries += 1;
-        }
-        if result.is_err() {
-            if let Some(log) = &mut self.probe_log {
-                log.emit(
-                    self.state.steps,
-                    Event::IntegrityFailure { address: line_addr },
-                );
-            }
-        }
-        result.map_err(|_| EmuError::MachineCheck { pc: line_addr })?;
-        if let Some(log) = &mut self.probe_log {
-            // Bus traffic as the refill engine would count it: the whole
-            // words the stored block spans.
-            let (fetched, bypass) = rom
-                .image
-                .locate(line_addr)
-                .map(|loc| {
-                    let first = loc.physical;
-                    let last = loc.physical + loc.stored_len - 1;
-                    (((last / 4) - (first / 4) + 1) * 4, loc.bypass)
-                })
-                .unwrap_or((0, false));
-            log.emit(
-                self.state.steps,
-                Event::RefillDone {
-                    address: line_addr,
-                    cycles: 0,
-                    bytes: fetched,
-                    clb_hit: false,
-                    bypass,
-                    retries: tries,
-                },
-            );
-        }
+        expand_rom_line(&rom.image, line, &mut self.decoded)
+            .map_err(|pc| EmuError::MachineCheck { pc })?;
         rom.expanded[line] = true;
-        for (w, chunk) in bytes.chunks_exact(4).enumerate() {
-            let word = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-            if let Some(slot) = self.decoded.get_mut(line * 8 + w) {
-                *slot = decode(word).ok();
-            }
-        }
         Ok(())
     }
 

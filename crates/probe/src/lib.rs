@@ -8,9 +8,9 @@
 //!
 //! * [`Event`] — the typed hierarchy events: cache misses, refill
 //!   start/completion, CLB hit/miss/evict, memory bursts, integrity
-//!   failures, retry backoffs, and (one level up, from `ccrp-served`)
-//!   request-lifecycle events: request start/done/rejected and
-//!   decoded-image cache hits;
+//!   failures and retry backoffs. Only the cycle model emits them: the
+//!   refill engine (`ccrp::RefillEngine::refill_probed`) and the
+//!   simulator's miss paths in `ccrp-sim`;
 //! * [`Probe`] — the sink trait. Emitters are generic over it, so the
 //!   no-op [`NullProbe`] monomorphizes to nothing: probe-off runs are
 //!   bit-identical to uninstrumented ones;
@@ -100,46 +100,6 @@ pub enum Event {
         /// Idle cycles charged before the re-read.
         backoff_cycles: u64,
     },
-    /// Checkpointed segment-parallel replay crossed a segment boundary:
-    /// the machine state at this point was captured (recording pass) or
-    /// restored (replay pass).
-    SegmentBoundary {
-        /// Zero-based index of the segment beginning at this boundary.
-        index: u32,
-        /// Retired instructions (emulator) or trace entries (simulator)
-        /// at the boundary.
-        retired: u64,
-    },
-    /// A service request was admitted and began executing (stamped at
-    /// the service's logical tick, not wall clock).
-    RequestStart {
-        /// Server-assigned request sequence number.
-        id: u64,
-    },
-    /// An admitted service request finished with a response.
-    RequestDone {
-        /// Server-assigned request sequence number.
-        id: u64,
-        /// Fuel (emulated steps / simulated cycles) the request spent;
-        /// the request-level timeline renders this as its duration.
-        ticks: u64,
-        /// Whether the response was a success (not a typed error).
-        ok: bool,
-    },
-    /// A service request was refused before execution — malformed,
-    /// oversized, or shed by admission control.
-    RequestRejected {
-        /// Server-assigned request sequence number.
-        id: u64,
-        /// The stable name of the typed error kind returned.
-        reason: &'static str,
-    },
-    /// A decoded-image cache lookup hit: the hot path skipped re-parsing
-    /// and re-expanding an uploaded container.
-    CacheHit {
-        /// Content hash of the cached container.
-        key: u64,
-    },
 }
 
 impl Event {
@@ -156,11 +116,6 @@ impl Event {
             Event::MemoryBurst { .. } => "memory_burst",
             Event::IntegrityFailure { .. } => "integrity_failure",
             Event::RetryBackoff { .. } => "retry_backoff",
-            Event::SegmentBoundary { .. } => "segment_boundary",
-            Event::RequestStart { .. } => "request_start",
-            Event::RequestDone { .. } => "request_done",
-            Event::RequestRejected { .. } => "request_rejected",
-            Event::CacheHit { .. } => "cache_hit",
         }
     }
 }
@@ -177,17 +132,10 @@ pub struct TimedEvent {
 /// A sink for hierarchy events.
 ///
 /// Emitters take `&mut impl Probe`, so a [`NullProbe`] caller pays
-/// nothing: the empty `emit` inlines away and `enabled()` lets emitters
-/// skip any work done only to build an event.
+/// nothing: the empty `emit` inlines away.
 pub trait Probe {
     /// Receives `event`, stamped at simulated `cycle`.
     fn emit(&mut self, cycle: u64, event: Event);
-
-    /// Whether this probe observes anything. Emitters may (but need not)
-    /// skip event construction when `false`.
-    fn enabled(&self) -> bool {
-        true
-    }
 }
 
 /// The default sink: discards everything, compiles to nothing.
@@ -197,22 +145,12 @@ pub struct NullProbe;
 impl Probe for NullProbe {
     #[inline(always)]
     fn emit(&mut self, _cycle: u64, _event: Event) {}
-
-    #[inline(always)]
-    fn enabled(&self) -> bool {
-        false
-    }
 }
 
 impl<P: Probe + ?Sized> Probe for &mut P {
     #[inline]
     fn emit(&mut self, cycle: u64, event: Event) {
         (**self).emit(cycle, event);
-    }
-
-    #[inline]
-    fn enabled(&self) -> bool {
-        (**self).enabled()
     }
 }
 
@@ -222,11 +160,6 @@ impl<A: Probe, B: Probe> Probe for (A, B) {
     fn emit(&mut self, cycle: u64, event: Event) {
         self.0.emit(cycle, event);
         self.1.emit(cycle, event);
-    }
-
-    #[inline]
-    fn enabled(&self) -> bool {
-        self.0.enabled() || self.1.enabled()
     }
 }
 
@@ -306,9 +239,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn null_probe_is_disabled_and_silent() {
+    fn null_probe_is_silent() {
         let mut probe = NullProbe;
-        assert!(!probe.enabled());
         probe.emit(0, Event::CacheMiss { address: 0 });
     }
 
@@ -346,7 +278,6 @@ mod tests {
     #[test]
     fn tuple_probe_fans_out() {
         let mut pair = (EventLog::new(), EventLog::new());
-        assert!(pair.enabled());
         pair.emit(5, Event::IntegrityFailure { address: 64 });
         assert_eq!(pair.0.events(), pair.1.events());
         assert_eq!(pair.0.events().len(), 1);
@@ -358,7 +289,6 @@ mod tests {
         {
             let fwd: &mut EventLog = &mut log;
             fwd.emit(1, Event::ClbEvict { lat_index: 4 });
-            assert!(fwd.enabled());
         }
         assert_eq!(log.events().len(), 1);
     }
@@ -370,24 +300,5 @@ mod tests {
             Event::MemoryBurst { words: 2, done: 5 }.kind(),
             "memory_burst"
         );
-        assert_eq!(Event::RequestStart { id: 1 }.kind(), "request_start");
-        assert_eq!(
-            Event::RequestDone {
-                id: 1,
-                ticks: 5,
-                ok: true
-            }
-            .kind(),
-            "request_done"
-        );
-        assert_eq!(
-            Event::RequestRejected {
-                id: 2,
-                reason: "overload"
-            }
-            .kind(),
-            "request_rejected"
-        );
-        assert_eq!(Event::CacheHit { key: 7 }.kind(), "cache_hit");
     }
 }

@@ -27,9 +27,13 @@ pub struct Histogram {
 impl Histogram {
     /// Creates an empty histogram with the given ascending bucket bounds.
     ///
-    /// panic-ok: bounds are compile-time constants chosen by the caller;
-    /// non-ascending bounds are a programming error, not a data error.
+    /// # Panics
+    ///
+    /// If `bounds` are not strictly ascending. Bounds are compile-time
+    /// constants chosen by the caller, so that is a programming error, not
+    /// a data error.
     pub fn new(bounds: &[u64]) -> Histogram {
+        // panic-ok: the documented ascending-bounds contract.
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
             "histogram bounds must be strictly ascending"
@@ -60,10 +64,13 @@ impl Histogram {
 
     /// Folds `other` into `self`. Both must share the same bounds.
     ///
-    /// panic-ok: merging histograms with different bounds is a
-    /// programming error (the registry keys histograms by name, and a
-    /// name always maps to one bucket layout).
+    /// # Panics
+    ///
+    /// If the bounds differ. That is a programming error: the registry
+    /// keys histograms by name, and a name always maps to one bucket
+    /// layout.
     pub fn merge(&mut self, other: &Histogram) {
+        // panic-ok: the documented same-bounds contract.
         assert_eq!(
             self.bounds, other.bounds,
             "cannot merge histograms with different bounds"

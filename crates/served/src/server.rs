@@ -237,7 +237,7 @@ impl Drop for ServerHandle {
 fn worker_loop(service: &Service, queue: &JobQueue, shutdown: &AtomicBool, inflight: &Inflight) {
     while let Some(job) = queue.pop(shutdown) {
         if Instant::now() >= job.deadline {
-            service.note_rejected("queue_deadline");
+            service.note_rejected();
             let _ = job.reply.send(Response::Error {
                 kind: ErrorKind::Timeout,
                 detail: "deadline exceeded while queued".to_owned(),
@@ -324,7 +324,7 @@ fn serve_connection(mut stream: TcpStream, service: &Service, queue: &JobQueue) 
                 }
             }
             Err(_shed) => {
-                service.note_rejected("overload");
+                service.note_rejected();
                 Response::Error {
                     kind: ErrorKind::Overload,
                     detail: "request queue is full; retry with backoff".to_owned(),
@@ -395,10 +395,9 @@ impl Client {
     }
 
     /// Like [`call`](Self::call), but retries `Overload` responses with
-    /// exponential backoff, taking its attempt budget from the same
-    /// [`DegradePolicy::Retry`](ccrp::DegradePolicy::Retry) shape the
-    /// refill engine uses. Any other response is definitive and returns
-    /// immediately.
+    /// exponential backoff, sending the request at most `attempts` times
+    /// (at least once). Any other response is definitive and returns
+    /// immediately. Returns the response and the retries spent.
     ///
     /// # Errors
     ///
@@ -406,12 +405,8 @@ impl Client {
     pub fn call_with_retry(
         &mut self,
         request: &Request,
-        policy: ccrp::DegradePolicy,
+        attempts: u32,
     ) -> Result<(Response, u32), ClientError> {
-        let attempts = match policy {
-            ccrp::DegradePolicy::Retry { attempts } => attempts.max(1),
-            _ => 1,
-        };
         let mut response = self.call(request)?;
         let mut retries = 0;
         for attempt in 1..attempts {
@@ -449,7 +444,6 @@ impl Client {
 mod tests {
     use super::*;
     use crate::service::ServiceConfig;
-    use ccrp::DegradePolicy;
 
     fn start(config: ServiceConfig) -> ServerHandle {
         ServerHandle::start(Arc::new(Service::new(config)), "127.0.0.1:0")
@@ -491,7 +485,13 @@ mod tests {
         );
         // 23 bytes asking the assembler to zero 64 MiB of data segment.
         let spacious = ".data\n.space 0x4000000".to_owned();
-        for (source, why) in [(nested, "more than 256"), (spacious, "24-bit segment size")] {
+        // Text run into the data segment: the data would overwrite `main`.
+        let overlapping = ".space 0x400000\nmain: nop\n.data\nd: .word 5".to_owned();
+        for (source, why) in [
+            (nested, "more than 256"),
+            (spacious, "24-bit segment size"),
+            (overlapping, "overlaps data segment"),
+        ] {
             match c.call(&Request::Run { source, fuel: 0 }).unwrap() {
                 Response::Error { kind, detail } => {
                     assert_eq!(kind, ErrorKind::Malformed);
@@ -648,10 +648,7 @@ mod tests {
         // Once drained, retry-with-backoff reaches a definitive answer.
         let mut c = client(&server);
         let (response, _) = c
-            .call_with_retry(
-                &Request::Inspect { container: vec![] },
-                DegradePolicy::Retry { attempts: 8 },
-            )
+            .call_with_retry(&Request::Inspect { container: vec![] }, 8)
             .unwrap();
         assert_ne!(response.error_kind(), Some(ErrorKind::Overload));
         server.shutdown();

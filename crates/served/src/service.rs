@@ -12,13 +12,12 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use ccrp::{CcrpError, CompressedImage, DegradePolicy, StepBudget};
+use ccrp::{CcrpError, CompressedImage, StepBudget};
 use ccrp_asm::assemble;
 use ccrp_compress::{BlockAlignment, ByteCode, ByteHistogram};
 use ccrp_emu::{EmuError, Machine, MachineConfig, NullSink, ProgramTrace};
-use ccrp_probe::{Event, EventLog, Probe, TimedEvent};
 use ccrp_sim::{MemoryModel, SimError, Simulation, SystemConfig};
 
 use crate::attest::attest_digest;
@@ -86,32 +85,10 @@ pub struct ServiceCounters {
     pub rejected: u64,
 }
 
-/// Event sink plus a logical clock; `None` log means probes are off and
-/// the service does no event work at all.
-struct Telemetry {
-    log: Option<Mutex<EventLog>>,
-    clock: AtomicU64,
-}
-
-impl Telemetry {
-    fn emit(&self, event: Event) {
-        if let Some(log) = &self.log {
-            let cycle = self.clock.fetch_add(1, Ordering::Relaxed);
-            // An EventLog append cannot leave the log torn; recover a
-            // poison left by an unrelated panicking thread.
-            log.lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .emit(cycle, event);
-        }
-    }
-}
-
 /// The transport-agnostic request handler.
 pub struct Service {
     config: ServiceConfig,
     cache: ImageCache,
-    telemetry: Telemetry,
-    next_id: AtomicU64,
     requests: AtomicU64,
     failures: AtomicU64,
     panics_caught: AtomicU64,
@@ -119,27 +96,12 @@ pub struct Service {
 }
 
 impl Service {
-    /// Creates a service with probes off (zero telemetry overhead).
+    /// Creates a service with the given limits.
     pub fn new(config: ServiceConfig) -> Service {
-        Service::build(config, None)
-    }
-
-    /// Creates a service that records request-lifecycle events into an
-    /// in-memory [`EventLog`] (drained by [`Service::take_events`]).
-    pub fn with_event_log(config: ServiceConfig) -> Service {
-        Service::build(config, Some(Mutex::new(EventLog::new())))
-    }
-
-    fn build(config: ServiceConfig, log: Option<Mutex<EventLog>>) -> Service {
         let cache = ImageCache::new(config.cache_entries);
         Service {
             config,
             cache,
-            telemetry: Telemetry {
-                log,
-                clock: AtomicU64::new(0),
-            },
-            next_id: AtomicU64::new(0),
             requests: AtomicU64::new(0),
             failures: AtomicU64::new(0),
             panics_caught: AtomicU64::new(0),
@@ -167,23 +129,10 @@ impl Service {
         self.cache.counters()
     }
 
-    /// Drains the recorded request-lifecycle events (empty when the
-    /// service was built without an event log).
-    pub fn take_events(&self) -> Vec<TimedEvent> {
-        match &self.telemetry.log {
-            Some(log) => {
-                std::mem::take(&mut *log.lock().unwrap_or_else(|p| p.into_inner())).into_events()
-            }
-            None => Vec::new(),
-        }
-    }
-
-    /// Records a request shed before dispatch (queue full, or expired
-    /// while queued) so rejected work still appears in the trace.
-    pub fn note_rejected(&self, reason: &'static str) {
+    /// Counts a request shed before dispatch (queue full, or expired
+    /// while queued).
+    pub fn note_rejected(&self) {
         self.rejected.fetch_add(1, Ordering::Relaxed);
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.telemetry.emit(Event::RequestRejected { id, reason });
     }
 
     /// Handles one request with no external cancellation (the fuel
@@ -199,10 +148,7 @@ impl Service {
     /// [`ErrorKind::Internal`], and any cached image the handler was
     /// using is quarantined.
     pub fn handle_cancellable(&self, request: &Request, cancel: &Arc<AtomicBool>) -> Response {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         self.requests.fetch_add(1, Ordering::Relaxed);
-        self.telemetry.emit(Event::RequestStart { id });
-        let started = Instant::now();
         let touched = Mutex::new(None::<u64>);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             self.dispatch(request, cancel, &touched)
@@ -221,12 +167,9 @@ impl Service {
                 }
             }
         };
-        let ok = response.error_kind().is_none();
-        if !ok {
+        if response.error_kind().is_some() {
             self.failures.fetch_add(1, Ordering::Relaxed);
         }
-        let ticks = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.telemetry.emit(Event::RequestDone { id, ticks, ok });
         response
     }
 
@@ -298,7 +241,6 @@ impl Service {
         let key = content_hash(container);
         *touched.lock().unwrap_or_else(|p| p.into_inner()) = Some(key);
         if let Some(image) = self.cache.get(key) {
-            self.telemetry.emit(Event::CacheHit { key });
             return Ok(image);
         }
         let image = CompressedImage::from_bytes(container)
@@ -475,26 +417,12 @@ impl Service {
     }
 }
 
-/// Expands one line, honoring a `Retry`-style policy for transient
-/// faults: persistent corruption still fails after the attempts are
-/// spent, matching [`DegradePolicy::Retry`] semantics in the refill
-/// engine.
+/// Expands one line. The image is immutable, so a line that fails to
+/// expand fails the same way every time: there is nothing to retry.
 fn expand_line(image: &CompressedImage, address: u32) -> Response {
-    let policy = DegradePolicy::Retry { attempts: 3 };
-    let attempts = match policy {
-        DegradePolicy::Retry { attempts } => attempts.max(1),
-        _ => 1,
-    };
-    let mut last = None;
-    for _ in 0..attempts {
-        match image.expand_line(address) {
-            Ok(bytes) => return Response::Line { bytes },
-            Err(e) => last = Some(e),
-        }
-    }
-    match last {
-        Some(e) => error(classify_ccrp(&e), &e),
-        None => malformed("line expansion made no attempts"),
+    match image.expand_line(address) {
+        Ok(bytes) => Response::Line { bytes },
+        Err(e) => error(classify_ccrp(&e), &e),
     }
 }
 
@@ -772,7 +700,7 @@ mod tests {
 
     #[test]
     fn cache_serves_repeat_uploads_and_quarantines_after_panic() {
-        let service = Service::with_event_log(chaos_config());
+        let service = Service::new(chaos_config());
         let container = v2_container(&service);
         let request = Request::Verify {
             container: container.clone(),
@@ -781,8 +709,6 @@ mod tests {
         service.handle(&request);
         let counters = service.cache_counters();
         assert_eq!(counters.hits, 1, "second upload should hit the cache");
-        let events = service.take_events();
-        assert!(events.iter().any(|t| t.event.kind() == "cache_hit"));
     }
 
     #[test]
@@ -821,50 +747,5 @@ mod tests {
                 .error_kind(),
             Some(ErrorKind::Malformed)
         );
-    }
-
-    #[test]
-    fn probe_off_responses_are_byte_identical() {
-        let plain = Service::new(ServiceConfig::default());
-        let probed = Service::with_event_log(ServiceConfig::default());
-        let requests = [
-            Request::Compress {
-                text_base: 0,
-                v2: true,
-                text: sample_text(),
-            },
-            Request::Verify {
-                container: v2_container(&plain),
-            },
-            Request::Run {
-                source: SUM_SRC.to_owned(),
-                fuel: 0,
-            },
-            Request::Run {
-                source: "garbage !!".to_owned(),
-                fuel: 0,
-            },
-        ];
-        for request in &requests {
-            let a = plain.handle(request).encode();
-            let b = probed.handle(request).encode();
-            assert_eq!(a, b, "probed response diverged for {request:?}");
-        }
-        assert!(plain.take_events().is_empty());
-        assert!(!probed.take_events().is_empty());
-    }
-
-    #[test]
-    fn request_lifecycle_events_pair_up() {
-        let service = Service::with_event_log(ServiceConfig::default());
-        service.handle(&Request::Inspect { container: vec![] });
-        service.note_rejected("overload");
-        let events = service.take_events();
-        let kinds: Vec<_> = events.iter().map(|t| t.event.kind()).collect();
-        assert_eq!(kinds, ["request_start", "request_done", "request_rejected"]);
-        // The logical clock strictly increases.
-        for pair in events.windows(2) {
-            assert!(pair[0].cycle < pair[1].cycle);
-        }
     }
 }

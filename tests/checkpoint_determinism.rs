@@ -1,16 +1,15 @@
 //! Checkpointing must be observationally pure: a run that checkpoints
 //! (and even hops machines at every checkpoint) retires the same
 //! instructions, produces the same output, the same final architectural
-//! state, and the same probe event stream as an unbroken run — for
-//! every degradation policy, on v2 (CRC-carrying) compressed text, and
-//! for checkpoint intervals spanning every-instruction to
+//! state, and expands the same compressed-ROM lines as an unbroken run —
+//! for every degradation policy, on v2 (CRC-carrying) compressed text,
+//! and for checkpoint intervals spanning every-instruction to
 //! almost-never.
 
 use ccrp::{CompressedImage, DegradePolicy};
 use ccrp_asm::ProgramImage;
 use ccrp_difftest::{build_rom, run_cosim, run_cosim_segmented, ProgGen};
-use ccrp_emu::{ArchState, Checkpoint, Machine, MachineConfig, NullSink};
-use ccrp_probe::EventLog;
+use ccrp_emu::{Checkpoint, Machine, MachineConfig, NullSink};
 
 const BUDGET: u64 = 2_000_000;
 const INTERVALS: [u64; 3] = [1, 7, 100];
@@ -31,20 +30,19 @@ fn fixture() -> (ProgramImage, CompressedImage) {
     (image, rom_v2)
 }
 
-/// Runs to completion, returning the final state and the probe log.
+/// Runs to completion, returning the final checkpoint: the architectural
+/// state plus, under a demand policy, the ROM's line-expansion flags.
 fn run_monolithic(
     image: &ProgramImage,
     rom: &CompressedImage,
     policy: DegradePolicy,
-) -> (ArchState, EventLog) {
+) -> Checkpoint {
     let mut machine =
         Machine::with_compressed_text(image, rom, policy, config()).expect("machine builds");
-    machine.enable_probe();
     while machine.exit_code().is_none() {
         machine.step(&mut NullSink).expect("program runs clean");
     }
-    let log = machine.take_probe_log().expect("probe enabled");
-    (machine.arch_state().clone(), log)
+    machine.checkpoint()
 }
 
 /// The same run, but every `every` retired instructions the machine is
@@ -55,7 +53,7 @@ fn run_chained(
     rom: &CompressedImage,
     policy: DegradePolicy,
     every: u64,
-) -> ArchState {
+) -> Checkpoint {
     let mut machine =
         Machine::with_compressed_text(image, rom, policy, config()).expect("machine builds");
     while machine.exit_code().is_none() {
@@ -69,14 +67,14 @@ fn run_chained(
             machine = next;
         }
     }
-    machine.arch_state().clone()
+    machine.checkpoint()
 }
 
 #[test]
 fn chained_resume_matches_monolithic_for_all_policies_and_intervals() {
     let (image, rom_v2) = fixture();
     for policy in POLICIES {
-        let (monolithic, _) = run_monolithic(&image, &rom_v2, policy);
+        let monolithic = run_monolithic(&image, &rom_v2, policy);
         for every in INTERVALS {
             let chained = run_chained(&image, &rom_v2, policy, every);
             assert_eq!(
@@ -91,12 +89,11 @@ fn chained_resume_matches_monolithic_for_all_policies_and_intervals() {
 fn taking_checkpoints_does_not_perturb_the_probe_stream() {
     let (image, rom_v2) = fixture();
     for policy in POLICIES {
-        let (_, clean_log) = run_monolithic(&image, &rom_v2, policy);
-        // Same run, but a checkpoint is serialized every 7 instructions
-        // while the probe is live: the event stream must be identical.
+        let clean = run_monolithic(&image, &rom_v2, policy);
+        // Same run, but a checkpoint is serialized every 7 instructions:
+        // the final state and the expanded ROM lines must be identical.
         let mut machine = Machine::with_compressed_text(&image, &rom_v2, policy, config())
             .expect("machine builds");
-        machine.enable_probe();
         while machine.exit_code().is_none() {
             machine.step(&mut NullSink).expect("program runs clean");
             if machine.steps().is_multiple_of(7) {
@@ -104,8 +101,7 @@ fn taking_checkpoints_does_not_perturb_the_probe_stream() {
                 Checkpoint::from_bytes(&bytes).expect("checkpoint bytes parse");
             }
         }
-        let log = machine.take_probe_log().expect("probe enabled");
-        assert_eq!(log.events(), clean_log.events(), "{policy:?}");
+        assert_eq!(machine.checkpoint(), clean, "{policy:?}");
     }
 }
 
