@@ -1,5 +1,6 @@
-//! Micro-benchmarks: throughput of the building blocks (codecs, refill
-//! engine, cache model, emulator, assembler).
+//! Micro-benchmarks: throughput of the building blocks (codecs, code
+//! construction, refill engine, cache model, emulator, assembler, one
+//! differential trial).
 //!
 //! Uses a small std-only timing harness (median of timed batches after
 //! warmup) because this environment has no crates.io access for an
@@ -9,8 +10,11 @@ use std::time::Instant;
 
 use ccrp::{Burst, CompressedImage, MemoryTiming, RefillConfig, RefillEngine};
 use ccrp_bench::difftest::trial_seed;
-use ccrp_compress::{block, lzw, BlockAlignment, ByteCode, ByteHistogram};
-use ccrp_difftest::ProgGen;
+use ccrp_compress::{
+    block, bounded_lengths, lzw, traditional_lengths, BlockAlignment, ByteCode, ByteHistogram,
+    PositionalHistogram, PAPER_MAX_LEN,
+};
+use ccrp_difftest::{run_trial, ProgGen};
 use ccrp_sim::{ICache, MemoryModel, Simulation, SystemConfig};
 use ccrp_workloads::{generate_text, CodeProfile, TracedWorkload};
 
@@ -79,6 +83,25 @@ fn codec_benches() {
     bench("block_compress_image", Some(n), || {
         block::compress_image(&code, std::hint::black_box(&text), BlockAlignment::Word)
     });
+}
+
+fn construction_benches() {
+    // The first MIPS program of `difftest` chunk 1 under seed 1, and the
+    // smoothed position-3 histogram its self-trained positional code is
+    // built from.
+    let seed = trial_seed(trial_seed(1, 1), 0);
+    let image = ccrp_asm::assemble(&ProgGen::generate(seed).source()).expect("assembles");
+    let hist = PositionalHistogram::of(image.text_bytes())
+        .position(3)
+        .smoothed();
+    println!("-- code construction (256 symbols) and one difftest trial --");
+    bench("traditional_lengths", None, || {
+        traditional_lengths(std::hint::black_box(&hist)).expect("lengths build")
+    });
+    bench("bounded_lengths", None, || {
+        bounded_lengths(std::hint::black_box(&hist), PAPER_MAX_LEN).expect("lengths build")
+    });
+    bench("run_trial", None, || run_trial(std::hint::black_box(seed)));
 }
 
 fn refill_benches() {
@@ -167,6 +190,7 @@ fn frontend_benches() {
 
 fn main() {
     codec_benches();
+    construction_benches();
     refill_benches();
     system_benches();
     frontend_benches();

@@ -8,6 +8,7 @@
 
 use crate::error::CompressError;
 use crate::histogram::ByteHistogram;
+use crate::huffman::{huffman_lengths, sorted_symbols};
 
 /// The length bound used throughout the paper's experiments.
 pub const PAPER_MAX_LEN: u8 = 16;
@@ -15,10 +16,18 @@ pub const PAPER_MAX_LEN: u8 = 16;
 /// Computes optimal code lengths subject to `max_len`, for every byte
 /// with a nonzero count.
 ///
-/// Runs in O(n·L) time and space for n distinct bytes and bound L: each
-/// of the L levels of the coin-collector keeps only its merged weights
-/// and one is-package flag per entry, and the selection is read back
-/// from the flags.
+/// When the unbounded Huffman code already fits `max_len`, those are the
+/// lengths, and they come from one two-queue pass. Otherwise the bound
+/// binds and package-merge runs, in O(n·L) time and space for n distinct
+/// bytes and bound L: each of the L levels of the coin-collector keeps
+/// only its merged weights and one is-package flag per entry, and the
+/// selection is read back from the flags.
+///
+/// The shortcut is exact, not only equally cheap. Package-merge's levels
+/// converge to the two-queue order, leaves sorted by `(count, byte)`
+/// ahead of packages of equal weight, with package j made of entries 2j
+/// and 2j+1 of the level below. So when the Huffman tree fits the bound,
+/// it is the tree package-merge's walk-back descends.
 ///
 /// # Errors
 ///
@@ -40,25 +49,19 @@ pub fn bounded_lengths(histogram: &ByteHistogram, max_len: u8) -> Result<[u8; 25
     if max_len == 0 || max_len > 32 {
         return Err(CompressError::LengthTooLong { length: max_len });
     }
-    let mut symbols: Vec<(u8, u64)> = (0u16..256)
-        .map(|b| (b as u8, histogram.count(b as u8)))
-        .filter(|&(_, c)| c > 0)
-        .collect();
+    let symbols = sorted_symbols(histogram);
     let n = symbols.len();
-    let mut lengths = [0u8; 256];
-    match n {
-        0 => return Err(CompressError::EmptyHistogram),
-        1 => {
-            lengths[symbols[0].0 as usize] = 1;
-            return Ok(lengths);
-        }
-        _ => {}
+    if n == 0 {
+        return Err(CompressError::EmptyHistogram);
     }
     if (max_len as u32) < 32 && n as u64 > (1u64 << max_len) {
         return Err(CompressError::LengthTooLong { length: max_len });
     }
+    let huffman = huffman_lengths(&symbols);
+    if huffman.iter().all(|&l| l <= max_len) {
+        return Ok(huffman);
+    }
 
-    symbols.sort_by_key(|&(sym, count)| (count, sym));
     let items: Vec<u64> = symbols.iter().map(|&(_, count)| count).collect();
 
     // Coin-collector: level `max_len` holds bare items; each shallower
@@ -96,6 +99,7 @@ pub fn bounded_lengths(histogram: &ByteHistogram, max_len: u8) -> Result<[u8; 25
     // items selected at a level are a prefix of the sorted symbols, and
     // each gains one bit; the p packages selected there select the first
     // 2p entries of the level below.
+    let mut lengths = [0u8; 256];
     let mut take = 2 * (n - 1);
     for flags in is_package.iter().rev() {
         let packages = flags.iter().take(take).filter(|&&p| p).count();
@@ -260,11 +264,39 @@ mod tests {
 
     #[test]
     fn matches_huffman_when_bound_is_loose() {
-        // With a generous bound, package-merge's total cost equals Huffman's.
+        // With a generous bound, package-merge returns Huffman's lengths
+        // themselves, not only a code of equal cost.
         let h = ByteHistogram::of(b"abracadabra alakazam");
-        let a = traditional_lengths(&h).unwrap();
-        let b = bounded_lengths(&h, 32).unwrap();
-        assert_eq!(weighted_bits(&a, &h), weighted_bits(&b, &h));
+        let huffman = traditional_lengths(&h).unwrap();
+        assert_eq!(bounded_lengths(&h, 32), Ok(huffman));
+        assert_eq!(reference_lengths(&h, 32), Ok(huffman));
+    }
+
+    #[test]
+    fn matches_reference_on_every_small_histogram() {
+        // Every weight vector of 2-6 symbols with weights 1..=4, at every
+        // bound from the smallest that fits the alphabet to 8: ties
+        // everywhere, and both sides of the point where the bound binds.
+        let mut binding = 0;
+        for n in 2..=6u32 {
+            for code in 0..4u32.pow(n) {
+                let counts: Vec<(u8, u64)> = (0..n)
+                    .map(|sym| (sym as u8, u64::from(code / 4u32.pow(sym) % 4 + 1)))
+                    .collect();
+                let h = histogram(&counts);
+                let huffman = traditional_lengths(&h).unwrap();
+                let longest = huffman.iter().copied().max().unwrap();
+                for max_len in n.next_power_of_two().trailing_zeros() as u8..=8 {
+                    binding += usize::from(longest > max_len);
+                    assert_eq!(
+                        bounded_lengths(&h, max_len),
+                        reference_lengths(&h, max_len),
+                        "{counts:?}, bound {max_len}"
+                    );
+                }
+            }
+        }
+        assert!(binding > 0, "no case made the bound bind");
     }
 
     #[test]

@@ -1,8 +1,5 @@
 //! Traditional (unbounded) Huffman code-length construction.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use crate::error::CompressError;
 use crate::histogram::ByteHistogram;
 
@@ -30,68 +27,127 @@ use crate::histogram::ByteHistogram;
 /// # Ok::<(), ccrp_compress::CompressError>(())
 /// ```
 pub fn traditional_lengths(histogram: &ByteHistogram) -> Result<[u8; 256], CompressError> {
-    let mut lengths = [0u8; 256];
-    let symbols: Vec<(u8, u64)> = (0u16..256)
+    let symbols = sorted_symbols(histogram);
+    if symbols.is_empty() {
+        return Err(CompressError::EmptyHistogram);
+    }
+    Ok(huffman_lengths(&symbols))
+}
+
+/// The bytes that occur in `histogram`, as `(byte, count)` pairs in
+/// ascending `(count, byte)` order: the order both code constructions
+/// take their leaves in.
+pub(crate) fn sorted_symbols(histogram: &ByteHistogram) -> Vec<(u8, u64)> {
+    let mut symbols: Vec<(u8, u64)> = (0u16..256)
         .map(|b| (b as u8, histogram.count(b as u8)))
         .filter(|&(_, c)| c > 0)
         .collect();
-    match symbols.len() {
-        0 => return Err(CompressError::EmptyHistogram),
-        1 => {
-            // A one-symbol alphabet still needs one bit per symbol so the
-            // decoder can count symbols.
-            lengths[symbols[0].0 as usize] = 1;
-            return Ok(lengths);
-        }
-        _ => {}
-    }
+    // No two keys are equal, so an unstable sort gives the one order.
+    symbols.sort_unstable_by_key(|&(sym, count)| (count, sym));
+    symbols
+}
 
-    // Heap of (weight, tie, node). `tie` keeps construction deterministic.
-    #[derive(Debug)]
-    enum Node {
-        Leaf(u8),
-        Internal(Box<Node>, Box<Node>),
+/// Huffman code lengths for `symbols`, in [`sorted_symbols`] order, by
+/// the two-queue construction: leaves queue in that order and merged
+/// nodes in the order they are made, which is ascending weight, and each
+/// merge takes the lighter front, a leaf on equal weight. A heap keyed
+/// on weight, then leaves by byte, then merges by creation pops the same
+/// nodes, so this is the tree the heap construction builds.
+pub(crate) fn huffman_lengths(symbols: &[(u8, u64)]) -> [u8; 256] {
+    // Nodes `0..n` are the leaves and node `k >= n` the `k - n`th merge,
+    // so a node's parent always has the higher index.
+    let n = symbols.len();
+    let (mut weight, mut parent) = ([0u64; 511], [0u16; 511]);
+    for (w, &(_, count)) in weight.iter_mut().zip(symbols) {
+        *w = count;
     }
-    let mut heap: BinaryHeap<Reverse<(u64, u32, usize)>> = BinaryHeap::new();
-    let mut arena: Vec<Node> = Vec::with_capacity(symbols.len() * 2);
-    for (i, &(sym, count)) in symbols.iter().enumerate() {
-        arena.push(Node::Leaf(sym));
-        heap.push(Reverse((count, i as u32, i)));
-    }
-    let mut tie = symbols.len() as u32;
-    let root = loop {
-        let Some(Reverse((w1, _, n1))) = heap.pop() else {
-            // Unreachable (the heap starts with >= 2 nodes and the loop
-            // leaves one), but a structured error beats a panic.
-            return Err(CompressError::EmptyHistogram);
-        };
-        let Some(Reverse((w2, _, n2))) = heap.pop() else {
-            break n1;
-        };
-        // Steal the two nodes out of the arena by swapping placeholders in.
-        let a = std::mem::replace(&mut arena[n1], Node::Leaf(0));
-        let b = std::mem::replace(&mut arena[n2], Node::Leaf(0));
-        arena.push(Node::Internal(Box::new(a), Box::new(b)));
-        heap.push(Reverse((w1 + w2, tie, arena.len() - 1)));
-        tie += 1;
-    };
-
-    fn walk(node: &Node, depth: u8, lengths: &mut [u8; 256]) {
-        match node {
-            Node::Leaf(sym) => lengths[*sym as usize] = depth.max(1),
-            Node::Internal(a, b) => {
-                walk(a, depth + 1, lengths);
-                walk(b, depth + 1, lengths);
-            }
+    let (mut leaf, mut next) = (0, n);
+    for k in n..(2 * n).saturating_sub(1) {
+        for _ in 0..2 {
+            let node = if leaf < n && (next == k || weight[leaf] <= weight[next]) {
+                leaf += 1;
+                leaf - 1
+            } else {
+                next += 1;
+                next - 1
+            };
+            weight[k] += weight[node];
+            parent[node] = k as u16;
         }
     }
-    walk(&arena[root], 0, &mut lengths);
-    Ok(lengths)
+    // Depths from the root, the last node, down. A lone symbol still
+    // gets one bit so the decoder can count symbols.
+    let (mut depth, mut lengths) = ([0u8; 511], [0u8; 256]);
+    for node in (0..(2 * n).saturating_sub(2)).rev() {
+        depth[node] = depth[usize::from(parent[node])] + 1;
+    }
+    for (&(sym, _), &d) in symbols.iter().zip(&depth) {
+        lengths[usize::from(sym)] = d.max(1);
+    }
+    lengths
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// The heap-and-boxed-tree construction, kept as the oracle for
+    /// [`traditional_lengths`]: a heap of `(weight, tie, node)`, with
+    /// leaves tied by byte and internal nodes by creation after them.
+    fn heap_lengths(histogram: &ByteHistogram) -> Result<[u8; 256], CompressError> {
+        let mut lengths = [0u8; 256];
+        let symbols: Vec<(u8, u64)> = (0u16..256)
+            .map(|b| (b as u8, histogram.count(b as u8)))
+            .filter(|&(_, c)| c > 0)
+            .collect();
+        match symbols.len() {
+            0 => return Err(CompressError::EmptyHistogram),
+            1 => {
+                lengths[symbols[0].0 as usize] = 1;
+                return Ok(lengths);
+            }
+            _ => {}
+        }
+
+        #[derive(Debug)]
+        enum Node {
+            Leaf(u8),
+            Internal(Box<Node>, Box<Node>),
+        }
+        let mut heap: BinaryHeap<Reverse<(u64, u32, usize)>> = BinaryHeap::new();
+        let mut arena: Vec<Node> = Vec::with_capacity(symbols.len() * 2);
+        for (i, &(sym, count)) in symbols.iter().enumerate() {
+            arena.push(Node::Leaf(sym));
+            heap.push(Reverse((count, i as u32, i)));
+        }
+        let mut tie = symbols.len() as u32;
+        let root = loop {
+            let Reverse((w1, _, n1)) = heap.pop().unwrap();
+            let Some(Reverse((w2, _, n2))) = heap.pop() else {
+                break n1;
+            };
+            let a = std::mem::replace(&mut arena[n1], Node::Leaf(0));
+            let b = std::mem::replace(&mut arena[n2], Node::Leaf(0));
+            arena.push(Node::Internal(Box::new(a), Box::new(b)));
+            heap.push(Reverse((w1 + w2, tie, arena.len() - 1)));
+            tie += 1;
+        };
+
+        fn walk(node: &Node, depth: u8, lengths: &mut [u8; 256]) {
+            match node {
+                Node::Leaf(sym) => lengths[*sym as usize] = depth.max(1),
+                Node::Internal(a, b) => {
+                    walk(a, depth + 1, lengths);
+                    walk(b, depth + 1, lengths);
+                }
+            }
+        }
+        walk(&arena[root], 0, &mut lengths);
+        Ok(lengths)
+    }
 
     #[test]
     fn classic_example() {
@@ -150,5 +206,48 @@ mod tests {
         let lengths = traditional_lengths(&h).unwrap();
         let max = lengths.iter().copied().max().unwrap();
         assert!(max >= 19, "expected deep tree, got max {max}");
+        assert_eq!(Ok(lengths), heap_lengths(&h));
+    }
+
+    #[test]
+    fn full_alphabet_matches_the_heap() {
+        // Equal weights tie at every merge; powers of two tie leaves
+        // with merged nodes.
+        let equal = ByteHistogram::of(&(0u8..=255).collect::<Vec<_>>());
+        let mut powers = ByteHistogram::new();
+        for sym in 0..=255u8 {
+            powers.update(&vec![sym; 1 << (sym % 8)]);
+        }
+        for h in [equal, powers] {
+            assert_eq!(traditional_lengths(&h), heap_lengths(&h));
+            assert_eq!(
+                traditional_lengths(&h.smoothed()),
+                heap_lengths(&h.smoothed())
+            );
+        }
+    }
+
+    fn weight() -> impl Strategy<Value = u64> {
+        // Narrow weights make leaves and merged nodes tie often, powers
+        // of two tie a leaf with a merged pair, and wide weights build
+        // deep, uneven trees.
+        prop_oneof![1u64..4, (0u32..12).prop_map(|e| 1u64 << e), 1u64..5000]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn two_queue_matches_the_heap(
+            counts in proptest::collection::vec((any::<u8>(), weight()), 1..=300),
+            smooth: bool,
+        ) {
+            let mut raw = ByteHistogram::new();
+            for (sym, count) in counts {
+                raw.update(&vec![sym; count as usize]);
+            }
+            let h = if smooth { raw.smoothed() } else { raw };
+            prop_assert_eq!(traditional_lengths(&h), heap_lengths(&h));
+        }
     }
 }

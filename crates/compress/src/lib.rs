@@ -6,10 +6,11 @@
 //! * [`lzw`] — a Unix-`compress`-style LZW codec, the paper's file-based
 //!   reference point;
 //! * [`traditional_lengths`] / [`ByteCode::traditional`] — classic
-//!   Huffman over byte frequencies;
+//!   Huffman over byte frequencies, by the two-queue construction;
 //! * [`bounded_lengths`] / [`ByteCode::bounded`] — length-limited
-//!   (≤16-bit) Huffman via package-merge, making the decode hardware
-//!   practical;
+//!   (≤16-bit) Huffman, making the decode hardware practical: the
+//!   traditional lengths when they fit, package-merge when the bound
+//!   binds;
 //! * [`ByteCode::preselected`] — a single bounded code built from a
 //!   program corpus, so the decoder can be hardwired and no code table
 //!   ships with each program;

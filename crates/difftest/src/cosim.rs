@@ -359,22 +359,46 @@ mod tests {
     }
 
     #[test]
-    fn mips_private_state_is_compared_right_after_the_gprs() {
+    fn mips_state_past_the_gprs_is_compared_in_order() {
         // Program pairs of equal length whose GPRs end equal, with the
-        // field and detail the comparison reports.
+        // field and detail the comparison reports, or `None` for twins
+        // that must match.
         let cases = [
             // Only HI/LO differ.
             (
                 "li $t0, 3\nli $t1, 5\nmult $t0, $t1\nli $t1, 0\nli $v0, 10\nsyscall",
                 "li $t0, 3\nli $t1, 6\nmult $t0, $t1\nli $t1, 0\nli $v0, 10\nsyscall",
-                ("hi/lo", "0x00000000:0x0000000f vs 0x00000000:0x00000012"),
+                Some(("hi/lo", "0x00000000:0x0000000f vs 0x00000000:0x00000012")),
             ),
             // An FPA register and the exit status differ: the FPA file
             // comes first.
             (
                 "li $t0, 7\nmtc1 $t0, $f2\nli $t0, 0\nli $v0, 10\nsyscall",
                 "li $t0, 9\nmtc1 $t0, $f2\nli $t0, 0\nli $v0, 10\nnop",
-                ("$f2", "0x00000007 vs 0x00000009"),
+                Some(("$f2", "0x00000007 vs 0x00000009")),
+            ),
+            // One prints `7`, its twin nothing.
+            (
+                "li $a0, 7\nli $v0, 1\nsyscall\nli $v0, 10\nsyscall",
+                "li $a0, 7\nli $v0, 1\nnop\nli $v0, 10\nsyscall",
+                Some(("output", "\"7\" vs \"\"")),
+            ),
+            // Equal lengths, different bytes.
+            (
+                "li $a0, 7\nli $v0, 1\nsyscall\nli $a0, 0\nli $v0, 10\nsyscall",
+                "li $a0, 9\nli $v0, 1\nsyscall\nli $a0, 0\nli $v0, 10\nsyscall",
+                Some(("output", "\"7\" vs \"9\"")),
+            ),
+            // Twins that print nothing, and twins that print the same.
+            (
+                "li $t0, 3\nli $v0, 10\nsyscall",
+                "li $t0, 3\nli $v0, 10\nsyscall",
+                None,
+            ),
+            (
+                "li $a0, 7\nli $v0, 1\nsyscall\nli $v0, 10\nsyscall",
+                "li $a0, 7\nli $v0, 1\nsyscall\nli $v0, 10\nsyscall",
+                None,
             ),
         ];
         let run = |body: &str| {
@@ -385,12 +409,12 @@ mod tests {
             }
             machine
         };
-        for (reference, variant, (field, detail)) in cases {
+        for (reference, variant, expected) in cases {
             let (a, b) = (run(reference), run(variant));
             let mismatch = compare_cores(&a, &b, &[], &[]);
             assert_eq!(
                 mismatch,
-                Some((field.to_string(), detail.to_string())),
+                expected.map(|(field, detail)| (field.to_string(), detail.to_string())),
                 "{variant}"
             );
         }

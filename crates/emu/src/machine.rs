@@ -146,6 +146,17 @@ impl Machine {
 
     /// Builds a machine loaded with `image`.
     pub fn with_config(image: &ProgramImage, config: MachineConfig) -> Self {
+        let decoded = image.text_words().map(|w| decode(w).ok()).collect();
+        Self::load(image, config, decoded)
+    }
+
+    /// Builds a machine loaded with `image` whose fetches read
+    /// `decoded`, the pre-decoded text.
+    fn load(
+        image: &ProgramImage,
+        config: MachineConfig,
+        decoded: Vec<Option<Instruction>>,
+    ) -> Self {
         let mut mem = Memory::new();
         mem.load(image.text_base(), image.text_bytes());
         if !image.data_bytes().is_empty() {
@@ -153,7 +164,6 @@ impl Machine {
         }
         // Map the top stack page so leaf functions can spill immediately.
         mem.write_u32(INITIAL_SP, 0);
-        let decoded = image.text_words().map(|w| decode(w).ok()).collect();
         let mut regs = [0u32; 32];
         regs[Reg::SP.number() as usize] = INITIAL_SP;
         regs[Reg::GP.number() as usize] = image.data_base();
@@ -215,8 +225,12 @@ impl Machine {
         {
             return Err(EmuError::RomMismatch);
         }
-        let mut machine = Self::with_config(image, config);
-        machine.decoded = vec![None; (rom.original_bytes() / 4) as usize];
+        // Nothing is decoded until its ROM line is expanded.
+        let mut machine = Self::load(
+            image,
+            config,
+            vec![None; (rom.original_bytes() / 4) as usize],
+        );
         match policy {
             DegradePolicy::Abort => {
                 // Fail-fast: expand and decode the whole ROM up front.
