@@ -11,12 +11,13 @@
 #      and the cross-ISA comparison (`sweep --isa-compare`) and require
 #      the deterministic sections of the fresh BENCH_<experiment>.json /
 #      BENCH_codecs.json / BENCH_isa_compare.json to be byte-identical
-#      to the committed files.  Only the `jobs` and `timing` keys are
-#      host-dependent; everything else (schema, experiment, cells,
-#      results — including every simulated cycle count) must reproduce
-#      exactly, on any machine, at any job count.  Tables 9–10 (CLB
-#      sizes) and 11–13 (data-cache models) are the sweeps whose configs
-#      the sweep kernel shares refill timings between.
+#      to the committed files (`ci/bench_reproduces.py`).  Only the
+#      `jobs` and `timing` keys are host-dependent; everything else
+#      (schema, experiment, cells, results — including every simulated
+#      cycle count) must reproduce exactly, on any machine, at any job
+#      count.  Tables 9–10 (CLB sizes) and 11–13 (data-cache models)
+#      are the sweeps whose configs the sweep kernel shares refill
+#      timings between.
 #
 #   2. Decoder speedup: run the decoder_bench target and require the
 #      table-driven fast path to beat the canonical bit-walk reference
@@ -57,33 +58,7 @@ cargo run --release --locked --offline -p ccrp-cli --bin ccrp-tools -- \
     sweep --isa-compare --jobs 2 --out "$tmp"
 
 for name in fig5 tables1_8 tables9_10 fig9 tables11_13 codecs isa_compare; do
-    python3 - "BENCH_${name}.json" "$tmp/BENCH_${name}.json" <<'PY'
-import json, sys
-
-committed_path, fresh_path = sys.argv[1:3]
-with open(committed_path) as f:
-    committed = json.load(f)
-with open(fresh_path) as f:
-    fresh = json.load(f)
-
-# Host-dependent keys; everything that remains must match byte-for-byte
-# once serialized with a canonical writer.
-for doc in (committed, fresh):
-    for key in ("jobs", "timing"):
-        doc.pop(key, None)
-
-a = json.dumps(committed, sort_keys=True)
-b = json.dumps(fresh, sort_keys=True)
-if a != b:
-    print(f"bench_gate: FAIL {committed_path} no longer reproduces", file=sys.stderr)
-    for key in sorted(set(committed) | set(fresh)):
-        ca = json.dumps(committed.get(key), sort_keys=True)
-        cb = json.dumps(fresh.get(key), sort_keys=True)
-        if ca != cb:
-            print(f"  section {key!r} differs", file=sys.stderr)
-    sys.exit(1)
-print(f"bench_gate: {committed_path} reproduces byte-for-byte")
-PY
+    python3 ci/bench_reproduces.py "BENCH_${name}.json" "$tmp/BENCH_${name}.json"
 done
 
 echo "bench_gate: trace-engine jobs independence (--jobs 1 vs --jobs 4)"
