@@ -1,6 +1,6 @@
 //! Micro-benchmarks: throughput of the building blocks (codecs, code
 //! construction, refill engine, cache model, emulator, assembler, one
-//! differential trial).
+//! differential trial, trace capture).
 //!
 //! Uses a small std-only timing harness (median of timed batches after
 //! warmup) because this environment has no crates.io access for an
@@ -9,6 +9,7 @@
 use std::time::Instant;
 
 use ccrp::{Burst, CompressedImage, MemoryTiming, RefillConfig, RefillEngine};
+use ccrp_bench::capture::StreamCapture;
 use ccrp_bench::difftest::trial_seed;
 use ccrp_compress::{
     block, bounded_lengths, lzw, traditional_lengths, BlockAlignment, ByteCode, ByteHistogram,
@@ -188,7 +189,146 @@ fn frontend_benches() {
     });
 }
 
+/// Single-opcode MIPS loops: each body repeats one operation 16 times,
+/// so the emulator's cost per operation shows through the loop's.
+const MICROKERNELS: [(&str, &str); 4] = [
+    (
+        "emulate_addiu_chain",
+        "
+        main:   li    $t1, 4096
+        loop:   addiu $t0, $t0, 1
+                addiu $t0, $t0, 1
+                addiu $t0, $t0, 1
+                addiu $t0, $t0, 1
+                addiu $t0, $t0, 1
+                addiu $t0, $t0, 1
+                addiu $t0, $t0, 1
+                addiu $t0, $t0, 1
+                addiu $t0, $t0, 1
+                addiu $t0, $t0, 1
+                addiu $t0, $t0, 1
+                addiu $t0, $t0, 1
+                addiu $t0, $t0, 1
+                addiu $t0, $t0, 1
+                addiu $t0, $t0, 1
+                addiu $t0, $t0, 1
+                addiu $t1, $t1, -1
+                bnez  $t1, loop
+                li    $v0, 10
+                syscall
+        ",
+    ),
+    (
+        // Eight words loaded and stored per pass over an 8 KiB buffer:
+        // the accesses alternate between two pages' worth of data.
+        "emulate_lwc1_swc1_stream",
+        "
+                .data
+        buf:    .space 8192
+                .text
+        main:   li    $t2, 16
+        outer:  la    $t0, buf
+                li    $t1, 256
+        inner:  lwc1  $f0, 0($t0)
+                swc1  $f0, 4($t0)
+                lwc1  $f2, 8($t0)
+                swc1  $f2, 12($t0)
+                lwc1  $f4, 16($t0)
+                swc1  $f4, 20($t0)
+                lwc1  $f6, 24($t0)
+                swc1  $f6, 28($t0)
+                lwc1  $f0, 4096($t0)
+                swc1  $f0, 4100($t0)
+                lwc1  $f2, 4104($t0)
+                swc1  $f2, 4108($t0)
+                lwc1  $f4, 4112($t0)
+                swc1  $f4, 4116($t0)
+                lwc1  $f6, 4120($t0)
+                swc1  $f6, 4124($t0)
+                addiu $t1, $t1, -2
+                addiu $t0, $t0, 32
+                bnez  $t1, inner
+                addiu $t2, $t2, -1
+                bnez  $t2, outer
+                li    $v0, 10
+                syscall
+        ",
+    ),
+    (
+        "emulate_mul_d_chain",
+        "
+        main:   li    $t1, 4096
+                mtc1  $zero, $f0
+                mtc1  $zero, $f1
+                mtc1  $zero, $f2
+                mtc1  $zero, $f3
+        loop:   mul.d $f0, $f0, $f2
+                mul.d $f0, $f0, $f2
+                mul.d $f0, $f0, $f2
+                mul.d $f0, $f0, $f2
+                mul.d $f0, $f0, $f2
+                mul.d $f0, $f0, $f2
+                mul.d $f0, $f0, $f2
+                mul.d $f0, $f0, $f2
+                mul.d $f0, $f0, $f2
+                mul.d $f0, $f0, $f2
+                mul.d $f0, $f0, $f2
+                mul.d $f0, $f0, $f2
+                mul.d $f0, $f0, $f2
+                mul.d $f0, $f0, $f2
+                mul.d $f0, $f0, $f2
+                mul.d $f0, $f0, $f2
+                addiu $t1, $t1, -1
+                bnez  $t1, loop
+                li    $v0, 10
+                syscall
+        ",
+    ),
+    (
+        // A taken branch and its delay slot per iteration.
+        "emulate_bne_loop",
+        "
+        main:   li    $t1, 32768
+        loop:   addiu $t1, $t1, -1
+                bne   $t1, $zero, loop
+                li    $v0, 10
+                syscall
+        ",
+    ),
+];
+
+fn emulator_benches() {
+    println!("-- emulator: single-opcode loops, machine set-up, streamed capture --");
+    for (name, source) in MICROKERNELS {
+        let image = ccrp_asm::assemble(source).expect("assembles");
+        let steps = ccrp_emu::Machine::new(&image)
+            .run(&mut ccrp_emu::NullSink)
+            .expect("runs")
+            .instructions;
+        println!("{name:<28} {steps:>12} instructions per call");
+        bench(name, None, || {
+            let mut machine = ccrp_emu::Machine::new(std::hint::black_box(&image));
+            machine.run(&mut ccrp_emu::NullSink).expect("runs")
+        });
+    }
+    // The first MIPS program of `difftest` chunk 1 under seed 1: each
+    // trial builds five machines for a program of this size.
+    let seed = trial_seed(trial_seed(1, 1), 0);
+    let image = ccrp_asm::assemble(&ProgGen::generate(seed).source()).expect("assembles");
+    bench("machine_new_difftest", None, || {
+        ccrp_emu::Machine::new(std::hint::black_box(&image))
+    });
+    let image = ccrp_asm::assemble(&TracedWorkload::Matrix25A.source()).expect("assembles");
+    bench("stream_capture_matrix25a", None, || {
+        let mut capture = StreamCapture::default();
+        let mut machine = ccrp_emu::Machine::new(std::hint::black_box(&image));
+        machine.run(&mut capture).expect("runs");
+        capture.finish()
+    });
+}
+
 fn main() {
+    emulator_benches();
     codec_benches();
     construction_benches();
     refill_benches();

@@ -3,36 +3,38 @@
 //! hold a per-fetch [`ProgramTrace`](ccrp_emu::ProgramTrace).
 
 use ccrp_emu::TraceSink;
-use ccrp_sim::AccessTrace;
+use ccrp_sim::{AccessTrace, OpenRun};
 
-/// A [`TraceSink`] that appends each fetch to an [`AccessTrace`] once the
-/// next one starts, holding only the current fetch's `(pc, data count)`.
-/// Its data count saturates at 255, as `ProgramTrace`'s does, so
+/// A [`TraceSink`] that compacts fetches into an [`AccessTrace`] as they
+/// come. It keeps the run the current fetch belongs to in its own
+/// fields ([`OpenRun`]) and hands each run to the trace only once it is
+/// finished; the trace module applies the compaction rule
+/// ([`AccessTrace::stream_fetch`], [`AccessTrace::stream_data`]). So
 /// [`finish`](Self::finish) returns exactly what
 /// [`AccessTrace::capture`] makes of the same run's `ProgramTrace`.
 #[derive(Debug, Default)]
-pub(crate) struct StreamCapture {
+pub struct StreamCapture {
     trace: AccessTrace,
-    current: Option<(u32, u8)>,
+    open: OpenRun,
 }
 
 impl StreamCapture {
-    /// Appends the last fetch and returns the compacted trace.
-    pub(crate) fn finish(mut self) -> AccessTrace {
-        self.trace.extend(self.current);
+    /// Hands over the last run and returns the compacted trace.
+    pub fn finish(mut self) -> AccessTrace {
+        self.trace.close_run(self.open);
         self.trace
     }
 }
 
 impl TraceSink for StreamCapture {
+    #[inline]
     fn instruction(&mut self, pc: u32) {
-        self.trace.extend(self.current.replace((pc, 0)));
+        self.trace.stream_fetch(&mut self.open, pc);
     }
 
+    #[inline]
     fn data_access(&mut self, _addr: u32, _store: bool) {
-        if let Some((_, data)) = &mut self.current {
-            *data = data.saturating_add(1);
-        }
+        self.trace.stream_data(&mut self.open);
     }
 }
 
@@ -40,6 +42,7 @@ impl TraceSink for StreamCapture {
 mod tests {
     use ccrp_emu::ProgramTrace;
     use ccrp_rv32::workloads::Rv32Workload;
+    use ccrp_workloads::TracedWorkload;
 
     use super::*;
 
@@ -75,6 +78,22 @@ mod tests {
                 sink.data_access(0x3000 + i, false);
             }
         });
+    }
+
+    #[test]
+    fn every_mips_kernel_streams_to_its_captured_trace() {
+        for workload in TracedWorkload::ALL {
+            let recorded = workload.build().expect("kernel builds");
+            let streamed = workload
+                .build_into::<StreamCapture>()
+                .expect("kernel builds");
+            assert_eq!(
+                streamed.trace.finish(),
+                AccessTrace::capture(recorded.trace.iter()),
+                "{}",
+                workload.name()
+            );
+        }
     }
 
     #[test]

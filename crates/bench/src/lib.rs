@@ -33,7 +33,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod capture;
+pub mod capture;
 pub mod codecs;
 pub mod difftest;
 pub mod experiments;

@@ -8,7 +8,7 @@
 //! retires the same instruction stream, produces the same output, and
 //! faults at the same step as the original.
 //!
-//! Derived state is deliberately *not* serialized — the pre-decoded text
+//! Derived state is deliberately *not* serialized — the decoded text
 //! and the ROM's expanded line bytes are rebuilt from the program image
 //! on restore, which keeps checkpoints small and means a checkpoint can
 //! move between a plain machine and any compressed-text variant of the
@@ -27,6 +27,7 @@ use ccrp::{read_frame, write_frame, ByteReader, ByteWriter, SnapshotError};
 
 use crate::machine::{expand_rom_line, Machine};
 use crate::memory::{Memory, PAGE_BYTES};
+use crate::op::Op;
 use crate::state::ArchState;
 
 /// Current checkpoint payload format version.
@@ -359,7 +360,7 @@ impl Machine {
         self.state = checkpoint.state.clone();
         if let Some(rom) = &mut self.rom {
             let lines = rom.expanded.len();
-            self.decoded.fill(None);
+            self.decoded.fill(Op::Undecoded);
             rom.expanded.fill(false);
             let flags = match &checkpoint.rom_expanded {
                 Some(flags) if flags.len() == lines => flags,

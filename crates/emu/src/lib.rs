@@ -43,6 +43,7 @@ mod error;
 mod isa_core;
 mod machine;
 mod memory;
+mod op;
 mod state;
 mod trace;
 

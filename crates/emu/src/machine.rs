@@ -2,13 +2,11 @@ use std::collections::VecDeque;
 
 use ccrp::{crc32, CompressedImage, DegradePolicy, StepBudget};
 use ccrp_asm::ProgramImage;
-use ccrp_isa::{
-    decode, AluOp, BranchOp, BranchZOp, Cp1MoveOp, FpCond, FpFmt, FpOp, FpReg, FpUnaryOp, HiLoOp,
-    IAluOp, Instruction, MemOp, MultDivOp, Reg, ShiftOp,
-};
+use ccrp_isa::{FpReg, Reg};
 
 use crate::error::EmuError;
 use crate::memory::Memory;
+use crate::op::Op;
 use crate::state::ArchState;
 use crate::trace::TraceSink;
 
@@ -53,7 +51,7 @@ pub(crate) struct CompressedRom {
 }
 
 /// Expands line `line` of `rom` and decodes its eight words into their
-/// slots of `decoded`, the machine's pre-decoded text.
+/// slots of `decoded`, the machine's decoded text.
 ///
 /// # Errors
 ///
@@ -61,7 +59,7 @@ pub(crate) struct CompressedRom {
 pub(crate) fn expand_rom_line(
     rom: &CompressedImage,
     line: usize,
-    decoded: &mut [Option<Instruction>],
+    decoded: &mut [Op],
 ) -> Result<(), u32> {
     let line_addr = rom.text_base() + line as u32 * 32;
     let mut bytes = [0u8; 32];
@@ -69,7 +67,7 @@ pub(crate) fn expand_rom_line(
         .map_err(|_| line_addr)?;
     let words = bytes
         .chunks_exact(4)
-        .map(|w| decode(u32::from_le_bytes([w[0], w[1], w[2], w[3]])).ok());
+        .map(|w| Op::decode(u32::from_le_bytes([w[0], w[1], w[2], w[3]])));
     for (slot, word) in decoded.iter_mut().skip(line * 8).zip(words) {
         *slot = word;
     }
@@ -122,12 +120,12 @@ pub struct Machine {
     /// Everything the program can observe — the checkpointable part.
     pub(crate) state: ArchState,
     pub(crate) text_base: u32,
-    /// Pre-decoded text segment; `None` entries are data words (jump
-    /// tables), invalid encodings, or words of a ROM line not yet
-    /// expanded, so a `Some` entry needs no ROM check when fetched.
-    /// Derived state: rebuilt from memory / the ROM on restore, never
-    /// serialized.
-    pub(crate) decoded: Vec<Option<Instruction>>,
+    /// The decoded text segment, one [`Op`] per word. Data words (jump
+    /// tables), invalid encodings and words of a ROM line not yet
+    /// expanded are [`Op::Undecoded`], so any other entry needs no ROM
+    /// check when fetched. Derived state: rebuilt from memory / the ROM
+    /// on restore, never serialized.
+    pub(crate) decoded: Vec<Op>,
     /// Compressed instruction ROM for demand line expansion, when the
     /// machine was built with [`with_compressed_text`]
     /// (Self::with_compressed_text) under a demand policy.
@@ -146,17 +144,13 @@ impl Machine {
 
     /// Builds a machine loaded with `image`.
     pub fn with_config(image: &ProgramImage, config: MachineConfig) -> Self {
-        let decoded = image.text_words().map(|w| decode(w).ok()).collect();
+        let decoded = image.text_words().map(Op::decode).collect();
         Self::load(image, config, decoded)
     }
 
     /// Builds a machine loaded with `image` whose fetches read
-    /// `decoded`, the pre-decoded text.
-    fn load(
-        image: &ProgramImage,
-        config: MachineConfig,
-        decoded: Vec<Option<Instruction>>,
-    ) -> Self {
+    /// `decoded`, the decoded text.
+    fn load(image: &ProgramImage, config: MachineConfig, decoded: Vec<Op>) -> Self {
         let mut mem = Memory::new();
         mem.load(image.text_base(), image.text_bytes());
         if !image.data_bytes().is_empty() {
@@ -196,7 +190,7 @@ impl Machine {
     }
 
     /// Builds a machine whose instruction stream comes from a compressed
-    /// instruction ROM instead of the pre-decoded program text. Data
+    /// instruction ROM instead of the decoded program text. Data
     /// accesses still see the program image's memory; only instruction
     /// fetch goes through the ROM.
     ///
@@ -229,7 +223,7 @@ impl Machine {
         let mut machine = Self::load(
             image,
             config,
-            vec![None; (rom.original_bytes() / 4) as usize],
+            vec![Op::Undecoded; (rom.original_bytes() / 4) as usize],
         );
         match policy {
             DegradePolicy::Abort => {
@@ -315,13 +309,6 @@ impl Machine {
         f64::from_bits((hi << 32) | lo)
     }
 
-    fn set_fp_double(&mut self, reg: FpReg, value: f64) {
-        let n = (reg.number() & !1) as usize;
-        let bits = value.to_bits();
-        self.state.fpr[n] = bits as u32;
-        self.state.fpr[n + 1] = (bits >> 32) as u32;
-    }
-
     /// Whether the program has exited, and with what code.
     pub fn exit_code(&self) -> Option<i32> {
         self.state.exit
@@ -344,7 +331,9 @@ impl Machine {
     /// Any [`EmuError`] fault, including exceeding the configured step
     /// budget.
     pub fn run(&mut self, sink: &mut impl TraceSink) -> Result<RunSummary, EmuError> {
-        self.run_budgeted(sink, &mut StepBudget::unlimited())
+        // An unlimited budget without a cancellation flag never trips,
+        // and nothing reads what it was charged: the run charges none.
+        self.run_until(sink, None)
     }
 
     /// Runs until the program exits via syscall, charging `budget` one
@@ -367,24 +356,73 @@ impl Machine {
         sink: &mut impl TraceSink,
         budget: &mut StepBudget,
     ) -> Result<RunSummary, EmuError> {
-        while self.state.exit.is_none() {
-            if self.state.steps >= self.config.max_steps {
-                return Err(EmuError::StepLimitExceeded {
-                    limit: self.config.max_steps,
-                });
+        self.run_until(sink, Some(budget))
+    }
+
+    /// The run loop of [`run`](Self::run) and
+    /// [`run_budgeted`](Self::run_budgeted). It ends in the state
+    /// [`step`](Self::step) would leave: each instruction checks the
+    /// step limit, then charges the budget, then executes, so a fault, a
+    /// limit trip or a budget trip lands at the same step either way.
+    #[inline(always)]
+    fn run_until(
+        &mut self,
+        sink: &mut impl TraceSink,
+        mut budget: Option<&mut StepBudget>,
+    ) -> Result<RunSummary, EmuError> {
+        let limit = self.config.max_steps;
+        // The PC pair and the step count live in locals; they are
+        // written back before every slow path (a syscall, `fetch_slow`)
+        // and when the run ends, fault or not.
+        let mut pc = self.state.pc;
+        let mut next_pc = self.state.next_pc;
+        let mut steps = self.state.steps;
+        let outcome = loop {
+            if let Some(code) = self.state.exit {
+                break Ok(code);
             }
-            if let Err(exhausted) = budget.charge(1) {
-                return Err(EmuError::BudgetExhausted {
-                    steps: self.state.steps,
-                    cancelled: exhausted.cancelled,
-                });
+            if steps >= limit {
+                break Err(EmuError::StepLimitExceeded { limit });
             }
-            self.step(sink)?;
-        }
-        Ok(RunSummary {
-            instructions: self.state.steps,
-            // panic-ok: the loop above only exits once `exit` is set.
-            exit_code: self.state.exit.expect("loop exits only when set"),
+            if let Some(budget) = budget.as_deref_mut() {
+                if let Err(exhausted) = budget.charge(1) {
+                    break Err(EmuError::BudgetExhausted {
+                        steps,
+                        cancelled: exhausted.cancelled,
+                    });
+                }
+            }
+            let mut op = self.decoded_at(pc);
+            if matches!(op, Op::Undecoded) {
+                self.state.pc = pc;
+                self.state.next_pc = next_pc;
+                self.state.steps = steps;
+                op = match self.fetch_slow(pc) {
+                    Ok(op) => op,
+                    Err(fault) => break Err(fault),
+                };
+            }
+            sink.instruction(pc);
+            steps += 1;
+            let fetched = pc;
+            pc = next_pc;
+            next_pc = pc.wrapping_add(4);
+            if matches!(op, Op::Syscall) {
+                self.state.pc = pc;
+                self.state.next_pc = next_pc;
+                self.state.steps = steps;
+            }
+            match self.execute(op, fetched, pc, sink) {
+                Ok(next) => next_pc = next,
+                Err(fault) => break Err(fault),
+            }
+        };
+        self.state.pc = pc;
+        self.state.next_pc = next_pc;
+        self.state.steps = steps;
+        outcome.map(|exit_code| RunSummary {
+            instructions: steps,
+            exit_code,
         })
     }
 
@@ -395,47 +433,57 @@ impl Machine {
     /// Any [`EmuError`] fault raised by the instruction.
     pub fn step(&mut self, sink: &mut impl TraceSink) -> Result<(), EmuError> {
         let pc = self.state.pc;
-        let inst = self.fetch(pc)?;
+        let mut op = self.decoded_at(pc);
+        if matches!(op, Op::Undecoded) {
+            op = self.fetch_slow(pc)?;
+        }
         sink.instruction(pc);
         self.state.steps += 1;
-        self.state.pc = self.state.next_pc;
-        self.state.next_pc = self.state.next_pc.wrapping_add(4);
-        self.execute(inst, pc, sink)
+        let delay = self.state.next_pc;
+        self.state.pc = delay;
+        // A fault leaves the fall-through successor in place.
+        self.state.next_pc = delay.wrapping_add(4);
+        self.state.next_pc = self.execute(op, pc, delay, sink)?;
+        Ok(())
     }
 
-    /// Fetches the decoded instruction at `pc`: one bounds-checked index
-    /// when it is decoded, which a ROM line is only once expanded.
-    /// Everything else (faults and demand expansion) goes through
-    /// [`fetch_slow`](Self::fetch_slow).
-    #[inline]
-    fn fetch(&mut self, pc: u32) -> Result<Instruction, EmuError> {
-        if pc.is_multiple_of(4) && pc >= self.text_base {
-            if let Some(Some(inst)) = self.decoded.get(((pc - self.text_base) / 4) as usize) {
-                return Ok(*inst);
+    /// The decoded op at `pc`: one bounds-checked index, which a ROM
+    /// line fills only once expanded. [`Op::Undecoded`] for everything
+    /// that needs [`fetch_slow`](Self::fetch_slow) — a PC outside the
+    /// text or misaligned, demand expansion, a word that does not
+    /// decode. A PC below the text base wraps to an index past the end.
+    #[inline(always)]
+    fn decoded_at(&self, pc: u32) -> Op {
+        if pc.is_multiple_of(4) {
+            let index = (pc.wrapping_sub(self.text_base) / 4) as usize;
+            if let Some(&op) = self.decoded.get(index) {
+                return op;
             }
         }
-        self.fetch_slow(pc)
+        Op::Undecoded
     }
 
-    /// The fetch path for a `pc` with no decoded instruction: a bad
-    /// address, a ROM line not yet expanded, or a word that does not
-    /// decode.
+    /// The fetch path for a `pc` with no decoded op: a bad address, a
+    /// ROM line not yet expanded, or a word that does not decode.
     #[cold]
     #[inline(never)]
-    fn fetch_slow(&mut self, pc: u32) -> Result<Instruction, EmuError> {
+    fn fetch_slow(&mut self, pc: u32) -> Result<Op, EmuError> {
         if !pc.is_multiple_of(4) || pc < self.text_base {
             return Err(EmuError::BadFetch { pc });
         }
         self.ensure_line_expanded(pc)?;
         let index = ((pc - self.text_base) / 4) as usize;
         match self.decoded.get(index) {
-            Some(Some(inst)) => Ok(*inst),
-            Some(None) => {
-                let word = self.state.mem.read_u32(pc).unwrap_or(0);
-                Err(EmuError::IllegalInstruction { pc, word })
-            }
+            Some(Op::Undecoded) => Err(self.illegal(pc)),
+            Some(&op) => Ok(op),
             None => Err(EmuError::BadFetch { pc }),
         }
+    }
+
+    /// The fault for executing the word at `pc`, which does not decode.
+    fn illegal(&self, pc: u32) -> EmuError {
+        let word = self.state.mem.read_u32(pc).unwrap_or(0);
+        EmuError::IllegalInstruction { pc, word }
     }
 
     /// Demand expansion of the compressed cache line holding `pc`. No-op
@@ -456,384 +504,272 @@ impl Machine {
         Ok(())
     }
 
-    fn load_addr(
-        &mut self,
-        base: Reg,
-        offset: i16,
+    /// General-purpose register `n` (taken mod 32).
+    #[inline(always)]
+    fn gpr(&self, n: u8) -> u32 {
+        self.state.regs[usize::from(n & 31)]
+    }
+
+    /// Writes general-purpose register `n` (taken mod 32); `$zero`
+    /// stays zero.
+    #[inline(always)]
+    fn set_gpr(&mut self, n: u8, value: u32) {
+        self.state.regs[usize::from(n & 31)] = value;
+        self.state.regs[0] = 0;
+    }
+
+    /// The single-precision value in FP register `n`.
+    #[inline(always)]
+    fn single(&self, n: u8) -> f32 {
+        f32::from_bits(self.state.fpr[usize::from(n & 31)])
+    }
+
+    #[inline(always)]
+    fn set_single(&mut self, n: u8, value: f32) {
+        self.state.fpr[usize::from(n & 31)] = value.to_bits();
+    }
+
+    /// The double in the even/odd pair holding FP register `n` (see
+    /// [`fp_double`](Self::fp_double)).
+    #[inline(always)]
+    fn double(&self, n: u8) -> f64 {
+        let n = usize::from(n & 30);
+        let lo = u64::from(self.state.fpr[n]);
+        let hi = u64::from(self.state.fpr[n + 1]);
+        f64::from_bits((hi << 32) | lo)
+    }
+
+    #[inline(always)]
+    fn set_double(&mut self, n: u8, value: f64) {
+        let n = usize::from(n & 30);
+        let bits = value.to_bits();
+        self.state.fpr[n] = bits as u32;
+        self.state.fpr[n + 1] = (bits >> 32) as u32;
+    }
+
+    /// The effective address of a data access: checked for alignment,
+    /// then reported to `sink` before the access itself can fault.
+    #[inline(always)]
+    fn data_addr(
+        &self,
+        base: u8,
+        offset: u32,
         align: u32,
         pc: u32,
         sink: &mut impl TraceSink,
         store: bool,
     ) -> Result<u32, EmuError> {
-        let addr = self.reg(base).wrapping_add(offset as i32 as u32);
-        if align > 1 && !addr.is_multiple_of(align) {
+        let addr = self.gpr(base).wrapping_add(offset);
+        if addr & (align - 1) != 0 {
             return Err(EmuError::UnalignedAccess { addr, align, pc });
         }
         sink.data_access(addr, store);
         Ok(addr)
     }
 
-    fn read_u32(&self, addr: u32, pc: u32) -> Result<u32, EmuError> {
+    #[inline(always)]
+    fn load_u8(&self, addr: u32, pc: u32) -> Result<u8, EmuError> {
+        self.state
+            .mem
+            .read_u8(addr)
+            .ok_or(EmuError::UnmappedRead { addr, pc })
+    }
+
+    #[inline(always)]
+    fn load_u16(&self, addr: u32, pc: u32) -> Result<u16, EmuError> {
+        self.state
+            .mem
+            .read_u16(addr)
+            .ok_or(EmuError::UnmappedRead { addr, pc })
+    }
+
+    #[inline(always)]
+    fn load_u32(&self, addr: u32, pc: u32) -> Result<u32, EmuError> {
         self.state
             .mem
             .read_u32(addr)
             .ok_or(EmuError::UnmappedRead { addr, pc })
     }
 
-    fn branch(&mut self, taken: bool, offset: i16) {
-        if taken {
-            // `next_pc` currently points one past the delay slot; the
-            // target is relative to the delay-slot address.
-            self.state.next_pc = self.state.pc.wrapping_add((i32::from(offset) << 2) as u32);
-        }
-    }
-
+    /// Executes `op`, fetched at `pc`, whose delay slot is at `delay`,
+    /// and returns the address of the instruction after the delay
+    /// slot: `delay + 4`, or a taken branch's or a jump's target. The
+    /// one execute both [`step`](Self::step) and
+    /// [`run_budgeted`](Self::run_budgeted) inline.
+    #[inline(always)]
     fn execute(
         &mut self,
-        inst: Instruction,
+        op: Op,
         pc: u32,
+        delay: u32,
         sink: &mut impl TraceSink,
-    ) -> Result<(), EmuError> {
-        match inst {
-            Instruction::RAlu { op, rd, rs, rt } => {
-                let a = self.reg(rs);
-                let b = self.reg(rt);
-                let value = match op {
-                    AluOp::Add => match (a as i32).checked_add(b as i32) {
-                        Some(v) => v as u32,
-                        None => return Err(EmuError::ArithmeticOverflow { pc }),
-                    },
-                    AluOp::Addu => a.wrapping_add(b),
-                    AluOp::Sub => match (a as i32).checked_sub(b as i32) {
-                        Some(v) => v as u32,
-                        None => return Err(EmuError::ArithmeticOverflow { pc }),
-                    },
-                    AluOp::Subu => a.wrapping_sub(b),
-                    AluOp::And => a & b,
-                    AluOp::Or => a | b,
-                    AluOp::Xor => a ^ b,
-                    AluOp::Nor => !(a | b),
-                    AluOp::Slt => u32::from((a as i32) < (b as i32)),
-                    AluOp::Sltu => u32::from(a < b),
-                };
-                self.set_reg(rd, value);
-            }
-            Instruction::Shift { op, rd, rt, shamt } => {
-                let v = self.reg(rt);
-                let s = u32::from(shamt);
-                let value = match op {
-                    ShiftOp::Sll => v << s,
-                    ShiftOp::Srl => v >> s,
-                    ShiftOp::Sra => ((v as i32) >> s) as u32,
-                };
-                self.set_reg(rd, value);
-            }
-            Instruction::ShiftV { op, rd, rt, rs } => {
-                let v = self.reg(rt);
-                let s = self.reg(rs) & 0x1F;
-                let value = match op {
-                    ShiftOp::Sll => v << s,
-                    ShiftOp::Srl => v >> s,
-                    ShiftOp::Sra => ((v as i32) >> s) as u32,
-                };
-                self.set_reg(rd, value);
-            }
-            Instruction::MultDiv { op, rs, rt } => {
-                let a = self.reg(rs);
-                let b = self.reg(rt);
-                match op {
-                    MultDivOp::Mult => {
-                        let p = i64::from(a as i32) * i64::from(b as i32);
-                        self.state.lo = p as u32;
-                        self.state.hi = (p >> 32) as u32;
-                    }
-                    MultDivOp::Multu => {
-                        let p = u64::from(a) * u64::from(b);
-                        self.state.lo = p as u32;
-                        self.state.hi = (p >> 32) as u32;
-                    }
-                    MultDivOp::Div => {
-                        if b == 0 {
-                            return Err(EmuError::DivideByZero { pc });
-                        }
-                        let (a, b) = (a as i32, b as i32);
-                        self.state.lo = a.wrapping_div(b) as u32;
-                        self.state.hi = a.wrapping_rem(b) as u32;
-                    }
-                    MultDivOp::Divu => {
-                        if b == 0 {
-                            return Err(EmuError::DivideByZero { pc });
-                        }
-                        self.state.lo = a / b;
-                        self.state.hi = a % b;
-                    }
-                }
-            }
-            Instruction::HiLo { op, reg } => match op {
-                HiLoOp::Mfhi => self.set_reg(reg, self.state.hi),
-                HiLoOp::Mflo => self.set_reg(reg, self.state.lo),
-                HiLoOp::Mthi => self.state.hi = self.reg(reg),
-                HiLoOp::Mtlo => self.state.lo = self.reg(reg),
-            },
-            Instruction::Jr { rs } => self.state.next_pc = self.reg(rs),
-            Instruction::Jalr { rd, rs } => {
-                let target = self.reg(rs);
-                self.set_reg(rd, self.state.next_pc);
-                self.state.next_pc = target;
-            }
-            Instruction::Syscall { .. } => self.syscall(pc, sink)?,
-            Instruction::Break { code } => return Err(EmuError::BreakTrap { pc, code }),
-            Instruction::IAlu { op, rt, rs, imm } => {
-                let a = self.reg(rs);
-                let se = imm as i16 as i32 as u32;
-                let ze = u32::from(imm);
-                let value = match op {
-                    IAluOp::Addi => match (a as i32).checked_add(se as i32) {
-                        Some(v) => v as u32,
-                        None => return Err(EmuError::ArithmeticOverflow { pc }),
-                    },
-                    IAluOp::Addiu => a.wrapping_add(se),
-                    IAluOp::Slti => u32::from((a as i32) < (se as i32)),
-                    IAluOp::Sltiu => u32::from(a < se),
-                    IAluOp::Andi => a & ze,
-                    IAluOp::Ori => a | ze,
-                    IAluOp::Xori => a ^ ze,
-                };
-                self.set_reg(rt, value);
-            }
-            Instruction::Lui { rt, imm } => self.set_reg(rt, u32::from(imm) << 16),
-            Instruction::Branch { op, rs, rt, offset } => {
-                let taken = match op {
-                    BranchOp::Beq => self.reg(rs) == self.reg(rt),
-                    BranchOp::Bne => self.reg(rs) != self.reg(rt),
-                };
-                self.branch(taken, offset);
-            }
-            Instruction::BranchZ { op, rs, offset } => {
-                let v = self.reg(rs) as i32;
-                let taken = match op {
-                    BranchZOp::Blez => v <= 0,
-                    BranchZOp::Bgtz => v > 0,
-                    BranchZOp::Bltz | BranchZOp::Bltzal => v < 0,
-                    BranchZOp::Bgez | BranchZOp::Bgezal => v >= 0,
-                };
-                if op.links() {
-                    self.set_reg(Reg::RA, self.state.next_pc);
-                }
-                self.branch(taken, offset);
-            }
-            Instruction::Jump { link, target } => {
-                if link {
-                    self.set_reg(Reg::RA, self.state.next_pc);
-                }
-                self.state.next_pc = (self.state.next_pc & 0xF000_0000) | (target << 2);
-            }
-            Instruction::Mem {
-                op,
-                rt,
-                base,
-                offset,
-            } => {
-                self.data_op(op, rt, base, offset, pc, sink)?;
-            }
-            Instruction::FpMem {
-                store,
-                ft,
-                base,
-                offset,
-            } => {
-                let addr = self.load_addr(base, offset, 4, pc, sink, store)?;
-                if store {
-                    self.state.mem.write_u32(addr, self.fp_bits(ft));
-                } else {
-                    let v = self.read_u32(addr, pc)?;
-                    self.state.fpr[ft.number() as usize] = v;
-                }
-            }
-            Instruction::Cp1Move { op, rt, fs } => match op {
-                Cp1MoveOp::Mfc1 => self.set_reg(rt, self.fp_bits(fs)),
-                Cp1MoveOp::Mtc1 => self.state.fpr[fs.number() as usize] = self.reg(rt),
-                // Control register moves: only the condition bit of FCR31
-                // is modeled.
-                Cp1MoveOp::Cfc1 => self.set_reg(rt, u32::from(self.state.fp_cond) << 23),
-                Cp1MoveOp::Ctc1 => self.state.fp_cond = self.reg(rt) & (1 << 23) != 0,
-            },
-            Instruction::FpArith {
-                op,
-                fmt,
-                fd,
-                fs,
-                ft,
-            } => match fmt {
-                FpFmt::Single => {
-                    let a = self.fp_single(fs);
-                    let b = self.fp_single(ft);
-                    let v = match op {
-                        FpOp::Add => a + b,
-                        FpOp::Sub => a - b,
-                        FpOp::Mul => a * b,
-                        FpOp::Div => a / b,
-                    };
-                    self.state.fpr[fd.number() as usize] = v.to_bits();
-                }
-                FpFmt::Double => {
-                    let a = self.fp_double(fs);
-                    let b = self.fp_double(ft);
-                    let v = match op {
-                        FpOp::Add => a + b,
-                        FpOp::Sub => a - b,
-                        FpOp::Mul => a * b,
-                        FpOp::Div => a / b,
-                    };
-                    self.set_fp_double(fd, v);
-                }
-                // panic-ok: the decoder never emits word-format FP arithmetic.
-                FpFmt::Word => unreachable!("decoder rejects word-format arithmetic"),
-            },
-            Instruction::FpUnary { op, fmt, fd, fs } => match fmt {
-                FpFmt::Single => {
-                    let a = self.fp_single(fs);
-                    let v = match op {
-                        FpUnaryOp::Abs => a.abs(),
-                        FpUnaryOp::Neg => -a,
-                        FpUnaryOp::Mov => a,
-                    };
-                    self.state.fpr[fd.number() as usize] = v.to_bits();
-                }
-                FpFmt::Double => {
-                    let a = self.fp_double(fs);
-                    let v = match op {
-                        FpUnaryOp::Abs => a.abs(),
-                        FpUnaryOp::Neg => -a,
-                        FpUnaryOp::Mov => a,
-                    };
-                    self.set_fp_double(fd, v);
-                }
-                // panic-ok: the decoder never emits word-format unary ops.
-                FpFmt::Word => unreachable!("decoder rejects word-format unary ops"),
-            },
-            Instruction::FpCvt { to, from, fd, fs } => {
-                // cvt.w truncates toward zero, matching C casts (compilers
-                // programmed the FCSR rounding mode accordingly).
-                match (to, from) {
-                    (FpFmt::Single, FpFmt::Double) => {
-                        let v = self.fp_double(fs) as f32;
-                        self.state.fpr[fd.number() as usize] = v.to_bits();
-                    }
-                    (FpFmt::Single, FpFmt::Word) => {
-                        let v = self.fp_bits(fs) as i32 as f32;
-                        self.state.fpr[fd.number() as usize] = v.to_bits();
-                    }
-                    (FpFmt::Double, FpFmt::Single) => {
-                        let v = f64::from(self.fp_single(fs));
-                        self.set_fp_double(fd, v);
-                    }
-                    (FpFmt::Double, FpFmt::Word) => {
-                        let v = f64::from(self.fp_bits(fs) as i32);
-                        self.set_fp_double(fd, v);
-                    }
-                    (FpFmt::Word, FpFmt::Single) => {
-                        let v = self.fp_single(fs).trunc() as i32;
-                        self.state.fpr[fd.number() as usize] = v as u32;
-                    }
-                    (FpFmt::Word, FpFmt::Double) => {
-                        let v = self.fp_double(fs).trunc() as i32;
-                        self.state.fpr[fd.number() as usize] = v as u32;
-                    }
-                    // panic-ok: the decoder never emits same-format conversions.
-                    _ => unreachable!("decoder rejects same-format conversions"),
-                }
-            }
-            Instruction::FpCmp { cond, fmt, fs, ft } => {
-                let result = match fmt {
-                    FpFmt::Single => {
-                        let (a, b) = (self.fp_single(fs), self.fp_single(ft));
-                        match cond {
-                            FpCond::Eq => a == b,
-                            FpCond::Lt => a < b,
-                            FpCond::Le => a <= b,
-                        }
-                    }
-                    FpFmt::Double => {
-                        let (a, b) = (self.fp_double(fs), self.fp_double(ft));
-                        match cond {
-                            FpCond::Eq => a == b,
-                            FpCond::Lt => a < b,
-                            FpCond::Le => a <= b,
-                        }
-                    }
-                    // panic-ok: the decoder never emits word-format compares.
-                    FpFmt::Word => unreachable!("decoder rejects word-format compares"),
-                };
-                self.state.fp_cond = result;
-            }
-            Instruction::Bc1 { on_true, offset } => {
-                self.branch(self.state.fp_cond == on_true, offset);
-            }
-        }
-        Ok(())
-    }
-
-    fn data_op(
-        &mut self,
-        op: MemOp,
-        rt: Reg,
-        base: Reg,
-        offset: i16,
-        pc: u32,
-        sink: &mut impl TraceSink,
-    ) -> Result<(), EmuError> {
-        let align = match op {
-            MemOp::Lw | MemOp::Sw => 4,
-            MemOp::Lh | MemOp::Lhu | MemOp::Sh => 2,
-            _ => 1,
-        };
-        let store = op.is_store();
-        let addr = self.load_addr(base, offset, align, pc, sink, store)?;
+    ) -> Result<u32, EmuError> {
+        let fall = delay.wrapping_add(4);
         match op {
-            MemOp::Lb => {
-                let v = self
-                    .state
-                    .mem
-                    .read_u8(addr)
-                    .ok_or(EmuError::UnmappedRead { addr, pc })?;
-                self.set_reg(rt, v as i8 as i32 as u32);
+            Op::Undecoded => return Err(self.illegal(pc)),
+            Op::Add { rd, rs, rt } => {
+                match (self.gpr(rs) as i32).checked_add(self.gpr(rt) as i32) {
+                    Some(v) => self.set_gpr(rd, v as u32),
+                    None => return Err(EmuError::ArithmeticOverflow { pc }),
+                }
             }
-            MemOp::Lbu => {
-                let v = self
-                    .state
-                    .mem
-                    .read_u8(addr)
-                    .ok_or(EmuError::UnmappedRead { addr, pc })?;
-                self.set_reg(rt, u32::from(v));
+            Op::Addu { rd, rs, rt } => self.set_gpr(rd, self.gpr(rs).wrapping_add(self.gpr(rt))),
+            Op::Sub { rd, rs, rt } => {
+                match (self.gpr(rs) as i32).checked_sub(self.gpr(rt) as i32) {
+                    Some(v) => self.set_gpr(rd, v as u32),
+                    None => return Err(EmuError::ArithmeticOverflow { pc }),
+                }
             }
-            MemOp::Lh => {
-                let v = self
-                    .state
-                    .mem
-                    .read_u16(addr)
-                    .ok_or(EmuError::UnmappedRead { addr, pc })?;
-                self.set_reg(rt, v as i16 as i32 as u32);
+            Op::Subu { rd, rs, rt } => self.set_gpr(rd, self.gpr(rs).wrapping_sub(self.gpr(rt))),
+            Op::And { rd, rs, rt } => self.set_gpr(rd, self.gpr(rs) & self.gpr(rt)),
+            Op::Or { rd, rs, rt } => self.set_gpr(rd, self.gpr(rs) | self.gpr(rt)),
+            Op::Xor { rd, rs, rt } => self.set_gpr(rd, self.gpr(rs) ^ self.gpr(rt)),
+            Op::Nor { rd, rs, rt } => self.set_gpr(rd, !(self.gpr(rs) | self.gpr(rt))),
+            Op::Slt { rd, rs, rt } => {
+                self.set_gpr(rd, u32::from((self.gpr(rs) as i32) < (self.gpr(rt) as i32)));
             }
-            MemOp::Lhu => {
-                let v = self
-                    .state
-                    .mem
-                    .read_u16(addr)
-                    .ok_or(EmuError::UnmappedRead { addr, pc })?;
-                self.set_reg(rt, u32::from(v));
+            Op::Sltu { rd, rs, rt } => self.set_gpr(rd, u32::from(self.gpr(rs) < self.gpr(rt))),
+            Op::Sll { rd, rt, shamt } => self.set_gpr(rd, self.gpr(rt) << (shamt & 31)),
+            Op::Srl { rd, rt, shamt } => self.set_gpr(rd, self.gpr(rt) >> (shamt & 31)),
+            Op::Sra { rd, rt, shamt } => {
+                self.set_gpr(rd, ((self.gpr(rt) as i32) >> (shamt & 31)) as u32);
             }
-            MemOp::Lw => {
-                let v = self.read_u32(addr, pc)?;
-                self.set_reg(rt, v);
+            Op::Sllv { rd, rt, rs } => self.set_gpr(rd, self.gpr(rt) << (self.gpr(rs) & 31)),
+            Op::Srlv { rd, rt, rs } => self.set_gpr(rd, self.gpr(rt) >> (self.gpr(rs) & 31)),
+            Op::Srav { rd, rt, rs } => {
+                self.set_gpr(rd, ((self.gpr(rt) as i32) >> (self.gpr(rs) & 31)) as u32);
             }
-            MemOp::Sb => self.state.mem.write_u8(addr, self.reg(rt) as u8),
-            MemOp::Sh => self.state.mem.write_u16(addr, self.reg(rt) as u16),
-            MemOp::Sw => self.state.mem.write_u32(addr, self.reg(rt)),
+            Op::Mult { rs, rt } => {
+                let p = i64::from(self.gpr(rs) as i32) * i64::from(self.gpr(rt) as i32);
+                self.state.lo = p as u32;
+                self.state.hi = (p >> 32) as u32;
+            }
+            Op::Multu { rs, rt } => {
+                let p = u64::from(self.gpr(rs)) * u64::from(self.gpr(rt));
+                self.state.lo = p as u32;
+                self.state.hi = (p >> 32) as u32;
+            }
+            Op::Div { rs, rt } => {
+                let (a, b) = (self.gpr(rs) as i32, self.gpr(rt) as i32);
+                if b == 0 {
+                    return Err(EmuError::DivideByZero { pc });
+                }
+                self.state.lo = a.wrapping_div(b) as u32;
+                self.state.hi = a.wrapping_rem(b) as u32;
+            }
+            Op::Divu { rs, rt } => {
+                let (a, b) = (self.gpr(rs), self.gpr(rt));
+                if b == 0 {
+                    return Err(EmuError::DivideByZero { pc });
+                }
+                self.state.lo = a / b;
+                self.state.hi = a % b;
+            }
+            Op::Mfhi { rd } => self.set_gpr(rd, self.state.hi),
+            Op::Mthi { rs } => self.state.hi = self.gpr(rs),
+            Op::Mflo { rd } => self.set_gpr(rd, self.state.lo),
+            Op::Mtlo { rs } => self.state.lo = self.gpr(rs),
+            Op::Jr { rs } => return Ok(self.gpr(rs)),
+            Op::Jalr { rd, rs } => {
+                let target = self.gpr(rs);
+                self.set_gpr(rd, fall);
+                return Ok(target);
+            }
+            Op::Syscall => self.syscall(pc, sink)?,
+            Op::Break { code } => return Err(EmuError::BreakTrap { pc, code }),
+            Op::Addi { rt, rs, imm } => match (self.gpr(rs) as i32).checked_add(imm as i32) {
+                Some(v) => self.set_gpr(rt, v as u32),
+                None => return Err(EmuError::ArithmeticOverflow { pc }),
+            },
+            Op::Addiu { rt, rs, imm } => self.set_gpr(rt, self.gpr(rs).wrapping_add(imm)),
+            Op::Slti { rt, rs, imm } => {
+                self.set_gpr(rt, u32::from((self.gpr(rs) as i32) < (imm as i32)));
+            }
+            Op::Sltiu { rt, rs, imm } => self.set_gpr(rt, u32::from(self.gpr(rs) < imm)),
+            Op::Andi { rt, rs, imm } => self.set_gpr(rt, self.gpr(rs) & imm),
+            Op::Ori { rt, rs, imm } => self.set_gpr(rt, self.gpr(rs) | imm),
+            Op::Xori { rt, rs, imm } => self.set_gpr(rt, self.gpr(rs) ^ imm),
+            Op::Lui { rt, value } => self.set_gpr(rt, value),
+            Op::Beq { rs, rt, offset } => {
+                if self.gpr(rs) == self.gpr(rt) {
+                    return Ok(delay.wrapping_add(offset));
+                }
+            }
+            Op::Bne { rs, rt, offset } => {
+                if self.gpr(rs) != self.gpr(rt) {
+                    return Ok(delay.wrapping_add(offset));
+                }
+            }
+            Op::Blez { rs, offset } => {
+                if self.gpr(rs) as i32 <= 0 {
+                    return Ok(delay.wrapping_add(offset));
+                }
+            }
+            Op::Bgtz { rs, offset } => {
+                if self.gpr(rs) as i32 > 0 {
+                    return Ok(delay.wrapping_add(offset));
+                }
+            }
+            Op::Bltz { rs, offset } => {
+                if (self.gpr(rs) as i32) < 0 {
+                    return Ok(delay.wrapping_add(offset));
+                }
+            }
+            Op::Bgez { rs, offset } => {
+                if self.gpr(rs) as i32 >= 0 {
+                    return Ok(delay.wrapping_add(offset));
+                }
+            }
+            // The linking forms read `rs` before writing `$ra`.
+            Op::Bltzal { rs, offset } => {
+                let taken = (self.gpr(rs) as i32) < 0;
+                self.set_gpr(31, fall);
+                if taken {
+                    return Ok(delay.wrapping_add(offset));
+                }
+            }
+            Op::Bgezal { rs, offset } => {
+                let taken = self.gpr(rs) as i32 >= 0;
+                self.set_gpr(31, fall);
+                if taken {
+                    return Ok(delay.wrapping_add(offset));
+                }
+            }
+            Op::J { target } => return Ok((fall & 0xF000_0000) | target),
+            Op::Jal { target } => {
+                self.set_gpr(31, fall);
+                return Ok((fall & 0xF000_0000) | target);
+            }
+            Op::Lb { rt, base, offset } => {
+                let addr = self.data_addr(base, offset, 1, pc, sink, false)?;
+                let v = self.load_u8(addr, pc)?;
+                self.set_gpr(rt, v as i8 as i32 as u32);
+            }
+            Op::Lbu { rt, base, offset } => {
+                let addr = self.data_addr(base, offset, 1, pc, sink, false)?;
+                let v = self.load_u8(addr, pc)?;
+                self.set_gpr(rt, u32::from(v));
+            }
+            Op::Lh { rt, base, offset } => {
+                let addr = self.data_addr(base, offset, 2, pc, sink, false)?;
+                let v = self.load_u16(addr, pc)?;
+                self.set_gpr(rt, v as i16 as i32 as u32);
+            }
+            Op::Lhu { rt, base, offset } => {
+                let addr = self.data_addr(base, offset, 2, pc, sink, false)?;
+                let v = self.load_u16(addr, pc)?;
+                self.set_gpr(rt, u32::from(v));
+            }
+            Op::Lw { rt, base, offset } => {
+                let addr = self.data_addr(base, offset, 4, pc, sink, false)?;
+                let v = self.load_u32(addr, pc)?;
+                self.set_gpr(rt, v);
+            }
             // Little-endian LWL/LWR/SWL/SWR (unaligned access pairs).
-            MemOp::Lwl => {
+            Op::Lwl { rt, base, offset } => {
+                let addr = self.data_addr(base, offset, 1, pc, sink, false)?;
                 let m = (addr & 3) + 1; // bytes loaded into the TOP of rt
-                let mut v = self.reg(rt);
+                let mut v = self.gpr(rt);
                 for i in 0..m {
                     let b = self
                         .state
@@ -843,11 +779,12 @@ impl Machine {
                     let byte_pos = 4 - m + i;
                     v = (v & !(0xFF << (8 * byte_pos))) | (u32::from(b) << (8 * byte_pos));
                 }
-                self.set_reg(rt, v);
+                self.set_gpr(rt, v);
             }
-            MemOp::Lwr => {
+            Op::Lwr { rt, base, offset } => {
+                let addr = self.data_addr(base, offset, 1, pc, sink, false)?;
                 let k = 4 - (addr & 3); // bytes loaded into the BOTTOM of rt
-                let mut v = self.reg(rt);
+                let mut v = self.gpr(rt);
                 for i in 0..k {
                     let b = self
                         .state
@@ -856,25 +793,100 @@ impl Machine {
                         .ok_or(EmuError::UnmappedRead { addr, pc })?;
                     v = (v & !(0xFF << (8 * i))) | (u32::from(b) << (8 * i));
                 }
-                self.set_reg(rt, v);
+                self.set_gpr(rt, v);
             }
-            MemOp::Swl => {
+            Op::Sb { rt, base, offset } => {
+                let addr = self.data_addr(base, offset, 1, pc, sink, true)?;
+                self.state.mem.write_u8(addr, self.gpr(rt) as u8);
+            }
+            Op::Sh { rt, base, offset } => {
+                let addr = self.data_addr(base, offset, 2, pc, sink, true)?;
+                self.state.mem.write_u16(addr, self.gpr(rt) as u16);
+            }
+            Op::Sw { rt, base, offset } => {
+                let addr = self.data_addr(base, offset, 4, pc, sink, true)?;
+                self.state.mem.write_u32(addr, self.gpr(rt));
+            }
+            Op::Swl { rt, base, offset } => {
+                let addr = self.data_addr(base, offset, 1, pc, sink, true)?;
                 let m = (addr & 3) + 1;
-                let v = self.reg(rt);
+                let v = self.gpr(rt);
                 for i in 0..m {
                     let byte = (v >> (8 * (4 - m + i))) as u8;
                     self.state.mem.write_u8(addr - m + 1 + i, byte);
                 }
             }
-            MemOp::Swr => {
+            Op::Swr { rt, base, offset } => {
+                let addr = self.data_addr(base, offset, 1, pc, sink, true)?;
                 let k = 4 - (addr & 3);
-                let v = self.reg(rt);
+                let v = self.gpr(rt);
                 for i in 0..k {
                     self.state.mem.write_u8(addr + i, (v >> (8 * i)) as u8);
                 }
             }
+            Op::Lwc1 { ft, base, offset } => {
+                let addr = self.data_addr(base, offset, 4, pc, sink, false)?;
+                self.state.fpr[usize::from(ft & 31)] = self.load_u32(addr, pc)?;
+            }
+            Op::Swc1 { ft, base, offset } => {
+                let addr = self.data_addr(base, offset, 4, pc, sink, true)?;
+                let bits = self.state.fpr[usize::from(ft & 31)];
+                self.state.mem.write_u32(addr, bits);
+            }
+            Op::Mfc1 { rt, fs } => self.set_gpr(rt, self.state.fpr[usize::from(fs & 31)]),
+            Op::Mtc1 { rt, fs } => self.state.fpr[usize::from(fs & 31)] = self.gpr(rt),
+            // Control register moves: only the condition bit of FCR31 is
+            // modeled.
+            Op::Cfc1 { rt } => self.set_gpr(rt, u32::from(self.state.fp_cond) << 23),
+            Op::Ctc1 { rt } => self.state.fp_cond = self.gpr(rt) & (1 << 23) != 0,
+            Op::AddS { fd, fs, ft } => self.set_single(fd, self.single(fs) + self.single(ft)),
+            Op::SubS { fd, fs, ft } => self.set_single(fd, self.single(fs) - self.single(ft)),
+            Op::MulS { fd, fs, ft } => self.set_single(fd, self.single(fs) * self.single(ft)),
+            Op::DivS { fd, fs, ft } => self.set_single(fd, self.single(fs) / self.single(ft)),
+            Op::AddD { fd, fs, ft } => self.set_double(fd, self.double(fs) + self.double(ft)),
+            Op::SubD { fd, fs, ft } => self.set_double(fd, self.double(fs) - self.double(ft)),
+            Op::MulD { fd, fs, ft } => self.set_double(fd, self.double(fs) * self.double(ft)),
+            Op::DivD { fd, fs, ft } => self.set_double(fd, self.double(fs) / self.double(ft)),
+            Op::AbsS { fd, fs } => self.set_single(fd, self.single(fs).abs()),
+            Op::NegS { fd, fs } => self.set_single(fd, -self.single(fs)),
+            Op::MovS { fd, fs } => self.set_single(fd, self.single(fs)),
+            Op::AbsD { fd, fs } => self.set_double(fd, self.double(fs).abs()),
+            Op::NegD { fd, fs } => self.set_double(fd, -self.double(fs)),
+            Op::MovD { fd, fs } => self.set_double(fd, self.double(fs)),
+            // cvt.w truncates toward zero, matching C casts (compilers
+            // programmed the FCSR rounding mode accordingly).
+            Op::CvtSD { fd, fs } => self.set_single(fd, self.double(fs) as f32),
+            Op::CvtSW { fd, fs } => {
+                self.set_single(fd, self.state.fpr[usize::from(fs & 31)] as i32 as f32);
+            }
+            Op::CvtDS { fd, fs } => self.set_double(fd, f64::from(self.single(fs))),
+            Op::CvtDW { fd, fs } => {
+                self.set_double(fd, f64::from(self.state.fpr[usize::from(fs & 31)] as i32));
+            }
+            Op::CvtWS { fd, fs } => {
+                self.state.fpr[usize::from(fd & 31)] = self.single(fs).trunc() as i32 as u32;
+            }
+            Op::CvtWD { fd, fs } => {
+                self.state.fpr[usize::from(fd & 31)] = self.double(fs).trunc() as i32 as u32;
+            }
+            Op::CEqS { fs, ft } => self.state.fp_cond = self.single(fs) == self.single(ft),
+            Op::CLtS { fs, ft } => self.state.fp_cond = self.single(fs) < self.single(ft),
+            Op::CLeS { fs, ft } => self.state.fp_cond = self.single(fs) <= self.single(ft),
+            Op::CEqD { fs, ft } => self.state.fp_cond = self.double(fs) == self.double(ft),
+            Op::CLtD { fs, ft } => self.state.fp_cond = self.double(fs) < self.double(ft),
+            Op::CLeD { fs, ft } => self.state.fp_cond = self.double(fs) <= self.double(ft),
+            Op::Bc1t { offset } => {
+                if self.state.fp_cond {
+                    return Ok(delay.wrapping_add(offset));
+                }
+            }
+            Op::Bc1f { offset } => {
+                if !self.state.fp_cond {
+                    return Ok(delay.wrapping_add(offset));
+                }
+            }
         }
-        Ok(())
+        Ok(fall)
     }
 
     /// SPIM-compatible system services.

@@ -1,4 +1,5 @@
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Byte-addressed little-endian memory, paged so sparse address spaces
 /// (text at 0, data at 4 MB, stack near the top) stay cheap.
@@ -6,19 +7,62 @@ use std::collections::BTreeMap;
 /// Reads from pages that were never written return `None`, which the
 /// emulator turns into an [`UnmappedRead`](crate::EmuError::UnmappedRead)
 /// fault — catching workload bugs instead of silently reading zeros.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Pages live in `frames` in the order they were mapped; `index` maps
+/// each page number to its frame in ascending page order, and a small
+/// direct-mapped cache of recent lookups sits in front of it, so most
+/// accesses find their page without walking the map.
+#[derive(Debug, Default)]
 pub struct Memory {
-    pages: BTreeMap<u32, Box<Page>>,
+    /// Page number → slot in `frames`, in ascending page order.
+    index: BTreeMap<u32, u32>,
+    /// The mapped pages, in mapping order. Pages are never unmapped, so
+    /// a slot names the same page for the memory's lifetime.
+    frames: Vec<Box<Page>>,
+    /// Recent `index` lookups: entry [`recent_entry`] of a page holds
+    /// `slot << 32 | (page + 1)`, or 0 when empty. Reads through `&self`
+    /// fill it, hence atomics; `Relaxed` suffices because an entry
+    /// publishes nothing but a slot, and slots never move.
+    recent: [AtomicU64; RECENT],
 }
 
 const PAGE_BITS: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_BITS;
+
+/// Entries in [`Memory`]'s cache of recent page lookups.
+const RECENT: usize = 8;
 
 /// Size of one memory page in bytes; the granularity at which
 /// checkpoints serialize memory.
 pub const PAGE_BYTES: usize = PAGE_SIZE;
 
 type Page = [u8; PAGE_SIZE];
+
+/// The cache entry a page number uses. Folding in bits 8 and up keeps
+/// text (page 0), data (page 0x400) and the stack (page 0xEFF) apart.
+fn recent_entry(page: u32) -> usize {
+    (page ^ (page >> 8)) as usize % RECENT
+}
+
+impl Clone for Memory {
+    fn clone(&self) -> Self {
+        Self {
+            index: self.index.clone(),
+            frames: self.frames.clone(),
+            recent: std::array::from_fn(|i| AtomicU64::new(self.recent[i].load(Ordering::Relaxed))),
+        }
+    }
+}
+
+/// Two memories are equal when they map the same pages with the same
+/// bytes, whatever order the pages were mapped in.
+impl PartialEq for Memory {
+    fn eq(&self, other: &Self) -> bool {
+        self.pages().eq(other.pages())
+    }
+}
+
+impl Eq for Memory {}
 
 impl Memory {
     /// Creates an empty memory.
@@ -41,20 +85,55 @@ impl Memory {
         }
     }
 
-    fn page(&self, addr: u32) -> Option<&Page> {
-        self.pages.get(&(addr >> PAGE_BITS)).map(|p| &**p)
+    /// The frame slot of page number `page`, when mapped: from the
+    /// cache of recent lookups when it holds the page, else from the
+    /// map, which then refills the cache entry.
+    #[inline]
+    fn slot(&self, page: u32) -> Option<usize> {
+        let entry = &self.recent[recent_entry(page)];
+        let cached = entry.load(Ordering::Relaxed);
+        // Page numbers have 20 bits, so `page + 1` never wraps.
+        if cached as u32 == page + 1 {
+            return Some((cached >> 32) as usize);
+        }
+        let slot = *self.index.get(&page)?;
+        entry.store(
+            (u64::from(slot) << 32) | u64::from(page + 1),
+            Ordering::Relaxed,
+        );
+        Some(slot as usize)
     }
 
+    #[inline]
+    fn page(&self, addr: u32) -> Option<&Page> {
+        let slot = self.slot(addr >> PAGE_BITS)?;
+        Some(&self.frames[slot])
+    }
+
+    #[inline]
     fn page_mut(&mut self, addr: u32) -> &mut Page {
-        self.pages
-            .entry(addr >> PAGE_BITS)
-            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
+        let page = addr >> PAGE_BITS;
+        let slot = match self.slot(page) {
+            Some(slot) => slot,
+            None => self.map(page),
+        };
+        &mut self.frames[slot]
+    }
+
+    /// Maps page number `page`, zero-filled, and returns its slot.
+    #[cold]
+    fn map(&mut self, page: u32) -> usize {
+        let slot = self.frames.len();
+        self.frames.push(Box::new([0u8; PAGE_SIZE]));
+        self.index.insert(page, slot as u32);
+        slot
     }
 
     /// Reads `N` consecutive bytes: one page lookup when they stay
     /// inside one page, byte by byte (wrapping at the top of the
     /// address space) when they straddle a page boundary. `None` if any
     /// byte's page was never mapped.
+    #[inline]
     fn read_bytes<const N: usize>(&self, addr: u32) -> Option<[u8; N]> {
         let offset = addr as usize & (PAGE_SIZE - 1);
         if offset + N <= PAGE_SIZE {
@@ -69,6 +148,7 @@ impl Memory {
 
     /// Writes `bytes` at `addr`, mapping pages on demand — the write
     /// half of [`read_bytes`](Self::read_bytes).
+    #[inline]
     fn write_bytes<const N: usize>(&mut self, addr: u32, bytes: [u8; N]) {
         let offset = addr as usize & (PAGE_SIZE - 1);
         if offset + N <= PAGE_SIZE {
@@ -81,39 +161,45 @@ impl Memory {
     }
 
     /// Reads one byte; `None` if the page was never mapped.
+    #[inline]
     pub fn read_u8(&self, addr: u32) -> Option<u8> {
         self.page(addr)
             .map(|p| p[(addr as usize) & (PAGE_SIZE - 1)])
     }
 
     /// Writes one byte, mapping the page on demand.
+    #[inline]
     pub fn write_u8(&mut self, addr: u32, value: u8) {
         self.page_mut(addr)[(addr as usize) & (PAGE_SIZE - 1)] = value;
     }
 
     /// Reads a little-endian halfword. The caller checks alignment.
+    #[inline]
     pub fn read_u16(&self, addr: u32) -> Option<u16> {
         self.read_bytes(addr).map(u16::from_le_bytes)
     }
 
     /// Writes a little-endian halfword.
+    #[inline]
     pub fn write_u16(&mut self, addr: u32, value: u16) {
         self.write_bytes(addr, value.to_le_bytes());
     }
 
     /// Reads a little-endian word. The caller checks alignment.
+    #[inline]
     pub fn read_u32(&self, addr: u32) -> Option<u32> {
         self.read_bytes(addr).map(u32::from_le_bytes)
     }
 
     /// Writes a little-endian word.
+    #[inline]
     pub fn write_u32(&mut self, addr: u32, value: u32) {
         self.write_bytes(addr, value.to_le_bytes());
     }
 
     /// Number of mapped pages (for resource accounting in tests).
     pub fn mapped_pages(&self) -> usize {
-        self.pages.len()
+        self.index.len()
     }
 
     /// Iterates `(page_index, page_bytes)` for every mapped page in
@@ -121,13 +207,19 @@ impl Memory {
     /// serializes identically across runs. A page's base address is
     /// `page_index << 12`.
     pub fn pages(&self) -> impl Iterator<Item = (u32, &[u8; PAGE_BYTES])> + '_ {
-        self.pages.iter().map(|(index, page)| (*index, &**page))
+        self.index
+            .iter()
+            .map(|(&index, &slot)| (index, &*self.frames[slot as usize]))
     }
 
     /// Installs a full page at `page_index`, replacing any existing
     /// mapping — the rebuild half of [`pages`](Self::pages).
     pub fn install_page(&mut self, page_index: u32, bytes: &[u8; PAGE_BYTES]) {
-        self.pages.insert(page_index, Box::new(*bytes));
+        let slot = match self.index.get(&page_index) {
+            Some(&slot) => slot as usize,
+            None => self.map(page_index),
+        };
+        *self.frames[slot] = *bytes;
     }
 }
 

@@ -4,7 +4,7 @@ use crate::memory::Memory;
 
 /// The complete architectural state of a [`Machine`](crate::Machine):
 /// everything the program can observe, separated from the stepping logic
-/// and from derived caches (the pre-decoded text, the compressed-ROM
+/// and from derived caches (the decoded text, the compressed-ROM
 /// expansion flags) that can be rebuilt from the program image.
 ///
 /// Two machines with equal `ArchState` behave identically from that point

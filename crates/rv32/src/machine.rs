@@ -172,15 +172,44 @@ impl Rv32Machine {
 
     /// Runs to exit (or fault), reporting events to `sink`.
     ///
+    /// The run ends in the state [`step`](Self::step) would leave: each
+    /// instruction checks the step limit before its fetch, so a fault or
+    /// a limit trip lands at the same step either way.
+    ///
     /// # Errors
     ///
     /// The first [`Rv32Fault`] raised, including [`Rv32Fault::StepLimit`]
     /// when `max_steps` run out.
     pub fn run(&mut self, sink: &mut impl TraceSink) -> Result<(), Rv32Fault> {
-        while self.exit.is_none() {
-            self.step(sink)?;
-        }
-        Ok(())
+        let limit = self.config.max_steps;
+        // The PC and the step count live in locals, written back when
+        // the run ends, fault or not.
+        let mut pc = self.pc;
+        let mut steps = self.steps;
+        let outcome = loop {
+            if self.exit.is_some() {
+                break Ok(());
+            }
+            if steps >= limit {
+                break Err(Rv32Fault::StepLimit);
+            }
+            let (instr, len) = match self.decoded_at(pc) {
+                Some(hit) => hit,
+                None => match self.fetch_slow(pc) {
+                    Ok(decoded) => decoded,
+                    Err(fault) => break Err(fault),
+                },
+            };
+            sink.instruction(pc);
+            steps += 1;
+            match self.execute(instr, len, pc, sink) {
+                Ok(next) => pc = next,
+                Err(fault) => break Err(fault),
+            }
+        };
+        self.pc = pc;
+        self.steps = steps;
+        outcome
     }
 
     /// Ensures the 32-byte line holding text offset `off` is expanded.
@@ -203,15 +232,25 @@ impl Rv32Machine {
         Ok(())
     }
 
-    /// Fetches and decodes the instruction at the current PC.
-    fn fetch(&mut self) -> Result<(Rv32Instr, u32), Rv32Fault> {
-        let pc = self.pc;
+    /// The decoded instruction at `pc` and its length, when an earlier
+    /// fetch decoded it; `None` sends the fetch to
+    /// [`fetch_slow`](Self::fetch_slow).
+    #[inline(always)]
+    fn decoded_at(&self, pc: u32) -> Option<(Rv32Instr, u32)> {
+        if !pc.is_multiple_of(2) {
+            return None;
+        }
+        self.decoded.get(pc as usize / 2).copied().flatten()
+    }
+
+    /// Fetches and decodes the instruction at `pc`, expanding its ROM
+    /// lines on demand, and records it for later fetches.
+    #[cold]
+    #[inline(never)]
+    fn fetch_slow(&mut self, pc: u32) -> Result<(Rv32Instr, u32), Rv32Fault> {
         let off = pc as usize;
         if !pc.is_multiple_of(2) || off + 2 > self.text.len() {
             return Err(Rv32Fault::BadFetch { pc });
-        }
-        if let Some(hit) = self.decoded[off / 2] {
-            return Ok(hit);
         }
         self.ensure_line(off)?;
         let low = u16::from_le_bytes([self.text[off], self.text[off + 1]]);
@@ -256,9 +295,27 @@ impl Rv32Machine {
             return Err(Rv32Fault::StepLimit);
         }
         let pc = self.pc;
-        let (instr, len) = self.fetch()?;
+        let (instr, len) = match self.decoded_at(pc) {
+            Some(hit) => hit,
+            None => self.fetch_slow(pc)?,
+        };
         sink.instruction(pc);
         self.steps += 1;
+        self.pc = self.execute(instr, len, pc, sink)?;
+        Ok(())
+    }
+
+    /// Executes `instr`, `len` bytes long and fetched at `pc`, and
+    /// returns the next PC. The one execute both [`step`](Self::step)
+    /// and [`run`](Self::run) inline.
+    #[inline(always)]
+    fn execute(
+        &mut self,
+        instr: Rv32Instr,
+        len: u32,
+        pc: u32,
+        sink: &mut impl TraceSink,
+    ) -> Result<u32, Rv32Fault> {
         let mut next = pc.wrapping_add(len);
         match instr {
             Rv32Instr::Lui { rd, imm20 } => self.set_reg(rd, imm20 << 12),
@@ -386,10 +443,10 @@ impl Rv32Machine {
             Rv32Instr::Ebreak => return Err(Rv32Fault::Breakpoint { pc }),
             Rv32Instr::Fence => {}
         }
-        self.pc = next;
-        Ok(())
+        Ok(next)
     }
 
+    #[inline]
     fn load(&mut self, pc: u32, op: LoadOp, addr: u32) -> Result<u32, Rv32Fault> {
         let unmapped = Rv32Fault::UnmappedLoad { pc, addr };
         let misaligned = Rv32Fault::MisalignedAccess { pc, addr };
@@ -419,6 +476,7 @@ impl Rv32Machine {
         }
     }
 
+    #[inline]
     fn store(&mut self, pc: u32, op: StoreOp, addr: u32, value: u32) -> Result<(), Rv32Fault> {
         match op {
             StoreOp::Sb => self.mem.write_u8(addr, value as u8),

@@ -141,7 +141,8 @@ pub enum Request {
     /// Deliberately misbehave inside the handler (testing only; the
     /// server must have chaos enabled).
     Chaos {
-        /// Which misbehaviour: `0` panics the handler.
+        /// Which misbehaviour: `0` panics the handler; `1` panics it
+        /// while it holds a cached container, which is then quarantined.
         kind: u8,
     },
 }

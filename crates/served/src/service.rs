@@ -217,7 +217,7 @@ impl Service {
                 },
                 Err(response) => response,
             },
-            Request::Chaos { kind } => self.chaos(*kind),
+            Request::Chaos { kind } => self.chaos(*kind, touched),
         }
     }
 
@@ -379,14 +379,25 @@ impl Service {
         }
     }
 
-    fn chaos(&self, kind: u8) -> Response {
+    fn chaos(&self, kind: u8, touched: &Mutex<Option<u64>>) -> Response {
         if !self.config.enable_chaos {
             return malformed("chaos endpoint is disabled");
         }
         match kind {
-            // The isolation test fixture: prove catch_unwind + quarantine
-            // turn a handler panic into a typed Internal error.
+            // The isolation test fixtures: prove catch_unwind + quarantine
+            // turn a handler panic into a typed Internal error, and that
+            // a container the handler held is quarantined.
             0 => panic!("chaos: deliberate handler panic"), // panic-ok: the isolation fixture itself
+            1 => {
+                let container = match self.compress(0, true, &chaos_text()) {
+                    Response::Compressed { container } => container,
+                    other => return other,
+                };
+                if let Err(response) = self.load_image(&container, touched) {
+                    return response;
+                }
+                panic!("chaos: deliberate panic holding a container") // panic-ok: the isolation fixture itself
+            }
             _ => malformed("unknown chaos kind"),
         }
     }
@@ -441,6 +452,12 @@ fn inspect(image: &CompressedImage) -> Response {
 fn truncated_output(output: &str) -> Vec<u8> {
     let bytes = output.as_bytes();
     bytes[..bytes.len().min(MAX_RUN_OUTPUT_BYTES)].to_vec()
+}
+
+/// The text whose v2 container `Chaos { kind: 1 }` loads before it
+/// panics: the container a client gets by compressing it at base 0.
+pub(crate) fn chaos_text() -> Vec<u8> {
+    (0..1024u32).map(|i| (i % 41) as u8).collect()
 }
 
 fn malformed(detail: &str) -> Response {
@@ -699,7 +716,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_serves_repeat_uploads_and_quarantines_after_panic() {
+    fn cache_serves_repeat_uploads() {
         let service = Service::new(chaos_config());
         let container = v2_container(&service);
         let request = Request::Verify {
@@ -709,6 +726,45 @@ mod tests {
         service.handle(&request);
         let counters = service.cache_counters();
         assert_eq!(counters.hits, 1, "second upload should hit the cache");
+    }
+
+    #[test]
+    fn panic_holding_a_cached_container_quarantines_it() {
+        let service = Service::new(chaos_config());
+        let container = match service.handle(&Request::Compress {
+            text_base: 0,
+            v2: true,
+            text: chaos_text(),
+        }) {
+            Response::Compressed { container } => container,
+            other => panic!("compress failed: {other:?}"),
+        };
+        let request = Request::Verify { container };
+        service.handle(&request);
+        service.handle(&request);
+        assert_eq!(service.cache_counters().hits, 1, "the container is cached");
+
+        let response = service.handle(&Request::Chaos { kind: 1 });
+        assert_eq!(response.error_kind(), Some(ErrorKind::Internal));
+        assert_eq!(service.counters().panics_caught, 1);
+        let quarantined = service.cache_counters();
+        assert_eq!(
+            quarantined.hits, 2,
+            "the panicking handler held the cached container"
+        );
+        assert_eq!(quarantined.quarantined, 1);
+
+        // Re-uploading the same container misses, and still verifies.
+        assert!(matches!(
+            service.handle(&request),
+            Response::Verified { .. }
+        ));
+        let after = service.cache_counters();
+        assert_eq!(after.hits, quarantined.hits);
+        assert_eq!(after.misses, quarantined.misses + 1);
+        // A quarantined key is not readmitted.
+        service.handle(&request);
+        assert_eq!(service.cache_counters().misses, after.misses + 1);
     }
 
     #[test]

@@ -73,4 +73,4 @@ pub use icache::{BadCacheSize, CacheStats, ICache, LINE_BYTES};
 pub use memory::{standard_refill_cycles, MemoryModel, MemorySim};
 pub use simulation::{SimSource, Simulation};
 pub use system::{Comparison, RunStats, SimError, SystemConfig};
-pub use trace::{AccessTrace, FetchRun, TraceError, TRACE_FORMAT_VERSION};
+pub use trace::{AccessTrace, FetchRun, OpenRun, TraceError, TRACE_FORMAT_VERSION};

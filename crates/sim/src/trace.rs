@@ -65,6 +65,66 @@ impl FetchRun {
     pub fn line(&self) -> u32 {
         self.first_pc / LINE_BYTES
     }
+
+    /// A run of the one fetch `(pc, data)`.
+    fn starting_at(pc: u32, data: u8) -> FetchRun {
+        FetchRun {
+            first_pc: pc,
+            fetches: 1,
+            data: u32::from(data),
+        }
+    }
+
+    /// Whether a fetch at `pc` may join this run: it stays in the run's
+    /// line and the run holds fewer than `u32::MAX` fetches. With the
+    /// data ceiling — the run's data total must fit a `u32` too — this
+    /// is the one compaction rule every capture applies (a split run
+    /// replays identically, see the module docs).
+    #[inline]
+    fn admits(&self, pc: u32) -> bool {
+        // Same line: the PCs differ only below the line size, a power
+        // of two, which the build checks.
+        const _: () = assert!(LINE_BYTES.is_power_of_two()); // panic-ok: compile time only
+        (pc ^ self.first_pc) < LINE_BYTES && self.fetches != u32::MAX
+    }
+}
+
+/// The run a streamed capture is still growing: the last run of its
+/// trace, kept by the capture until it is finished, plus the current
+/// fetch's PC and data count (saturating at 255, as
+/// `ccrp_emu::ProgramTrace`'s does).
+///
+/// [`AccessTrace::stream_fetch`] and [`AccessTrace::stream_data`] grow
+/// it under the compaction rule of [`AccessTrace::capture`], handing
+/// each finished run to the trace, and [`AccessTrace::close_run`]
+/// hands over the last one — so the trace ends equal to `capture` of
+/// the same `(pc, data count)` stream. A fetch joins the run when it
+/// arrives (same line, fetch ceiling); its data accesses are added as
+/// they come, and the one that would carry the run's data total past
+/// `u32::MAX` moves the fetch to a run of its own, which is where
+/// `capture` would have put it.
+#[derive(Debug, Clone, Copy)]
+pub struct OpenRun {
+    run: FetchRun,
+    pc: u32,
+    data: u8,
+    /// Whether a fetch has arrived. Before one, `run` admits no fetch.
+    started: bool,
+}
+
+impl Default for OpenRun {
+    fn default() -> Self {
+        OpenRun {
+            run: FetchRun {
+                first_pc: 0,
+                fetches: u32::MAX,
+                data: 0,
+            },
+            pc: 0,
+            data: 0,
+            started: false,
+        }
+    }
 }
 
 /// Errors from loading a serialized trace.
@@ -155,27 +215,98 @@ impl AccessTrace {
         trace
     }
 
-    /// Appends one fetch, extending the current run when the PC stays
-    /// in its line (and its counters cannot overflow — a split run
-    /// replays identically, see the module docs).
+    /// Appends one fetch, extending the last run when the compaction
+    /// rule lets it.
     #[inline]
     fn push(&mut self, pc: u32, data: u8) {
-        self.fetches += 1;
-        self.data += u64::from(data);
         if let Some(run) = self.runs.last_mut() {
-            if pc / LINE_BYTES == run.line() && run.fetches < u32::MAX {
+            if run.admits(pc) {
                 if let Some(total) = run.data.checked_add(u32::from(data)) {
                     run.fetches += 1;
                     run.data = total;
+                    self.fetches += 1;
+                    self.data += u64::from(data);
                     return;
                 }
             }
         }
-        self.runs.push(FetchRun {
-            first_pc: pc,
-            fetches: 1,
-            data: u32::from(data),
+        self.push_run(FetchRun::starting_at(pc, data));
+    }
+
+    /// Appends a finished run.
+    #[inline]
+    fn push_run(&mut self, run: FetchRun) {
+        self.fetches += u64::from(run.fetches);
+        self.data += u64::from(run.data);
+        self.runs.push(run);
+    }
+
+    /// Streams a fetch at `pc` into `open` (see [`OpenRun`]): the fetch
+    /// joins the open run, or the run is handed to this trace and a new
+    /// one starts at the fetch.
+    #[inline]
+    pub fn stream_fetch(&mut self, open: &mut OpenRun, pc: u32) {
+        if open.run.admits(pc) {
+            open.run.fetches += 1;
+        } else {
+            self.start_run(open, pc);
+        }
+        open.pc = pc;
+        open.data = 0;
+    }
+
+    /// Streams a data access of the current fetch into `open` (see
+    /// [`OpenRun`]).
+    #[inline]
+    pub fn stream_data(&mut self, open: &mut OpenRun) {
+        if open.data == u8::MAX {
+            return;
+        }
+        match open.run.data.checked_add(1) {
+            Some(total) => open.run.data = total,
+            None => self.split_run(open),
+        }
+        open.data += 1;
+    }
+
+    /// Hands `open`'s run, if a fetch started one, to this trace: the
+    /// end of a streamed capture.
+    pub fn close_run(&mut self, open: OpenRun) {
+        if open.started {
+            self.push_run(open.run);
+        }
+    }
+
+    /// Hands the open run, if any, to the trace and starts one at `pc`.
+    #[cold]
+    #[inline(never)]
+    fn start_run(&mut self, open: &mut OpenRun, pc: u32) {
+        self.close_run(*open);
+        open.run = FetchRun::starting_at(pc, 0);
+        open.started = true;
+    }
+
+    /// Moves the current fetch, whose next data access would carry the
+    /// open run's data total past `u32::MAX`, to a run of its own.
+    #[cold]
+    #[inline(never)]
+    fn split_run(&mut self, open: &mut OpenRun) {
+        if !open.started {
+            // Accesses before the first fetch belong to no run.
+            open.run.data = 0;
+            return;
+        }
+        let before = u32::from(open.data);
+        self.push_run(FetchRun {
+            fetches: open.run.fetches - 1,
+            data: open.run.data - before,
+            ..open.run
         });
+        open.run = FetchRun {
+            first_pc: open.pc,
+            fetches: 1,
+            data: before + 1,
+        };
     }
 
     /// The compacted runs, in fetch order.
@@ -554,6 +685,60 @@ mod tests {
                 grown.extend([fetch]);
             }
             prop_assert_eq!(grown, AccessTrace::capture(fetches.iter().copied()));
+        }
+
+        #[test]
+        fn streaming_equals_capture(
+            events in proptest::collection::vec(prop_oneof![
+                (0u32..256).prop_map(Some),
+                (0u32..1).prop_map(|_| None),
+            ], 0..600),
+        ) {
+            // `Some(pc)` is a fetch, `None` a data access of the latest
+            // fetch; accesses before the first fetch belong to none.
+            let mut trace = AccessTrace::default();
+            let mut open = OpenRun::default();
+            let mut fetches: Vec<(u32, u8)> = Vec::new();
+            for event in &events {
+                match *event {
+                    Some(pc) => {
+                        trace.stream_fetch(&mut open, pc);
+                        fetches.push((pc, 0));
+                    }
+                    None => {
+                        trace.stream_data(&mut open);
+                        if let Some((_, data)) = fetches.last_mut() {
+                            *data = data.saturating_add(1);
+                        }
+                    }
+                }
+            }
+            trace.close_run(open);
+            prop_assert_eq!(trace, AccessTrace::capture(fetches));
+        }
+
+        #[test]
+        fn streaming_splits_at_the_ceilings_as_push_does(
+            fetches in prop_oneof![Just(1), Just(u32::MAX - 2), Just(u32::MAX - 1), Just(u32::MAX)],
+            data in prop_oneof![Just(0), Just(u32::MAX - 300), Just(u32::MAX - 1), Just(u32::MAX)],
+            next in proptest::collection::vec((0x100u32..0x148, 0u8..=255), 0..6),
+        ) {
+            // The same last run, held by the trace for `push` and open
+            // for streaming, then the same fetches.
+            let last = FetchRun { first_pc: 0x100, fetches, data };
+            let mut pushed = AccessTrace::default();
+            pushed.push_run(last);
+            pushed.extend(next.iter().copied());
+            let mut streamed = AccessTrace::default();
+            let mut open = OpenRun { run: last, pc: 0x100, data: 0, started: true };
+            for &(pc, data) in &next {
+                streamed.stream_fetch(&mut open, pc);
+                for _ in 0..data {
+                    streamed.stream_data(&mut open);
+                }
+            }
+            streamed.close_run(open);
+            prop_assert_eq!(streamed, pushed);
         }
 
         #[test]
