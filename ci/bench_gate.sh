@@ -27,10 +27,13 @@
 #
 #   3. Trace-engine worker independence: run every paper sweep
 #      (`--experiment all`, the union plan that replays each workload
-#      once for all four simulated grids) at --jobs 1 and --jobs 4 and
-#      require all five results files to be byte-identical outside the
-#      `jobs` and timing keys — the shared plan must not leak scheduling
-#      into results.
+#      once for all four simulated grids), the codec matrix (`--codecs`,
+#      the per-line LZW coder and the only DRAM refills issued inside a
+#      precharge) and the cross-ISA comparison (`--isa-compare`) at
+#      --jobs 1 and --jobs 4 and require all seven results files to
+#      reproduce outside the `jobs` and `timing` keys
+#      (`ci/bench_reproduces.py`) — the shared plan must not leak
+#      scheduling into results.
 #
 #   4. Trace-replay speedup: run the tracereplay_bench target and
 #      require the trace engine (replay of the suite's captured traces)
@@ -62,15 +65,16 @@ for name in fig5 tables1_8 tables9_10 fig9 tables11_13 codecs isa_compare; do
 done
 
 echo "bench_gate: trace-engine jobs independence (--jobs 1 vs --jobs 4)"
-mkdir -p "$tmp/j1" "$tmp/j4"
-cargo run --release --locked --offline -p ccrp-cli --bin ccrp-tools -- \
-    sweep --experiment all --jobs 1 --out "$tmp/j1"
-cargo run --release --locked --offline -p ccrp-cli --bin ccrp-tools -- \
-    sweep --experiment all --jobs 4 --out "$tmp/j4"
-for name in fig5 tables1_8 tables9_10 fig9 tables11_13; do
-    diff <(grep -vE '"jobs"|"total_wall_us"|"wall_us"|"suite_build_us"' "$tmp/j1/BENCH_${name}.json") \
-         <(grep -vE '"jobs"|"total_wall_us"|"wall_us"|"suite_build_us"' "$tmp/j4/BENCH_${name}.json") \
-        || { echo "bench_gate: FAIL BENCH_${name}.json diverged between 1 and 4 workers" >&2; exit 1; }
+for jobs in 1 4; do
+    mkdir -p "$tmp/j$jobs"
+    for sweep in "--experiment all" --codecs --isa-compare; do
+        # $sweep is unquoted on purpose: "--experiment all" is two words.
+        cargo run --release --locked --offline -p ccrp-cli --bin ccrp-tools -- \
+            sweep $sweep --jobs "$jobs" --out "$tmp/j$jobs"
+    done
+done
+for name in fig5 tables1_8 tables9_10 fig9 tables11_13 codecs isa_compare; do
+    python3 ci/bench_reproduces.py "$tmp/j1/BENCH_${name}.json" "$tmp/j4/BENCH_${name}.json"
 done
 echo "bench_gate: trace engine is worker-count independent"
 

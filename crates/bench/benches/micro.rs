@@ -1,23 +1,27 @@
 //! Micro-benchmarks: throughput of the building blocks (codecs, code
-//! construction, refill engine, cache model, emulator, assembler, one
-//! differential trial, trace capture).
+//! construction, refill engine, cache model, sweep kernel, emulator,
+//! assembler, one differential trial, trace capture).
 //!
 //! Uses a small std-only timing harness (median of timed batches after
 //! warmup) because this environment has no crates.io access for an
 //! external benchmark framework.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use ccrp::{Burst, CompressedImage, MemoryTiming, RefillConfig, RefillEngine};
 use ccrp_bench::capture::StreamCapture;
 use ccrp_bench::difftest::trial_seed;
+use ccrp_bench::experiments::perf::CACHE_SIZES;
 use ccrp_compress::{
     block, bounded_lengths, lzw, traditional_lengths, BlockAlignment, ByteCode, ByteHistogram,
-    PositionalHistogram, PAPER_MAX_LEN,
+    LzwLineCodec, PositionalHistogram, PAPER_MAX_LEN,
 };
 use ccrp_difftest::{run_trial, ProgGen};
 use ccrp_sim::{ICache, MemoryModel, Simulation, SystemConfig};
-use ccrp_workloads::{generate_text, CodeProfile, TracedWorkload};
+use ccrp_workloads::{
+    figure5_corpus, generate_text, preselected_code, CodeProfile, TracedWorkload,
+};
 
 /// Times `f` over `batches` batches of `iters_per_batch` calls (after
 /// one warmup batch) and prints the median ns/call, plus MB/s when
@@ -84,6 +88,78 @@ fn codec_benches() {
     bench("block_compress_image", Some(n), || {
         block::compress_image(&code, std::hint::black_box(&text), BlockAlignment::Word)
     });
+}
+
+/// Figure 5's block sizing over the ten-program corpus, from encoded
+/// bits alone and by encoding every line, and one LZW image build.
+fn block_benches() {
+    let corpus = figure5_corpus();
+    let code = preselected_code();
+    let n = corpus.iter().map(|program| program.text.len()).sum();
+    println!(
+        "-- block sizing ({} KiB corpus) and LZW image build --",
+        n / 1024
+    );
+    bench("fig5_stored_size", Some(n), || {
+        corpus
+            .iter()
+            .map(|p| block::stored_size(code, std::hint::black_box(&p.text), BlockAlignment::Byte))
+            .sum::<usize>()
+    });
+    bench("fig5_compress_image", Some(n), || {
+        corpus
+            .iter()
+            .map(|p| {
+                block::compress_image(code, std::hint::black_box(&p.text), BlockAlignment::Byte)
+            })
+            .map(|lines| {
+                lines
+                    .iter()
+                    .map(block::CompressedLine::stored_len)
+                    .sum::<usize>()
+            })
+            .sum::<usize>()
+    });
+    let text = &ccrp_bench::suite().get("espresso").workload.text;
+    bench("build_lzw_espresso", Some(text.len()), || {
+        CompressedImage::build_with_codec(
+            0,
+            std::hint::black_box(text),
+            Arc::new(LzwLineCodec),
+            BlockAlignment::Word,
+        )
+        .expect("builds")
+    });
+}
+
+/// The sweep kernel over espresso's Figure 9 configs (the five cache
+/// sizes at 16 CLB entries), one case per memory model.
+fn sweep_benches() {
+    let prepared = ccrp_bench::suite().get("espresso");
+    println!("-- sweep kernel (espresso, Figure 9 configs) --");
+    for memory in MemoryModel::ALL {
+        let configs: Vec<SystemConfig> = CACHE_SIZES
+            .iter()
+            .map(|&cache_bytes| {
+                SystemConfig::new()
+                    .with_cache_bytes(cache_bytes)
+                    .with_memory(memory)
+                    .with_clb_entries(16)
+            })
+            .collect();
+        let name = format!(
+            "sweep_fig9_{}",
+            memory.name().to_lowercase().replace(' ', "_")
+        );
+        bench(&name, None, || {
+            Simulation::replay_sweep(
+                &prepared.image,
+                std::hint::black_box(&prepared.workload.trace),
+                &configs,
+            )
+            .expect("replays")
+        });
+    }
 }
 
 fn construction_benches() {
@@ -330,8 +406,10 @@ fn emulator_benches() {
 fn main() {
     emulator_benches();
     codec_benches();
+    block_benches();
     construction_benches();
     refill_benches();
+    sweep_benches();
     system_benches();
     frontend_benches();
 }

@@ -28,8 +28,7 @@ pub struct Fig5Row {
 }
 
 fn block_pct(code: &ByteCode, text: &[u8], table_bytes: u32) -> f64 {
-    let lines = block::compress_image(code, text, BlockAlignment::Byte);
-    let total = block::compressed_size(&lines) + table_bytes as usize;
+    let total = block::stored_size(code, text, BlockAlignment::Byte) + table_bytes as usize;
     total as f64 / text.len() as f64 * 100.0
 }
 

@@ -100,6 +100,13 @@ impl CompressedLine {
     }
 }
 
+/// The stored size of a line whose encoding takes `bits` bits: its
+/// whole bytes rounded up to `alignment`, or [`LINE_SIZE`] when that
+/// would not shrink the line, which is then stored raw (the bypass).
+fn block_len(bits: u64, alignment: BlockAlignment) -> usize {
+    alignment.round_up(bits.div_ceil(8) as usize).min(LINE_SIZE)
+}
+
 /// Compresses one cache line with `codec`, bypassing if compression
 /// would not shrink it below [`LINE_SIZE`] after `alignment` padding.
 ///
@@ -112,9 +119,8 @@ pub fn compress_line(
     alignment: BlockAlignment,
 ) -> CompressedLine {
     assert_eq!(line.len(), LINE_SIZE, "cache lines are {LINE_SIZE} bytes"); // panic-ok: documented contract
-    let bits = codec.encoded_bits(line);
-    let bytes = alignment.round_up(bits.div_ceil(8) as usize);
-    if bytes >= LINE_SIZE {
+    let bytes = block_len(codec.encoded_bits(line), alignment);
+    if bytes == LINE_SIZE {
         return CompressedLine {
             data: line.to_vec(),
             bypass: true,
@@ -166,38 +172,46 @@ pub fn decompress_line(
     Ok(out)
 }
 
-/// Compresses a whole text segment line by line. A final partial line is
-/// zero padded to [`LINE_SIZE`] first (zero is the `nop` encoding on
-/// MIPS, matching how linkers pad text sections).
+/// The lines of `text`: whole [`LINE_SIZE`] chunks, and a final
+/// partial one zero padded to [`LINE_SIZE`] (zero is the `nop` encoding
+/// on MIPS, matching how linkers pad text sections).
+fn padded_lines(text: &[u8]) -> impl Iterator<Item = [u8; LINE_SIZE]> + '_ {
+    text.chunks(LINE_SIZE).map(|chunk| {
+        let mut line = [0u8; LINE_SIZE];
+        line[..chunk.len()].copy_from_slice(chunk);
+        line
+    })
+}
+
+/// Compresses a whole text segment line by line, a final partial line
+/// zero padded first.
 pub fn compress_image(
     codec: &dyn LineCodec,
     text: &[u8],
     alignment: BlockAlignment,
 ) -> Vec<CompressedLine> {
-    let mut lines = Vec::with_capacity(text.len().div_ceil(LINE_SIZE));
-    for chunk in text.chunks(LINE_SIZE) {
-        if chunk.len() == LINE_SIZE {
-            lines.push(compress_line(codec, chunk, alignment));
-        } else {
-            let mut padded = [0u8; LINE_SIZE];
-            padded[..chunk.len()].copy_from_slice(chunk);
-            lines.push(compress_line(codec, &padded, alignment));
-        }
-    }
-    lines
+    padded_lines(text)
+        .map(|line| compress_line(codec, &line, alignment))
+        .collect()
 }
 
-/// Total stored bytes of a compressed image (the sum of aligned block
-/// sizes), excluding the Line Address Table and code table.
-pub fn compressed_size(lines: &[CompressedLine]) -> usize {
-    lines.iter().map(CompressedLine::stored_len).sum()
+/// Total stored bytes of `text` compressed by [`compress_image`] (the
+/// sum of its aligned block sizes), excluding the Line Address Table
+/// and code table: the size alone, from each line's encoded bits,
+/// without encoding a line.
+pub fn stored_size(codec: &dyn LineCodec, text: &[u8], alignment: BlockAlignment) -> usize {
+    padded_lines(text)
+        .map(|line| block_len(codec.encoded_bits(&line), alignment))
+        .sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::code::ByteCode;
+    use crate::codec::LzwLineCodec;
     use crate::histogram::ByteHistogram;
+    use crate::positional::{PositionalCode, PositionalHistogram};
     use proptest::prelude::*;
 
     fn sample_code() -> ByteCode {
@@ -253,7 +267,7 @@ mod tests {
             let back = decompress_line(&code, line).unwrap();
             assert_eq!(back, [0u8; LINE_SIZE]);
         }
-        assert!(compressed_size(&lines) < 128);
+        assert!(stored_size(&code, &text, BlockAlignment::Word) < 128);
     }
 
     #[test]
@@ -263,6 +277,28 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn stored_size_sums_the_stored_lines(
+            text in proptest::collection::vec(0u8..24, 0..300),
+            raw in proptest::collection::vec(any::<u8>(), 0..70),
+        ) {
+            // Compressible text, then bytes that mostly are not, so some
+            // lines bypass; the length leaves a partial last line.
+            let text = [text, raw].concat();
+            let codecs: [&dyn LineCodec; 3] = [
+                &sample_code(),
+                &PositionalCode::preselected(&PositionalHistogram::of(&text)).unwrap(),
+                &LzwLineCodec,
+            ];
+            for codec in codecs {
+                for alignment in [BlockAlignment::Byte, BlockAlignment::Word] {
+                    let lines = compress_image(codec, &text, alignment);
+                    let sum: usize = lines.iter().map(CompressedLine::stored_len).sum();
+                    prop_assert_eq!(stored_size(codec, &text, alignment), sum);
+                }
+            }
+        }
+
         #[test]
         fn any_line_roundtrips_and_never_grows(line in proptest::collection::vec(any::<u8>(), LINE_SIZE)) {
             let code = sample_code();

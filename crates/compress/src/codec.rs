@@ -302,32 +302,61 @@ impl LzwLineCodec {
     }
 }
 
-/// Runs the LZW encoder over `line`, returning each emitted code with
-/// the number of input bytes it covers — the shared core of
-/// [`LzwLineCodec`]'s size, stream, and timing views.
-fn lzw_line_codes(line: &[u8]) -> Vec<(u32, usize)> {
-    // The dictionary is tiny (at most 31 entries), so a linear scan
-    // beats hashing and keeps this allocation-light.
-    let mut dict: Vec<(u32, u8)> = Vec::new();
-    let mut out = Vec::new();
-    let mut current: Option<(u32, usize)> = None;
-    for &byte in line {
-        let Some((code, run)) = current else {
-            current = Some((u32::from(byte), 1));
-            continue;
-        };
-        if let Some(index) = dict.iter().position(|&(p, b)| p == code && b == byte) {
-            current = Some((FIRST_FREE + index as u32, run + 1));
-        } else {
-            out.push((code, run));
-            dict.push((code, byte));
-            current = Some((u32::from(byte), 1));
+/// The LZW encoder over one line ([`lzw_line_codes`]): yields each
+/// emitted code with the number of input bytes it covers — the shared
+/// core of [`LzwLineCodec`]'s size, stream, and timing views, run once
+/// per view without allocating.
+///
+/// The dictionary is tiny (at most 31 entries for a 32-byte line), so a
+/// linear scan over packed `code << 8 | byte` keys beats hashing. A
+/// longer slice lies outside the codec's contract; the coder stays total
+/// on it, adding no entry once its [`LINE_SIZE`] slots are full.
+struct LzwCodes<'a> {
+    /// The bytes not yet coded.
+    rest: &'a [u8],
+    /// Entry `i` is code `FIRST_FREE + i`: its prefix code and last byte.
+    keys: [u32; LINE_SIZE],
+    /// Entries in use.
+    entries: usize,
+}
+
+/// The codes of `line` with the bytes each covers, starting from an
+/// empty dictionary.
+fn lzw_line_codes(line: &[u8]) -> LzwCodes<'_> {
+    LzwCodes {
+        rest: line,
+        keys: [0; LINE_SIZE],
+        entries: 0,
+    }
+}
+
+impl Iterator for LzwCodes<'_> {
+    type Item = (u32, usize);
+
+    fn next(&mut self) -> Option<(u32, usize)> {
+        let (&first, tail) = self.rest.split_first()?;
+        let mut code = u32::from(first);
+        let mut run = 1;
+        for &byte in tail {
+            let key = code << 8 | u32::from(byte);
+            let known = self.keys.iter().take(self.entries).position(|&k| k == key);
+            match known {
+                Some(index) => {
+                    code = FIRST_FREE + index as u32;
+                    run += 1;
+                }
+                None => {
+                    if let Some(slot) = self.keys.get_mut(self.entries) {
+                        *slot = key;
+                        self.entries += 1;
+                    }
+                    break;
+                }
+            }
         }
+        self.rest = self.rest.get(run..).unwrap_or_default();
+        Some((code, run))
     }
-    if let Some(entry) = current {
-        out.push(entry);
-    }
-    out
 }
 
 /// Walks one dictionary chain into `out[*filled..]`, returning the
@@ -376,7 +405,7 @@ impl LineCodec for LzwLineCodec {
     }
 
     fn encoded_bits(&self, line: &[u8]) -> u64 {
-        lzw_line_codes(line).len() as u64 * u64::from(LINE_WIDTH)
+        lzw_line_codes(line).count() as u64 * u64::from(LINE_WIDTH)
     }
 
     fn encode_into(&self, line: &[u8], writer: &mut BitWriter) {
@@ -432,15 +461,14 @@ impl LineCodec for LzwLineCodec {
 
     fn bit_profile(&self, line: &[u8], cumulative_bits: &mut [u64; LINE_SIZE]) {
         let mut bits = 0u64;
-        let mut index = 0usize;
+        let mut slots = cumulative_bits.iter_mut();
         for (_, run) in lzw_line_codes(line) {
             // Every byte a code covers becomes available only once the
             // whole code has arrived.
             bits += u64::from(LINE_WIDTH);
-            for slot in &mut cumulative_bits[index..index + run] {
+            for slot in slots.by_ref().take(run) {
                 *slot = bits;
             }
-            index += run;
         }
     }
 
@@ -640,6 +668,73 @@ mod tests {
         assert_eq!(cost.effective_rate(1), 1);
         let huffman = codecs().remove(0).cost();
         assert_eq!(huffman.effective_rate(4), 4);
+    }
+
+    /// The reference per-line coder the stack coder replaced: a `Vec`
+    /// dictionary of (prefix code, byte) pairs and a `Vec` of codes.
+    fn reference_line_codes(line: &[u8]) -> Vec<(u32, usize)> {
+        let mut dict: Vec<(u32, u8)> = Vec::new();
+        let mut out = Vec::new();
+        let mut current: Option<(u32, usize)> = None;
+        for &byte in line {
+            let Some((code, run)) = current else {
+                current = Some((u32::from(byte), 1));
+                continue;
+            };
+            if let Some(index) = dict.iter().position(|&(p, b)| p == code && b == byte) {
+                current = Some((FIRST_FREE + index as u32, run + 1));
+            } else {
+                out.push((code, run));
+                dict.push((code, byte));
+                current = Some((u32::from(byte), 1));
+            }
+        }
+        out.extend(current);
+        out
+    }
+
+    /// Lines of every length up to [`LINE_SIZE`] over an alphabet of one
+    /// to four symbols, or over all 256, so that both the dictionary
+    /// path and the literal path run. Half the small alphabets start
+    /// below 33, where literals share their low byte with the
+    /// dictionary codes 257–288.
+    fn any_line() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            proptest::collection::vec(any::<u8>(), 0..=LINE_SIZE),
+            (
+                1u8..=4,
+                prop_oneof![0u8..33, any::<u8>()],
+                proptest::collection::vec(any::<u8>(), 0..=LINE_SIZE)
+            )
+                .prop_map(|(symbols, base, raw)| {
+                    raw.iter().map(|r| base.wrapping_add(r % symbols)).collect()
+                }),
+        ]
+    }
+
+    #[test]
+    fn lzw_stays_total_past_a_line() {
+        // Outside the contract, but never a panic: the dictionary stops
+        // growing once its slots are full.
+        for len in [LINE_SIZE + 1, 3 * LINE_SIZE, 1000] {
+            let line: Vec<u8> = (0..len).map(|i| (i % 3) as u8).collect();
+            let covered: usize = lzw_line_codes(&line).map(|(_, run)| run).sum();
+            assert_eq!(covered, len);
+            let mut profile = [0u64; LINE_SIZE];
+            LzwLineCodec.bit_profile(&line, &mut profile);
+            assert!(LzwLineCodec.encoded_bits(&line) >= profile[LINE_SIZE - 1]);
+        }
+        assert_eq!(lzw_line_codes(&[]).count(), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn lzw_stack_coder_matches_the_reference(line in any_line()) {
+            let codes: Vec<(u32, usize)> = lzw_line_codes(&line).collect();
+            prop_assert_eq!(codes, reference_line_codes(&line));
+        }
     }
 
     proptest! {

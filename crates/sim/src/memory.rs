@@ -47,18 +47,6 @@ impl MemoryModel {
             ready_at: 0,
         }
     }
-
-    /// Whether a burst's timing depends only on its word count and its
-    /// issue cycle: every `read_burst(words, now)` of an instance equals
-    /// a fresh instance's `read_burst(words, 0)` shifted by `now`,
-    /// whatever bursts came before. True for the two EPROMs; DRAM's
-    /// precharge carries from one burst to the next.
-    pub(crate) fn is_history_free(self) -> bool {
-        match self {
-            MemoryModel::Eprom | MemoryModel::BurstEprom => true,
-            MemoryModel::ScDram => false,
-        }
-    }
 }
 
 /// A stateful timing instance of one [`MemoryModel`].
@@ -73,6 +61,22 @@ impl MemorySim {
     /// The model this instance simulates.
     pub fn model(&self) -> MemoryModel {
         self.model
+    }
+
+    /// Cycles past `now` before the next access may start: 0 when the
+    /// instance is idle, with no earlier burst's precharge still
+    /// running. A burst issued to an idle instance is timed as a fresh
+    /// instance times it at `now`, and leaves the same lag, whatever
+    /// bursts came before; under every model, since only DRAM's
+    /// precharge outlives a burst.
+    pub(crate) fn lag(&self, now: u64) -> u64 {
+        self.ready_at.saturating_sub(now)
+    }
+
+    /// Leaves the instance busy for `lag` cycles past `now`, as a refill
+    /// that left that lag behind would have.
+    pub(crate) fn set_lag(&mut self, now: u64, lag: u64) {
+        self.ready_at = now + lag;
     }
 }
 
@@ -143,7 +147,9 @@ mod tests {
     fn dram_precharge_delays_back_to_back_bursts() {
         let mut t = MemoryModel::ScDram.timing();
         assert_eq!(arrivals(&mut t, 2, 0), vec![4, 5]);
-        // Immediately following access must wait for precharge (ready 7).
+        // Immediately following access must wait for precharge (ready 7):
+        // the one case the sweep kernel's refill memo times directly.
+        assert_eq!(t.lag(5), 2);
         assert_eq!(arrivals(&mut t, 1, 5), vec![11]);
         // A distant access is unaffected.
         assert_eq!(arrivals(&mut t, 1, 1000), vec![1004]);
@@ -164,25 +170,18 @@ mod tests {
         assert_eq!(MemoryModel::BurstEprom.name(), "Burst EPROM");
     }
 
-    #[test]
-    fn only_the_eproms_are_history_free() {
-        // DRAM's precharge is state a burst leaves for the next one; a
-        // model with state must never be timed as history-free.
-        assert!(!MemoryModel::ScDram.is_history_free());
-        assert!(MemoryModel::Eprom.is_history_free());
-        assert!(MemoryModel::BurstEprom.is_history_free());
-    }
-
     proptest! {
-        /// A history-free model times a burst the same after any earlier
-        /// bursts as a fresh instance does at cycle 0, shifted to `now`.
+        /// A burst issued to an idle instance (`now` at or past its
+        /// precharge) is timed as a fresh instance times it at `now`, and
+        /// leaves the same lag, whatever bursts came before: the premise
+        /// of the sweep kernel's refill memo, under every model.
         #[test]
-        fn history_free_bursts_ignore_earlier_bursts(
+        fn bursts_issued_to_an_idle_memory_ignore_earlier_bursts(
             earlier in proptest::collection::vec((1u32..=9, 0u64..40), 0..24),
             words in 1u32..=9,
             gap in 0u64..40,
         ) {
-            for model in MemoryModel::ALL.into_iter().filter(|m| m.is_history_free()) {
+            for model in MemoryModel::ALL {
                 let mut timing = model.timing();
                 let mut now = 0;
                 for &(words, gap) in &earlier {
@@ -190,12 +189,16 @@ mod tests {
                     timing.read_burst(words, now);
                 }
                 now += gap;
-                let fresh = model.timing().read_burst(words, 0);
-                let expected = Burst {
-                    first: fresh.first + now,
-                    interval: fresh.interval,
-                };
-                prop_assert_eq!(timing.read_burst(words, now), expected, "{:?}", model);
+                let now = now.max(timing.ready_at);
+                prop_assert_eq!(timing.lag(now), 0);
+                let mut fresh = model.timing();
+                prop_assert_eq!(
+                    timing.read_burst(words, now),
+                    fresh.read_burst(words, now),
+                    "{:?}",
+                    model
+                );
+                prop_assert_eq!(timing.lag(now), fresh.lag(now), "{:?}", model);
             }
         }
     }

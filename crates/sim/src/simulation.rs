@@ -128,25 +128,29 @@ impl<'e> Simulation<'e> {
     /// miss. Each config's [`RunStats`] come from those totals plus its
     /// analytic data-cache term.
     ///
-    /// Under a history-free memory (EPROM, Burst EPROM: a burst's timing
-    /// depends only on its word count and issue cycle) a CCRP refill's
-    /// cycles past issue and bus bytes depend only on the line and the
-    /// CLB outcome: `refill_located` reads the immutable image, the
-    /// line's location and the outcome, and every burst it makes ends a
-    /// fixed distance after it starts. So each timing keeps a memo per
-    /// (line, CLB outcome): the first miss calls `refill_located`, every
-    /// later one adds the stored pair. Errors are never stored, so a
-    /// failing line is timed again and fails at the same first miss; and
-    /// under [`IntegrityCheck::Full`](ccrp::IntegrityCheck::Full) the
-    /// decode and CRC check of an immutable image give the same verdict
-    /// every time. DRAM's precharge carries from one burst to the next,
-    /// so its memo is empty and every miss is timed.
+    /// A CCRP refill issued to an idle memory (no precharge left from an
+    /// earlier burst) takes cycles past issue, bus bytes and leaves a
+    /// lag (cycles past issue until the memory is idle again) that
+    /// depend only on the line and the CLB outcome, under all three
+    /// models: `refill_located` reads the immutable image, the line's
+    /// location and the outcome, and every burst it makes on an idle
+    /// memory is timed as on a fresh one. So each timing keeps a memo
+    /// per (line, CLB outcome): the first such miss calls
+    /// `refill_located`, every later one adds the stored cycles and
+    /// bytes and leaves the memory busy for the stored lag. A refill
+    /// issued inside a DRAM precharge window (a miss right after a raw
+    /// line's refill ended at its last word) is timed directly and not
+    /// stored. Errors are never stored, so a failing line is timed again
+    /// and fails at the same first miss; and under
+    /// [`IntegrityCheck::Full`](ccrp::IntegrityCheck::Full) the decode
+    /// and CRC check of an immutable image give the same verdict every
+    /// time.
     ///
     /// Hits are never replayed per config: every timing walks the misses
     /// alone, O(cache sizes × (runs + misses × min(deepest CLB, distinct
     /// LAT entries)) + distinct timings × misses), and calls
-    /// `refill_located` once per distinct (line, CLB outcome) under a
-    /// history-free memory and once per miss under DRAM.
+    /// `refill_located` once per distinct (line, CLB outcome), plus once
+    /// per miss issued inside a precharge.
     ///
     /// # Errors
     ///
@@ -168,6 +172,8 @@ impl<'e> Simulation<'e> {
         // (fetch index, config index, error) of the first failing miss.
         let mut first_error: Option<(u64, usize, SimError)> = None;
         let indexed: Vec<(usize, &SystemConfig)> = configs.iter().enumerate().collect();
+        // One slot per (line, CLB outcome), refilled per timing.
+        let mut memo: Vec<Option<TimedRefill>> = Vec::new();
         for (cache_bytes, by_cache) in group_by(indexed, |(_, c)| c.cache_bytes) {
             let stream = MissStream::capture(trace, ICache::new(cache_bytes)?);
             let deepest = by_cache.iter().map(|(_, c)| c.refill.clb_entries).max();
@@ -184,15 +190,8 @@ impl<'e> Simulation<'e> {
                     let mut memory = model.timing();
                     let engine = RefillEngine::new(refill)?;
                     let mut clb = ClbStats::default();
-                    // (cycles past issue, bus bytes) per (line, CLB
-                    // outcome), once timed; empty for a memory with state,
-                    // so every lookup misses and every miss is timed.
-                    let slots = if model.is_history_free() {
-                        2 * image.line_count()
-                    } else {
-                        0
-                    };
-                    let mut memo: Vec<Option<(NonZeroU32, u32)>> = vec![None; slots];
+                    memo.clear();
+                    memo.resize(2 * image.line_count(), None);
                     let ccrp = stream.replay(None, |index, pc, counters| {
                         let (location, clb_hit) = match located.get(index) {
                             Some(miss) => (miss.location, miss.clb_hit(refill.clb_entries)),
@@ -205,10 +204,20 @@ impl<'e> Simulation<'e> {
                         } else {
                             clb.misses += 1;
                         }
-                        let slot = 2 * location.global_line() + usize::from(clb_hit);
                         let now = counters.cycle;
-                        let (cycles, bytes) = match memo.get_mut(slot) {
-                            Some(Some((cycles, bytes))) => (u64::from(cycles.get()), *bytes),
+                        let slot = 2 * location.global_line() + usize::from(clb_hit);
+                        // Only a refill issued to an idle memory is
+                        // looked up or stored.
+                        let entry = if memory.lag(now) == 0 {
+                            memo.get_mut(slot)
+                        } else {
+                            None
+                        };
+                        let (cycles, bytes) = match entry {
+                            Some(Some(timed)) => {
+                                memory.set_lag(now, u64::from(timed.lag));
+                                (u64::from(timed.cycles.get()), u64::from(timed.bytes))
+                            }
                             entry => {
                                 let outcome = engine.refill_located(
                                     image,
@@ -219,17 +228,14 @@ impl<'e> Simulation<'e> {
                                     &mut memory,
                                 )?;
                                 let cycles = outcome.ready_at - now;
-                                // A refill takes at least one cycle, and far
-                                // fewer than 2^32; a value outside that is
-                                // simply timed again.
-                                let stored = u32::try_from(cycles).ok().and_then(NonZeroU32::new);
-                                if let (Some(entry), Some(stored)) = (entry, stored) {
-                                    *entry = Some((stored, outcome.bytes_fetched));
+                                let bytes = outcome.bytes_fetched;
+                                if let Some(entry) = entry {
+                                    *entry = TimedRefill::new(cycles, bytes, memory.lag(now));
                                 }
-                                (cycles, outcome.bytes_fetched)
+                                (cycles, u64::from(bytes))
                             }
                         };
-                        counters.charge_refill(now + cycles, u64::from(bytes));
+                        counters.charge_refill(now + cycles, bytes);
                         Ok(())
                     });
                     match ccrp {
@@ -265,6 +271,30 @@ impl<'e> Simulation<'e> {
             .into_iter()
             .map(|(_, comparison)| comparison)
             .collect())
+    }
+}
+
+/// One CCRP refill issued to an idle memory, as the sweep kernel's memo
+/// stores it: cycles past issue until the line is in the cache, bytes
+/// moved over the bus, and cycles past issue until the memory is idle
+/// again. Eight bytes, so `Option<TimedRefill>` is too.
+#[derive(Debug, Clone, Copy)]
+struct TimedRefill {
+    cycles: NonZeroU32,
+    bytes: u16,
+    lag: u16,
+}
+
+impl TimedRefill {
+    /// The stored form of a refill, or `None` for one that does not fit
+    /// it (no refill of a 32-byte line comes near; such a refill is
+    /// simply timed again).
+    fn new(cycles: u64, bytes: u32, lag: u64) -> Option<Self> {
+        Some(TimedRefill {
+            cycles: NonZeroU32::new(u32::try_from(cycles).ok()?)?,
+            bytes: u16::try_from(bytes).ok()?,
+            lag: u16::try_from(lag).ok()?,
+        })
     }
 }
 
@@ -572,6 +602,19 @@ mod tests {
         }
     }
 
+    /// Xorshift bytes: incompressible, so their lines are stored raw.
+    fn noise_text(len: usize) -> Vec<u8> {
+        let mut x = 0x2545_f491u32;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                x as u8
+            })
+            .collect()
+    }
+
     /// A branchy fetch trace over `code_bytes` of text at PC stride
     /// `stride`: straight-line blocks of 4–19 fetches joined by
     /// pseudo-random jumps, so lines conflict in small caches and LAT
@@ -713,16 +756,7 @@ mod tests {
         let build = |codec: &Arc<dyn LineCodec>, alignment| {
             CompressedImage::build_with_codec(0, &text, Arc::clone(codec), alignment).unwrap()
         };
-        // Xorshift bytes: incompressible, so their lines are stored raw.
-        let mut x = 0x2545_f491u32;
-        let noise: Vec<u8> = (0..4096)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 17;
-                x ^= x << 5;
-                x as u8
-            })
-            .collect();
+        let noise = noise_text(4096);
         let noise_code = ByteCode::preselected(&ByteHistogram::of(&noise)).unwrap();
         let images = [
             ("byte-huffman", build(&huffman, BlockAlignment::Word)),
@@ -763,6 +797,78 @@ mod tests {
                     assert_eq!(*cell, direct, "{name}, stride {stride}: {config:?}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn replay_sweep_times_refills_issued_into_a_dram_precharge() {
+        // Every line stored raw: a refill ends at its burst's last word,
+        // two cycles before DRAM's precharge does.
+        let noise = noise_text(4096);
+        let code = ByteCode::preselected(&ByteHistogram::of(&noise)).unwrap();
+        let image = CompressedImage::build(0, &noise, code, BlockAlignment::Word).unwrap();
+        assert_eq!(image.bypass_count(), image.line_count());
+        // One fetch per line misses on consecutive fetches, so each such
+        // miss issues one cycle into the last refill's precharge; a line
+        // fetched through all eight words leaves the next miss an idle
+        // memory, and the miss after that one a precharge again. Which
+        // lines run through shifts every second pass, so a (line, CLB
+        // outcome) is issued idle twice running, and busy in other passes.
+        let mut trace = Vec::new();
+        for pass in 0..6u32 {
+            for line in 0..128u32 {
+                let words = if (line + pass / 2) % 3 == 0 { 8 } else { 1 };
+                trace.extend((0..words).map(|word| (line * 32 + 4 * word, 0)));
+            }
+        }
+        let mut configs = Vec::new();
+        for cache_bytes in [256u32, 1024, 4096] {
+            for memory in MemoryModel::ALL {
+                for clb in [1, 4, 16] {
+                    configs.push(
+                        SystemConfig::new()
+                            .with_cache_bytes(cache_bytes)
+                            .with_memory(memory)
+                            .with_clb_entries(clb),
+                    );
+                }
+            }
+        }
+        // The trace does issue DRAM refills both ways.
+        let mut engine = RefillEngine::new(RefillConfig::default()).unwrap();
+        let mut memory = MemoryModel::ScDram.timing();
+        let (mut idle, mut busy) = (0, 0);
+        let cache = &mut ICache::new(256).unwrap();
+        run_live(
+            cache,
+            &mut SimCounters::default(),
+            trace.iter().copied(),
+            None,
+            |pc, counters| {
+                if memory.lag(counters.cycle) == 0 {
+                    idle += 1;
+                } else {
+                    busy += 1;
+                }
+                ccrp_miss(
+                    &mut engine,
+                    &mut memory,
+                    &image,
+                    pc,
+                    counters,
+                    &mut NullProbe,
+                )
+            },
+        )
+        .unwrap();
+        assert!(idle > 100 && busy > 100, "{idle} idle, {busy} busy");
+        let captured = AccessTrace::capture(trace.iter().copied());
+        let swept = Simulation::replay_sweep(&image, &captured, &configs).unwrap();
+        for (config, cell) in configs.iter().zip(&swept) {
+            let direct = Simulation::new(*config)
+                .compare(&image, trace.iter().copied())
+                .unwrap();
+            assert_eq!(*cell, direct, "{config:?}");
         }
     }
 

@@ -18,10 +18,11 @@
 //! its CLB outcome, for every CLB capacity, from one LRU stack pass
 //! ([`MissStream::locate`]); its CCRP miss path then skips the CLB walk
 //! ([`RefillEngine::refill_located`]). Every timing still walks the
-//! misses, but under a history-free memory (EPROM, Burst EPROM) the
-//! kernel calls `refill_located` once per distinct (line, CLB outcome)
-//! and adds the stored cycles and bytes on every later miss; under DRAM
-//! it calls it on every miss.
+//! misses, but under every memory model the kernel calls
+//! `refill_located` once per distinct (line, CLB outcome) issued to an
+//! idle memory, and on every later such miss adds the stored cycles and
+//! bytes and restores the stored precharge lag; only a miss issued
+//! inside a DRAM precharge is timed directly.
 //!
 //! Both loops report the same [`RunStats`], the same probe events and
 //! the same first error, and an attached [`StepBudget`] spends exactly
