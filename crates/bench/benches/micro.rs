@@ -1,6 +1,7 @@
 //! Micro-benchmarks: throughput of the building blocks (codecs, code
 //! construction, refill engine, cache model, sweep kernel, emulator,
-//! assembler, one differential trial, trace capture).
+//! assembler, one differential trial and its line expansion and state
+//! compare, trace capture).
 //!
 //! Uses a small std-only timing harness (median of timed batches after
 //! warmup) because this environment has no crates.io access for an
@@ -15,9 +16,9 @@ use ccrp_bench::difftest::trial_seed;
 use ccrp_bench::experiments::perf::CACHE_SIZES;
 use ccrp_compress::{
     block, bounded_lengths, lzw, traditional_lengths, BlockAlignment, ByteCode, ByteHistogram,
-    LzwLineCodec, PositionalHistogram, PAPER_MAX_LEN,
+    LzwLineCodec, PositionalCode, PositionalHistogram, PAPER_MAX_LEN,
 };
-use ccrp_difftest::{run_trial, ProgGen};
+use ccrp_difftest::{build_rom, compare_cores, run_trial, ProgGen};
 use ccrp_sim::{ICache, MemoryModel, Simulation, SystemConfig};
 use ccrp_workloads::{
     figure5_corpus, generate_text, preselected_code, CodeProfile, TracedWorkload,
@@ -168,9 +169,8 @@ fn construction_benches() {
     // built from.
     let seed = trial_seed(trial_seed(1, 1), 0);
     let image = ccrp_asm::assemble(&ProgGen::generate(seed).source()).expect("assembles");
-    let hist = PositionalHistogram::of(image.text_bytes())
-        .position(3)
-        .smoothed();
+    let text = image.text_bytes();
+    let hist = PositionalHistogram::of(text).position(3).smoothed();
     println!("-- code construction (256 symbols) and one difftest trial --");
     bench("traditional_lengths", None, || {
         traditional_lengths(std::hint::black_box(&hist)).expect("lengths build")
@@ -178,7 +178,79 @@ fn construction_benches() {
     bench("bounded_lengths", None, || {
         bounded_lengths(std::hint::black_box(&hist), PAPER_MAX_LEN).expect("lengths build")
     });
+    // The self-trained byte code `build_rom` makes: only the bytes the
+    // text holds get codewords.
+    let self_trained = ByteHistogram::of(text);
+    bench("bounded_lengths_self_trained", None, || {
+        bounded_lengths(std::hint::black_box(&self_trained), PAPER_MAX_LEN).expect("lengths build")
+    });
+    let lengths = bounded_lengths(&hist, PAPER_MAX_LEN).expect("lengths build");
+    bench("from_lengths_smoothed", None, || {
+        ByteCode::from_lengths(std::hint::black_box(lengths)).expect("code builds")
+    });
+    bench("progen_source", None, || {
+        ProgGen::generate(std::hint::black_box(seed)).source()
+    });
     bench("run_trial", None, || run_trial(std::hint::black_box(seed)));
+}
+
+fn difftest_kernel_benches() {
+    // The same program: every line of its self-trained byte-code ROM
+    // and of its positional ROM, expanded as a refill does, and the
+    // lockstep state compare once per instruction it retires.
+    let seed = trial_seed(trial_seed(1, 1), 0);
+    let image = ccrp_asm::assemble(&ProgGen::generate(seed).source()).expect("assembles");
+    let text = image.text_bytes();
+    println!("-- difftest kernels: line expansion, lockstep compare --");
+    let byte_rom = build_rom(&image).expect("builds");
+    let positional = PositionalCode::preselected(&PositionalHistogram::of(text)).expect("builds");
+    let positional_rom = CompressedImage::build_with_codec(
+        image.text_base(),
+        text,
+        Arc::new(positional),
+        BlockAlignment::Word,
+    )
+    .expect("builds");
+    for (name, rom) in [
+        ("expand_lines_byte_huffman", &byte_rom),
+        ("expand_lines_positional", &positional_rom),
+    ] {
+        let lines = rom.line_count() as u32;
+        bench(name, Some(lines as usize * block::LINE_SIZE), || {
+            let mut out = [0u8; block::LINE_SIZE];
+            for line in 0..lines {
+                let address = rom.text_base() + line * block::LINE_SIZE as u32;
+                rom.expand_line_into(address, &mut out).expect("expands");
+            }
+            out
+        });
+    }
+    // Two machines at the program's end state, compared as many times as
+    // the program retires instructions.
+    let mut reference = ccrp_emu::Machine::new(&image);
+    let steps = reference
+        .run(&mut ccrp_emu::NullSink)
+        .expect("runs")
+        .instructions;
+    let mut variant = ccrp_emu::Machine::new(&image);
+    variant.run(&mut ccrp_emu::NullSink).expect("runs");
+    println!(
+        "{:<28} {steps:>12} compares per call",
+        "compare_cores_difftest"
+    );
+    bench("compare_cores_difftest", None, || {
+        (0..steps)
+            .filter(|_| {
+                compare_cores(
+                    std::hint::black_box(&reference),
+                    std::hint::black_box(&variant),
+                    &[],
+                    &[],
+                )
+                .is_some()
+            })
+            .count()
+    });
 }
 
 fn refill_benches() {
@@ -408,6 +480,7 @@ fn main() {
     codec_benches();
     block_benches();
     construction_benches();
+    difftest_kernel_benches();
     refill_benches();
     sweep_benches();
     system_benches();

@@ -49,7 +49,8 @@ pub fn bounded_lengths(histogram: &ByteHistogram, max_len: u8) -> Result<[u8; 25
     if max_len == 0 || max_len > 32 {
         return Err(CompressError::LengthTooLong { length: max_len });
     }
-    let symbols = sorted_symbols(histogram);
+    let mut buffer = [(0, 0); 256];
+    let symbols = sorted_symbols(histogram.counts(), &mut buffer);
     let n = symbols.len();
     if n == 0 {
         return Err(CompressError::EmptyHistogram);
@@ -57,7 +58,7 @@ pub fn bounded_lengths(histogram: &ByteHistogram, max_len: u8) -> Result<[u8; 25
     if (max_len as u32) < 32 && n as u64 > (1u64 << max_len) {
         return Err(CompressError::LengthTooLong { length: max_len });
     }
-    let huffman = huffman_lengths(&symbols);
+    let huffman = huffman_lengths(symbols);
     if huffman.iter().all(|&l| l <= max_len) {
         return Ok(huffman);
     }

@@ -1,5 +1,6 @@
 use ccrp_bitstream::{BitReader, BitWriter};
 
+use crate::block::LINE_SIZE;
 use crate::bounded::{bounded_lengths, PAPER_MAX_LEN};
 use crate::error::CompressError;
 use crate::histogram::ByteHistogram;
@@ -73,30 +74,35 @@ impl ByteCode {
         }
         let mut first_code = [0u32; 33];
         let mut first_index = [0u16; 33];
-        let mut code = 0u32;
+        // Wider than a code: after the last length of a complete code it
+        // reaches 2^max_len, which is 2^32 for a 32-bit code. Each
+        // `first_code` entry stays below 2^32, since the Kraft check
+        // leaves code space for every length that follows.
+        let mut code = 0u64;
         let mut index = 0u16;
         #[allow(clippy::needless_range_loop)] // len is both value and index
         for len in 1..=max_len as usize {
             code <<= 1;
-            first_code[len] = code;
+            first_code[len] = code as u32;
             first_index[len] = index;
-            code += u32::from(counts[len]);
+            code += u64::from(counts[len]);
             index += counts[len];
         }
 
-        // Canonical assignment: symbols sorted by (length, value).
-        let mut ordered = Vec::with_capacity(index as usize);
+        // Canonical assignment, symbols sorted by (length, value), in one
+        // pass: each length's next code and next `ordered` slot start at
+        // its `first_code` and `first_index`.
+        let mut ordered = vec![0u8; usize::from(index)];
         let mut codes = [0u32; 256];
-        let mut next = first_code;
-        #[allow(clippy::needless_range_loop)] // len is both value and index
-        for len in 1..=max_len as usize {
-            for sym in 0u16..256 {
-                if lengths[sym as usize] as usize == len {
-                    codes[sym as usize] = next[len];
-                    next[len] += 1;
-                    ordered.push(sym as u8);
-                }
-            }
+        let (mut next_code, mut next_index) = (first_code, first_index);
+        for (sym, &len) in lengths.iter().enumerate().filter(|&(_, &l)| l > 0) {
+            let len = usize::from(len);
+            codes[sym] = next_code[len];
+            // Wraps only past the last code of a complete 32-bit code,
+            // and that value is never used.
+            next_code[len] = next_code[len].wrapping_add(1);
+            ordered[usize::from(next_index[len])] = sym as u8;
+            next_index[len] += 1;
         }
 
         let table = DecodeTable::build(&lengths, &codes)?;
@@ -312,6 +318,61 @@ impl ByteCode {
     }
 }
 
+/// Expands one stored line, taking output byte `i` from the code
+/// `code_at(i)`: the whole-line decode behind [`LineCodec::decode_into`]
+/// for [`ByteCode`] and [`PositionalCode`].
+///
+/// The first [`LINE_SIZE`] stored bytes are copied into a zero-padded
+/// stack buffer, from which each symbol's [`LOOKUP_BITS`] window is one
+/// unaligned load, with no per-symbol check for the end of the stream.
+/// A compressed line is stored in fewer bytes than that, so the buffer
+/// holds all of it. A symbol the table cannot resolve from real bits
+/// (a codeword longer than the window, a pattern no codeword prefixes,
+/// or a match that runs past the copied bytes) is decoded from its bit
+/// position by the exact walk, [`ByteCode::decode_symbol_reference`],
+/// over all of `stored`. So the bytes written and the error returned,
+/// bit position included, are those of decoding with
+/// [`ByteCode::decode_symbol`] from a [`BitReader`] over `stored`, for
+/// every block length.
+///
+/// [`LineCodec::decode_into`]: crate::LineCodec::decode_into
+/// [`PositionalCode`]: crate::PositionalCode
+pub(crate) fn decode_line<'c>(
+    stored: &[u8],
+    out: &mut [u8; LINE_SIZE],
+    code_at: impl Fn(usize) -> &'c ByteCode,
+) -> Result<(), CompressError> {
+    // Eight bytes of zeros past the copied ones, so the load at any
+    // position before the end of the copied bits stays in bounds.
+    let mut padded = [0u8; LINE_SIZE + 8];
+    let copied = stored.len().min(LINE_SIZE);
+    padded[..copied].copy_from_slice(&stored[..copied]);
+    let table_bits = copied * 8;
+    let mut pos = 0;
+    for (i, slot) in out.iter_mut().enumerate() {
+        let code = code_at(i);
+        if pos < table_bits {
+            // `pos / 8 < LINE_SIZE`, so its eight bytes are in `padded`.
+            let mut word = [0u8; 8];
+            word.copy_from_slice(&padded[pos / 8..pos / 8 + 8]);
+            let window = (u64::from_be_bytes(word) << (pos % 8)) >> (64 - LOOKUP_BITS);
+            if let Some((symbol, len)) = code.table.lookup(window as u32) {
+                let end = pos + usize::from(len);
+                if end <= table_bits {
+                    *slot = symbol;
+                    pos = end;
+                    continue;
+                }
+            }
+        }
+        let mut reader = BitReader::new(stored);
+        reader.skip(pos as u64)?;
+        *slot = code.decode_symbol_reference(&mut reader)?;
+        pos = reader.bit_pos() as usize;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,6 +448,107 @@ mod tests {
         assert_eq!(code.decode(&enc, 4).unwrap(), foreign);
     }
 
+    /// [`ByteCode::from_lengths`] as it was before its one-pass
+    /// assignment, kept as the oracle for it: one pass over the 256
+    /// symbols per code length. Its two running code values wrap past
+    /// the end of a complete 32-bit code as release builds did, where
+    /// debug builds panicked on the overflow.
+    fn per_length_from_lengths(lengths: [u8; 256]) -> Result<ByteCode, CompressError> {
+        let max_len = lengths.iter().copied().max().unwrap_or(0);
+        if max_len == 0 {
+            return Err(CompressError::EmptyHistogram);
+        }
+        if max_len > 32 {
+            return Err(CompressError::LengthTooLong { length: max_len });
+        }
+        let kraft: u64 = lengths
+            .iter()
+            .filter(|&&l| l > 0)
+            .map(|&l| 1u64 << (max_len - l))
+            .sum();
+        if kraft > 1u64 << max_len {
+            return Err(CompressError::InvalidCodeLengths { kraft, max_len });
+        }
+        let mut counts = [0u16; 33];
+        for &l in lengths.iter().filter(|&&l| l > 0) {
+            counts[l as usize] += 1;
+        }
+        let (mut first_code, mut first_index) = ([0u32; 33], [0u16; 33]);
+        let (mut code, mut index) = (0u32, 0u16);
+        #[allow(clippy::needless_range_loop)] // len is both value and index
+        for len in 1..=max_len as usize {
+            code <<= 1;
+            first_code[len] = code;
+            first_index[len] = index;
+            code = code.wrapping_add(u32::from(counts[len]));
+            index += counts[len];
+        }
+        let mut ordered = Vec::with_capacity(index as usize);
+        let mut codes = [0u32; 256];
+        let mut next = first_code;
+        #[allow(clippy::needless_range_loop)] // len is both value and index
+        for len in 1..=max_len as usize {
+            for sym in 0u16..256 {
+                if lengths[sym as usize] as usize == len {
+                    codes[sym as usize] = next[len];
+                    next[len] = next[len].wrapping_add(1);
+                    ordered.push(sym as u8);
+                }
+            }
+        }
+        let table = DecodeTable::build(&lengths, &codes)?;
+        Ok(ByteCode {
+            lengths,
+            codes,
+            max_len,
+            first_code,
+            first_index,
+            counts,
+            ordered,
+            table,
+        })
+    }
+
+    /// Length tables with 1–256 coded symbols and lengths 1–32 that fit
+    /// the code space: each drawn length is lengthened until it fits
+    /// what earlier symbols left, and the symbol is left uncoded when
+    /// even 32 bits do not fit.
+    fn kraft_valid_lengths() -> impl Strategy<Value = [u8; 256]> {
+        (
+            1usize..=256,
+            any::<u8>(),
+            (0u8..128).prop_map(|s| 2 * s + 1),
+            proptest::collection::vec(prop_oneof![1u8..=12, 1u8..=32, 24u8..=32], 256),
+        )
+            .prop_map(|(symbols, first, stride, drawn)| {
+                let mut lengths = [0u8; 256];
+                // Code space left, in units of 2^-32.
+                let mut space = 1u64 << 32;
+                for (k, &len) in drawn.iter().enumerate().take(symbols) {
+                    let sym = first.wrapping_add((k as u8).wrapping_mul(stride));
+                    if let Some(len) = (len..=32).find(|&l| 1u64 << (32 - l) <= space) {
+                        lengths[usize::from(sym)] = len;
+                        space -= 1u64 << (32 - len);
+                    }
+                }
+                lengths
+            })
+    }
+
+    #[test]
+    fn complete_32_bit_code_builds() {
+        // Lengths 1, 2, ..., 31, 32, 32 fill the code space exactly, so
+        // the running code value reaches 2^32 after the last length.
+        let mut lengths = [0u8; 256];
+        for (sym, len) in (1..=32).chain([32]).enumerate() {
+            lengths[sym] = len;
+        }
+        let code = ByteCode::from_lengths(lengths).unwrap();
+        assert_eq!(code.max_length(), 32);
+        let symbols: Vec<u8> = (0..33).rev().collect();
+        assert_eq!(code.decode(&code.encode(&symbols), 33).unwrap(), symbols);
+    }
+
     #[test]
     fn table_storage_sizes() {
         let bounded = ByteCode::bounded(&ByteHistogram::of(b"abc")).unwrap();
@@ -407,6 +569,19 @@ mod tests {
             prop_assert!(code.max_length() <= 16);
             let enc = code.encode(&data);
             prop_assert_eq!(code.decode(&enc, data.len()).unwrap(), data);
+        }
+
+        #[test]
+        fn one_pass_assignment_matches_the_per_length_loop(lengths in kraft_valid_lengths()) {
+            prop_assert_eq!(ByteCode::from_lengths(lengths), per_length_from_lengths(lengths));
+        }
+
+        #[test]
+        fn one_pass_assignment_rejects_as_the_per_length_loop(
+            lengths in proptest::collection::vec(prop_oneof![Just(0u8), 1u8..=8, any::<u8>()], 256),
+        ) {
+            let lengths: [u8; 256] = lengths.try_into().unwrap();
+            prop_assert_eq!(ByteCode::from_lengths(lengths), per_length_from_lengths(lengths));
         }
 
         #[test]

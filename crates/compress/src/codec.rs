@@ -35,7 +35,7 @@ use std::sync::Arc;
 use ccrp_bitstream::{BitReader, BitWriter};
 
 use crate::block::LINE_SIZE;
-use crate::code::ByteCode;
+use crate::code::{decode_line, ByteCode};
 use crate::error::CompressError;
 use crate::positional::{PositionalCode, POSITIONS};
 
@@ -204,7 +204,7 @@ impl LineCodec for ByteCode {
     }
 
     fn decode_into(&self, stored: &[u8], out: &mut [u8; LINE_SIZE]) -> Result<(), CompressError> {
-        ByteCode::decode_into(self, &mut BitReader::new(stored), out)
+        decode_line(stored, out, |_| self)
     }
 
     fn bit_profile(&self, line: &[u8], cumulative_bits: &mut [u64; LINE_SIZE]) {
@@ -248,7 +248,7 @@ impl LineCodec for PositionalCode {
     }
 
     fn decode_into(&self, stored: &[u8], out: &mut [u8; LINE_SIZE]) -> Result<(), CompressError> {
-        PositionalCode::decode_into(self, &mut BitReader::new(stored), out)
+        decode_line(stored, out, |i| self.position(i))
     }
 
     fn bit_profile(&self, line: &[u8], cumulative_bits: &mut [u64; LINE_SIZE]) {

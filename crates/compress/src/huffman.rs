@@ -27,24 +27,38 @@ use crate::histogram::ByteHistogram;
 /// # Ok::<(), ccrp_compress::CompressError>(())
 /// ```
 pub fn traditional_lengths(histogram: &ByteHistogram) -> Result<[u8; 256], CompressError> {
-    let symbols = sorted_symbols(histogram);
+    let mut buffer = [(0, 0); 256];
+    let symbols = sorted_symbols(histogram.counts(), &mut buffer);
     if symbols.is_empty() {
         return Err(CompressError::EmptyHistogram);
     }
-    Ok(huffman_lengths(&symbols))
+    Ok(huffman_lengths(symbols))
 }
 
-/// The bytes that occur in `histogram`, as `(byte, count)` pairs in
-/// ascending `(count, byte)` order: the order both code constructions
-/// take their leaves in.
-pub(crate) fn sorted_symbols(histogram: &ByteHistogram) -> Vec<(u8, u64)> {
-    let mut symbols: Vec<(u8, u64)> = (0u16..256)
-        .map(|b| (b as u8, histogram.count(b as u8)))
-        .filter(|&(_, c)| c > 0)
-        .collect();
-    // No two keys are equal, so an unstable sort gives the one order.
-    symbols.sort_unstable_by_key(|&(sym, count)| (count, sym));
-    symbols
+/// The bytes with a nonzero count in `counts`, as `(byte, count)` pairs
+/// in ascending `(count, byte)` order, written to the front of `out`:
+/// the order both code constructions take their leaves in.
+pub(crate) fn sorted_symbols<'a>(
+    counts: &[u64; 256],
+    out: &'a mut [(u8, u64); 256],
+) -> &'a [(u8, u64)] {
+    // Packed `count << 8 | byte` keys order as `(count, byte)` for any
+    // `u64` count, and no two are equal, so an unstable sort of plain
+    // integers gives the one order.
+    let mut keys = [0u128; 256];
+    let mut n = 0;
+    for (byte, &count) in counts.iter().enumerate() {
+        if count > 0 {
+            keys[n] = u128::from(count) << 8 | byte as u128;
+            n += 1;
+        }
+    }
+    let keys = &mut keys[..n];
+    keys.sort_unstable();
+    for (slot, &key) in out.iter_mut().zip(&*keys) {
+        *slot = (key as u8, (key >> 8) as u64);
+    }
+    &out[..n]
 }
 
 /// Huffman code lengths for `symbols`, in [`sorted_symbols`] order, by
@@ -234,8 +248,58 @@ mod tests {
         prop_oneof![1u64..4, (0u32..12).prop_map(|e| 1u64 << e), 1u64..5000]
     }
 
+    /// The tuple sort [`sorted_symbols`] made before its packed keys,
+    /// kept as the oracle for it.
+    fn tuple_sorted(counts: &[u64; 256]) -> Vec<(u8, u64)> {
+        let mut symbols: Vec<(u8, u64)> = (0u16..256)
+            .map(|b| (b as u8, counts[b as usize]))
+            .filter(|&(_, c)| c > 0)
+            .collect();
+        symbols.sort_unstable_by_key(|&(sym, count)| (count, sym));
+        symbols
+    }
+
+    #[test]
+    fn packed_keys_order_extreme_counts() {
+        let mut counts = [0u64; 256];
+        counts[0] = u64::MAX;
+        counts[1] = u64::MAX;
+        counts[2] = u64::MAX - 1;
+        counts[255] = 1 << 56;
+        counts[7] = 1;
+        let mut buffer = [(0, 0); 256];
+        let want = [
+            (7, 1),
+            (255, 1 << 56),
+            (2, u64::MAX - 1),
+            (0, u64::MAX),
+            (1, u64::MAX),
+        ];
+        assert_eq!(sorted_symbols(&counts, &mut buffer), want);
+        assert_eq!(tuple_sorted(&counts), want);
+        assert!(sorted_symbols(&[0; 256], &mut buffer).is_empty());
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn packed_keys_sort_as_tuples(
+            counts in proptest::collection::vec(
+                prop_oneof![
+                    Just(0u64),
+                    1u64..4,
+                    any::<u64>(),
+                    (u64::MAX - 3)..=u64::MAX,
+                    (48u32..64).prop_map(|e| 1u64 << e),
+                ],
+                256,
+            ),
+        ) {
+            let counts: [u64; 256] = counts.try_into().unwrap();
+            let mut buffer = [(0, 0); 256];
+            prop_assert_eq!(sorted_symbols(&counts, &mut buffer), tuple_sorted(&counts).as_slice());
+        }
 
         #[test]
         fn two_queue_matches_the_heap(

@@ -12,8 +12,11 @@
 //! cycle counts included) reproduce byte-for-byte across the decoder
 //! swap.
 
-use ccrp_bitstream::BitReader;
-use ccrp_compress::{ByteCode, ByteHistogram, CompressError, LOOKUP_BITS};
+use ccrp_bitstream::{BitReader, BitWriter};
+use ccrp_compress::{
+    ByteCode, ByteHistogram, CompressError, LineCodec, PositionalCode, LINE_SIZE, LOOKUP_BITS,
+    POSITIONS,
+};
 use proptest::prelude::*;
 
 /// Decodes `count` symbols through both paths in lock step, asserting
@@ -166,4 +169,142 @@ fn codes_longer_than_the_window_round_trip() {
     let bytes = code.encode(&symbols);
     assert_eq!(code.decode(&bytes, symbols.len()).unwrap(), symbols);
     assert_paths_identical(&code, &bytes, symbols.len());
+}
+
+/// The line decode [`LineCodec::decode_into`] ran before the whole-line
+/// window, kept as its reference: one [`ByteCode::decode_symbol`] per
+/// output byte, the code for byte `i` being `code_at(i)`, from a
+/// [`BitReader`] over the stored block.
+fn exact_line<'c>(
+    code_at: impl Fn(usize) -> &'c ByteCode,
+    stored: &[u8],
+    out: &mut [u8; LINE_SIZE],
+) -> Result<(), CompressError> {
+    let mut reader = BitReader::new(stored);
+    for (i, slot) in out.iter_mut().enumerate() {
+        *slot = code_at(i).decode_symbol(&mut reader)?;
+    }
+    Ok(())
+}
+
+/// Checks that `codec` expands `stored` as [`exact_line`] does: the
+/// same `Result`, error position included, and the same bytes written
+/// before it, from a buffer that starts out the same.
+fn assert_line_matches_exact<'c>(
+    codec: &dyn LineCodec,
+    code_at: impl Fn(usize) -> &'c ByteCode,
+    stored: &[u8],
+) {
+    let (mut got, mut want) = ([0xA5; LINE_SIZE], [0xA5; LINE_SIZE]);
+    let result = codec.decode_into(stored, &mut got);
+    assert_eq!(
+        result,
+        exact_line(code_at, stored, &mut want),
+        "{stored:02x?}"
+    );
+    assert_eq!(got, want, "{stored:02x?}");
+}
+
+/// One code for the whole-line tests, by `kind`: trained on `text` as
+/// it is, so bytes outside it have no codeword; trained on `text`
+/// smoothed, so every byte has one; or a chain of lengths 1, 2, ...,
+/// `deepest` - 1, `deepest`, `deepest` over bytes spread by an odd
+/// stride from `first`, whose longest codewords run past the window.
+fn line_code(kind: u8, text: &[u8], deepest: u8, first: u8, stride: u8) -> ByteCode {
+    match kind % 3 {
+        0 => ByteCode::bounded(&ByteHistogram::of(text)).expect("text is not empty"),
+        1 => ByteCode::preselected(&ByteHistogram::of(text)).expect("smoothed"),
+        _ => {
+            let mut lengths = [0u8; 256];
+            for (k, len) in (1..=deepest).chain([deepest]).enumerate() {
+                lengths[usize::from(first.wrapping_add((k as u8).wrapping_mul(stride)))] = len;
+            }
+            ByteCode::from_lengths(lengths).expect("a complete chain")
+        }
+    }
+}
+
+/// The parameters of one [`line_code`].
+fn line_code_params() -> impl Strategy<Value = (u8, u8, u8, u8)> {
+    (
+        any::<u8>(),
+        (LOOKUP_BITS as u8 + 1)..=32,
+        any::<u8>(),
+        (0u8..128).prop_map(|s| 2 * s + 1),
+    )
+}
+
+/// A line the codes can encode: byte `i` is drawn from the bytes
+/// `code_at(i)` has a codeword for.
+fn encodable_line<'c>(code_at: impl Fn(usize) -> &'c ByteCode, picks: &[u16]) -> [u8; LINE_SIZE] {
+    std::array::from_fn(|i| {
+        let alphabet: Vec<u8> = (0..=255).filter(|&b| code_at(i).length_of(b) > 0).collect();
+        alphabet[usize::from(picks[i]) % alphabet.len()]
+    })
+}
+
+/// The blocks each whole-line case decodes: the encoded line, every
+/// truncation of it, the line followed by `tail` (longer than a line
+/// once the two pass [`LINE_SIZE`] bytes), and `garbage` alone.
+fn blocks(encoded: &[u8], tail: &[u8], garbage: &[u8]) -> Vec<Vec<u8>> {
+    let mut blocks: Vec<Vec<u8>> = (0..=encoded.len())
+        .map(|cut| encoded[..cut].to_vec())
+        .collect();
+    blocks.push([encoded, tail].concat());
+    blocks.push(garbage.to_vec());
+    blocks
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `ByteCode`'s whole-line decode writes the same bytes and returns
+    /// the same `Result` as the exact walk, on valid blocks, their
+    /// truncations, blocks longer than a line, and garbage.
+    #[test]
+    fn byte_code_lines_decode_as_the_exact_walk(
+        text in proptest::collection::vec(any::<u8>(), 1..200),
+        (kind, deepest, first, stride) in line_code_params(),
+        picks in proptest::collection::vec(any::<u16>(), LINE_SIZE),
+        tail in proptest::collection::vec(any::<u8>(), 0..100),
+        garbage in proptest::collection::vec(any::<u8>(), 0..=40),
+    ) {
+        let code = line_code(kind, &text, deepest, first, stride);
+        let line = encodable_line(|_| &code, &picks);
+        let encoded = code.encode(&line);
+        for block in blocks(&encoded, &tail, &garbage) {
+            assert_line_matches_exact(&code, |_| &code, &block);
+        }
+        let mut out = [0; LINE_SIZE];
+        prop_assert_eq!(LineCodec::decode_into(&code, &encoded, &mut out), Ok(()));
+        prop_assert_eq!(out, line);
+    }
+
+    /// The same for `PositionalCode`, whose four sub-codes each take
+    /// their own kind.
+    #[test]
+    fn positional_lines_decode_as_the_exact_walk(
+        text in proptest::collection::vec(any::<u8>(), 1..200),
+        params in proptest::collection::vec(line_code_params(), POSITIONS),
+        picks in proptest::collection::vec(any::<u16>(), LINE_SIZE),
+        tail in proptest::collection::vec(any::<u8>(), 0..100),
+        garbage in proptest::collection::vec(any::<u8>(), 0..=40),
+    ) {
+        let codes: [ByteCode; POSITIONS] = std::array::from_fn(|p| {
+            let (kind, deepest, first, stride) = params[p];
+            line_code(kind, &text, deepest, first, stride)
+        });
+        let positional = PositionalCode::from_codes(codes);
+        let code_at = |i: usize| positional.position(i);
+        let line = encodable_line(code_at, &picks);
+        let mut writer = BitWriter::new();
+        LineCodec::encode_into(&positional, &line, &mut writer);
+        let encoded = writer.into_bytes();
+        for block in blocks(&encoded, &tail, &garbage) {
+            assert_line_matches_exact(&positional, code_at, &block);
+        }
+        let mut out = [0; LINE_SIZE];
+        prop_assert_eq!(LineCodec::decode_into(&positional, &encoded, &mut out), Ok(()));
+        prop_assert_eq!(out, line);
+    }
 }

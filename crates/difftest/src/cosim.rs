@@ -360,10 +360,42 @@ mod tests {
 
     #[test]
     fn mips_state_past_the_gprs_is_compared_in_order() {
-        // Program pairs of equal length whose GPRs end equal, with the
-        // field and detail the comparison reports, or `None` for twins
-        // that must match.
+        // Program pairs of equal length, with the field and detail the
+        // comparison reports, or `None` for twins that must match. Where
+        // two fields differ, the one compared first is named.
         let cases = [
+            // Two GPRs differ: the lower-numbered one.
+            (
+                "li $t0, 3\nli $t1, 5\nli $v0, 10\nsyscall",
+                "li $t0, 4\nli $t1, 6\nli $v0, 10\nsyscall",
+                Some(("$t0", "0x00000003 vs 0x00000004")),
+            ),
+            // A GPR and an FPA register differ: the GPR file comes first.
+            (
+                "li $t0, 7\nmtc1 $t0, $f2\nli $v0, 10\nsyscall",
+                "li $t0, 9\nmtc1 $t0, $f2\nli $v0, 10\nsyscall",
+                Some(("$t0", "0x00000007 vs 0x00000009")),
+            ),
+            // Two FPA registers differ: the lower-numbered one.
+            (
+                "li $t0, 7\nmtc1 $t0, $f2\nli $t0, 5\nmtc1 $t0, $f4\nli $t0, 0\nli $v0, 10\nsyscall",
+                "li $t0, 8\nmtc1 $t0, $f2\nli $t0, 6\nmtc1 $t0, $f4\nli $t0, 0\nli $v0, 10\nsyscall",
+                Some(("$f2", "0x00000007 vs 0x00000008")),
+            ),
+            // An FPA register and `fp_cond` differ: the register file
+            // comes first ($f2 against the zero in $f0 sets the flag
+            // only in the variant).
+            (
+                "li $t0, 7\nmtc1 $t0, $f2\nc.eq.s $f2, $f0\nli $t0, 0\nli $v0, 10\nsyscall",
+                "li $t0, 0\nmtc1 $t0, $f2\nc.eq.s $f2, $f0\nli $t0, 0\nli $v0, 10\nsyscall",
+                Some(("$f2", "0x00000007 vs 0x00000000")),
+            ),
+            // Only `fp_cond` differs.
+            (
+                "li $t0, 7\nmtc1 $t0, $f2\nc.eq.s $f2, $f0\nmtc1 $zero, $f2\nli $t0, 0\nli $v0, 10\nsyscall",
+                "li $t0, 0\nmtc1 $t0, $f2\nc.eq.s $f2, $f0\nmtc1 $zero, $f2\nli $t0, 0\nli $v0, 10\nsyscall",
+                Some(("fp_cond", "false vs true")),
+            ),
             // Only HI/LO differ.
             (
                 "li $t0, 3\nli $t1, 5\nmult $t0, $t1\nli $t1, 0\nli $v0, 10\nsyscall",

@@ -179,7 +179,8 @@ where
 }
 
 /// Compares the full post-step state, returning the first differing
-/// `(field, reference-vs-variant detail)`: PC, every GPR (named from
+/// `(field, reference-vs-variant detail)`: PC, the GPR file (compared
+/// whole, and walked only to name its first differing register from
 /// [`IsaCore::GPR_NAMES`]), then the state only the core itself can see
 /// ([`IsaCore::private_mismatch`]: MIPS HI/LO and the FPA file; RV32
 /// has none), then exit status, the ordered data-access log, the memory
@@ -196,10 +197,12 @@ pub fn compare_cores<M: IsaCore>(
             format!("{:#010x} vs {:#010x}", reference.pc(), variant.pc()),
         ));
     }
-    for (index, name) in M::GPR_NAMES.iter().enumerate() {
-        let (a, b) = (reference.gpr(index), variant.gpr(index));
-        if a != b {
-            return Some((name.to_string(), format!("{a:#010x} vs {b:#010x}")));
+    let (ref_gprs, var_gprs) = (reference.gprs(), variant.gprs());
+    if ref_gprs != var_gprs {
+        for (name, (a, b)) in M::GPR_NAMES.iter().zip(ref_gprs.iter().zip(var_gprs)) {
+            if a != b {
+                return Some((name.to_string(), format!("{a:#010x} vs {b:#010x}")));
+            }
         }
     }
     if let Some(mismatch) = reference.private_mismatch(variant) {

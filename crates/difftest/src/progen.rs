@@ -23,10 +23,8 @@
 //!   `$ra` is written only by `jal` to leaf functions that contain no
 //!   calls of their own.
 
-use std::fmt::Write as _;
-
 use ccrp::SplitMix64;
-use ccrp_isa::Reg;
+use ccrp_isa::{FpReg, Reg};
 
 /// Base address of the 256-byte scratch buffer all loads/stores target.
 /// Sits below the stack ([`ccrp_emu::INITIAL_SP`]) in the paper's 24-bit
@@ -54,9 +52,10 @@ pub struct GeneratedProgram {
 impl GeneratedProgram {
     /// The assembly source as one string.
     pub fn source(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(self.lines.iter().map(|line| line.len() + 1).sum());
         for line in &self.lines {
-            let _ = writeln!(out, "{line}");
+            out.push_str(line);
+            out.push('\n');
         }
         out
     }
@@ -120,18 +119,18 @@ impl ProgGen {
     /// register seeding and buffer initialisation. The 64 stores cover
     /// every word of the scratch buffer so any later load is defined.
     fn prologue(&mut self) {
-        self.push(&format!("    lui $s0, {}", SCRATCH_BASE >> 16));
-        self.push(&format!("    ori $s0, $s0, {}", SCRATCH_BASE & 0xFFFF));
+        self.push(format!("    lui $s0, {}", SCRATCH_BASE >> 16));
+        self.push(format!("    ori $s0, $s0, {}", SCRATCH_BASE & 0xFFFF));
         for reg in Reg::CALLER_SAVED {
             let value = self.rng.next_u64() as u32 as i32;
-            self.push_removable(&format!("    li {reg}, {value}"));
+            self.push_removable(format!("    li {reg}, {value}"));
         }
         for off in (0..SCRATCH_SIZE).step_by(4) {
             let reg = self.pool_reg();
             // The stores that define the buffer are structural, not
             // removable: a shrunk program must still satisfy the
             // loads-see-initialised-memory invariant by construction.
-            self.push(&format!("    sw {reg}, {off}($s0)"));
+            self.push(format!("    sw {reg}, {off}($s0)"));
         }
     }
 
@@ -170,15 +169,14 @@ impl ProgGen {
                 }
             }
         }
-        for i in 0..blocks {
-            let block_opens: Vec<(usize, usize)> = opens.get(i).cloned().unwrap_or_default();
+        for (i, (block_opens, block_closes)) in opens.into_iter().zip(closes).enumerate() {
             for (id, depth) in block_opens {
                 let counter = LOOP_COUNTERS[depth.min(2)];
                 let iters = self.rng.range(2, 6);
-                self.push(&format!("    ori {counter}, $zero, {iters}"));
-                self.push(&format!("loop{id}:"));
+                self.push(format!("    ori {counter}, $zero, {iters}"));
+                self.push(format!("loop{id}:"));
             }
-            self.push(&format!("L{i}:"));
+            self.push(format!("L{i}:"));
             let count = 10 + self.rng.below(23);
             for _ in 0..count {
                 self.instruction();
@@ -189,20 +187,19 @@ impl ProgGen {
             if self.rng.chance(1, 2) {
                 self.forward_branch(i, blocks);
             }
-            let block_closes: Vec<(usize, usize)> = closes.get(i).cloned().unwrap_or_default();
             for (id, depth) in block_closes {
                 let counter = LOOP_COUNTERS[depth.min(2)];
-                self.push(&format!("    addiu {counter}, {counter}, -1"));
-                self.push(&format!("    bgtz {counter}, loop{id}"));
+                self.push(format!("    addiu {counter}, {counter}, -1"));
+                self.push(format!("    bgtz {counter}, loop{id}"));
                 let filler = self.filler();
-                self.push(&filler);
+                self.push(filler);
             }
         }
     }
 
     /// A leaf function: straight-line work, `jr $ra`, delay filler.
     fn function(&mut self, index: usize) {
-        self.push(&format!("fn{index}:"));
+        self.push(format!("fn{index}:"));
         self.calls_allowed = false;
         let count = 4 + self.rng.below(9);
         for _ in 0..count {
@@ -211,35 +208,34 @@ impl ProgGen {
         self.calls_allowed = true;
         self.push("    jr $ra");
         let filler = self.filler();
-        self.push(&filler);
+        self.push(filler);
     }
 
-    /// One random instruction group (1–3 source lines, atomic).
+    /// One random instruction group (1–3 removable source lines).
     fn instruction(&mut self) {
         let roll = self.rng.below(100);
-        let group: Vec<String> = match roll {
-            0..=29 => vec![self.r_alu()],
-            30..=47 => vec![self.i_alu()],
-            48..=57 => vec![self.shift_imm()],
-            58..=62 => vec![self.shift_var()],
+        let last = match roll {
+            0..=29 => self.r_alu(),
+            30..=47 => self.i_alu(),
+            48..=57 => self.shift_imm(),
+            58..=62 => self.shift_var(),
             63..=66 => {
                 let rt = self.pool_reg();
                 let imm = self.rng.below(0x1_0000);
-                vec![format!("    lui {rt}, {imm}")]
+                format!("    lui {rt}, {imm}")
             }
-            67..=78 => vec![self.mem_op()],
-            79..=83 => self.mult_div(),
-            84..=87 => vec![self.hi_lo()],
-            88..=95 => vec![self.fp_op()],
+            67..=78 => self.mem_op(),
+            79..=83 => return self.mult_div(),
+            84..=87 => self.hi_lo(),
+            88..=95 => self.fp_op(),
             96..=97 if self.functions > 0 && self.calls_allowed => {
                 let f = self.rng.below(self.functions as u64);
-                vec![format!("    jal fn{f}"), self.filler()]
+                self.push_removable(format!("    jal fn{f}"));
+                self.filler()
             }
-            _ => vec!["    nop".to_string()],
+            _ => "    nop".to_string(),
         };
-        for line in group {
-            self.push_removable(&line);
-        }
+        self.push_removable(last);
     }
 
     fn r_alu(&mut self) -> String {
@@ -327,11 +323,17 @@ impl ProgGen {
     /// non-zero, positive divisor (rules out both divide-by-zero and
     /// the `i32::MIN / -1` overflow corner). Two-operand `div` is the
     /// raw single-word instruction in this assembler, writing hi/lo.
-    fn mult_div(&mut self) -> Vec<String> {
+    fn mult_div(&mut self) {
         let rs = self.src_reg();
         match self.rng.below(4) {
-            0 => vec![format!("    mult {rs}, {}", self.src_reg())],
-            1 => vec![format!("    multu {rs}, {}", self.src_reg())],
+            0 => {
+                let line = format!("    mult {rs}, {}", self.src_reg());
+                self.push_removable(line);
+            }
+            1 => {
+                let line = format!("    multu {rs}, {}", self.src_reg());
+                self.push_removable(line);
+            }
             n => {
                 let op = if n == 2 { "div" } else { "divu" };
                 let guard = self.pool_reg();
@@ -342,11 +344,9 @@ impl ProgGen {
                 } else {
                     "mfhi"
                 };
-                vec![
-                    format!("    ori {guard}, $zero, {k}"),
-                    format!("    {op} {rs}, {guard}"),
-                    format!("    {take} {dest}"),
-                ]
+                self.push_removable(format!("    ori {guard}, $zero, {k}"));
+                self.push_removable(format!("    {op} {rs}, {guard}"));
+                self.push_removable(format!("    {take} {dest}"));
             }
         }
     }
@@ -390,7 +390,7 @@ impl ProgGen {
     fn print_int(&mut self) {
         let src = self.pool_reg();
         self.push_removable("    ori $v0, $zero, 1");
-        self.push_removable(&format!("    addu $a0, {src}, $zero"));
+        self.push_removable(format!("    addu $a0, {src}, $zero"));
         self.push_removable("    syscall");
     }
 
@@ -429,9 +429,9 @@ impl ProgGen {
                 format!("    {op} {target}")
             }
         };
-        self.push_removable(&line);
+        self.push_removable(line);
         let filler = self.filler();
-        self.push_removable(&filler);
+        self.push_removable(filler);
     }
 
     /// A safe single-word non-control instruction for a delay slot.
@@ -476,21 +476,21 @@ impl ProgGen {
         }
     }
 
-    fn fp_reg(&mut self) -> String {
-        format!("$f{}", self.rng.below(12))
+    fn fp_reg(&mut self) -> FpReg {
+        FpReg::from_field(self.rng.below(12) as u32)
     }
 
     fn pick_str(&mut self, items: &[&'static str]) -> &'static str {
         self.rng.pick(items).copied().unwrap_or("nop")
     }
 
-    fn push(&mut self, line: &str) {
-        self.lines.push(line.to_string());
+    fn push(&mut self, line: impl Into<String>) {
+        self.lines.push(line.into());
     }
 
-    fn push_removable(&mut self, line: &str) {
+    fn push_removable(&mut self, line: impl Into<String>) {
         self.removable.push(self.lines.len());
-        self.lines.push(line.to_string());
+        self.lines.push(line.into());
     }
 }
 

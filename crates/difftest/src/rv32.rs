@@ -169,7 +169,7 @@ pub fn run_trial_rv32(seed: u64) -> TrialReport {
         finals.push(FinalState {
             output: reference.output().to_string(),
             exit: reference.exit_code(),
-            gprs: std::array::from_fn(|index| IsaCore::gpr(&reference, index)),
+            gprs: *IsaCore::gprs(&reference),
         });
     }
     if let Some(divergence) = cross_encoding_divergence(&finals[0], &finals[1]) {
@@ -279,6 +279,35 @@ mod tests {
             }
             CosimVerdict::Match { .. } => panic!("corruption went unnoticed"),
         }
+    }
+
+    #[test]
+    fn compare_names_the_first_differing_gpr() {
+        // `t0` and `t1` after two `li`s, as the lockstep compare sees
+        // them: when both differ, the lower-numbered one is named.
+        let run = |t0: i32, t1: i32| {
+            let mut asm = ccrp_rv32::Rv32Asm::new();
+            asm.li(ccrp_rv32::XReg::T0, t0);
+            asm.li(ccrp_rv32::XReg::T1, t1);
+            let image = asm.assemble(Encoding::Rv32I).expect("assembles");
+            let mut machine = Rv32Machine::new(&image);
+            for _ in 0..2 {
+                machine.step(&mut ccrp_emu::NullSink).expect("steps");
+            }
+            machine
+        };
+        let compare =
+            |variant: &Rv32Machine| crate::lockstep::compare_cores(&run(3, 5), variant, &[], &[]);
+        let mismatch = |field: &str, detail: &str| Some((field.to_string(), detail.to_string()));
+        assert_eq!(
+            compare(&run(4, 6)),
+            mismatch("t0", "0x00000003 vs 0x00000004")
+        );
+        assert_eq!(
+            compare(&run(3, 6)),
+            mismatch("t1", "0x00000005 vs 0x00000006")
+        );
+        assert_eq!(compare(&run(3, 5)), None);
     }
 
     #[test]

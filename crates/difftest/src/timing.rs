@@ -96,12 +96,13 @@ fn sweep(
     })
     .map_err(|e| format!("refill engine construction failed: {e}"))?;
     let mut memory = LinearMemory;
-    let mut outcomes = Vec::new();
+    let mut outcomes = Vec::with_capacity(2 * image.line_count());
+    let mut log = EventLog::new();
     let mut now: u64 = 0;
     for pass in 0..2u32 {
         for line in 0..image.line_count() {
             let address = image.text_base() + line as u32 * 32;
-            let mut log = EventLog::new();
+            log.clear();
             let outcome = engine
                 .refill_probed(image, address, now, &mut memory, &mut log)
                 .map_err(|e| {

@@ -37,8 +37,9 @@ pub trait IsaCore {
     /// Current program counter.
     fn pc(&self) -> u32;
 
-    /// General-purpose register `index` (`0..32`).
-    fn gpr(&self, index: usize) -> u32;
+    /// The general-purpose register file, indexed by register number,
+    /// so a comparison can check all 32 with one `==`.
+    fn gprs(&self) -> &[u32; 32];
 
     /// `Some(code)` once the program has exited.
     fn exit_code(&self) -> Option<i32>;
@@ -83,11 +84,9 @@ impl IsaCore for crate::Machine {
         crate::Machine::pc(self)
     }
 
-    /// Indexes the register file directly (caller contract: `index <
-    /// 32`).
     #[inline]
-    fn gpr(&self, index: usize) -> u32 {
-        self.state.regs[index]
+    fn gprs(&self) -> &[u32; 32] {
+        &self.state.regs
     }
 
     #[inline]
@@ -114,7 +113,8 @@ impl IsaCore for crate::Machine {
         self.step(&mut sink)
     }
 
-    /// HI/LO, then the FPA register file, then its condition flag.
+    /// HI/LO, then the FPA register file (compared whole, walked only
+    /// to name the first difference), then its condition flag.
     fn private_mismatch(&self, other: &Self) -> Option<(String, String)> {
         if self.hi() != other.hi() || self.lo() != other.lo() {
             return Some((
@@ -128,10 +128,11 @@ impl IsaCore for crate::Machine {
                 ),
             ));
         }
-        for reg in FpReg::all() {
-            let (a, b) = (self.fp_bits(reg), other.fp_bits(reg));
-            if a != b {
-                return Some((reg.to_string(), format!("{a:#010x} vs {b:#010x}")));
+        if self.state.fpr != other.state.fpr {
+            for (reg, (a, b)) in FpReg::all().zip(self.state.fpr.iter().zip(&other.state.fpr)) {
+                if a != b {
+                    return Some((reg.to_string(), format!("{a:#010x} vs {b:#010x}")));
+                }
             }
         }
         if self.fp_cond() != other.fp_cond() {
@@ -169,8 +170,8 @@ mod tests {
             let b = IsaCore::step_traced(&mut via_trait, &mut NullSink);
             assert_eq!(a, b);
             assert_eq!(Machine::pc(&direct), IsaCore::pc(&via_trait));
-            for i in 0..Machine::GPR_NAMES.len() {
-                assert_eq!(direct.gpr(i), via_trait.gpr(i));
+            for reg in Reg::all() {
+                assert_eq!(direct.reg(reg), via_trait.gprs()[reg.number() as usize]);
             }
             if direct.exit_code().is_some() || a.is_err() {
                 break;

@@ -222,6 +222,14 @@ impl EventLog {
     pub fn into_events(self) -> Vec<TimedEvent> {
         self.events
     }
+
+    /// Empties the log, recorded events and [`dropped`](Self::dropped)
+    /// count alike, keeping its limit and its storage, so one log can
+    /// record a run of short episodes without allocating for each.
+    pub fn clear(&mut self) {
+        self.events.clear();
+        self.dropped = 0;
+    }
 }
 
 impl Probe for EventLog {
@@ -272,6 +280,20 @@ mod tests {
         log.emit(0, Event::CacheMiss { address: 0 });
         log.emit(1, Event::CacheMiss { address: 32 });
         assert_eq!(log.events().len(), 1);
+        assert_eq!(log.dropped(), 1);
+    }
+
+    #[test]
+    fn cleared_log_records_afresh() {
+        let mut log = EventLog::with_limit(1);
+        log.emit(0, Event::CacheMiss { address: 0 });
+        log.emit(1, Event::CacheMiss { address: 32 });
+        log.clear();
+        assert_eq!(log, EventLog::with_limit(1));
+        log.emit(2, Event::ClbHit { lat_index: 3 });
+        log.emit(3, Event::ClbHit { lat_index: 4 });
+        assert_eq!(log.events().len(), 1);
+        assert_eq!(log.events()[0].cycle, 2);
         assert_eq!(log.dropped(), 1);
     }
 

@@ -519,8 +519,8 @@ impl IsaCore for Rv32Machine {
         Rv32Machine::pc(self)
     }
 
-    fn gpr(&self, index: usize) -> u32 {
-        self.regs[index]
+    fn gprs(&self) -> &[u32; 32] {
+        &self.regs
     }
 
     fn exit_code(&self) -> Option<i32> {

@@ -9,7 +9,8 @@
 //! The groups:
 //!
 //! * the eight traced kernels;
-//! * `ProgGen` programs for seeds `1..=PROGRAMS`;
+//! * `ProgGen` programs for seeds `1..=PROGRAMS`, whose source text
+//!   and removable lines are also pinned before assembly;
 //! * one seeded mutant of each of those programs: one character
 //!   deleted, inserted or replaced, drawn from punctuation, digits,
 //!   letters and two multi-byte characters;
@@ -548,6 +549,28 @@ fn generated_programs_are_pinned() {
             assembled: 1000,
             failed: 0,
         },
+    );
+}
+
+/// The generator's own output, before the assembler sees it: each
+/// program's source text and the line indices the shrinker may delete.
+/// The pinned value was recorded with the generator that formatted each
+/// line twice (once into a `String`, once more into the line list).
+#[test]
+fn generated_sources_are_pinned() {
+    let mut records = Vec::new();
+    for seed in 1..=PROGRAMS {
+        let program = ProgGen::generate(seed);
+        records.extend_from_slice(program.source().as_bytes());
+        records.push(0);
+        for &index in &program.removable {
+            records.extend_from_slice(&(index as u32).to_le_bytes());
+        }
+    }
+    assert_eq!(
+        (crc32(&records), records.len()),
+        (3159099410, 8113647),
+        "generated sources: the generator's output moved"
     );
 }
 
