@@ -1,41 +1,33 @@
 #!/usr/bin/env bash
 # Benchmark reproduction gate.
 #
-# Four checks, the first two against the results files committed at the
-# repo root:
+# Three checks:
 #
-#   1. Reproduction: re-run every paper sweep (fig5, tables1_8,
-#      tables9_10, fig9, tables11_13; trace-replay engine, the only one
-#      `sweep` runs)
-#      plus the codec × memory-model ablation matrix (`sweep --codecs`)
-#      and the cross-ISA comparison (`sweep --isa-compare`) and require
-#      the deterministic sections of the fresh BENCH_<experiment>.json /
+#   1. Reproduction at two worker counts: re-run every paper sweep
+#      (`--experiment all`: fig5, tables1_8, tables9_10, fig9,
+#      tables11_13, the union plan that replays each workload once for
+#      all four simulated grids), the codec × memory-model ablation
+#      matrix (`--codecs`, the per-line LZW coder and the only DRAM
+#      refills issued inside a precharge) and the cross-ISA comparison
+#      (`--isa-compare`) at --jobs 1 and at --jobs 4, and require the
+#      deterministic sections of each fresh BENCH_<experiment>.json /
 #      BENCH_codecs.json / BENCH_isa_compare.json to be byte-identical
-#      to the committed files (`ci/bench_reproduces.py`).  Only the
-#      `jobs` and `timing` keys are host-dependent; everything else
-#      (schema, experiment, cells, results — including every simulated
-#      cycle count) must reproduce exactly, on any machine, at any job
-#      count.  Tables 9–10 (CLB sizes) and 11–13 (data-cache models)
+#      to the file committed at the repo root (`ci/bench_reproduces.py`).
+#      Only the `jobs` and `timing` keys are host-dependent; everything
+#      else (schema, experiment, cells, results — including every
+#      simulated cycle count) must reproduce exactly, on any machine, at
+#      any job count, so the shared plan must not leak scheduling into
+#      results.  Tables 9–10 (CLB sizes) and 11–13 (data-cache models)
 #      are the sweeps whose configs the sweep kernel shares refill
 #      timings between.
 #
 #   2. Decoder speedup: run the decoder_bench target and require the
-#      table-driven fast path to beat the canonical bit-walk reference
+#      whole-line table decode to beat the canonical bit-walk reference
 #      by at least MIN_SPEEDUP (default 2.0).  The committed
 #      BENCH_decoder.json records one blessed run; the gate re-measures
 #      on the CI host rather than trusting the committed numbers.
 #
-#   3. Trace-engine worker independence: run every paper sweep
-#      (`--experiment all`, the union plan that replays each workload
-#      once for all four simulated grids), the codec matrix (`--codecs`,
-#      the per-line LZW coder and the only DRAM refills issued inside a
-#      precharge) and the cross-ISA comparison (`--isa-compare`) at
-#      --jobs 1 and --jobs 4 and require all seven results files to
-#      reproduce outside the `jobs` and `timing` keys
-#      (`ci/bench_reproduces.py`) — the shared plan must not leak
-#      scheduling into results.
-#
-#   4. Trace-replay speedup: run the tracereplay_bench target and
+#   3. Trace-replay speedup: run the tracereplay_bench target and
 #      require the trace engine (replay of the suite's captured traces)
 #      to beat re-execution (a fresh emulator run per workload, stepped
 #      per cell) by at least MIN_SPEEDUP (default 2.0), as recorded in
@@ -52,31 +44,19 @@ MIN_SPEEDUP="${MIN_SPEEDUP:-2.0}"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-echo "bench_gate: re-running sweeps into $tmp"
-cargo run --release --locked --offline -p ccrp-cli --bin ccrp-tools -- \
-    sweep --experiment all --jobs 2 --out "$tmp"
-cargo run --release --locked --offline -p ccrp-cli --bin ccrp-tools -- \
-    sweep --codecs --jobs 2 --out "$tmp"
-cargo run --release --locked --offline -p ccrp-cli --bin ccrp-tools -- \
-    sweep --isa-compare --jobs 2 --out "$tmp"
-
-for name in fig5 tables1_8 tables9_10 fig9 tables11_13 codecs isa_compare; do
-    python3 ci/bench_reproduces.py "BENCH_${name}.json" "$tmp/BENCH_${name}.json"
-done
-
-echo "bench_gate: trace-engine jobs independence (--jobs 1 vs --jobs 4)"
 for jobs in 1 4; do
+    echo "bench_gate: re-running sweeps at --jobs $jobs into $tmp/j$jobs"
     mkdir -p "$tmp/j$jobs"
     for sweep in "--experiment all" --codecs --isa-compare; do
         # $sweep is unquoted on purpose: "--experiment all" is two words.
         cargo run --release --locked --offline -p ccrp-cli --bin ccrp-tools -- \
             sweep $sweep --jobs "$jobs" --out "$tmp/j$jobs"
     done
+    for name in fig5 tables1_8 tables9_10 fig9 tables11_13 codecs isa_compare; do
+        python3 ci/bench_reproduces.py "BENCH_${name}.json" "$tmp/j$jobs/BENCH_${name}.json"
+    done
 done
-for name in fig5 tables1_8 tables9_10 fig9 tables11_13 codecs isa_compare; do
-    python3 ci/bench_reproduces.py "$tmp/j1/BENCH_${name}.json" "$tmp/j4/BENCH_${name}.json"
-done
-echo "bench_gate: trace engine is worker-count independent"
+echo "bench_gate: the committed files reproduce at --jobs 1 and --jobs 4"
 
 echo "bench_gate: measuring decoder speedup (gate: >= ${MIN_SPEEDUP}x)"
 cargo bench --locked --offline -p ccrp-bench --bench decoder_bench -- --out "$tmp/BENCH_decoder.json"

@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
-"""Checks that a freshly generated BENCH file reproduces a committed one.
+"""Checks that a freshly generated BENCH file reproduces a reference one.
 
 Usage: ci/bench_reproduces.py COMMITTED FRESH
+
+COMMITTED is the file at the repo root, or the same run at another
+--jobs count when a CI leg checks worker-count independence.
 
 Drops the host-dependent `jobs` and `timing` keys from both documents
 and requires the rest to serialize identically with sorted keys, so a

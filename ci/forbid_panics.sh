@@ -4,10 +4,11 @@
 # The fault-injection campaign proves the loader and decoder never panic
 # on corrupt input; this guard keeps new `.unwrap()` / `.expect(` /
 # `panic!(` / `unreachable!(` calls from creeping back into the crates
-# that sit on that path (ccrp-core, ccrp-compress, and — since the
-# table-driven fast decoder landed — ccrp-bitstream, whose peek/consume
-# primitives feed the lookup table).  Decode-table construction must
-# likewise report CompressError on bad inputs, never panic.
+# that sit on that path (ccrp-core, ccrp-compress, and ccrp-bitstream,
+# whose BitReader carries the exact bit walk every line decode falls
+# back to for a symbol the lookup table cannot resolve).  Decode-table
+# construction must likewise report CompressError on bad inputs, never
+# panic.
 #
 # The differential co-simulation harness (ccrp-difftest) and the shared
 # test utilities (ccrp-testutil) are scanned too: campaign trials run

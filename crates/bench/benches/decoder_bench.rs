@@ -1,7 +1,9 @@
-//! Host-side decoder throughput: the table-driven fast path
-//! ([`ByteCode::decode_symbol`]) against the canonical bit-walk
-//! reference ([`ByteCode::decode_symbol_reference`]), expanding the
-//! compressed cache lines of the Tables 1–8 workload corpus.
+//! Host-side decoder throughput: the whole-line table decode
+//! ([`block::decompress_line_into`], the expansion the refill engine
+//! runs) against the canonical bit-walk reference
+//! ([`ByteCode::decode_symbol_reference`], one walk per output byte),
+//! expanding the compressed cache lines of the Tables 1–8 workload
+//! corpus.
 //!
 //! Like `micro.rs`, this is a std-only harness (no crates.io access for
 //! an external framework): median lines/sec over timed batches after a

@@ -78,11 +78,6 @@ fn codec_benches() {
     bench("huffman_encode", Some(n), || {
         code.encode(std::hint::black_box(&text))
     });
-    let encoded = code.encode(&text);
-    bench("huffman_decode", Some(n), || {
-        code.decode(std::hint::black_box(&encoded), text.len())
-            .expect("decodes")
-    });
     bench("lzw_compress", Some(n), || {
         lzw::compress(std::hint::black_box(&text))
     });

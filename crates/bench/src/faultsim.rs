@@ -174,20 +174,24 @@ pub fn campaign_image() -> CompressedImage {
     CompressedImage::build(0, &text, code, BlockAlignment::Word).expect("campaign image builds")
 }
 
-/// Everything a trial needs, built once per campaign.
-struct Pristine {
-    image: CompressedImage,
+/// The pristine container material both container campaigns (this one
+/// and [`crate::servesim`]) corrupt, built once per campaign.
+pub(crate) struct Pristine {
+    /// [`campaign_image`] with its block CRCs attached, as a v2
+    /// container loads.
+    pub(crate) image: CompressedImage,
     v1: Vec<u8>,
-    v2: Vec<u8>,
+    pub(crate) v2: Vec<u8>,
     v1_layout: ContainerLayout,
     v2_layout: ContainerLayout,
     /// Expanded pristine lines, for miscompare checks.
-    lines: Vec<[u8; 32]>,
+    pub(crate) lines: Vec<[u8; 32]>,
 }
 
 impl Pristine {
-    fn build() -> Pristine {
-        let image = campaign_image();
+    pub(crate) fn build() -> Pristine {
+        let mut image = campaign_image();
+        image.attach_block_crcs();
         let v1 = image.to_bytes();
         let v2 = image.to_bytes_v2();
         let v1_layout = ContainerLayout::of(&v1).expect("pristine v1 has a layout");
@@ -208,20 +212,38 @@ impl Pristine {
             lines,
         }
     }
+
+    pub(crate) fn line_count(&self) -> u32 {
+        self.lines.len() as u32
+    }
+
+    /// A copy of the `mode` container with trial `trial`'s one seeded
+    /// fault in `region`, and whether that fault changed a byte (not so
+    /// for an empty region, or a stomp matching the original byte).
+    pub(crate) fn corrupted(
+        &self,
+        mode: Mode,
+        seed: u64,
+        trial: usize,
+        region: FaultRegion,
+    ) -> (Vec<u8>, bool) {
+        let (bytes, layout) = match mode {
+            Mode::V1 => (&self.v1, &self.v1_layout),
+            Mode::V2 => (&self.v2, &self.v2_layout),
+        };
+        let mut corrupt = bytes.clone();
+        let changed =
+            FaultPlan::seeded(trial_seed(seed, trial), layout, region, 1).apply(&mut corrupt);
+        (corrupt, changed > 0)
+    }
 }
 
 /// One trial: corrupt a fresh copy of the container, then classify what
 /// loading and fully expanding it does.
 fn run_trial(pristine: &Pristine, seed: u64, trial: usize) -> Outcome {
-    let (bytes, layout) = match mode_of(trial) {
-        Mode::V1 => (&pristine.v1, &pristine.v1_layout),
-        Mode::V2 => (&pristine.v2, &pristine.v2_layout),
-    };
-    let plan = FaultPlan::seeded(trial_seed(seed, trial), layout, region_of(trial), 1);
-    let mut corrupt = bytes.clone();
-    if plan.apply(&mut corrupt) == 0 {
-        // Nothing changed (empty region, or a stomp matching the
-        // original byte): trivially benign, skip the load.
+    let (corrupt, changed) = pristine.corrupted(mode_of(trial), seed, trial, region_of(trial));
+    if !changed {
+        // Trivially benign: skip the load.
         return Outcome::Benign;
     }
     // The whole classification runs under catch_unwind so a contract

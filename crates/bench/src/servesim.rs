@@ -44,7 +44,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use ccrp::{CompressedImage, ContainerLayout, FaultPlan, FaultRegion};
+use ccrp::{CompressedImage, FaultRegion};
 use ccrp_compress::{BlockAlignment, ByteCode, ByteHistogram};
 use ccrp_served::{
     attest_digest, read_frame, Client, ClientError, ErrorKind, Request, Response, ServerHandle,
@@ -52,7 +52,7 @@ use ccrp_served::{
 };
 
 use crate::difftest::trial_seed;
-use crate::faultsim::campaign_image;
+use crate::faultsim::{Mode, Pristine};
 use crate::json::Json;
 use crate::report::ToJson;
 use crate::runner::parallel_map;
@@ -304,50 +304,6 @@ pub struct ServesimReport {
     pub total_wall: Duration,
 }
 
-/// Pristine material shared by every trial, plus the local oracle's
-/// copy of the container bytes the server will be sent.
-struct Fixture {
-    v1: Vec<u8>,
-    v2: Vec<u8>,
-    v1_layout: ContainerLayout,
-    v2_layout: ContainerLayout,
-    /// The v2 image as the server will load it (CRC records attached),
-    /// for local attestation digests.
-    v2_image: CompressedImage,
-    /// Expanded pristine lines, for miscompare checks.
-    lines: Vec<[u8; 32]>,
-}
-
-impl Fixture {
-    fn build() -> Fixture {
-        let image = campaign_image();
-        let v1 = image.to_bytes();
-        let v2 = image.to_bytes_v2();
-        let v1_layout = ContainerLayout::of(&v1).expect("pristine v1 has a layout");
-        let v2_layout = ContainerLayout::of(&v2).expect("pristine v2 has a layout");
-        let v2_image = CompressedImage::from_bytes(&v2).expect("pristine v2 loads");
-        let lines = (0..image.line_count())
-            .map(|l| {
-                image
-                    .expand_line(l as u32 * 32)
-                    .expect("pristine lines expand")
-            })
-            .collect();
-        Fixture {
-            v1,
-            v2,
-            v1_layout,
-            v2_layout,
-            v2_image,
-            lines,
-        }
-    }
-
-    fn line_count(&self) -> u32 {
-        self.lines.len() as u32
-    }
-}
-
 /// What the local oracle says about an uploaded container.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LocalVerdict {
@@ -359,7 +315,7 @@ enum LocalVerdict {
     SilentDiffers,
 }
 
-fn local_verdict(fixture: &Fixture, bytes: &[u8]) -> LocalVerdict {
+fn local_verdict(fixture: &Pristine, bytes: &[u8]) -> LocalVerdict {
     let loaded = match CompressedImage::from_bytes(bytes) {
         Err(_) => return LocalVerdict::Reject,
         Ok(image) => image,
@@ -378,19 +334,6 @@ fn local_verdict(fixture: &Fixture, bytes: &[u8]) -> LocalVerdict {
         }
     }
     LocalVerdict::CleanMatch
-}
-
-/// A fault-injected copy of the pristine container for `trial`.
-fn corrupted(fixture: &Fixture, seed: u64, trial: usize, v2: bool) -> Vec<u8> {
-    let (bytes, layout) = if v2 {
-        (&fixture.v2, &fixture.v2_layout)
-    } else {
-        (&fixture.v1, &fixture.v1_layout)
-    };
-    let plan = FaultPlan::seeded(trial_seed(seed, trial), layout, region_of(trial), 1);
-    let mut corrupt = bytes.clone();
-    plan.apply(&mut corrupt);
-    corrupt
 }
 
 fn classify_client_error(error: &ClientError) -> Outcome {
@@ -450,7 +393,7 @@ fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
 
 fn run_trial(
     addr: SocketAddr,
-    fixture: &Fixture,
+    fixture: &Pristine,
     seed: u64,
     trial: usize,
     retries: &AtomicU64,
@@ -467,12 +410,12 @@ fn run_trial(
             retries,
         ),
         TrialKind::CorruptUploadV2 => {
-            let corrupt = corrupted(fixture, seed, trial, true);
+            let (corrupt, _) = fixture.corrupted(Mode::V2, seed, trial, region_of(trial));
             let verdict = local_verdict(fixture, &corrupt);
             verify_expecting(addr, fixture, corrupt, verdict, true, retries)
         }
         TrialKind::CorruptUploadV1 => {
-            let corrupt = corrupted(fixture, seed, trial, false);
+            let (corrupt, _) = fixture.corrupted(Mode::V1, seed, trial, region_of(trial));
             let verdict = local_verdict(fixture, &corrupt);
             verify_expecting(addr, fixture, corrupt, verdict, false, retries)
         }
@@ -531,7 +474,7 @@ fn compress_roundtrip(addr: SocketAddr, ts: u64, retries: &AtomicU64) -> Outcome
 /// local oracle's verdict.
 fn verify_expecting(
     addr: SocketAddr,
-    fixture: &Fixture,
+    fixture: &Pristine,
     container: Vec<u8>,
     verdict: LocalVerdict,
     v2: bool,
@@ -625,7 +568,7 @@ fn oversized_length(addr: SocketAddr) -> Outcome {
     }
 }
 
-fn garbage_frame(addr: SocketAddr, fixture: &Fixture, ts: u64, retries: &AtomicU64) -> Outcome {
+fn garbage_frame(addr: SocketAddr, fixture: &Pristine, ts: u64, retries: &AtomicU64) -> Outcome {
     let mut client = match connect(addr) {
         Ok(client) => client,
         Err(outcome) => return outcome,
@@ -723,10 +666,10 @@ fn run_ok(addr: SocketAddr, ts: u64, retries: &AtomicU64) -> Outcome {
     }
 }
 
-fn attest_pristine(addr: SocketAddr, fixture: &Fixture, ts: u64, retries: &AtomicU64) -> Outcome {
+fn attest_pristine(addr: SocketAddr, fixture: &Pristine, ts: u64, retries: &AtomicU64) -> Outcome {
     let samples = 8 + (ts % 57) as u32;
     let (digest, sampled) =
-        attest_digest(&fixture.v2_image, ts, samples).expect("pristine v2 attests");
+        attest_digest(&fixture.image, ts, samples).expect("pristine v2 attests");
     let mut client = match connect(addr) {
         Ok(client) => client,
         Err(outcome) => return outcome,
@@ -751,13 +694,13 @@ fn attest_pristine(addr: SocketAddr, fixture: &Fixture, ts: u64, retries: &Atomi
 
 fn attest_corrupt(
     addr: SocketAddr,
-    fixture: &Fixture,
+    fixture: &Pristine,
     seed: u64,
     trial: usize,
     retries: &AtomicU64,
 ) -> Outcome {
     let ts = trial_seed(seed, trial);
-    let corrupt = corrupted(fixture, seed, trial, true);
+    let (corrupt, _) = fixture.corrupted(Mode::V2, seed, trial, region_of(trial));
     let samples = 16u32;
     // The oracle predicts the exact digest (or rejection) the server
     // must produce for these bytes.
@@ -797,7 +740,12 @@ fn attest_corrupt(
     }
 }
 
-fn expand_line_reuse(addr: SocketAddr, fixture: &Fixture, ts: u64, retries: &AtomicU64) -> Outcome {
+fn expand_line_reuse(
+    addr: SocketAddr,
+    fixture: &Pristine,
+    ts: u64,
+    retries: &AtomicU64,
+) -> Outcome {
     let line = (ts % u64::from(fixture.line_count())) as u32;
     let mut client = match connect(addr) {
         Ok(client) => client,
@@ -833,7 +781,7 @@ fn expand_line_reuse(addr: SocketAddr, fixture: &Fixture, ts: u64, retries: &Ato
     }
 }
 
-fn chaos_panic(addr: SocketAddr, fixture: &Fixture, retries: &AtomicU64) -> Outcome {
+fn chaos_panic(addr: SocketAddr, fixture: &Pristine, retries: &AtomicU64) -> Outcome {
     let mut client = match connect(addr) {
         Ok(client) => client,
         Err(outcome) => return outcome,
@@ -951,7 +899,7 @@ fn percentile(sorted: &[u64], pct: usize) -> u64 {
 /// `options.jobs` changes wall time, never results.
 pub fn run(options: ServesimOptions) -> ServesimReport {
     let started = Instant::now();
-    let fixture = Fixture::build();
+    let fixture = Pristine::build();
     let service = Arc::new(Service::new(campaign_config()));
     let mut server =
         ServerHandle::start(Arc::clone(&service), "127.0.0.1:0").expect("bind loopback");

@@ -111,26 +111,14 @@ impl<'a> BitReader<'a> {
 
     /// Returns the next `count` bits (1..=32) right-aligned without
     /// advancing the cursor, as if the stream were extended with zero
-    /// bits past its end.
-    ///
-    /// This is the multi-bit probe a table-driven decoder needs: it can
-    /// inspect a full lookup window near the end of the stream and only
-    /// [`consume_bits`](Self::consume_bits) the bits a matched symbol
-    /// actually uses. Callers that must distinguish real bits from
-    /// padding check [`remaining`](Self::remaining) themselves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is 0 or greater than 32.
-    pub fn peek_bits(&self, count: u32) -> u32 {
-        // panic-ok: documented contract — counts come from code tables, not input.
-        assert!((1..=32).contains(&count), "bit count {count} out of range");
+    /// bits past its end. [`read_bits`](Self::read_bits), its caller,
+    /// checks `count` and that the bits are real.
+    fn peek_bits(&self, count: u32) -> u32 {
         let byte_index = (self.bit_pos / 8) as usize;
         let bit_in_byte = (self.bit_pos % 8) as u32;
         if let Some(window) = self.bytes.get(byte_index..byte_index + 5) {
             // Away from the tail, load the 5 bytes any mid-byte 32-bit
-            // window can touch in one go — this is the decoder's hot
-            // path, hit for every symbol of every non-final line byte.
+            // window can touch in one go.
             let mut word = [0u8; 8];
             word[..5].copy_from_slice(window);
             let acc = u64::from_be_bytes(word);
@@ -146,17 +134,6 @@ impl<'a> BitReader<'a> {
         }
         let shift = touched as u32 * 8 - bit_in_byte - count;
         ((acc >> shift) & (u64::MAX >> (64 - count))) as u32
-    }
-
-    /// Advances the cursor past `count` bits previously examined with
-    /// [`peek_bits`](Self::peek_bits).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReadBitsError`] if fewer than `count` bits remain; the
-    /// reader position is unchanged on error.
-    pub fn consume_bits(&mut self, count: u32) -> Result<(), ReadBitsError> {
-        self.skip(u64::from(count))
     }
 
     /// Skips forward `count` bits.
@@ -258,18 +235,6 @@ mod tests {
         // A fully exhausted reader peeks all zeros.
         r.skip(4).unwrap();
         assert_eq!(r.peek_bits(16), 0);
-    }
-
-    #[test]
-    fn consume_advances_or_rejects() {
-        let mut r = BitReader::new(&[0xAB, 0xCD]);
-        r.consume_bits(12).unwrap();
-        assert_eq!(r.bit_pos(), 12);
-        let err = r.consume_bits(5).unwrap_err();
-        assert_eq!(err.at_bit, 12);
-        assert_eq!(r.bit_pos(), 12, "failed consume must not move");
-        r.consume_bits(4).unwrap();
-        assert_eq!(r.remaining(), 0);
     }
 
     #[test]

@@ -157,21 +157,6 @@ pub fn decompress_line_into(
     codec.decode_into(&line.data, out)
 }
 
-/// Decompresses a line produced by [`compress_line`] (a thin wrapper
-/// over [`decompress_line_into`]).
-///
-/// # Errors
-///
-/// Propagates decode failures on corrupt data.
-pub fn decompress_line(
-    codec: &dyn LineCodec,
-    line: &CompressedLine,
-) -> Result<[u8; LINE_SIZE], CompressError> {
-    let mut out = [0u8; LINE_SIZE];
-    decompress_line_into(codec, line, &mut out)?;
-    Ok(out)
-}
-
 /// The lines of `text`: whole [`LINE_SIZE`] chunks, and a final
 /// partial one zero padded to [`LINE_SIZE`] (zero is the `nop` encoding
 /// on MIPS, matching how linkers pad text sections).
@@ -214,6 +199,13 @@ mod tests {
     use crate::positional::{PositionalCode, PositionalHistogram};
     use proptest::prelude::*;
 
+    /// Expands `line` through [`decompress_line_into`].
+    fn expand(codec: &dyn LineCodec, line: &CompressedLine) -> [u8; LINE_SIZE] {
+        let mut out = [0u8; LINE_SIZE];
+        decompress_line_into(codec, line, &mut out).unwrap();
+        out
+    }
+
     fn sample_code() -> ByteCode {
         // Trained on skewed data so common bytes compress well.
         let mut data = vec![0u8; 2000];
@@ -231,7 +223,7 @@ mod tests {
         assert!(!c.is_bypass());
         assert!(c.stored_len() < LINE_SIZE);
         assert_eq!(c.stored_len() % 4, 0);
-        assert_eq!(decompress_line(&code, &c).unwrap(), line);
+        assert_eq!(expand(&code, &c), line);
     }
 
     #[test]
@@ -245,7 +237,7 @@ mod tests {
         let c = compress_line(&code, &line, BlockAlignment::Word);
         assert!(c.is_bypass());
         assert_eq!(c.stored_len(), LINE_SIZE);
-        assert_eq!(decompress_line(&code, &c).unwrap(), line);
+        assert_eq!(expand(&code, &c), line);
     }
 
     #[test]
@@ -264,8 +256,7 @@ mod tests {
         let lines = compress_image(&code, &text, BlockAlignment::Word);
         assert_eq!(lines.len(), 4);
         for line in &lines {
-            let back = decompress_line(&code, line).unwrap();
-            assert_eq!(back, [0u8; LINE_SIZE]);
+            assert_eq!(expand(&code, line), [0u8; LINE_SIZE]);
         }
         assert!(stored_size(&code, &text, BlockAlignment::Word) < 128);
     }
@@ -305,8 +296,7 @@ mod tests {
             for alignment in [BlockAlignment::Byte, BlockAlignment::Word] {
                 let c = compress_line(&code, &line, alignment);
                 prop_assert!(c.stored_len() <= LINE_SIZE);
-                let back = decompress_line(&code, &c).unwrap();
-                prop_assert_eq!(&back[..], &line[..]);
+                prop_assert_eq!(&expand(&code, &c)[..], &line[..]);
             }
         }
     }

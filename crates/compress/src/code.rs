@@ -14,17 +14,23 @@ use crate::table::{DecodeTable, LOOKUP_BITS};
 /// table — which is what the paper stores alongside per-program codes and
 /// what a hardwired decoder implements for the preselected code.
 ///
+/// A compressed line expands through [`LineCodec::decode_into`].
+///
 /// # Examples
 ///
 /// ```
-/// use ccrp_compress::{ByteCode, ByteHistogram};
+/// use ccrp_compress::{ByteCode, ByteHistogram, LineCodec, LINE_SIZE};
 ///
-/// let code = ByteCode::traditional(&ByteHistogram::of(b"mississippi"))?;
-/// let compressed = code.encode(b"mississippi");
-/// let back = code.decode(&compressed, 11)?;
-/// assert_eq!(back, b"mississippi");
+/// let line = *b"mississippi mississippi mississi";
+/// let code = ByteCode::traditional(&ByteHistogram::of(&line))?;
+/// let compressed = code.encode(&line);
+/// let mut back = [0u8; LINE_SIZE];
+/// code.decode_into(&compressed, &mut back)?;
+/// assert_eq!(back, line);
 /// # Ok::<(), ccrp_compress::CompressError>(())
 /// ```
+///
+/// [`LineCodec::decode_into`]: crate::LineCodec::decode_into
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ByteCode {
     lengths: [u8; 256],
@@ -220,89 +226,22 @@ impl ByteCode {
         &self.table
     }
 
-    /// Decodes one symbol per slot of `out` from `reader` — the
-    /// allocation-free core every decode entry point routes through.
-    ///
-    /// # Errors
-    ///
-    /// [`CompressError::Truncated`] if the stream ends mid-symbol or
-    /// [`CompressError::BadSymbol`] on a pattern with no symbol; `out`
-    /// holds the symbols decoded before the failure.
-    pub fn decode_into(
-        &self,
-        reader: &mut BitReader<'_>,
-        out: &mut [u8],
-    ) -> Result<(), CompressError> {
-        for slot in out {
-            *slot = self.decode_symbol(reader)?;
-        }
-        Ok(())
-    }
-
-    /// Decodes exactly `count` symbols from `reader` into a fresh
-    /// vector (a thin wrapper over [`decode_into`](Self::decode_into)).
-    ///
-    /// # Errors
-    ///
-    /// As for [`decode_into`](Self::decode_into).
-    pub fn decode_from(
-        &self,
-        reader: &mut BitReader<'_>,
-        count: usize,
-    ) -> Result<Vec<u8>, CompressError> {
-        let mut out = vec![0u8; count];
-        self.decode_into(reader, &mut out)?;
-        Ok(out)
-    }
-
-    /// Decodes exactly `count` symbols from `bytes`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`decode_into`](Self::decode_into).
-    pub fn decode(&self, bytes: &[u8], count: usize) -> Result<Vec<u8>, CompressError> {
-        self.decode_from(&mut BitReader::new(bytes), count)
-    }
-
-    /// Decodes a single symbol: peek a [`LOOKUP_BITS`] window, hit the
-    /// LUT, and consume only the matched codeword's bits. Windows the
-    /// table cannot resolve (codes longer than the window, unassigned
-    /// patterns, or ends-of-stream whose match would need padding bits)
-    /// fall back to [`decode_symbol_reference`](Self::decode_symbol_reference),
-    /// which also keeps the error positions of the two paths identical.
-    ///
-    /// # Errors
-    ///
-    /// As for [`decode_into`](Self::decode_into).
-    #[inline]
-    pub fn decode_symbol(&self, reader: &mut BitReader<'_>) -> Result<u8, CompressError> {
-        let window = reader.peek_bits(LOOKUP_BITS);
-        if let Some((symbol, len)) = self.table.lookup(window) {
-            // Only real bits may satisfy a match: a window padded past
-            // the end of the stream falls through to the reference
-            // walk, which reports the same truncation the bit-by-bit
-            // decoder always has.
-            if u64::from(len) <= reader.remaining() {
-                reader.consume_bits(u32::from(len))?;
-                return Ok(symbol);
-            }
-        }
-        self.decode_symbol_reference(reader)
-    }
-
     /// Decodes a single symbol by the canonical bit walk over the
     /// `first_code`/`first_index` tables — one bit per iteration, the
     /// direct software transcription of canonical-Huffman decoding.
     ///
-    /// This is the reference [`decode_symbol`](Self::decode_symbol) is
-    /// differentially tested against (identical symbols *and* identical
-    /// errors at identical bit positions), its slow path for codewords
-    /// longer than [`LOOKUP_BITS`], and the baseline the
-    /// `decoder_bench` target measures the LUT against.
+    /// This is the exact reference for the table-driven line decode
+    /// behind [`LineCodec::decode_into`] (identical bytes *and*
+    /// identical errors at identical bit positions), its slow path for
+    /// a symbol the table cannot resolve, and the baseline the
+    /// `decoder_bench` target measures the table against.
     ///
     /// # Errors
     ///
-    /// As for [`decode_into`](Self::decode_into).
+    /// [`CompressError::Truncated`] if the stream ends mid-symbol or
+    /// [`CompressError::BadSymbol`] on a pattern with no symbol.
+    ///
+    /// [`LineCodec::decode_into`]: crate::LineCodec::decode_into
     pub fn decode_symbol_reference(&self, reader: &mut BitReader<'_>) -> Result<u8, CompressError> {
         let start = reader.bit_pos();
         let mut code = 0u32;
@@ -331,9 +270,9 @@ impl ByteCode {
 /// or a match that runs past the copied bytes) is decoded from its bit
 /// position by the exact walk, [`ByteCode::decode_symbol_reference`],
 /// over all of `stored`. So the bytes written and the error returned,
-/// bit position included, are those of decoding with
-/// [`ByteCode::decode_symbol`] from a [`BitReader`] over `stored`, for
-/// every block length.
+/// bit position included, are those of the exact walk alone, run
+/// symbol after symbol from the first bit of `stored`, for every block
+/// length.
 ///
 /// [`LineCodec::decode_into`]: crate::LineCodec::decode_into
 /// [`PositionalCode`]: crate::PositionalCode
@@ -376,7 +315,17 @@ pub(crate) fn decode_line<'c>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::LineCodec;
     use proptest::prelude::*;
+
+    /// Decodes `count` symbols from the start of `bytes` by the exact
+    /// walk: a stream of any length, where a line decode takes 32.
+    fn walk(code: &ByteCode, bytes: &[u8], count: usize) -> Result<Vec<u8>, CompressError> {
+        let mut reader = BitReader::new(bytes);
+        (0..count)
+            .map(|_| code.decode_symbol_reference(&mut reader))
+            .collect()
+    }
 
     #[test]
     fn canonical_order_is_monotone() {
@@ -413,18 +362,22 @@ mod tests {
         lengths[b'a' as usize] = 1;
         lengths[b'b' as usize] = 2;
         let code = ByteCode::from_lengths(lengths).unwrap();
-        let enc = code.encode(b"ab");
-        assert_eq!(code.decode(&enc, 2).unwrap(), b"ab");
+        let line = [*b"ab"; LINE_SIZE / 2].concat();
+        let mut out = [0u8; LINE_SIZE];
+        code.decode_into(&code.encode(&line), &mut out).unwrap();
+        assert_eq!(out[..], line[..]);
         // 0b11... decodes to nothing.
-        let err = code.decode(&[0b1100_0000], 1).unwrap_err();
+        let err = code.decode_into(&[0b1100_0000], &mut out).unwrap_err();
         assert!(matches!(err, CompressError::BadSymbol { at_bit: 0 }));
     }
 
     #[test]
     fn truncated_stream_errors() {
         let code = ByteCode::traditional(&ByteHistogram::of(b"abcdefgh")).unwrap();
-        let enc = code.encode(b"abcdefgh");
-        let err = code.decode(&enc[..1], 8).unwrap_err();
+        let enc = code.encode(&b"abcdefgh".repeat(LINE_SIZE / 8));
+        let err = code
+            .decode_into(&enc[..1], &mut [0u8; LINE_SIZE])
+            .unwrap_err();
         assert!(matches!(err, CompressError::Truncated(_)));
     }
 
@@ -445,7 +398,7 @@ mod tests {
         assert!(code.is_complete_alphabet());
         let foreign = [0u8, 255, 17, 128];
         let enc = code.encode(&foreign);
-        assert_eq!(code.decode(&enc, 4).unwrap(), foreign);
+        assert_eq!(walk(&code, &enc, 4).unwrap(), foreign);
     }
 
     /// [`ByteCode::from_lengths`] as it was before its one-pass
@@ -546,7 +499,7 @@ mod tests {
         let code = ByteCode::from_lengths(lengths).unwrap();
         assert_eq!(code.max_length(), 32);
         let symbols: Vec<u8> = (0..33).rev().collect();
-        assert_eq!(code.decode(&code.encode(&symbols), 33).unwrap(), symbols);
+        assert_eq!(walk(&code, &code.encode(&symbols), 33).unwrap(), symbols);
     }
 
     #[test]
@@ -560,7 +513,7 @@ mod tests {
         fn roundtrip_traditional(data in proptest::collection::vec(any::<u8>(), 1..2000)) {
             let code = ByteCode::traditional(&ByteHistogram::of(&data)).unwrap();
             let enc = code.encode(&data);
-            prop_assert_eq!(code.decode(&enc, data.len()).unwrap(), data);
+            prop_assert_eq!(walk(&code, &enc, data.len()).unwrap(), data);
         }
 
         #[test]
@@ -568,7 +521,7 @@ mod tests {
             let code = ByteCode::bounded(&ByteHistogram::of(&data)).unwrap();
             prop_assert!(code.max_length() <= 16);
             let enc = code.encode(&data);
-            prop_assert_eq!(code.decode(&enc, data.len()).unwrap(), data);
+            prop_assert_eq!(walk(&code, &enc, data.len()).unwrap(), data);
         }
 
         #[test]

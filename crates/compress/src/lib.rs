@@ -22,8 +22,10 @@
 //!
 //! Decoding is table-driven: every [`ByteCode`] carries a
 //! [`DecodeTable`] — a single-level 2^[`LOOKUP_BITS`] LUT modeling the
-//! paper's hardwired decoder — with a canonical bit-walk fallback for
-//! codewords longer than the window.
+//! paper's hardwired decoder — and a line expands through
+//! [`LineCodec::decode_into`], with the canonical bit walk
+//! ([`ByteCode::decode_symbol_reference`]) for a symbol the table
+//! cannot resolve.
 //!
 //! # Examples
 //!
@@ -37,7 +39,9 @@
 //! let line = [0u8; block::LINE_SIZE];
 //! let compressed = block::compress_line(&code, &line, BlockAlignment::Word);
 //! assert!(compressed.stored_len() <= block::LINE_SIZE);
-//! assert_eq!(block::decompress_line(&code, &compressed)?, line);
+//! let mut back = [0u8; block::LINE_SIZE];
+//! block::decompress_line_into(&code, &compressed, &mut back)?;
+//! assert_eq!(back, line);
 //! # Ok::<(), ccrp_compress::CompressError>(())
 //! ```
 

@@ -14,7 +14,7 @@
 //! Like the bounded code, every positional sub-code is length-limited to
 //! 16 bits.
 
-use ccrp_bitstream::{BitReader, BitWriter};
+use ccrp_bitstream::BitWriter;
 
 use crate::bounded::{bounded_lengths, PAPER_MAX_LEN};
 use crate::code::ByteCode;
@@ -68,20 +68,29 @@ impl PositionalHistogram {
 /// A positional prefix code: four bounded canonical codes selected by
 /// `offset mod 4`.
 ///
+/// A compressed line expands through [`LineCodec::decode_into`], the
+/// same whole-line table decode as [`ByteCode`]'s, with the sub-code
+/// for output byte `i` chosen by `i mod 4`.
+///
 /// # Examples
 ///
 /// ```
-/// use ccrp_compress::{PositionalCode, PositionalHistogram};
+/// use ccrp_compress::{LineCodec, PositionalCode, PositionalHistogram, LINE_SIZE};
 ///
 /// let text: Vec<u8> = (0..4096u32).flat_map(|w| (w | 0x2400_0000).to_le_bytes()).collect();
 /// let code = PositionalCode::preselected(&PositionalHistogram::of(&text))?;
-/// let packed = code.encode(&text);
-/// assert_eq!(code.decode(&packed, text.len())?, text);
 /// // The positional code exploits per-position structure a single
 /// // byte code cannot see.
 /// assert!(code.encoded_bits(&text) < 8 * text.len() as u64);
+/// let mut line = [0u8; LINE_SIZE];
+/// line.copy_from_slice(&text[..LINE_SIZE]);
+/// let mut back = [0u8; LINE_SIZE];
+/// code.decode_into(&code.encode(&line), &mut back)?;
+/// assert_eq!(back, line);
 /// # Ok::<(), ccrp_compress::CompressError>(())
 /// ```
+///
+/// [`LineCodec::decode_into`]: crate::LineCodec::decode_into
 #[derive(Debug, Clone)]
 pub struct PositionalCode {
     codes: [ByteCode; POSITIONS],
@@ -154,44 +163,26 @@ impl PositionalCode {
         self.encode_into(data, &mut w);
         w.into_bytes()
     }
-
-    /// Decodes exactly `count` bytes (positions cycle from 0).
-    ///
-    /// # Errors
-    ///
-    /// [`CompressError::Truncated`] or [`CompressError::BadSymbol`] on
-    /// corrupt input.
-    pub fn decode(&self, bytes: &[u8], count: usize) -> Result<Vec<u8>, CompressError> {
-        let mut reader = BitReader::new(bytes);
-        let mut out = vec![0u8; count];
-        self.decode_into(&mut reader, &mut out)?;
-        Ok(out)
-    }
-
-    /// Decodes exactly `out.len()` bytes into a caller-owned buffer
-    /// (positions cycle from 0) — the allocation-free path the refill
-    /// engine uses.
-    ///
-    /// # Errors
-    ///
-    /// As for [`decode`](Self::decode); `out` then holds the bytes
-    /// decoded before the failure.
-    pub fn decode_into(
-        &self,
-        reader: &mut BitReader<'_>,
-        out: &mut [u8],
-    ) -> Result<(), CompressError> {
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = self.codes[i % POSITIONS].decode_symbol(reader)?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::LINE_SIZE;
+    use crate::codec::LineCodec;
     use proptest::prelude::*;
+
+    /// Checks that each line of word-aligned `text`, the last one zero
+    /// padded, expands back through [`LineCodec::decode_into`].
+    fn assert_lines_round_trip(code: &PositionalCode, text: &[u8]) {
+        for chunk in text.chunks(LINE_SIZE) {
+            let mut line = [0u8; LINE_SIZE];
+            line[..chunk.len()].copy_from_slice(chunk);
+            let mut back = [0u8; LINE_SIZE];
+            code.decode_into(&code.encode(&line), &mut back).unwrap();
+            assert_eq!(back, line);
+        }
+    }
 
     /// Synthetic "code" with strong positional structure: high bytes
     /// skewed like opcodes, low bytes like immediates.
@@ -224,8 +215,7 @@ mod tests {
     fn roundtrip_structured() {
         let text = structured_text(1024, 3);
         let code = PositionalCode::preselected(&PositionalHistogram::of(&text)).unwrap();
-        let packed = code.encode(&text);
-        assert_eq!(code.decode(&packed, text.len()).unwrap(), text);
+        assert_lines_round_trip(&code, &text);
     }
 
     #[test]
@@ -263,8 +253,7 @@ mod tests {
         fn roundtrip_random(words in proptest::collection::vec(any::<u32>(), 1..500)) {
             let text: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
             let code = PositionalCode::preselected(&PositionalHistogram::of(&text)).unwrap();
-            let packed = code.encode(&text);
-            prop_assert_eq!(code.decode(&packed, text.len()).unwrap(), text);
+            assert_lines_round_trip(&code, &text);
         }
 
         #[test]

@@ -1,38 +1,51 @@
-//! Decoder robustness: the bounded-Huffman decode path must terminate
-//! with `Ok` or a structured [`CompressError`] on *arbitrary* input
-//! bytes — never panic, never loop, never return more symbols than
-//! asked for. The refill engine feeds this decoder bytes read straight
-//! from (possibly corrupt) ROM, so this property is what keeps a bad
-//! block from taking the processor down with it.
+//! Decoder robustness: every line decoder must terminate with `Ok` or
+//! a structured [`CompressError`] on *arbitrary* stored bytes — never
+//! panic, never loop. The container loader and the refill engine feed
+//! these decoders bytes read straight from (possibly corrupt) ROM, so
+//! this property is what keeps a bad block from taking the processor
+//! down with it.
 
-use ccrp_compress::block::decompress_line;
+use ccrp_compress::block::decompress_line_into;
 use ccrp_compress::{
-    bounded_lengths, ByteCode, ByteHistogram, CompressError, CompressedLine, PAPER_MAX_LEN,
+    bounded_lengths, ByteCode, ByteHistogram, CompressError, CompressedLine, LineCodec,
+    LzwLineCodec, PositionalCode, PositionalHistogram, LINE_SIZE, PAPER_MAX_LEN,
 };
 use proptest::prelude::*;
 
-/// A bounded code over a skewed alphabet, with symbol lengths all the
-/// way up to the paper's 16-bit cap (a big alphabet with a heavy head).
-fn stress_code() -> ByteCode {
+/// A skewed sample over all 256 bytes with a heavy head, whose bounded
+/// code has symbol lengths all the way up to the paper's 16-bit cap.
+fn stress_sample() -> Vec<u8> {
     let mut sample = Vec::new();
     for byte in 0u16..=255 {
         let weight = 1 + (1usize << (12 - (byte / 24).min(12)));
         sample.extend(std::iter::repeat_n(byte as u8, weight));
     }
-    ByteCode::bounded(&ByteHistogram::of(&sample)).expect("stress code builds")
+    sample
+}
+
+/// The bounded code of [`stress_sample`].
+fn stress_code() -> ByteCode {
+    ByteCode::bounded(&ByteHistogram::of(&stress_sample())).expect("stress code builds")
 }
 
 proptest! {
     #[test]
     fn decode_of_arbitrary_bytes_terminates_structurally(
         bytes in proptest::collection::vec(any::<u8>(), 0..96),
-        count in 0usize..64,
     ) {
-        let code = stress_code();
-        match code.decode(&bytes, count) {
-            Ok(symbols) => prop_assert_eq!(symbols.len(), count),
-            Err(CompressError::Truncated { .. } | CompressError::BadSymbol { .. }) => {}
-            Err(other) => prop_assert!(false, "unexpected error class: {other}"),
+        let positional =
+            PositionalCode::preselected(&PositionalHistogram::of(&stress_sample())).unwrap();
+        let codecs: [&dyn LineCodec; 3] = [&stress_code(), &positional, &LzwLineCodec];
+        for codec in codecs {
+            match codec.decode_into(&bytes, &mut [0u8; LINE_SIZE]) {
+                Ok(())
+                | Err(
+                    CompressError::Truncated { .. }
+                    | CompressError::BadSymbol { .. }
+                    | CompressError::BadLzwCode { .. },
+                ) => {}
+                Err(other) => prop_assert!(false, "{}: unexpected error class: {other}", codec.id()),
+            }
         }
     }
 
@@ -63,8 +76,8 @@ proptest! {
         let code = stress_code();
         let bypass = bypass && stored.len() == 32;
         if let Ok(line) = CompressedLine::from_stored_checked(stored, bypass) {
-            match decompress_line(&code, &line) {
-                Ok(expanded) => prop_assert_eq!(expanded.len(), 32),
+            match decompress_line_into(&code, &line, &mut [0u8; LINE_SIZE]) {
+                Ok(()) => {}
                 Err(
                     CompressError::Truncated { .. }
                     | CompressError::BadSymbol { .. }

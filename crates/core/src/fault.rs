@@ -149,13 +149,26 @@ impl FaultInjector {
         region: FaultRegion,
         count: usize,
     ) -> FaultPlan {
-        let range = region.range(layout);
+        self.draw(region.range(layout), region, count)
+    }
+
+    /// Draws a plan of `count` faults anywhere in a raw `len`-byte
+    /// buffer, for corrupting artifacts that are not containers —
+    /// checkpoint files, report blobs. Faults are tagged
+    /// [`FaultRegion::Any`]; an empty buffer yields an empty plan.
+    pub fn plan_raw(&mut self, len: usize, count: usize) -> FaultPlan {
+        self.draw(0..len, FaultRegion::Any, count)
+    }
+
+    /// Draws `count` faults at offsets in `range`, each tagged `region`;
+    /// an empty range yields an empty plan.
+    fn draw(&mut self, range: Range<usize>, region: FaultRegion, count: usize) -> FaultPlan {
         let mut faults = Vec::with_capacity(count);
         if range.is_empty() {
             return FaultPlan { faults };
         }
         for _ in 0..count {
-            let offset = range.start + self.rng.below((range.end - range.start) as u64) as usize;
+            let offset = range.start + self.rng.below(range.len() as u64) as usize;
             let kind = if self.rng.next_u64() & 1 == 0 {
                 FaultKind::BitFlip {
                     bit: (self.rng.next_u64() & 7) as u8,
@@ -169,35 +182,6 @@ impl FaultInjector {
                 offset,
                 kind,
                 region,
-            });
-        }
-        FaultPlan { faults }
-    }
-
-    /// Draws a plan of `count` faults anywhere in a raw `len`-byte
-    /// buffer, for corrupting artifacts that are not containers —
-    /// checkpoint files, report blobs. Faults are tagged
-    /// [`FaultRegion::Any`]; an empty buffer yields an empty plan.
-    pub fn plan_raw(&mut self, len: usize, count: usize) -> FaultPlan {
-        let mut faults = Vec::with_capacity(count);
-        if len == 0 {
-            return FaultPlan { faults };
-        }
-        for _ in 0..count {
-            let offset = self.rng.below(len as u64) as usize;
-            let kind = if self.rng.next_u64() & 1 == 0 {
-                FaultKind::BitFlip {
-                    bit: (self.rng.next_u64() & 7) as u8,
-                }
-            } else {
-                FaultKind::ByteStomp {
-                    value: (self.rng.next_u64() & 0xFF) as u8,
-                }
-            };
-            faults.push(Fault {
-                offset,
-                kind,
-                region: FaultRegion::Any,
             });
         }
         FaultPlan { faults }

@@ -97,10 +97,15 @@ pub enum CosimVerdict {
 ///
 /// Describes the compression failure (empty text, misaligned base).
 pub fn build_rom(image: &ProgramImage) -> Result<CompressedImage, String> {
-    let text = image.text_bytes();
+    self_trained_rom(image.text_base(), image.text_bytes())
+}
+
+/// The compressed ROM of `text` at `text_base`, under the preselected
+/// byte-Huffman code of its own bytes, for both ISAs' ROM builders.
+pub(crate) fn self_trained_rom(text_base: u32, text: &[u8]) -> Result<CompressedImage, String> {
     let code = ByteCode::preselected(&ByteHistogram::of(text))
         .map_err(|e| format!("code selection failed: {e}"))?;
-    CompressedImage::build(image.text_base(), text, code, BlockAlignment::Word)
+    CompressedImage::build(text_base, text, code, BlockAlignment::Word)
         .map_err(|e| format!("compressed image build failed: {e}"))
 }
 

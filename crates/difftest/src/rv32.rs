@@ -16,12 +16,11 @@
 //! one.
 
 use ccrp::CompressedImage;
-use ccrp_compress::{BlockAlignment, ByteCode, ByteHistogram};
 use ccrp_emu::IsaCore;
 use ccrp_rv32::progen::Rv32ProgGen;
 use ccrp_rv32::{disassemble, rvc, Encoding, Rv32Config, Rv32Image, Rv32Machine};
 
-use crate::cosim::{container_round_trips, CosimVerdict, DivergenceReport};
+use crate::cosim::{container_round_trips, self_trained_rom, CosimVerdict, DivergenceReport};
 use crate::lockstep::{run_lockstep, LockstepVariant};
 use crate::timing::check_refill_invariants;
 use crate::{TrialOutcome, TrialReport, TRIAL_MAX_STEPS};
@@ -34,11 +33,7 @@ use crate::{TrialOutcome, TrialReport, TRIAL_MAX_STEPS};
 ///
 /// Describes the compression failure (empty text, misaligned base).
 pub fn build_rv32_rom(image: &Rv32Image) -> Result<CompressedImage, String> {
-    let text = image.text();
-    let code = ByteCode::preselected(&ByteHistogram::of(text))
-        .map_err(|e| format!("code selection failed: {e}"))?;
-    CompressedImage::build(image.text_base(), text, code, BlockAlignment::Word)
-        .map_err(|e| format!("compressed image build failed: {e}"))
+    self_trained_rom(image.text_base(), image.text())
 }
 
 /// Runs `image` on the plain-ROM reference and on the standard RV32

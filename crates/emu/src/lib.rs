@@ -54,7 +54,7 @@ pub use isa_core::IsaCore;
 pub use machine::{Machine, MachineConfig, RunSummary, INITIAL_SP};
 pub use memory::{Memory, PAGE_BYTES};
 pub use state::ArchState;
-pub use trace::{CountingSink, NullSink, ProgramTrace, TraceSink};
+pub use trace::{NullSink, ProgramTrace, TraceSink};
 
 #[cfg(test)]
 mod tests {

@@ -34,30 +34,6 @@ impl TraceSink for NullSink {
     fn data_access(&mut self, _addr: u32, _store: bool) {}
 }
 
-/// Counts events without storing them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CountingSink {
-    /// Dynamic instruction count.
-    pub instructions: u64,
-    /// Dynamic load count.
-    pub loads: u64,
-    /// Dynamic store count.
-    pub stores: u64,
-}
-
-impl TraceSink for CountingSink {
-    fn instruction(&mut self, _pc: u32) {
-        self.instructions += 1;
-    }
-    fn data_access(&mut self, _addr: u32, store: bool) {
-        if store {
-            self.stores += 1;
-        } else {
-            self.loads += 1;
-        }
-    }
-}
-
 /// A captured execution trace: the instruction-address stream plus, per
 /// instruction, how many data accesses it made.
 ///
@@ -120,18 +96,6 @@ impl TraceSink for ProgramTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counting_sink_counts() {
-        let mut s = CountingSink::default();
-        s.instruction(0);
-        s.instruction(4);
-        s.data_access(100, false);
-        s.data_access(104, true);
-        assert_eq!(s.instructions, 2);
-        assert_eq!(s.loads, 1);
-        assert_eq!(s.stores, 1);
-    }
 
     #[test]
     fn program_trace_attributes_data_to_instruction() {
