@@ -33,9 +33,10 @@
 #      per cell) by at least MIN_SPEEDUP (default 2.0), as recorded in
 #      the committed BENCH_tracereplay.json.
 #
-# Mirrors tests/observability.rs (probe_off_sweep_reproduces_committed_
-# bench_files) so the property holds both under `cargo test` and as a
-# standalone CI step against release binaries.
+# Check 1 mirrors tests/observability.rs, whose probe_off_sweep_,
+# codec_matrix_ and isa_matrix_reproduces_committed_bench_file(s) tests
+# pin the same seven files, so the property holds both under `cargo
+# test` and as a standalone CI step against release binaries.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -28,7 +28,7 @@ use ccrp_sim::{MemoryModel, Simulation, SystemConfig};
 use ccrp_workloads::{preselected_code, preselected_positional_code};
 
 use crate::json::Json;
-use crate::report::ToJson;
+use crate::report::{duration_json, envelope, ToJson};
 use crate::runner::parallel_map;
 use crate::suite::{suite_with_jobs, Prepared};
 
@@ -241,24 +241,15 @@ impl ToJson for CodecsReport {
     /// [`results_json`](CodecsReport::results_json) plus the
     /// run-specific job count and wall-clock timing.
     fn to_json(&self) -> Json {
-        let Json::Obj(mut pairs) = self.results_json() else {
-            unreachable!("results_json returns an object");
-        };
-        pairs.push(("jobs".into(), Json::U64(self.options.jobs as u64)));
-        pairs.push((
-            "timing".into(),
-            Json::obj([(
-                "total_wall_us",
-                Json::U64(self.total_wall.as_micros() as u64),
-            )]),
-        ));
-        Json::Obj(pairs)
+        let timing = Json::obj([("total_wall_us", duration_json(self.total_wall))]);
+        envelope(self.results_json(), self.options.jobs, timing)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::assert_envelope;
 
     #[test]
     fn matrix_covers_every_cell_and_is_jobs_independent() {
@@ -273,6 +264,7 @@ mod tests {
             serial.results_json().to_compact(),
             parallel.results_json().to_compact()
         );
+        assert_envelope(&parallel, parallel.results_json(), 4);
     }
 
     #[test]

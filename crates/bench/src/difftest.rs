@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 use ccrp_difftest::{run_trial, run_trial_rv32, run_trial_segmented, TrialOutcome, TrialReport};
 
 use crate::json::Json;
-use crate::report::ToJson;
+use crate::report::{duration_json, envelope, ToJson};
 use crate::runner::parallel_map;
 
 /// How one differential trial ended, campaign-side.
@@ -255,7 +255,7 @@ impl DifftestReport {
     /// reports stay byte-for-byte compatible with the earlier schemas.
     pub fn results_json(&self) -> Json {
         let sum = |f: fn(&Trial) -> u64| Json::U64(self.trials.iter().map(f).sum());
-        let Json::Obj(mut pairs) = Json::obj([
+        let mut json = Json::obj([
             ("schema", Json::str("ccrp-difftest/1")),
             ("programs", Json::U64(self.options.programs as u64)),
             ("seed", Json::U64(self.options.seed)),
@@ -275,18 +275,15 @@ impl DifftestReport {
             ("outcomes", Json::str(&self.outcome_string())),
             ("failures", self.failures_json(8)),
             ("acceptable", Json::Bool(self.acceptable())),
-        ]) else {
-            unreachable!("Json::obj returns an object");
-        };
-        // `Json` writes keys sorted, so the optional keys go at the end.
+        ]);
         if self.options.isa != DifftestIsa::Mips {
-            pairs.push(("isa".into(), Json::str(self.options.isa.name())));
+            json.insert("isa", Json::str(self.options.isa.name()));
         }
         if let Some(every) = self.options.checkpoint_every {
-            pairs.push(("checkpoint_every".into(), Json::U64(every)));
-            pairs.push(("segments".into(), sum(|t| t.segments)));
+            json.insert("checkpoint_every", Json::U64(every));
+            json.insert("segments", sum(|t| t.segments));
         }
-        Json::Obj(pairs)
+        json
     }
 }
 
@@ -294,24 +291,15 @@ impl ToJson for DifftestReport {
     /// [`results_json`](DifftestReport::results_json) plus the
     /// run-specific job count and wall-clock timing.
     fn to_json(&self) -> Json {
-        let Json::Obj(mut pairs) = self.results_json() else {
-            unreachable!("results_json returns an object");
-        };
-        pairs.push(("jobs".into(), Json::U64(self.options.jobs as u64)));
-        pairs.push((
-            "timing".into(),
-            Json::obj([(
-                "total_wall_us",
-                Json::U64(self.total_wall.as_micros() as u64),
-            )]),
-        ));
-        Json::Obj(pairs)
+        let timing = Json::obj([("total_wall_us", duration_json(self.total_wall))]);
+        envelope(self.results_json(), self.options.jobs, timing)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::assert_envelope;
 
     fn small_campaign(jobs: usize) -> DifftestReport {
         run(DifftestOptions {
@@ -361,6 +349,7 @@ mod tests {
             serial.results_json().to_compact(),
             parallel.results_json().to_compact()
         );
+        assert_envelope(&parallel, parallel.results_json(), 4);
     }
 
     #[test]

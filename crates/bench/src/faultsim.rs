@@ -30,7 +30,7 @@ use ccrp_compress::{BlockAlignment, ByteCode, ByteHistogram};
 
 use crate::difftest::trial_seed;
 use crate::json::Json;
-use crate::report::ToJson;
+use crate::report::{duration_json, envelope, ToJson};
 use crate::runner::parallel_map;
 
 /// How one fault-injection trial ended.
@@ -380,24 +380,15 @@ impl ToJson for FaultsimReport {
     /// [`results_json`](FaultsimReport::results_json) plus the
     /// run-specific job count and wall-clock timing.
     fn to_json(&self) -> Json {
-        let Json::Obj(mut pairs) = self.results_json() else {
-            unreachable!("results_json returns an object");
-        };
-        pairs.push(("jobs".into(), Json::U64(self.options.jobs as u64)));
-        pairs.push((
-            "timing".into(),
-            Json::obj([(
-                "total_wall_us",
-                Json::U64(self.total_wall.as_micros() as u64),
-            )]),
-        ));
-        Json::Obj(pairs)
+        let timing = Json::obj([("total_wall_us", duration_json(self.total_wall))]);
+        envelope(self.results_json(), self.options.jobs, timing)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::assert_envelope;
 
     fn small_campaign(jobs: usize) -> FaultsimReport {
         run(FaultsimOptions {
@@ -416,6 +407,7 @@ mod tests {
             serial.results_json().to_compact(),
             parallel.results_json().to_compact()
         );
+        assert_envelope(&parallel, parallel.results_json(), 4);
     }
 
     #[test]

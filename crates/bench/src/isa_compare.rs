@@ -26,15 +26,14 @@
 
 use std::time::{Duration, Instant};
 
-use ccrp::CompressedImage;
-use ccrp_compress::{BlockAlignment, ByteCode, ByteHistogram};
+use ccrp_difftest::build_rv32_rom;
 use ccrp_rv32::workloads::{BuiltRv32Workload, Rv32Workload};
 use ccrp_sim::{MemoryModel, RunStats, Simulation, SystemConfig};
 
 use crate::capture::StreamCapture;
 use crate::codecs::CACHE_BYTES;
 use crate::json::Json;
-use crate::report::ToJson;
+use crate::report::{duration_json, envelope, ToJson};
 use crate::runner::parallel_map;
 use crate::suite::{suite_with_jobs, Prepared};
 
@@ -125,19 +124,6 @@ pub struct IsaCompareReport {
     pub total_wall: Duration,
 }
 
-/// Builds a self-trained byte-Huffman CCRP image over raw text bytes.
-///
-/// # Panics
-///
-/// Panics when the text fails to compress — workload texts are
-/// non-empty and word-aligned by construction, so a failure is a bug.
-fn self_trained(name: &str, text_base: u32, text: &[u8]) -> CompressedImage {
-    let code = ByteCode::preselected(&ByteHistogram::of(text))
-        .unwrap_or_else(|e| panic!("{name}: code selection failed: {e}"));
-    CompressedImage::build(text_base, text, code, BlockAlignment::Word)
-        .unwrap_or_else(|e| panic!("{name}: compressed image build failed: {e}"))
-}
-
 fn cell_from(
     workload: &'static str,
     variant: IsaVariant,
@@ -183,8 +169,11 @@ fn run_workload(prepared: &Prepared, rv32: BuiltRv32Workload<StreamCapture>) -> 
     let mips = Simulation::replay_sweep(&prepared.image, &prepared.workload.trace, &configs)
         .unwrap_or_else(|e| panic!("{name}: mips sweep: {e}"));
 
-    let ccrp_i = self_trained(name, rv32.image_i.text_base(), rv32.image_i.text());
-    let ccrp_c = self_trained(name, rv32.image_c.text_base(), rv32.image_c.text());
+    // Workload texts are non-empty and word-aligned, so a build failure
+    // is a bug.
+    let rom = |image| build_rv32_rom(image).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let ccrp_i = rom(&rv32.image_i);
+    let ccrp_c = rom(&rv32.image_c);
     let trace_i = rv32.trace_i.finish();
     let trace_c = rv32.trace_c.finish();
     let sweep_i = Simulation::replay_sweep(&ccrp_i, &trace_i, &configs)
@@ -314,24 +303,15 @@ impl ToJson for IsaCompareReport {
     /// [`results_json`](IsaCompareReport::results_json) plus the
     /// run-specific job count and wall-clock timing.
     fn to_json(&self) -> Json {
-        let Json::Obj(mut pairs) = self.results_json() else {
-            unreachable!("results_json returns an object");
-        };
-        pairs.push(("jobs".into(), Json::U64(self.options.jobs as u64)));
-        pairs.push((
-            "timing".into(),
-            Json::obj([(
-                "total_wall_us",
-                Json::U64(self.total_wall.as_micros() as u64),
-            )]),
-        ));
-        Json::Obj(pairs)
+        let timing = Json::obj([("total_wall_us", duration_json(self.total_wall))]);
+        envelope(self.results_json(), self.options.jobs, timing)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::assert_envelope;
 
     #[test]
     fn matrix_covers_every_cell_and_is_jobs_independent() {
@@ -346,6 +326,7 @@ mod tests {
             serial.results_json().to_compact(),
             parallel.results_json().to_compact()
         );
+        assert_envelope(&parallel, parallel.results_json(), 4);
     }
 
     #[test]

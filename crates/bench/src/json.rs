@@ -74,6 +74,17 @@ impl Json {
         }
     }
 
+    /// Sets `key` in an object to `value`, replacing any earlier value;
+    /// a no-op for non-objects. The inverse of [`remove`](Self::remove).
+    pub fn insert(&mut self, key: &str, value: Json) {
+        if let Json::Obj(pairs) = self {
+            match pairs.iter_mut().find(|(k, _)| k == key) {
+                Some((_, old)) => *old = value,
+                None => pairs.push((key.to_string(), value)),
+            }
+        }
+    }
+
     /// Removes `key` from an object, returning its value. `None` when
     /// absent or for non-objects.
     pub fn remove(&mut self, key: &str) -> Option<Json> {
@@ -514,12 +525,18 @@ mod tests {
     }
 
     #[test]
-    fn get_and_remove_access_objects() {
+    fn get_insert_and_remove_access_objects() {
         let mut v = Json::obj([("jobs", Json::U64(8)), ("cells", Json::U64(90))]);
         assert_eq!(v.get("jobs"), Some(&Json::U64(8)));
         assert_eq!(v.remove("jobs"), Some(Json::U64(8)));
         assert_eq!(v.get("jobs"), None);
         assert_eq!(v.remove("missing"), None);
         assert_eq!(Json::U64(1).get("jobs"), None);
+        v.insert("jobs", Json::U64(2));
+        v.insert("cells", Json::U64(4));
+        assert_eq!(v.to_compact(), "{\"cells\":4,\"jobs\":2}");
+        let mut n = Json::U64(1);
+        n.insert("jobs", Json::U64(2));
+        assert_eq!(n, Json::U64(1));
     }
 }

@@ -26,9 +26,10 @@
 //! tables, and [`json::Json`] serializes them into the machine-readable
 //! `BENCH_<experiment>.json` results files `ccrp-tools sweep` writes.
 //! The [`report`] module is the serialization face of the
-//! observability layer: the [`ToJson`] trait covers every stats and
-//! metric type, and [`chrome_trace`] exports probe event logs as
-//! Chrome trace-event JSON for Perfetto.
+//! observability layer: the [`ToJson`] trait covers the simulator's
+//! counters, the metric registry and every report, and
+//! [`chrome_trace`] exports probe event logs as Chrome trace-event
+//! JSON for Perfetto.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

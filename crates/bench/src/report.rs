@@ -2,12 +2,17 @@
 //! and Chrome trace-event exporters.
 //!
 //! Every structured result type in the workspace — simulator counters,
-//! refill outcomes, metric registries, full sweep and fault-campaign
-//! reports — serializes through one trait, so the JSON layout of a type
-//! is defined exactly once instead of per call site. All output goes
-//! through [`crate::json::Json`], which sorts object keys at write
-//! time; combined with the deterministic inputs this keeps every
-//! exported file bit-identical across runs and worker counts.
+//! metric registries, sweep, matrix and campaign reports — serializes
+//! through one trait, so the JSON layout of a type is defined exactly
+//! once instead of per call site. All output goes through
+//! [`crate::json::Json`], which sorts object keys at write time;
+//! combined with the deterministic inputs this keeps every exported
+//! file bit-identical across runs and worker counts.
+//!
+//! Every report's full document is built by one crate-private
+//! function, `envelope`: its `results_json()` plus the run-specific
+//! `jobs` and `timing` keys, the only two a committed `BENCH_*.json`
+//! may differ in from a fresh run.
 //!
 //! The trace exporter follows the Chrome trace-event format (the JSON
 //! that `chrome://tracing` and Perfetto load): `RefillDone` and
@@ -16,7 +21,9 @@
 //! Timestamps are simulated cycles, not wall time, so a trace is a pure
 //! function of the workload and configuration.
 
-use ccrp::{ClbStats, RefillOutcome};
+use std::time::Duration;
+
+use ccrp::ClbStats;
 use ccrp_probe::{Event, Histogram, MetricSet, TimedEvent};
 use ccrp_sim::{CacheStats, RunStats};
 
@@ -30,6 +37,32 @@ use crate::json::Json;
 pub trait ToJson {
     /// The JSON representation of `self`.
     fn to_json(&self) -> Json;
+}
+
+/// A report's full document: `results` (its `results_json()`, equal
+/// for any worker count) plus the run-specific `jobs` count and
+/// `timing` object. `ci/bench_reproduces.py` removes exactly these two
+/// keys before comparing a fresh document with a committed one.
+pub(crate) fn envelope(mut results: Json, jobs: usize, timing: Json) -> Json {
+    results.insert("jobs", Json::U64(jobs as u64));
+    results.insert("timing", timing);
+    results
+}
+
+/// A wall-clock duration as whole microseconds, the unit of every
+/// `timing` section.
+pub(crate) fn duration_json(d: Duration) -> Json {
+    Json::U64(d.as_micros() as u64)
+}
+
+/// Asserts `report`'s full document is [`envelope`] over `results` with
+/// `jobs` workers, whatever its timing.
+#[cfg(test)]
+pub(crate) fn assert_envelope(report: &impl ToJson, results: Json, jobs: usize) {
+    let mut full = report.to_json();
+    assert_eq!(full.remove("jobs"), Some(Json::U64(jobs as u64)));
+    assert!(full.remove("timing").is_some(), "timing missing");
+    assert_eq!(full.to_compact(), results.to_compact());
 }
 
 impl ToJson for CacheStats {
@@ -65,18 +98,6 @@ impl ToJson for RunStats {
             ("data_stall_cycles", Json::F64(self.data_stall_cycles)),
             ("total_cycles", Json::F64(self.total_cycles())),
             ("clb", self.clb.map_or(Json::Null, |clb| clb.to_json())),
-        ])
-    }
-}
-
-impl ToJson for RefillOutcome {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("ready_at", Json::U64(self.ready_at)),
-            ("bytes_fetched", Json::U64(u64::from(self.bytes_fetched))),
-            ("clb_hit", Json::Bool(self.clb_hit)),
-            ("bypass", Json::Bool(self.bypass)),
-            ("retries", Json::U64(u64::from(self.retries))),
         ])
     }
 }
@@ -314,21 +335,5 @@ mod tests {
         // The miss is an instant.
         assert!(text.contains("\"ph\":\"i\""));
         assert!(text.contains("\"address\":\"0x40\""));
-    }
-
-    #[test]
-    fn refill_outcome_reports_all_fields() {
-        let outcome = RefillOutcome {
-            ready_at: 42,
-            bytes_fetched: 32,
-            clb_hit: true,
-            bypass: false,
-            retries: 1,
-        };
-        assert_eq!(
-            outcome.to_json().to_compact(),
-            "{\"bypass\":false,\"bytes_fetched\":32,\"clb_hit\":true,\
-             \"ready_at\":42,\"retries\":1}"
-        );
     }
 }

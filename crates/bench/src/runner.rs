@@ -60,7 +60,7 @@ use crate::experiments::dcache::{DcacheRow, DCACHE_MISS_PCTS};
 use crate::experiments::fig5::{figure5_row, weighted_average, Fig5Row};
 use crate::experiments::perf::{PerfPoint, CACHE_SIZES};
 use crate::json::Json;
-use crate::report::ToJson;
+use crate::report::{duration_json, envelope, ToJson};
 use crate::suite::{suite_with_jobs, Suite};
 
 /// The worker count used when the caller does not choose one: the
@@ -284,40 +284,23 @@ impl ToJson for SweepReport {
     /// the run-specific `jobs` count, the wall-clock timing section, and
     /// (when collected) the folded probe metrics.
     fn to_json(&self) -> Json {
-        let Json::Obj(mut pairs) = self.results_json() else {
-            unreachable!("results_json returns an object");
-        };
-        pairs.push(("jobs".into(), Json::U64(self.jobs as u64)));
-        pairs.push((
-            "timing".into(),
+        let cells = self.cells.iter().map(|cell| {
             Json::obj([
-                ("suite_build_us", duration_json(self.suite_build)),
-                ("total_wall_us", duration_json(self.total_wall)),
-                (
-                    "cells",
-                    Json::Arr(
-                        self.cells
-                            .iter()
-                            .map(|cell| {
-                                Json::obj([
-                                    ("label", Json::str(&cell.label)),
-                                    ("wall_us", duration_json(cell.wall)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ));
+                ("label", Json::str(&cell.label)),
+                ("wall_us", duration_json(cell.wall)),
+            ])
+        });
+        let timing = Json::obj([
+            ("suite_build_us", duration_json(self.suite_build)),
+            ("total_wall_us", duration_json(self.total_wall)),
+            ("cells", Json::Arr(cells.collect())),
+        ]);
+        let mut json = envelope(self.results_json(), self.jobs, timing);
         if let Some(metrics) = &self.metrics {
-            pairs.push(("metrics".into(), metrics.to_json()));
+            json.insert("metrics", metrics.to_json());
         }
-        Json::Obj(pairs)
+        json
     }
-}
-
-fn duration_json(d: Duration) -> Json {
-    Json::U64(d.as_micros() as u64)
 }
 
 fn cell_json(cell: &CellRecord) -> Json {
@@ -905,6 +888,7 @@ pub fn run(experiment: Experiment, options: &SweepOptions) -> SweepReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::assert_envelope;
 
     #[test]
     fn parallel_map_preserves_item_order() {
@@ -1047,6 +1031,7 @@ mod tests {
                     alone,
                     "{experiment:?} at {jobs} jobs"
                 );
+                assert_envelope(report, report.results_json(), jobs);
             }
         }
     }

@@ -54,7 +54,7 @@ use ccrp_served::{
 use crate::difftest::trial_seed;
 use crate::faultsim::{Mode, Pristine};
 use crate::json::Json;
-use crate::report::ToJson;
+use crate::report::{duration_json, envelope, ToJson};
 use crate::runner::parallel_map;
 
 /// Read timeout on honest campaign clients — generous enough that only
@@ -1015,54 +1015,43 @@ impl ToJson for ServesimReport {
     /// [`results_json`](ServesimReport::results_json) plus the
     /// run-specific job count and every timing-class tally.
     fn to_json(&self) -> Json {
-        let Json::Obj(mut pairs) = self.results_json() else {
-            unreachable!("results_json returns an object");
-        };
-        pairs.push(("jobs".into(), Json::U64(self.options.jobs as u64)));
-        pairs.push((
-            "timing".into(),
-            Json::obj([
-                (
-                    "total_wall_us",
-                    Json::U64(self.total_wall.as_micros() as u64),
-                ),
-                (
-                    "latency_p50_us",
-                    Json::U64(percentile(&self.latencies_us, 50)),
-                ),
-                (
-                    "latency_p99_us",
-                    Json::U64(percentile(&self.latencies_us, 99)),
-                ),
-                ("overload_retries", Json::U64(self.overload_retries)),
-                ("cache_hits", Json::U64(self.cache_hits)),
-                ("cache_misses", Json::U64(self.cache_misses)),
-                (
-                    "burst",
-                    Json::obj([
-                        ("sent", Json::U64(self.burst.sent as u64)),
-                        ("ran", Json::U64(self.burst.ran as u64)),
-                        ("overload", Json::U64(self.burst.overload as u64)),
-                        ("timeout", Json::U64(self.burst.timeout as u64)),
-                        ("other", Json::U64(self.burst.other as u64)),
-                        (
-                            "transport_errors",
-                            Json::U64(self.burst.transport_errors as u64),
-                        ),
-                        ("p99_us", Json::U64(self.burst.p99_us)),
-                        ("p100_us", Json::U64(self.burst.p100_us)),
-                        ("wall_us", Json::U64(self.burst.wall.as_micros() as u64)),
-                    ]),
-                ),
-            ]),
-        ));
-        Json::Obj(pairs)
+        let burst = Json::obj([
+            ("sent", Json::U64(self.burst.sent as u64)),
+            ("ran", Json::U64(self.burst.ran as u64)),
+            ("overload", Json::U64(self.burst.overload as u64)),
+            ("timeout", Json::U64(self.burst.timeout as u64)),
+            ("other", Json::U64(self.burst.other as u64)),
+            (
+                "transport_errors",
+                Json::U64(self.burst.transport_errors as u64),
+            ),
+            ("p99_us", Json::U64(self.burst.p99_us)),
+            ("p100_us", Json::U64(self.burst.p100_us)),
+            ("wall_us", duration_json(self.burst.wall)),
+        ]);
+        let timing = Json::obj([
+            ("total_wall_us", duration_json(self.total_wall)),
+            (
+                "latency_p50_us",
+                Json::U64(percentile(&self.latencies_us, 50)),
+            ),
+            (
+                "latency_p99_us",
+                Json::U64(percentile(&self.latencies_us, 99)),
+            ),
+            ("overload_retries", Json::U64(self.overload_retries)),
+            ("cache_hits", Json::U64(self.cache_hits)),
+            ("cache_misses", Json::U64(self.cache_misses)),
+            ("burst", burst),
+        ]);
+        envelope(self.results_json(), self.options.jobs, timing)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::assert_envelope;
 
     fn small_campaign(jobs: usize, burst: usize) -> ServesimReport {
         run(ServesimOptions {
@@ -1082,6 +1071,7 @@ mod tests {
             serial.results_json().to_compact(),
             parallel.results_json().to_compact()
         );
+        assert_envelope(&parallel, parallel.results_json(), 3);
     }
 
     #[test]

@@ -104,36 +104,21 @@ impl<'a> BitReader<'a> {
                 available: self.bit_len(),
             });
         }
-        let value = self.peek_bits(count);
-        self.bit_pos += u64::from(count);
-        Ok(value)
-    }
-
-    /// Returns the next `count` bits (1..=32) right-aligned without
-    /// advancing the cursor, as if the stream were extended with zero
-    /// bits past its end. [`read_bits`](Self::read_bits), its caller,
-    /// checks `count` and that the bits are real.
-    fn peek_bits(&self, count: u32) -> u32 {
         let byte_index = (self.bit_pos / 8) as usize;
-        let bit_in_byte = (self.bit_pos % 8) as u32;
-        if let Some(window) = self.bytes.get(byte_index..byte_index + 5) {
+        let mut word = [0u8; 8];
+        match self.bytes.get(byte_index..byte_index + 5) {
             // Away from the tail, load the 5 bytes any mid-byte 32-bit
-            // window can touch in one go.
-            let mut word = [0u8; 8];
-            word[..5].copy_from_slice(window);
-            let acc = u64::from_be_bytes(word);
-            return ((acc << bit_in_byte) >> (64 - count)) as u32;
+            // read can touch in one go.
+            Some(window) => word[..5].copy_from_slice(window),
+            // At the tail, the fewer bytes left hold all `count` bits.
+            None => {
+                let tail = &self.bytes[byte_index..];
+                word[..tail.len()].copy_from_slice(tail);
+            }
         }
-        // Tail path: gather the touched bytes one at a time,
-        // zero-padding past the end of the slice.
-        let touched = (bit_in_byte + count).div_ceil(8) as usize;
-        let mut acc = 0u64;
-        for offset in 0..touched {
-            let byte = self.bytes.get(byte_index + offset).copied().unwrap_or(0);
-            acc = (acc << 8) | u64::from(byte);
-        }
-        let shift = touched as u32 * 8 - bit_in_byte - count;
-        ((acc >> shift) & (u64::MAX >> (64 - count))) as u32
+        let value = (u64::from_be_bytes(word) << (self.bit_pos % 8)) >> (64 - count);
+        self.bit_pos += u64::from(count);
+        Ok(value as u32)
     }
 
     /// Skips forward `count` bits.
@@ -209,53 +194,31 @@ mod tests {
         assert_eq!(r.read_bits(32).unwrap(), 0xDEAD_BEEF);
     }
 
+    /// `count` bits of `bytes` from bit `start`, one bit at a time.
+    fn bit_by_bit(bytes: &[u8], start: u64, count: u32) -> u32 {
+        (start..start + u64::from(count)).fold(0, |acc, pos| {
+            acc << 1 | u32::from(bytes[(pos / 8) as usize] >> (7 - pos % 8) & 1)
+        })
+    }
+
     #[test]
-    fn peek_matches_read_without_advancing() {
-        let bytes = [0xA5, 0x3C, 0x0F, 0xF0, 0x81];
-        for start in 0..8u64 {
-            for count in 1..=32u32 {
-                let mut r = BitReader::new(&bytes);
-                r.skip(start).unwrap();
-                let peeked = r.peek_bits(count);
-                assert_eq!(r.bit_pos(), start, "peek must not move the cursor");
-                if u64::from(count) <= r.remaining() {
-                    assert_eq!(peeked, r.read_bits(count).unwrap(), "{start}+{count}");
+    fn reads_match_bit_by_bit_at_every_offset_and_count() {
+        // Reads with five bytes to go take the 5-byte window, the rest
+        // the tail path.
+        for bytes in [
+            &[0xA5, 0x3C, 0x0F, 0xF0, 0x81][..],
+            &[0x12, 0x34, 0x56, 0x78, 0x9A, 0xBC],
+        ] {
+            let bits = bytes.len() as u64 * 8;
+            for start in 0..bits {
+                for count in 1..=(bits - start).min(32) as u32 {
+                    let mut r = BitReader::new(bytes);
+                    r.skip(start).unwrap();
+                    let expected = bit_by_bit(bytes, start, count);
+                    assert_eq!(r.read_bits(count).unwrap(), expected, "{start}+{count}");
+                    assert_eq!(r.bit_pos(), start + u64::from(count));
                 }
             }
-        }
-    }
-
-    #[test]
-    fn peek_zero_pads_past_the_end() {
-        let mut r = BitReader::new(&[0xFF]);
-        r.skip(4).unwrap();
-        // 4 real one-bits, then padding zeros.
-        assert_eq!(r.peek_bits(8), 0b1111_0000);
-        assert_eq!(r.peek_bits(32), 0b1111 << 28);
-        // A fully exhausted reader peeks all zeros.
-        r.skip(4).unwrap();
-        assert_eq!(r.peek_bits(16), 0);
-    }
-
-    #[test]
-    fn full_window_peek_at_every_offset() {
-        // 32-bit windows spanning five bytes, checked against a naive
-        // bit-by-bit reference.
-        let bytes = [0x12, 0x34, 0x56, 0x78, 0x9A, 0xBC];
-        for start in 0..16u64 {
-            let mut reference = 0u32;
-            for bit in 0..32u64 {
-                let pos = start + bit;
-                let real = if pos < 48 {
-                    (bytes[(pos / 8) as usize] >> (7 - pos % 8)) & 1
-                } else {
-                    0
-                };
-                reference = (reference << 1) | u32::from(real);
-            }
-            let mut r = BitReader::new(&bytes);
-            r.skip(start).unwrap();
-            assert_eq!(r.peek_bits(32), reference, "offset {start}");
         }
     }
 }

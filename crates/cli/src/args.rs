@@ -7,6 +7,10 @@
 //! `--json` (switch the report to machine-readable JSON). The old
 //! `--output`/`--out-file`/`--out-dir` aliases, deprecated since the
 //! shared options landed, are no longer accepted (see CHANGELOG.md).
+//!
+//! The campaign options that several commands read the same way —
+//! `--seed`, `--jobs` and a trial count — are parsed once here too
+//! ([`parse_seed`], [`parse_jobs`], [`parse_trials`]).
 
 use std::collections::BTreeMap;
 
@@ -119,6 +123,34 @@ pub fn parse_u32(text: &str) -> Option<u32> {
         u32::from_str_radix(hex, 16).ok()
     } else {
         text.parse().ok()
+    }
+}
+
+/// A campaign's `--seed`: a decimal `u64`, `default` when absent.
+pub(crate) fn parse_seed(args: &Args, default: u64) -> Result<u64, CliError> {
+    match args.option("seed") {
+        None => Ok(default),
+        Some(text) => text
+            .parse()
+            .map_err(|_| CliError::Usage(format!("--seed: bad number `{text}`"))),
+    }
+}
+
+/// `--jobs`: the host's available parallelism when absent, never 0.
+pub(crate) fn parse_jobs(args: &Args) -> Result<usize, CliError> {
+    at_least_one(args, "jobs", ccrp_bench::available_jobs() as u32)
+}
+
+/// A campaign's trial count (`--trials`, `--programs`): never 0.
+pub(crate) fn parse_trials(args: &Args, name: &str) -> Result<usize, CliError> {
+    at_least_one(args, name, 1000)
+}
+
+/// `--{name}` as a count, `default` when absent; 0 is refused.
+fn at_least_one(args: &Args, name: &str, default: u32) -> Result<usize, CliError> {
+    match args.option_u32(name, default)? {
+        0 => Err(CliError::Usage(format!("--{name} must be at least 1"))),
+        n => Ok(n as usize),
     }
 }
 

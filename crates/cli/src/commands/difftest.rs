@@ -23,10 +23,10 @@
 use std::io::Write;
 
 use ccrp_bench::difftest::{self, DifftestIsa, DifftestOptions, Outcome};
-use ccrp_bench::{runner, ToJson};
+use ccrp_bench::ToJson;
 
-use crate::args::Args;
-use crate::error::{write_file, CliError};
+use crate::args::{parse_jobs, parse_seed, parse_trials, Args};
+use crate::error::CliError;
 
 /// Option names consuming a value.
 pub const VALUE_OPTIONS: &[&str] = &["programs", "seed", "jobs", "isa", "checkpoint-every", "out"];
@@ -41,20 +41,9 @@ pub const SWITCHES: &[&str] = &[];
 /// results file cannot be written, and [`CliError::Campaign`] when any
 /// trial fails the transparency contract.
 pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let programs = args.option_u32("programs", 1000)? as usize;
-    if programs == 0 {
-        return Err(CliError::Usage("--programs must be at least 1".into()));
-    }
-    let seed = match args.option("seed") {
-        None => 1,
-        Some(text) => text
-            .parse::<u64>()
-            .map_err(|_| CliError::Usage(format!("--seed: bad number `{text}`")))?,
-    };
-    let jobs = args.option_u32("jobs", runner::available_jobs() as u32)? as usize;
-    if jobs == 0 {
-        return Err(CliError::Usage("--jobs must be at least 1".into()));
-    }
+    let programs = parse_trials(args, "programs")?;
+    let seed = parse_seed(args, 1)?;
+    let jobs = parse_jobs(args)?;
     let isa = match args.option("isa") {
         None | Some("mips") => DifftestIsa::Mips,
         Some("rv32") => DifftestIsa::Rv32,
@@ -88,12 +77,7 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         checkpoint_every,
         isa,
     });
-    write_file(path, report.to_json().to_pretty().as_bytes())?;
-
-    if args.json() {
-        // Same document as the results file, for pipelines that read
-        // stdout instead of the --out path.
-        write!(out, "{}", report.to_json().to_pretty()).ok();
+    if super::write_results(args, out, path, &report.to_json())? {
         return check(&report);
     }
 

@@ -14,10 +14,10 @@ use std::io::Write;
 
 use ccrp::FaultRegion;
 use ccrp_bench::faultsim::{self, FaultsimOptions, Mode, Outcome};
-use ccrp_bench::{runner, ToJson};
+use ccrp_bench::ToJson;
 
-use crate::args::Args;
-use crate::error::{write_file, CliError};
+use crate::args::{parse_jobs, parse_seed, parse_trials, Args};
+use crate::error::CliError;
 
 /// Option names consuming a value.
 pub const VALUE_OPTIONS: &[&str] = &["trials", "seed", "jobs", "out"];
@@ -32,29 +32,13 @@ pub const SWITCHES: &[&str] = &[];
 /// results file cannot be written, and [`CliError::Campaign`] when the
 /// campaign detects a panic, a hang, or a v2 silent miscompare.
 pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let trials = args.option_u32("trials", 1000)? as usize;
-    if trials == 0 {
-        return Err(CliError::Usage("--trials must be at least 1".into()));
-    }
-    let seed = match args.option("seed") {
-        None => 42,
-        Some(text) => text
-            .parse::<u64>()
-            .map_err(|_| CliError::Usage(format!("--seed: bad number `{text}`")))?,
-    };
-    let jobs = args.option_u32("jobs", runner::available_jobs() as u32)? as usize;
-    if jobs == 0 {
-        return Err(CliError::Usage("--jobs must be at least 1".into()));
-    }
+    let trials = parse_trials(args, "trials")?;
+    let seed = parse_seed(args, 42)?;
+    let jobs = parse_jobs(args)?;
     let path = args.option("out").unwrap_or("BENCH_faultsim.json");
 
     let report = faultsim::run(FaultsimOptions { trials, seed, jobs });
-    write_file(path, report.to_json().to_pretty().as_bytes())?;
-
-    if args.json() {
-        // Same document as the results file, for pipelines that read
-        // stdout instead of the --out path.
-        write!(out, "{}", report.to_json().to_pretty()).ok();
+    if super::write_results(args, out, path, &report.to_json())? {
         return check(&report);
     }
 

@@ -17,10 +17,10 @@
 use std::io::Write;
 
 use ccrp_bench::servesim::{self, Outcome, ServesimOptions, TrialKind};
-use ccrp_bench::{runner, ToJson};
+use ccrp_bench::ToJson;
 
-use crate::args::Args;
-use crate::error::{write_file, CliError};
+use crate::args::{parse_jobs, parse_seed, parse_trials, Args};
+use crate::error::CliError;
 
 /// Option names consuming a value.
 pub const VALUE_OPTIONS: &[&str] = &["trials", "seed", "jobs", "burst", "out"];
@@ -35,20 +35,9 @@ pub const SWITCHES: &[&str] = &[];
 /// results file cannot be written, and [`CliError::Campaign`] when the
 /// campaign finds the service misbehaving.
 pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let trials = args.option_u32("trials", 1000)? as usize;
-    if trials == 0 {
-        return Err(CliError::Usage("--trials must be at least 1".into()));
-    }
-    let seed = match args.option("seed") {
-        None => 42,
-        Some(text) => text
-            .parse::<u64>()
-            .map_err(|_| CliError::Usage(format!("--seed: bad number `{text}`")))?,
-    };
-    let jobs = args.option_u32("jobs", runner::available_jobs() as u32)? as usize;
-    if jobs == 0 {
-        return Err(CliError::Usage("--jobs must be at least 1".into()));
-    }
+    let trials = parse_trials(args, "trials")?;
+    let seed = parse_seed(args, 42)?;
+    let jobs = parse_jobs(args)?;
     let burst = args.option_u32("burst", 32)? as usize;
     let path = args.option("out").unwrap_or("BENCH_servesim.json");
 
@@ -58,12 +47,7 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         jobs,
         burst,
     });
-    write_file(path, report.to_json().to_pretty().as_bytes())?;
-
-    if args.json() {
-        // Same document as the results file, for pipelines that read
-        // stdout instead of the --out path.
-        write!(out, "{}", report.to_json().to_pretty()).ok();
+    if super::write_results(args, out, path, &report.to_json())? {
         return check(&report);
     }
 

@@ -28,7 +28,7 @@ use std::time::Duration;
 use ccrp_bench::json::Json;
 use ccrp_bench::{codecs, isa_compare, render, runner, Experiment, SweepOptions, ToJson};
 
-use crate::args::Args;
+use crate::args::{parse_jobs, Args};
 use crate::error::{write_file, CliError};
 
 /// Option names consuming a value.
@@ -53,10 +53,7 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             ))
         })?],
     };
-    let jobs = args.option_u32("jobs", runner::available_jobs() as u32)? as usize;
-    if jobs == 0 {
-        return Err(CliError::Usage("--jobs must be at least 1".into()));
-    }
+    let jobs = parse_jobs(args)?;
     let out_dir = args.option("out").unwrap_or(".");
     let metrics = args.switch("metrics");
 

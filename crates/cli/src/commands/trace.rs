@@ -83,14 +83,12 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         .ccrp(&compressed, trace.iter())?;
     let (ccrp_log, collector) = probes;
 
-    let Json::Obj(mut pairs) = chrome_trace(&[
+    let mut json = chrome_trace(&[
         ("standard", standard_log.events()),
         ("ccrp", ccrp_log.events()),
-    ]) else {
-        unreachable!("chrome_trace returns an object");
-    };
-    pairs.push((
-        "otherData".into(),
+    ]);
+    json.insert(
+        "otherData",
         Json::obj([
             ("schema", Json::str("ccrp-trace/1")),
             ("memory", Json::str(memory.name())),
@@ -106,11 +104,11 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 Json::U64(standard_log.dropped() + ccrp_log.dropped()),
             ),
         ]),
-    ));
+    );
     if args.switch("metrics") {
-        pairs.push(("metrics".into(), collector.metrics().to_json()));
+        json.insert("metrics", collector.metrics().to_json());
     }
-    let text = Json::Obj(pairs).to_pretty();
+    let text = json.to_pretty();
 
     let events = standard_log.events().len() + ccrp_log.events().len();
     match args.out() {

@@ -416,7 +416,11 @@ impl LineCodec for LzwLineCodec {
 
     fn decode_into(&self, stored: &[u8], out: &mut [u8; LINE_SIZE]) -> Result<(), CompressError> {
         let mut reader = BitReader::new(stored);
-        let mut dict: Vec<(u32, u8)> = Vec::new();
+        // Entry `i` is code `FIRST_FREE + i`: its prefix code and last
+        // byte. Every code after the first adds one entry and at least
+        // one byte, so a line adds at most `LINE_SIZE - 1`.
+        let mut dict = [(0u32, 0u8); LINE_SIZE];
+        let mut entries = 0usize;
         let mut filled = 0usize;
         let mut prev: Option<u32> = None;
         while filled < out.len() {
@@ -424,7 +428,7 @@ impl LineCodec for LzwLineCodec {
             if code == CLEAR {
                 return Err(CompressError::BadLzwCode { code });
             }
-            let next_code = FIRST_FREE + dict.len() as u32;
+            let next_code = FIRST_FREE + entries as u32;
             match prev {
                 None => {
                     // The first code of a fresh dictionary must be a
@@ -436,22 +440,24 @@ impl LineCodec for LzwLineCodec {
                     filled += 1;
                 }
                 Some(prev_code) => {
-                    if code < next_code {
-                        let first = lzw_expand_into(&dict, code, out, &mut filled)?;
-                        dict.push((prev_code, first));
+                    let known = &dict[..entries];
+                    let first = if code < next_code {
+                        lzw_expand_into(known, code, out, &mut filled)?
                     } else if code == next_code {
                         // KwKwK: the new string is the previous one
                         // followed by its own first byte.
-                        let first = lzw_expand_into(&dict, prev_code, out, &mut filled)?;
+                        let first = lzw_expand_into(known, prev_code, out, &mut filled)?;
                         if filled >= out.len() {
                             return Err(CompressError::BadLzwCode { code });
                         }
                         out[filled] = first;
                         filled += 1;
-                        dict.push((prev_code, first));
+                        first
                     } else {
                         return Err(CompressError::BadLzwCode { code });
-                    }
+                    };
+                    dict[entries] = (prev_code, first);
+                    entries += 1;
                 }
             }
             prev = Some(code);

@@ -1,13 +1,17 @@
 //! Observability contract tests: the probe layer must never perturb
-//! results (probe-off sweeps reproduce the committed `BENCH_*.json`
-//! documents), and the two exporters built on it — the Chrome
-//! trace-event document and the metric registry — must be deterministic,
-//! worker-count-independent, and golden-snapshotted so drift is loud.
-//! Refresh intentionally changed snapshots with
-//! `UPDATE_GOLDEN=1 cargo test --test observability`.
+//! results (probe-off runs reproduce all seven committed sweep and
+//! matrix `BENCH_*.json` files that `ci/bench_gate.sh` checks), and the
+//! two exporters built on it — the Chrome trace-event document and the
+//! metric registry — must be deterministic, worker-count-independent,
+//! and golden-snapshotted so drift is loud. Refresh intentionally
+//! changed snapshots with
+//! `UPDATE_GOLDEN=1 cargo test --test observability`; the committed
+//! `BENCH_*.json` files are regenerated with `ccrp-tools sweep`.
 
 use std::path::PathBuf;
 
+use ccrp_bench::codecs::{self, CodecsOptions};
+use ccrp_bench::isa_compare::{self, IsaCompareOptions};
 use ccrp_bench::json::Json;
 use ccrp_bench::{runner, Experiment, SweepOptions, ToJson};
 use ccrp_testutil::GoldenDir;
@@ -29,6 +33,19 @@ fn results_only(text: &str) -> String {
     json.to_compact()
 }
 
+/// Asserts the committed `file` holds `results` outside `jobs` and
+/// `timing`; `regenerate` is the `ccrp-tools` command that rewrites it.
+fn assert_reproduces(file: &str, results: &Json, regenerate: &str) {
+    let committed =
+        std::fs::read_to_string(repo_path(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
+    assert_eq!(
+        results_only(&committed),
+        results.to_compact(),
+        "{file} no longer matches a fresh run; if the change is intended, \
+         regenerate it with `{regenerate}`"
+    );
+}
+
 /// The committed benchmark results are the probe-off reference: a fresh
 /// sweep with probes compiled out must reproduce their deterministic
 /// sections exactly, proving observability costs nothing when off. The
@@ -39,15 +56,36 @@ fn probe_off_sweep_reproduces_committed_bench_files() {
     let reports = runner::run_all(&Experiment::ALL, &SweepOptions::default());
     assert_eq!(reports.len(), Experiment::ALL.len());
     for report in &reports {
-        let file = format!("BENCH_{}.json", report.experiment.name());
-        let committed =
-            std::fs::read_to_string(repo_path(&file)).unwrap_or_else(|e| panic!("{file}: {e}"));
-        assert_eq!(
-            results_only(&committed),
-            report.results_json().to_compact(),
-            "{file} no longer matches a probe-off sweep"
+        assert_reproduces(
+            &format!("BENCH_{}.json", report.experiment.name()),
+            &report.results_json(),
+            "ccrp-tools sweep --out .",
         );
     }
+}
+
+/// The committed codec × memory-model matrix is the one reference for
+/// a fresh run (here at 2 workers; `ci/bench_gate.sh` runs 1 and 4).
+#[test]
+fn codec_matrix_reproduces_committed_bench_file() {
+    let report = codecs::run(CodecsOptions { jobs: 2 });
+    assert_reproduces(
+        "BENCH_codecs.json",
+        &report.results_json(),
+        "ccrp-tools sweep --codecs --out .",
+    );
+}
+
+/// The committed cross-ISA matrix is the one reference for a fresh run
+/// (here at 2 workers; `ci/bench_gate.sh` runs 1 and 4).
+#[test]
+fn isa_matrix_reproduces_committed_bench_file() {
+    let report = isa_compare::run(IsaCompareOptions { jobs: 2 });
+    assert_reproduces(
+        "BENCH_isa_compare.json",
+        &report.results_json(),
+        "ccrp-tools sweep --isa-compare --out .",
+    );
 }
 
 /// The trace exporter is a pure function of (program, options): its

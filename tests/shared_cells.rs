@@ -2,7 +2,7 @@
 //! their 1 KB cache, the byte-huffman cells of the codec matrix and the
 //! mips-ccrp cells of the ISA matrix simulate Figure 9's configuration
 //! on the same workloads, so each must equal Figure 9's 1 KB point value
-//! for value. The golden and observability tests pin each of the three
+//! for value. `tests/observability.rs` pins each of the three committed
 //! files to the code; this test pins the 48 shared cells to each other,
 //! so it needs no sweep.
 
@@ -69,8 +69,8 @@ fn matrix_cells_equal_figure9_1kb_points() {
     assert_eq!(points.len(), 24, "8 workloads × 3 memory models");
 
     for (path, key, name) in [
-        ("tests/golden/codecs.json", "codec", "byte-huffman"),
-        ("tests/golden/isa_compare.json", "variant", "mips-ccrp"),
+        ("BENCH_codecs.json", "codec", "byte-huffman"),
+        ("BENCH_isa_compare.json", "variant", "mips-ccrp"),
     ] {
         let matrix = load(path);
         assert_eq!(field(&matrix, "cache_bytes"), &Json::U64(1024), "{path}");

@@ -4,6 +4,7 @@
 //! with `PartialEq`, so "equal" here means bit-identical floating-point
 //! results, not approximately close.
 
+use ccrp_bench::json::Json;
 use ccrp_bench::{runner, Experiment, SweepOptions, ToJson};
 
 fn options(jobs: usize) -> SweepOptions {
@@ -40,14 +41,8 @@ fn eight_jobs_match_one_job_bit_for_bit() {
 #[test]
 fn full_json_differs_from_results_json_only_by_run_metadata() {
     let report = runner::run(Experiment::Fig5, &options(2));
-    let results = report.results_json().to_compact();
-    let full = report.to_json().to_compact();
-    assert!(!results.contains("\"timing\""));
-    assert!(full.contains("\"timing\""));
-    assert!(full.contains("\"jobs\":2"));
-    // The deterministic rows are embedded verbatim in the full report:
-    // with sorted keys, `"results":...,"schema":...` is contiguous in
-    // both serializations.
-    let tail = &results[results.find("\"results\"").expect("results key")..results.len() - 1];
-    assert!(full.contains(tail));
+    let mut full = report.to_json();
+    assert_eq!(full.remove("jobs"), Some(Json::U64(2)));
+    assert!(full.remove("timing").is_some());
+    assert_eq!(full.to_compact(), report.results_json().to_compact());
 }
