@@ -293,11 +293,6 @@ pub struct ServesimReport {
     pub overload_retries: u64,
     /// Campaign-server counters after all trials.
     pub counters: ServiceCounters,
-    /// Cache hits/misses/quarantines (timing-class: eviction order
-    /// depends on client interleaving).
-    pub cache_hits: u64,
-    /// Cache misses (timing-class, see [`cache_hits`](Self::cache_hits)).
-    pub cache_misses: u64,
     /// Burst-phase tallies.
     pub burst: BurstReport,
     /// Total wall clock (trials + burst).
@@ -916,7 +911,6 @@ pub fn run(options: ServesimOptions) -> ServesimReport {
         .collect();
     latencies_us.sort_unstable();
     let counters = service.counters();
-    let cache = service.cache_counters();
     server.shutdown();
     let burst = run_burst(options.burst);
     ServesimReport {
@@ -925,8 +919,6 @@ pub fn run(options: ServesimOptions) -> ServesimReport {
         latencies_us,
         overload_retries: retries.into_inner(),
         counters,
-        cache_hits: cache.hits,
-        cache_misses: cache.misses,
         burst,
         total_wall: started.elapsed(),
     }
@@ -1040,8 +1032,6 @@ impl ToJson for ServesimReport {
                 Json::U64(percentile(&self.latencies_us, 99)),
             ),
             ("overload_retries", Json::U64(self.overload_retries)),
-            ("cache_hits", Json::U64(self.cache_hits)),
-            ("cache_misses", Json::U64(self.cache_misses)),
             ("burst", burst),
         ]);
         envelope(self.results_json(), self.options.jobs, timing)

@@ -78,11 +78,6 @@ impl Args {
             .ok_or_else(|| CliError::Usage(format!("missing {what}")))
     }
 
-    /// Number of positional operands.
-    pub fn positional_len(&self) -> usize {
-        self.positional.len()
-    }
-
     /// An option's value, if given.
     pub fn option(&self, name: &str) -> Option<&str> {
         self.options.get(name).map(String::as_str)
@@ -175,7 +170,6 @@ mod tests {
         assert_eq!(args.option_u32("cache", 0).unwrap(), 1024);
         assert!(args.switch("verbose"));
         assert!(!args.switch("quiet"));
-        assert_eq!(args.positional_len(), 2);
     }
 
     #[test]

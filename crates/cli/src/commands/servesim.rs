@@ -13,11 +13,18 @@
 //! contract: any wrong response, any silent acceptance of corrupt v2
 //! content, any dropped or hung scripted connection, an uncontained
 //! panic, or a burst client left without a typed answer.
+//!
+//! The chaos trials' deliberate handler panics are caught by the
+//! service and counted by the campaign, so the command keeps them off
+//! stderr, where they would bury a real panic; every other panic still
+//! reaches the previous panic hook.
 
 use std::io::Write;
+use std::sync::Once;
 
 use ccrp_bench::servesim::{self, Outcome, ServesimOptions, TrialKind};
 use ccrp_bench::ToJson;
+use ccrp_served::CHAOS_PANIC_MESSAGE;
 
 use crate::args::{parse_jobs, parse_seed, parse_trials, Args};
 use crate::error::CliError;
@@ -41,6 +48,7 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let burst = args.option_u32("burst", 32)? as usize;
     let path = args.option("out").unwrap_or("BENCH_servesim.json");
 
+    silence_chaos_panics();
     let report = servesim::run(ServesimOptions {
         trials,
         seed,
@@ -86,6 +94,21 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     }
 
     check(&report)
+}
+
+/// Installs, once per process, a panic hook that drops the chaos
+/// endpoint's deliberate panic and hands every other one to the
+/// previous hook.
+fn silence_chaos_panics() {
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if info.payload().downcast_ref::<&str>() != Some(&CHAOS_PANIC_MESSAGE) {
+                previous(info);
+            }
+        }));
+    });
 }
 
 /// Maps the campaign's service contract onto the exit status.

@@ -22,7 +22,6 @@
 
 use std::io::Write;
 use std::path::Path;
-
 use std::time::Duration;
 
 use ccrp_bench::json::Json;
@@ -54,78 +53,48 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         })?],
     };
     let jobs = parse_jobs(args)?;
-    let out_dir = args.option("out").unwrap_or(".");
-    let metrics = args.switch("metrics");
 
     // `--codecs` and `--isa-compare` run their ablation matrices
     // instead of the paper-experiment sweep.
-    if args.switch("codecs") {
-        let report = codecs::run(codecs::CodecsOptions { jobs });
-        return write_matrix(
-            args,
-            out,
-            out_dir,
-            "codecs",
-            "BENCH_codecs.json",
-            report.cells.len(),
-            report.total_wall,
-            jobs,
-            &report.to_json(),
-        );
-    }
-    if args.switch("isa-compare") {
-        let report = isa_compare::run(isa_compare::IsaCompareOptions { jobs });
-        return write_matrix(
-            args,
-            out,
-            out_dir,
-            "isa-compare",
-            "BENCH_isa_compare.json",
-            report.cells.len(),
-            report.total_wall,
-            jobs,
-            &report.to_json(),
-        );
-    }
-
-    let reports = runner::run_all(
-        &experiments,
-        &SweepOptions {
-            jobs,
-            metrics,
-            ..Default::default()
-        },
-    );
     let mut summaries = Vec::new();
-    for report in reports {
-        let experiment = report.experiment;
-        let path = Path::new(out_dir).join(format!("BENCH_{}.json", experiment.name()));
-        let path = path.to_string_lossy().into_owned();
-        write_file(&path, report.to_json().to_pretty().as_bytes())?;
-        if args.json() {
-            summaries.push(Json::obj([
-                ("experiment", Json::str(experiment.name())),
-                ("cells", Json::U64(report.cells.len() as u64)),
-                ("jobs", Json::U64(report.jobs as u64)),
-                (
-                    "wall_us",
-                    Json::U64(u64::try_from(report.total_wall.as_micros()).unwrap_or(u64::MAX)),
-                ),
-                ("results_file", Json::str(&path)),
-            ]));
-            continue;
-        }
-        writeln!(
-            out,
-            "{:<12} {:>3} cells {:>2} jobs {:>9.2?}  -> {path}",
-            experiment.name(),
-            report.cells.len(),
-            report.jobs,
-            report.total_wall,
-        )
-        .ok();
-        if args.switch("tables") {
-            write!(out, "{}", render::report(&report)).ok();
+    if args.switch("codecs") || args.switch("isa-compare") {
+        let (name, cells, wall, json) = if args.switch("codecs") {
+            let report = codecs::run(codecs::CodecsOptions { jobs });
+            (
+                "codecs",
+                report.cells.len(),
+                report.total_wall,
+                report.to_json(),
+            )
+        } else {
+            let report = isa_compare::run(isa_compare::IsaCompareOptions { jobs });
+            (
+                "isa-compare",
+                report.cells.len(),
+                report.total_wall,
+                report.to_json(),
+            )
+        };
+        summaries.push(write_report(args, out, name, cells, jobs, wall, &json)?);
+    } else {
+        let options = SweepOptions {
+            jobs,
+            metrics: args.switch("metrics"),
+            ..Default::default()
+        };
+        for report in runner::run_all(&experiments, &options) {
+            summaries.push(write_report(
+                args,
+                out,
+                report.experiment.name(),
+                report.cells.len(),
+                report.jobs,
+                report.total_wall,
+                &report.to_json(),
+            )?);
+            if args.switch("tables") && !args.json() {
+                write!(out, "{}", render::report(&report)).ok();
+            }
         }
     }
     if args.json() {
@@ -138,49 +107,39 @@ pub fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Writes one ablation-matrix report and its one-line (or `--json`)
-/// summary, shared by `--codecs` and `--isa-compare`.
-#[allow(clippy::too_many_arguments)]
-fn write_matrix(
+/// Writes `report` to `BENCH_<name>.json` under `--out` (a `-` in
+/// `name` becomes `_`) and returns its `--json` summary entry; without
+/// `--json`, prints its one-line text summary instead.
+fn write_report(
     args: &Args,
     out: &mut dyn Write,
-    out_dir: &str,
     name: &str,
-    file: &str,
     cells: usize,
-    total_wall: Duration,
     jobs: usize,
+    wall: Duration,
     report: &Json,
-) -> Result<(), CliError> {
-    let path = Path::new(out_dir).join(file);
+) -> Result<Json, CliError> {
+    let file = format!("BENCH_{}.json", name.replace('-', "_"));
+    let path = Path::new(args.option("out").unwrap_or(".")).join(file);
     let path = path.to_string_lossy().into_owned();
     write_file(&path, report.to_pretty().as_bytes())?;
-    if args.json() {
-        let json = Json::obj([
-            ("schema", Json::str("ccrp-sweep-summary/1")),
-            (
-                "sweeps",
-                Json::Arr(vec![Json::obj([
-                    ("experiment", Json::str(name)),
-                    ("cells", Json::U64(cells as u64)),
-                    ("jobs", Json::U64(jobs as u64)),
-                    (
-                        "wall_us",
-                        Json::U64(u64::try_from(total_wall.as_micros()).unwrap_or(u64::MAX)),
-                    ),
-                    ("results_file", Json::str(&path)),
-                ])]),
-            ),
-        ]);
-        write!(out, "{}", json.to_pretty()).ok();
-    } else {
+    if !args.json() {
         writeln!(
             out,
-            "{name:<12} {cells:>3} cells {jobs:>2} jobs {total_wall:>9.2?}  -> {path}",
+            "{name:<12} {cells:>3} cells {jobs:>2} jobs {wall:>9.2?}  -> {path}"
         )
         .ok();
     }
-    Ok(())
+    Ok(Json::obj([
+        ("experiment", Json::str(name)),
+        ("cells", Json::U64(cells as u64)),
+        ("jobs", Json::U64(jobs as u64)),
+        (
+            "wall_us",
+            Json::U64(u64::try_from(wall.as_micros()).unwrap_or(u64::MAX)),
+        ),
+        ("results_file", Json::str(&path)),
+    ]))
 }
 
 #[cfg(test)]

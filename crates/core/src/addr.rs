@@ -48,16 +48,6 @@ pub fn decompose(address: u32) -> AddressParts {
     }
 }
 
-/// The address of the cache line containing `address`.
-pub fn line_base(address: u32) -> u32 {
-    address & !(LINE_SIZE - 1)
-}
-
-/// The global line number of `address` (address / 32).
-pub fn line_number(address: u32) -> u32 {
-    address >> OFFSET_BITS
-}
-
 /// Reassembles an address from its parts (inverse of [`decompose`]).
 pub fn compose(parts: AddressParts) -> u32 {
     (parts.lat_index << (OFFSET_BITS + LINE_BITS))
@@ -75,14 +65,6 @@ mod tests {
         assert_eq!(LINE_SIZE, 32);
         assert_eq!(LINES_PER_ENTRY, 8);
         assert_eq!(BYTES_PER_ENTRY, 256);
-    }
-
-    #[test]
-    fn line_helpers() {
-        assert_eq!(line_base(0x1234_5678 & 0x00FF_FFFF), 0x0034_5660);
-        assert_eq!(line_number(0x40), 2);
-        assert_eq!(line_base(31), 0);
-        assert_eq!(line_base(32), 32);
     }
 
     proptest! {

@@ -134,11 +134,6 @@ impl Clb {
         self.stats
     }
 
-    /// Resets the counters (e.g. after a warm-up phase).
-    pub fn reset_stats(&mut self) {
-        self.stats = ClbStats::default();
-    }
-
     /// Currently resident LAT indices, least recently used first.
     pub fn resident(&self) -> impl Iterator<Item = u32> + '_ {
         self.slots.iter().map(|&(tag, _)| tag)
@@ -248,8 +243,6 @@ mod tests {
         assert_eq!(s.hits, 2);
         assert_eq!(s.misses, 1);
         assert!((s.miss_rate() - 1.0 / 3.0).abs() < 1e-12);
-        clb.reset_stats();
-        assert_eq!(clb.stats(), ClbStats::default());
     }
 
     #[test]
@@ -272,7 +265,6 @@ mod tests {
             for &i in &indices {
                 clb.insert(i, entry(i));
             }
-            clb.reset_stats();
             let mut all = true;
             for &i in &indices {
                 if clb.probe(i).is_none() {

@@ -339,11 +339,6 @@ impl BranchZOp {
             BranchZOp::Bgezal => "bgezal",
         }
     }
-
-    /// Whether this branch writes the return address to `$ra`.
-    pub fn links(self) -> bool {
-        matches!(self, BranchZOp::Bltzal | BranchZOp::Bgezal)
-    }
 }
 
 /// Load/store operations on the integer unit.
@@ -852,25 +847,6 @@ impl Instruction {
         shamt: 0,
     };
 
-    /// Whether this instruction is a control transfer with a delay slot
-    /// (branch or jump).
-    pub fn has_delay_slot(&self) -> bool {
-        matches!(
-            self,
-            Instruction::Jr { .. }
-                | Instruction::Jalr { .. }
-                | Instruction::Branch { .. }
-                | Instruction::BranchZ { .. }
-                | Instruction::Jump { .. }
-                | Instruction::Bc1 { .. }
-        )
-    }
-
-    /// Whether this instruction reads or writes data memory.
-    pub fn is_memory_access(&self) -> bool {
-        matches!(self, Instruction::Mem { .. } | Instruction::FpMem { .. })
-    }
-
     /// Whether this instruction writes data memory.
     pub fn is_store(&self) -> bool {
         match self {
@@ -891,18 +867,6 @@ mod tests {
     }
 
     #[test]
-    fn delay_slot_classification() {
-        assert!(Instruction::Jump {
-            link: false,
-            target: 0
-        }
-        .has_delay_slot());
-        assert!(Instruction::Jr { rs: Reg::RA }.has_delay_slot());
-        assert!(!Instruction::NOP.has_delay_slot());
-        assert!(!Instruction::Syscall { code: 0 }.has_delay_slot());
-    }
-
-    #[test]
     fn store_classification() {
         let sw = Instruction::Mem {
             op: MemOp::Sw,
@@ -916,9 +880,8 @@ mod tests {
             base: Reg::SP,
             offset: 0,
         };
-        assert!(sw.is_store() && sw.is_memory_access());
+        assert!(sw.is_store());
         assert!(!lw.is_store());
-        assert!(lw.is_memory_access());
         let swc1 = Instruction::FpMem {
             store: true,
             ft: FpReg::new(0).unwrap(),

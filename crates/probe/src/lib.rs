@@ -218,11 +218,6 @@ impl EventLog {
         self.dropped
     }
 
-    /// Consumes the log, returning the recorded events.
-    pub fn into_events(self) -> Vec<TimedEvent> {
-        self.events
-    }
-
     /// Empties the log, recorded events and [`dropped`](Self::dropped)
     /// count alike, keeping its limit and its storage, so one log can
     /// record a run of short episodes without allocating for each.
@@ -268,7 +263,7 @@ mod tests {
         let mut log = EventLog::new();
         log.emit(3, Event::ClbMiss { lat_index: 1 });
         log.emit(9, Event::ClbHit { lat_index: 1 });
-        let events = log.into_events();
+        let events = log.events();
         assert_eq!(events.len(), 2);
         assert!(events[0].cycle < events[1].cycle);
         assert_eq!(events[1].event, Event::ClbHit { lat_index: 1 });

@@ -77,12 +77,6 @@ impl XReg {
         ABI_NAMES[self.0 as usize]
     }
 
-    /// Whether this register is addressable by the RVC three-bit
-    /// register fields (`x8`..`x15`).
-    pub fn in_compressed_set(self) -> bool {
-        (8..16).contains(&self.0)
-    }
-
     /// Iterates over all 32 registers in numeric order.
     pub fn all() -> impl Iterator<Item = XReg> {
         (0u8..32).map(XReg)
@@ -100,15 +94,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn numbers_names_and_compressed_set() {
+    fn numbers_and_names() {
         assert_eq!(XReg::SP.number(), 2);
         assert_eq!(XReg::A0.to_string(), "a0");
         assert_eq!(XReg::all().count(), 32);
         assert!(XReg::new(32).is_err());
-        let compressed: Vec<u8> = XReg::all()
-            .filter(|r| r.in_compressed_set())
-            .map(XReg::number)
-            .collect();
-        assert_eq!(compressed, (8..16).collect::<Vec<u8>>());
     }
 }

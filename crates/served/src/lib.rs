@@ -19,13 +19,11 @@
 //!   wall-clock deadline through the budget's cancel flag.
 //! - **Per-request isolation** ([`Service`]): each request runs under
 //!   `catch_unwind`; a panicking handler becomes a typed `Internal`
-//!   error and any cached image it touched is quarantined.
+//!   error. Every upload is parsed from the bytes it carried, so no
+//!   state outlives a request.
 //! - **Admission control** ([`ServerHandle`]): a bounded job queue
 //!   sheds excess load with typed `Overload` errors that clients
 //!   retry with exponential backoff ([`Client::call_with_retry`]).
-//! - **Content-addressed caching** ([`ImageCache`]): decoded images
-//!   are cached by content hash, so corruption can never alias a
-//!   pristine entry.
 //!
 //! The hostile-input campaign that exercises all of this end-to-end
 //! lives in `ccrp_bench::servesim`.
@@ -34,15 +32,13 @@
 #![warn(missing_docs)]
 
 pub mod attest;
-pub mod cache;
 pub mod proto;
 pub mod server;
 pub mod service;
 pub mod wire;
 
 pub use attest::{attest_digest, MAX_ATTEST_SAMPLES};
-pub use cache::{content_hash, CacheCounters, ImageCache};
 pub use proto::{ErrorKind, Request, Response, MAX_RUN_OUTPUT_BYTES};
 pub use server::{Client, ClientError, ServerHandle};
-pub use service::{Service, ServiceConfig, ServiceCounters};
+pub use service::{Service, ServiceConfig, ServiceCounters, CHAOS_PANIC_MESSAGE};
 pub use wire::{read_frame, write_frame, FrameError, FRAME_HEADER_BYTES};

@@ -29,7 +29,8 @@ pub enum ErrorKind {
     IntegrityFailure,
     /// Execution faulted (emulator machine check, bad memory access).
     Fault,
-    /// The handler itself failed; its state was quarantined.
+    /// The handler itself failed (it panicked and the service caught
+    /// it).
     Internal,
 }
 
@@ -141,8 +142,9 @@ pub enum Request {
     /// Deliberately misbehave inside the handler (testing only; the
     /// server must have chaos enabled).
     Chaos {
-        /// Which misbehaviour: `0` panics the handler; `1` panics it
-        /// while it holds a cached container, which is then quarantined.
+        /// Which misbehaviour: `0` panics the handler with
+        /// [`CHAOS_PANIC_MESSAGE`](crate::CHAOS_PANIC_MESSAGE); any
+        /// other kind is `Malformed`.
         kind: u8,
     },
 }

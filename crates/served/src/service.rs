@@ -1,17 +1,17 @@
-//! The request dispatcher: bounded inputs, fuel budgets, per-request
-//! isolation, and the content-addressed image cache.
+//! The request dispatcher: bounded inputs, fuel budgets and per-request
+//! isolation.
 //!
 //! [`Service`] is transport-agnostic — the TCP [server](crate::server)
 //! drives it, but tests and the hostile-input campaign can call
 //! [`Service::handle`] directly. Every request runs under
 //! `catch_unwind`: a panicking handler is converted into a typed
-//! [`ErrorKind::Internal`] response and any cached image the handler
-//! touched is quarantined, so one poisoned request cannot corrupt the
-//! next (the "per-request isolation" contract).
+//! [`ErrorKind::Internal`] response, and since every upload endpoint
+//! parses the container bytes it was sent, no state outlives a request
+//! for a panic to poison (the "per-request isolation" contract).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use ccrp::{CcrpError, CompressedImage, StepBudget};
@@ -21,8 +21,12 @@ use ccrp_emu::{EmuError, Machine, MachineConfig, NullSink, ProgramTrace};
 use ccrp_sim::{MemoryModel, SimError, Simulation, SystemConfig};
 
 use crate::attest::attest_digest;
-use crate::cache::{content_hash, CacheCounters, ImageCache};
 use crate::proto::{ErrorKind, Request, Response, MAX_RUN_OUTPUT_BYTES};
+
+/// The payload of the panic `Request::Chaos { kind: 0 }` raises, so a
+/// process hosting the service can tell that deliberate panic from a
+/// real one.
+pub const CHAOS_PANIC_MESSAGE: &str = "chaos: deliberate handler panic";
 
 /// Limits and budgets the service enforces on every request.
 #[derive(Debug, Clone)]
@@ -46,8 +50,6 @@ pub struct ServiceConfig {
     pub queue_depth: usize,
     /// Worker threads draining the queue.
     pub workers: usize,
-    /// Capacity of the decoded-image cache.
-    pub cache_entries: usize,
     /// Allow [`Request::Chaos`] to actually misbehave (testing only).
     pub enable_chaos: bool,
 }
@@ -64,7 +66,6 @@ impl Default for ServiceConfig {
             read_timeout: Duration::from_millis(250),
             queue_depth: 32,
             workers: 2,
-            cache_entries: 8,
             enable_chaos: false,
         }
     }
@@ -88,7 +89,6 @@ pub struct ServiceCounters {
 /// The transport-agnostic request handler.
 pub struct Service {
     config: ServiceConfig,
-    cache: ImageCache,
     requests: AtomicU64,
     failures: AtomicU64,
     panics_caught: AtomicU64,
@@ -98,10 +98,8 @@ pub struct Service {
 impl Service {
     /// Creates a service with the given limits.
     pub fn new(config: ServiceConfig) -> Service {
-        let cache = ImageCache::new(config.cache_entries);
         Service {
             config,
-            cache,
             requests: AtomicU64::new(0),
             failures: AtomicU64::new(0),
             panics_caught: AtomicU64::new(0),
@@ -124,11 +122,6 @@ impl Service {
         }
     }
 
-    /// Snapshot of the image-cache counters.
-    pub fn cache_counters(&self) -> CacheCounters {
-        self.cache.counters()
-    }
-
     /// Counts a request shed before dispatch (queue full, or expired
     /// while queued).
     pub fn note_rejected(&self) {
@@ -144,26 +137,18 @@ impl Service {
     /// Handles one request; `cancel` is the watchdog's deadline flag,
     /// polled by the fuel budget during emulation and replay.
     ///
-    /// Never panics: handler panics are caught, counted, converted to
-    /// [`ErrorKind::Internal`], and any cached image the handler was
-    /// using is quarantined.
+    /// Never panics: handler panics are caught, counted and converted
+    /// to [`ErrorKind::Internal`].
     pub fn handle_cancellable(&self, request: &Request, cancel: &Arc<AtomicBool>) -> Response {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        let touched = Mutex::new(None::<u64>);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            self.dispatch(request, cancel, &touched)
-        }));
+        let outcome = catch_unwind(AssertUnwindSafe(|| self.dispatch(request, cancel)));
         let response = match outcome {
             Ok(response) => response,
             Err(_) => {
                 self.panics_caught.fetch_add(1, Ordering::Relaxed);
-                let key = *touched.lock().unwrap_or_else(|p| p.into_inner());
-                if let Some(key) = key {
-                    self.cache.quarantine(key);
-                }
                 Response::Error {
                     kind: ErrorKind::Internal,
-                    detail: "request handler panicked; cached state quarantined".to_owned(),
+                    detail: "request handler panicked".to_owned(),
                 }
             }
         };
@@ -173,32 +158,25 @@ impl Service {
         response
     }
 
-    fn dispatch(
-        &self,
-        request: &Request,
-        cancel: &Arc<AtomicBool>,
-        touched: &Mutex<Option<u64>>,
-    ) -> Response {
+    fn dispatch(&self, request: &Request, cancel: &Arc<AtomicBool>) -> Response {
         match request {
             Request::Compress {
                 text_base,
                 v2,
                 text,
             } => self.compress(*text_base, *v2, text),
-            Request::Verify { container } => match self.load_image(container, touched) {
+            Request::Verify { container } => match self.load_image(container) {
                 Ok(image) => self.verify(&image),
                 Err(response) => response,
             },
-            Request::Inspect { container } => match self.load_image(container, touched) {
+            Request::Inspect { container } => match self.load_image(container) {
                 Ok(image) => inspect(&image),
                 Err(response) => response,
             },
-            Request::ExpandLine { container, address } => {
-                match self.load_image(container, touched) {
-                    Ok(image) => expand_line(&image, *address),
-                    Err(response) => response,
-                }
-            }
+            Request::ExpandLine { container, address } => match self.load_image(container) {
+                Ok(image) => expand_line(&image, *address),
+                Err(response) => response,
+            },
             Request::Run { source, fuel } => self.run(source, *fuel, cancel),
             Request::SweepCell {
                 source,
@@ -210,24 +188,19 @@ impl Service {
                 container,
                 nonce,
                 samples,
-            } => match self.load_image(container, touched) {
+            } => match self.load_image(container) {
                 Ok(image) => match attest_digest(&image, *nonce, *samples) {
                     Ok((digest, sampled)) => Response::Attested { digest, sampled },
                     Err(e) => error(classify_ccrp(&e), &e),
                 },
                 Err(response) => response,
             },
-            Request::Chaos { kind } => self.chaos(*kind, touched),
+            Request::Chaos { kind } => self.chaos(*kind),
         }
     }
 
-    /// Parses (or cache-loads) a container, recording the touched cache
-    /// key for quarantine-on-panic.
-    fn load_image(
-        &self,
-        container: &[u8],
-        touched: &Mutex<Option<u64>>,
-    ) -> Result<Arc<CompressedImage>, Response> {
+    /// Parses a container from the bytes the request carried.
+    fn load_image(&self, container: &[u8]) -> Result<CompressedImage, Response> {
         if container.len() > self.config.max_container_bytes {
             return Err(Response::Error {
                 kind: ErrorKind::Malformed,
@@ -238,16 +211,7 @@ impl Service {
                 ),
             });
         }
-        let key = content_hash(container);
-        *touched.lock().unwrap_or_else(|p| p.into_inner()) = Some(key);
-        if let Some(image) = self.cache.get(key) {
-            return Ok(image);
-        }
-        let image = CompressedImage::from_bytes(container)
-            .map(Arc::new)
-            .map_err(|e| error(classify_ccrp(&e), &e))?;
-        self.cache.insert(key, Arc::clone(&image));
-        Ok(image)
+        CompressedImage::from_bytes(container).map_err(|e| error(classify_ccrp(&e), &e))
     }
 
     fn compress(&self, text_base: u32, v2: bool, text: &[u8]) -> Response {
@@ -379,25 +343,14 @@ impl Service {
         }
     }
 
-    fn chaos(&self, kind: u8, touched: &Mutex<Option<u64>>) -> Response {
+    fn chaos(&self, kind: u8) -> Response {
         if !self.config.enable_chaos {
             return malformed("chaos endpoint is disabled");
         }
         match kind {
-            // The isolation test fixtures: prove catch_unwind + quarantine
-            // turn a handler panic into a typed Internal error, and that
-            // a container the handler held is quarantined.
-            0 => panic!("chaos: deliberate handler panic"), // panic-ok: the isolation fixture itself
-            1 => {
-                let container = match self.compress(0, true, &chaos_text()) {
-                    Response::Compressed { container } => container,
-                    other => return other,
-                };
-                if let Err(response) = self.load_image(&container, touched) {
-                    return response;
-                }
-                panic!("chaos: deliberate panic holding a container") // panic-ok: the isolation fixture itself
-            }
+            // The isolation test fixture: proves catch_unwind turns a
+            // handler panic into a typed Internal error.
+            0 => std::panic::panic_any(CHAOS_PANIC_MESSAGE), // panic-ok: the isolation fixture itself
             _ => malformed("unknown chaos kind"),
         }
     }
@@ -452,12 +405,6 @@ fn inspect(image: &CompressedImage) -> Response {
 fn truncated_output(output: &str) -> Vec<u8> {
     let bytes = output.as_bytes();
     bytes[..bytes.len().min(MAX_RUN_OUTPUT_BYTES)].to_vec()
-}
-
-/// The text whose v2 container `Chaos { kind: 1 }` loads before it
-/// panics: the container a client gets by compressing it at base 0.
-pub(crate) fn chaos_text() -> Vec<u8> {
-    (0..1024u32).map(|i| (i % 41) as u8).collect()
 }
 
 fn malformed(detail: &str) -> Response {
@@ -519,13 +466,6 @@ mod tests {
             li   $v0, 10
             syscall
         ";
-
-    fn chaos_config() -> ServiceConfig {
-        ServiceConfig {
-            enable_chaos: true,
-            ..ServiceConfig::default()
-        }
-    }
 
     fn sample_text() -> Vec<u8> {
         (0..2048u32).map(|i| (i % 53) as u8).collect()
@@ -693,10 +633,17 @@ mod tests {
 
     #[test]
     fn chaos_panic_is_isolated_and_service_stays_usable() {
-        let service = Service::new(chaos_config());
+        let service = Service::new(ServiceConfig {
+            enable_chaos: true,
+            ..ServiceConfig::default()
+        });
         let response = service.handle(&Request::Chaos { kind: 0 });
         assert_eq!(response.error_kind(), Some(ErrorKind::Internal));
         assert_eq!(service.counters().panics_caught, 1);
+        assert_eq!(
+            service.handle(&Request::Chaos { kind: 1 }).error_kind(),
+            Some(ErrorKind::Malformed)
+        );
         // The service still answers the next request correctly.
         let container = v2_container(&service);
         assert!(matches!(
@@ -715,56 +662,68 @@ mod tests {
         assert_eq!(service.counters().panics_caught, 0);
     }
 
-    #[test]
-    fn cache_serves_repeat_uploads() {
-        let service = Service::new(chaos_config());
-        let container = v2_container(&service);
-        let request = Request::Verify {
-            container: container.clone(),
+    /// FNV-1a 64, the content key under which the container pairs below
+    /// collide.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xCBF2_9CE4_8422_2325, |hash, &b| {
+            (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    /// Two 64-byte images whose line 1, stored raw at container bytes
+    /// 312..320, starts with `x1` or `x2`, as containers whose FNV-1a
+    /// keys collide.
+    fn colliding_containers(x1: u64, x2: u64, v2: bool) -> (Vec<u8>, Vec<u8>) {
+        let train: Vec<u8> = (0..64).flat_map(|_| 0..=254u8).collect();
+        let code = ByteCode::preselected(&ByteHistogram::of(&train)).unwrap();
+        let mut text = vec![0u8; 32];
+        text.extend_from_slice(&x1.to_le_bytes());
+        text.extend_from_slice(&[0xFF; 24]);
+        let mut image = CompressedImage::build(0, &text, code, BlockAlignment::Word).unwrap();
+        let pristine = if v2 {
+            image.attach_block_crcs();
+            image.to_bytes_v2()
+        } else {
+            image.to_bytes()
         };
-        service.handle(&request);
-        service.handle(&request);
-        let counters = service.cache_counters();
-        assert_eq!(counters.hits, 1, "second upload should hit the cache");
+        assert_eq!(pristine[312..320], x1.to_le_bytes(), "line 1 is stored raw");
+        let mut hostile = pristine.clone();
+        hostile[312..320].copy_from_slice(&x2.to_le_bytes());
+        assert_eq!(fnv1a(&pristine), fnv1a(&hostile), "the keys collide");
+        (pristine, hostile)
     }
 
     #[test]
-    fn panic_holding_a_cached_container_quarantines_it() {
-        let service = Service::new(chaos_config());
-        let container = match service.handle(&Request::Compress {
-            text_base: 0,
-            v2: true,
-            text: chaos_text(),
+    fn a_colliding_upload_is_judged_on_its_own_bytes() {
+        let (v1, hostile_v1) =
+            colliding_containers(0x1c74_6191_2666_cb8f, 0xf0b1_aa1b_1ef4_a2b0, false);
+        assert_eq!(fnv1a(&v1), 0x6f4c_bd32_33ce_ae8d);
+        let (v2, hostile_v2) =
+            colliding_containers(0xae44_8262_a3f3_c429, 0xb56c_6ea7_1f1f_f059, true);
+        assert_eq!(fnv1a(&v2), 0xa480_39dd_0619_0e78);
+
+        let service = Service::new(ServiceConfig::default());
+        for container in [v1, v2] {
+            assert!(matches!(
+                service.handle(&Request::Verify { container }),
+                Response::Verified { .. }
+            ));
+        }
+        match service.handle(&Request::Verify {
+            container: hostile_v2,
         }) {
-            Response::Compressed { container } => container,
-            other => panic!("compress failed: {other:?}"),
-        };
-        let request = Request::Verify { container };
-        service.handle(&request);
-        service.handle(&request);
-        assert_eq!(service.cache_counters().hits, 1, "the container is cached");
-
-        let response = service.handle(&Request::Chaos { kind: 1 });
-        assert_eq!(response.error_kind(), Some(ErrorKind::Internal));
-        assert_eq!(service.counters().panics_caught, 1);
-        let quarantined = service.cache_counters();
-        assert_eq!(
-            quarantined.hits, 2,
-            "the panicking handler held the cached container"
-        );
-        assert_eq!(quarantined.quarantined, 1);
-
-        // Re-uploading the same container misses, and still verifies.
-        assert!(matches!(
-            service.handle(&request),
-            Response::Verified { .. }
-        ));
-        let after = service.cache_counters();
-        assert_eq!(after.hits, quarantined.hits);
-        assert_eq!(after.misses, quarantined.misses + 1);
-        // A quarantined key is not readmitted.
-        service.handle(&request);
-        assert_eq!(service.cache_counters().misses, after.misses + 1);
+            Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::IntegrityFailure),
+            other => panic!("corrupt v2 upload accepted: {other:?}"),
+        }
+        match service.handle(&Request::ExpandLine {
+            container: hostile_v1,
+            address: 32,
+        }) {
+            Response::Line { bytes } => {
+                assert_eq!(bytes[..8], 0xf0b1_aa1b_1ef4_a2b0u64.to_le_bytes())
+            }
+            other => panic!("expand failed: {other:?}"),
+        }
     }
 
     #[test]
