@@ -20,15 +20,15 @@ use std::time::Instant;
 
 use ccrp_bench::json::Json;
 use ccrp_bitstream::BitReader;
-use ccrp_compress::{block, BlockAlignment, ByteCode, CompressedLine, LINE_SIZE, LOOKUP_BITS};
+use ccrp_compress::{block, BlockAlignment, ByteCode, LINE_SIZE, LOOKUP_BITS};
 use ccrp_workloads::{preselected_code, TracedWorkload};
 
-/// One workload's compressed lines, split so the decoder measurements
+/// One workload's compressed blocks, split so the decoder measurements
 /// cover exactly the lines that exercise the decoder (bypassed lines
 /// are raw copies on both paths and would only dilute the comparison).
 struct CorpusEntry {
     name: &'static str,
-    compressed: Vec<CompressedLine>,
+    compressed: Vec<Vec<u8>>,
     bypass_lines: usize,
 }
 
@@ -36,16 +36,22 @@ fn build_corpus(code: &ByteCode) -> Vec<CorpusEntry> {
     TracedWorkload::ALL
         .iter()
         .map(|workload| {
-            let text = workload
+            let mut text = workload
                 .padded_text()
                 .unwrap_or_else(|e| panic!("{}: {e}", workload.name()));
-            let lines = block::compress_image(code, &text, BlockAlignment::Word);
-            let (compressed, bypassed): (Vec<_>, Vec<_>) =
-                lines.into_iter().partition(|line| !line.is_bypass());
+            // Zero pad a partial last line, as the image build does.
+            text.resize(text.len().next_multiple_of(LINE_SIZE), 0);
+            let mut compressed = Vec::new();
+            for line in text.chunks_exact(LINE_SIZE) {
+                let mut stored = Vec::new();
+                if !block::compress_line_into(code, line, BlockAlignment::Word, &mut stored) {
+                    compressed.push(stored);
+                }
+            }
             CorpusEntry {
                 name: workload.name(),
+                bypass_lines: text.len() / LINE_SIZE - compressed.len(),
                 compressed,
-                bypass_lines: bypassed.len(),
             }
         })
         .collect()
@@ -55,7 +61,7 @@ fn build_corpus(code: &ByteCode) -> Vec<CorpusEntry> {
 /// returning a checksum so the work cannot be optimized away.
 fn expand_corpus(
     corpus: &[CorpusEntry],
-    mut expand: impl FnMut(&CompressedLine, &mut [u8; LINE_SIZE]),
+    mut expand: impl FnMut(&[u8], &mut [u8; LINE_SIZE]),
 ) -> (u64, u64) {
     let mut lines = 0u64;
     let mut checksum = 0u64;
@@ -76,7 +82,7 @@ fn expand_corpus(
 /// (after one warmup pass), plus the total line count.
 fn measure(
     corpus: &[CorpusEntry],
-    mut expand: impl FnMut(&CompressedLine, &mut [u8; LINE_SIZE]),
+    mut expand: impl FnMut(&[u8], &mut [u8; LINE_SIZE]),
 ) -> (u64, f64) {
     const BATCHES: usize = 9;
     let (lines, warm_checksum) = expand_corpus(corpus, &mut expand);
@@ -115,16 +121,16 @@ fn main() {
     let code = preselected_code().clone();
     let corpus = build_corpus(&code);
 
-    let (lines, bitwalk_s) = measure(&corpus, |line, out| {
-        let mut reader = BitReader::new(line.data());
+    let (lines, bitwalk_s) = measure(&corpus, |stored, out| {
+        let mut reader = BitReader::new(stored);
         for slot in out.iter_mut() {
             *slot = code
                 .decode_symbol_reference(&mut reader)
                 .expect("corpus lines decode");
         }
     });
-    let (table_lines, table_s) = measure(&corpus, |line, out| {
-        block::decompress_line_into(&code, line, out).expect("corpus lines decode");
+    let (table_lines, table_s) = measure(&corpus, |stored, out| {
+        block::decompress_line_into(&code, stored, false, out).expect("corpus lines decode");
     });
     assert_eq!(lines, table_lines);
     let speedup = bitwalk_s / table_s;

@@ -16,7 +16,7 @@ use ccrp_bench::difftest::trial_seed;
 use ccrp_bench::experiments::perf::CACHE_SIZES;
 use ccrp_compress::{
     block, bounded_lengths, lzw, traditional_lengths, BlockAlignment, ByteCode, ByteHistogram,
-    LzwLineCodec, PositionalCode, PositionalHistogram, PAPER_MAX_LEN,
+    LineCodec, LzwLineCodec, PositionalCode, PositionalHistogram, PAPER_MAX_LEN,
 };
 use ccrp_difftest::{build_rom, compare_cores, run_trial, ProgGen};
 use ccrp_sim::{ICache, MemoryModel, Simulation, SystemConfig};
@@ -81,16 +81,21 @@ fn codec_benches() {
     bench("lzw_compress", Some(n), || {
         lzw::compress(std::hint::black_box(&text))
     });
+    let codec: Arc<dyn LineCodec> = Arc::new(code);
     bench("block_compress_image", Some(n), || {
-        block::compress_image(&code, std::hint::black_box(&text), BlockAlignment::Word)
+        let text = std::hint::black_box(&text);
+        CompressedImage::build_with_codec(0, text, Arc::clone(&codec), BlockAlignment::Word)
+            .expect("builds")
     });
 }
 
 /// Figure 5's block sizing over the ten-program corpus, from encoded
-/// bits alone and by encoding every line, and one LZW image build.
+/// bits alone and by building every program's image, and one LZW image
+/// build.
 fn block_benches() {
     let corpus = figure5_corpus();
     let code = preselected_code();
+    let codec: Arc<dyn LineCodec> = Arc::new(code.clone());
     let n = corpus.iter().map(|program| program.text.len()).sum();
     println!(
         "-- block sizing ({} KiB corpus) and LZW image build --",
@@ -106,15 +111,12 @@ fn block_benches() {
         corpus
             .iter()
             .map(|p| {
-                block::compress_image(code, std::hint::black_box(&p.text), BlockAlignment::Byte)
+                let text = std::hint::black_box(&p.text);
+                CompressedImage::build_with_codec(0, text, Arc::clone(&codec), BlockAlignment::Byte)
+                    .expect("builds")
+                    .compressed_code_bytes()
             })
-            .map(|lines| {
-                lines
-                    .iter()
-                    .map(block::CompressedLine::stored_len)
-                    .sum::<usize>()
-            })
-            .sum::<usize>()
+            .sum::<u32>()
     });
     let text = &ccrp_bench::suite().get("espresso").workload.text;
     bench("build_lzw_espresso", Some(text.len()), || {

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 use ccrp_difftest::{run_trial, run_trial_rv32, run_trial_segmented, TrialOutcome, TrialReport};
 
 use crate::json::Json;
-use crate::report::{duration_json, envelope, ToJson};
+use crate::report::{duration_json, envelope, outcome_table, ToJson};
 use crate::runner::parallel_map;
 
 /// How one differential trial ended, campaign-side.
@@ -255,19 +255,13 @@ impl DifftestReport {
     /// reports stay byte-for-byte compatible with the earlier schemas.
     pub fn results_json(&self) -> Json {
         let sum = |f: fn(&Trial) -> u64| Json::U64(self.trials.iter().map(f).sum());
-        let mut json = Json::obj([
+        // Every trial is filed under one key, `counts`.
+        let verdicts = self.trials.iter().map(|t| ((), t.outcome));
+        let mut json = outcome_table([("counts", ())], &Outcome::ALL, Outcome::name, verdicts);
+        for (key, value) in [
             ("schema", Json::str("ccrp-difftest/1")),
             ("programs", Json::U64(self.options.programs as u64)),
             ("seed", Json::U64(self.options.seed)),
-            (
-                "counts",
-                Json::Obj(
-                    Outcome::ALL
-                        .map(|o| (o.name().to_string(), Json::U64(self.count(o) as u64)))
-                        .into_iter()
-                        .collect(),
-                ),
-            ),
             ("instructions", sum(|t| t.instructions)),
             ("text_bytes", sum(|t| t.text_bytes)),
             ("lat_entries", sum(|t| t.lat_entries)),
@@ -275,7 +269,9 @@ impl DifftestReport {
             ("outcomes", Json::str(&self.outcome_string())),
             ("failures", self.failures_json(8)),
             ("acceptable", Json::Bool(self.acceptable())),
-        ]);
+        ] {
+            json.insert(key, value);
+        }
         if self.options.isa != DifftestIsa::Mips {
             json.insert("isa", Json::str(self.options.isa.name()));
         }

@@ -30,7 +30,7 @@ use ccrp_compress::{BlockAlignment, ByteCode, ByteHistogram};
 
 use crate::difftest::trial_seed;
 use crate::json::Json;
-use crate::report::{duration_json, envelope, ToJson};
+use crate::report::{duration_json, envelope, outcome_table, ToJson};
 use crate::runner::parallel_map;
 
 /// How one fault-injection trial ended.
@@ -332,43 +332,31 @@ impl FaultsimReport {
         self.outcomes.iter().map(|o| o.code()).collect()
     }
 
-    fn breakdown<K: PartialEq>(
-        &self,
-        keys: impl IntoIterator<Item = (&'static str, K)>,
-        key_of: impl Fn(usize) -> K,
-    ) -> Json {
-        Json::Obj(
-            keys.into_iter()
-                .map(|(name, key)| {
-                    let counts = Outcome::ALL.map(|outcome| {
-                        let n = self
-                            .outcomes
-                            .iter()
-                            .enumerate()
-                            .filter(|&(trial, &o)| o == outcome && key_of(trial) == key)
-                            .count();
-                        (outcome.name().to_string(), Json::U64(n as u64))
-                    });
-                    (name.to_string(), Json::Obj(counts.into_iter().collect()))
-                })
-                .collect(),
-        )
-    }
-
     /// The deterministic half of the report: identical for equal
     /// `(trials, seed)` whatever the job count or machine.
     pub fn results_json(&self) -> Json {
+        let trials = self.outcomes.iter().enumerate();
         Json::obj([
             ("schema", Json::str("ccrp-faultsim/1")),
             ("trials", Json::U64(self.options.trials as u64)),
             ("seed", Json::U64(self.options.seed)),
             (
                 "modes",
-                self.breakdown([("v1", Mode::V1), ("v2", Mode::V2)], mode_of),
+                outcome_table(
+                    [("v1", Mode::V1), ("v2", Mode::V2)],
+                    &Outcome::ALL,
+                    Outcome::name,
+                    trials.clone().map(|(t, &o)| (mode_of(t), o)),
+                ),
             ),
             (
                 "regions",
-                self.breakdown(FaultRegion::ALL.map(|r| (r.name(), r)), region_of),
+                outcome_table(
+                    FaultRegion::ALL.map(|r| (r.name(), r)),
+                    &Outcome::ALL,
+                    Outcome::name,
+                    trials.map(|(t, &o)| (region_of(t), o)),
+                ),
             ),
             ("outcomes", Json::str(&self.outcome_string())),
             ("acceptable", Json::Bool(self.acceptable())),

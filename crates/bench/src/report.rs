@@ -49,6 +49,26 @@ pub(crate) fn envelope(mut results: Json, jobs: usize, timing: Json) -> Json {
     results
 }
 
+/// A campaign's outcome table, `{key: {outcome: trials}}`: for each
+/// `(name, key)` of `keys`, how many of `trials` (key and outcome
+/// pairs) filed under `key` ended in each of `outcomes`.
+pub(crate) fn outcome_table<K: PartialEq, O: Copy + PartialEq>(
+    keys: impl IntoIterator<Item = (&'static str, K)>,
+    outcomes: &[O],
+    name_of: fn(O) -> &'static str,
+    trials: impl Iterator<Item = (K, O)> + Clone,
+) -> Json {
+    let table = keys.into_iter().map(|(key_name, key)| {
+        let counts = outcomes.iter().map(|&outcome| {
+            let filed = trials.clone().filter(|(k, o)| *k == key && *o == outcome);
+            let n = Json::U64(filed.count() as u64);
+            (name_of(outcome).to_string(), n)
+        });
+        (key_name.to_string(), Json::Obj(counts.collect()))
+    });
+    Json::Obj(table.collect())
+}
+
 /// A wall-clock duration as whole microseconds, the unit of every
 /// `timing` section.
 pub(crate) fn duration_json(d: Duration) -> Json {

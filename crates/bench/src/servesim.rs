@@ -54,7 +54,7 @@ use ccrp_served::{
 use crate::difftest::trial_seed;
 use crate::faultsim::{Mode, Pristine};
 use crate::json::Json;
-use crate::report::{duration_json, envelope, ToJson};
+use crate::report::{duration_json, envelope, outcome_table, ToJson};
 use crate::runner::parallel_map;
 
 /// Read timeout on honest campaign clients — generous enough that only
@@ -960,34 +960,27 @@ impl ServesimReport {
         self.outcomes.iter().map(|o| o.code()).collect()
     }
 
-    fn kind_breakdown(&self) -> Json {
-        Json::Obj(
-            TrialKind::ALL
-                .map(|kind| {
-                    let counts = Outcome::ALL.map(|outcome| {
-                        (
-                            outcome.name().to_string(),
-                            Json::U64(self.count(outcome, Some(kind)) as u64),
-                        )
-                    });
-                    (
-                        kind.name().to_string(),
-                        Json::Obj(counts.into_iter().collect()),
-                    )
-                })
-                .into_iter()
-                .collect(),
-        )
-    }
-
     /// The deterministic half of the report: identical for equal
     /// `(trials, seed)` whatever the job count or machine.
     pub fn results_json(&self) -> Json {
+        let trials = self
+            .outcomes
+            .iter()
+            .enumerate()
+            .map(|(t, &o)| (kind_of(t), o));
         Json::obj([
             ("schema", Json::str("ccrp-servesim/1")),
             ("trials", Json::U64(self.options.trials as u64)),
             ("seed", Json::U64(self.options.seed)),
-            ("kinds", self.kind_breakdown()),
+            (
+                "kinds",
+                outcome_table(
+                    TrialKind::ALL.map(|k| (k.name(), k)),
+                    &Outcome::ALL,
+                    Outcome::name,
+                    trials,
+                ),
+            ),
             ("outcomes", Json::str(&self.outcome_string())),
             (
                 "server",

@@ -1,10 +1,12 @@
 //! Cache-line block compression (Figure 1 of the paper).
 //!
 //! Each 32-byte instruction block is compressed independently so the
-//! refill engine can expand any line on demand. Blocks that would grow
-//! are stored raw ("the original block encoding"), guaranteeing no block
-//! exceeds its original size — the paper's two-code special case that
-//! "only requires a bypass capability in the decoder".
+//! refill engine can expand any line on demand, and
+//! [`compress_line_into`] appends each stored block to one packed ROM,
+//! back to back, as the Line Address Table expects. Blocks that would
+//! grow are stored raw ("the original block encoding"), guaranteeing no
+//! block exceeds its original size — the paper's two-code special case
+//! that "only requires a bypass capability in the decoder".
 
 use ccrp_bitstream::BitWriter;
 
@@ -36,70 +38,6 @@ impl BlockAlignment {
     }
 }
 
-/// One compressed cache line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompressedLine {
-    data: Vec<u8>,
-    bypass: bool,
-}
-
-impl CompressedLine {
-    /// Reconstructs a stored line from container bytes (used when
-    /// loading a serialized compressed image).
-    ///
-    /// # Panics
-    ///
-    /// Panics on stored sizes the LAT cannot represent: a bypassed line
-    /// must be exactly [`LINE_SIZE`] bytes, a compressed one 1..32. Use
-    /// [`from_stored_checked`](Self::from_stored_checked) when the sizes
-    /// come from untrusted (possibly corrupt) container bytes.
-    pub fn from_stored(data: Vec<u8>, bypass: bool) -> Self {
-        match Self::from_stored_checked(data, bypass) {
-            Ok(line) => line,
-            Err(e) => panic!("{e}"), // panic-ok: documented constructor contract
-        }
-    }
-
-    /// Non-panicking [`from_stored`](Self::from_stored): the loader's
-    /// entry point for sizes read from untrusted container bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`CompressError::BadStoredLength`] when the stored size is not
-    /// representable (bypassed lines must be exactly [`LINE_SIZE`]
-    /// bytes, compressed ones 1..32).
-    pub fn from_stored_checked(data: Vec<u8>, bypass: bool) -> Result<Self, CompressError> {
-        let valid = if bypass {
-            data.len() == LINE_SIZE
-        } else {
-            (1..LINE_SIZE).contains(&data.len())
-        };
-        if !valid {
-            return Err(CompressError::BadStoredLength {
-                length: data.len(),
-                bypass,
-            });
-        }
-        Ok(Self { data, bypass })
-    }
-
-    /// The stored bytes (compressed stream, or the raw line when
-    /// bypassed), padded to the chosen alignment.
-    pub fn data(&self) -> &[u8] {
-        &self.data
-    }
-
-    /// Whether the line is stored uncompressed.
-    pub fn is_bypass(&self) -> bool {
-        self.bypass
-    }
-
-    /// Stored size in bytes (after alignment padding).
-    pub fn stored_len(&self) -> usize {
-        self.data.len()
-    }
-}
-
 /// The stored size of a line whose encoding takes `bits` bits: its
 /// whole bytes rounded up to `alignment`, or [`LINE_SIZE`] when that
 /// would not shrink the line, which is then stored raw (the bypass).
@@ -107,86 +45,73 @@ fn block_len(bits: u64, alignment: BlockAlignment) -> usize {
     alignment.round_up(bits.div_ceil(8) as usize).min(LINE_SIZE)
 }
 
-/// Compresses one cache line with `codec`, bypassing if compression
-/// would not shrink it below [`LINE_SIZE`] after `alignment` padding.
+/// Compresses one cache line with `codec` and appends its stored block
+/// to `packed`: the encoding padded to `alignment`, or the line itself
+/// when that would not shrink it below [`LINE_SIZE`] (stored raw, the
+/// bypass). Returns whether the line was stored raw.
 ///
 /// # Panics
 ///
 /// Panics if `line` is not exactly [`LINE_SIZE`] bytes.
-pub fn compress_line(
+pub fn compress_line_into(
     codec: &dyn LineCodec,
     line: &[u8],
     alignment: BlockAlignment,
-) -> CompressedLine {
+    packed: &mut Vec<u8>,
+) -> bool {
     assert_eq!(line.len(), LINE_SIZE, "cache lines are {LINE_SIZE} bytes"); // panic-ok: documented contract
     let bytes = block_len(codec.encoded_bits(line), alignment);
     if bytes == LINE_SIZE {
-        return CompressedLine {
-            data: line.to_vec(),
-            bypass: true,
-        };
+        packed.extend_from_slice(line);
+        return true;
     }
     let mut w = BitWriter::with_capacity(bytes);
     codec.encode_into(line, &mut w);
-    let mut data = w.into_bytes();
-    data.resize(bytes, 0);
-    CompressedLine {
-        data,
-        bypass: false,
-    }
+    let end = packed.len() + bytes;
+    packed.extend_from_slice(&w.into_bytes());
+    packed.resize(end, 0);
+    false
 }
 
-/// Decompresses a line produced by [`compress_line`] directly into
-/// `out` — the allocation-free expansion the refill hot path uses.
-/// Bypassed lines are a straight copy of the stored bytes; the decoder
-/// (and its lookup table) is never consulted for them.
+/// Expands one stored block (written by [`compress_line_into`])
+/// directly into `out` — the allocation-free expansion the refill hot
+/// path uses. A raw block (`bypass`) is a straight copy; the decoder
+/// (and its lookup table) is never consulted for it.
 ///
 /// # Errors
 ///
-/// Propagates decode failures on corrupt data; `out` then holds the
-/// bytes expanded before the failure.
+/// [`CompressError::BadStoredLength`] for a raw block that is not
+/// [`LINE_SIZE`] bytes; otherwise decode failures on corrupt data, with
+/// `out` holding the bytes expanded before the failure.
 pub fn decompress_line_into(
     codec: &dyn LineCodec,
-    line: &CompressedLine,
+    stored: &[u8],
+    bypass: bool,
     out: &mut [u8; LINE_SIZE],
 ) -> Result<(), CompressError> {
-    if line.bypass {
-        out.copy_from_slice(&line.data[..LINE_SIZE]);
-        return Ok(());
+    if !bypass {
+        return codec.decode_into(stored, out);
     }
-    codec.decode_into(&line.data, out)
+    let length = stored.len();
+    *out = stored
+        .try_into()
+        .map_err(|_| CompressError::BadStoredLength { length })?;
+    Ok(())
 }
 
-/// The lines of `text`: whole [`LINE_SIZE`] chunks, and a final
-/// partial one zero padded to [`LINE_SIZE`] (zero is the `nop` encoding
-/// on MIPS, matching how linkers pad text sections).
-fn padded_lines(text: &[u8]) -> impl Iterator<Item = [u8; LINE_SIZE]> + '_ {
-    text.chunks(LINE_SIZE).map(|chunk| {
-        let mut line = [0u8; LINE_SIZE];
-        line[..chunk.len()].copy_from_slice(chunk);
-        line
-    })
-}
-
-/// Compresses a whole text segment line by line, a final partial line
-/// zero padded first.
-pub fn compress_image(
-    codec: &dyn LineCodec,
-    text: &[u8],
-    alignment: BlockAlignment,
-) -> Vec<CompressedLine> {
-    padded_lines(text)
-        .map(|line| compress_line(codec, &line, alignment))
-        .collect()
-}
-
-/// Total stored bytes of `text` compressed by [`compress_image`] (the
-/// sum of its aligned block sizes), excluding the Line Address Table
-/// and code table: the size alone, from each line's encoded bits,
-/// without encoding a line.
+/// Total stored bytes of `text` compressed line by line with
+/// [`compress_line_into`], a final partial line zero padded first (zero
+/// is the `nop` encoding on MIPS, matching how linkers pad text
+/// sections): the sum of its aligned block sizes, excluding the Line
+/// Address Table and code table, from each line's encoded bits, without
+/// encoding a line.
 pub fn stored_size(codec: &dyn LineCodec, text: &[u8], alignment: BlockAlignment) -> usize {
-    padded_lines(text)
-        .map(|line| block_len(codec.encoded_bits(&line), alignment))
+    text.chunks(LINE_SIZE)
+        .map(|chunk| {
+            let mut line = [0u8; LINE_SIZE];
+            line[..chunk.len()].copy_from_slice(chunk);
+            block_len(codec.encoded_bits(&line), alignment)
+        })
         .sum()
 }
 
@@ -199,10 +124,18 @@ mod tests {
     use crate::positional::{PositionalCode, PositionalHistogram};
     use proptest::prelude::*;
 
-    /// Expands `line` through [`decompress_line_into`].
-    fn expand(codec: &dyn LineCodec, line: &CompressedLine) -> [u8; LINE_SIZE] {
+    /// The block [`compress_line_into`] stores for `line`, and whether
+    /// it is raw.
+    fn store(codec: &dyn LineCodec, line: &[u8], alignment: BlockAlignment) -> (Vec<u8>, bool) {
+        let mut block = Vec::new();
+        let raw = compress_line_into(codec, line, alignment, &mut block);
+        (block, raw)
+    }
+
+    /// Expands a stored block through [`decompress_line_into`].
+    fn expand(codec: &dyn LineCodec, stored: &[u8], raw: bool) -> [u8; LINE_SIZE] {
         let mut out = [0u8; LINE_SIZE];
-        decompress_line_into(codec, line, &mut out).unwrap();
+        decompress_line_into(codec, stored, raw, &mut out).unwrap();
         out
     }
 
@@ -219,11 +152,11 @@ mod tests {
     fn compressible_line_shrinks_and_roundtrips() {
         let code = sample_code();
         let line = [0u8; LINE_SIZE];
-        let c = compress_line(&code, &line, BlockAlignment::Word);
-        assert!(!c.is_bypass());
-        assert!(c.stored_len() < LINE_SIZE);
-        assert_eq!(c.stored_len() % 4, 0);
-        assert_eq!(expand(&code, &c), line);
+        let (block, raw) = store(&code, &line, BlockAlignment::Word);
+        assert!(!raw);
+        assert!(block.len() < LINE_SIZE);
+        assert_eq!(block.len() % 4, 0);
+        assert_eq!(expand(&code, &block, raw), line);
     }
 
     #[test]
@@ -234,37 +167,25 @@ mod tests {
         for (i, b) in line.iter_mut().enumerate() {
             *b = 128 + (i as u8 * 3);
         }
-        let c = compress_line(&code, &line, BlockAlignment::Word);
-        assert!(c.is_bypass());
-        assert_eq!(c.stored_len(), LINE_SIZE);
-        assert_eq!(expand(&code, &c), line);
+        let (block, raw) = store(&code, &line, BlockAlignment::Word);
+        assert!(raw);
+        assert_eq!(block, line);
+        assert_eq!(expand(&code, &block, raw), line);
     }
 
     #[test]
     fn byte_alignment_never_larger_than_word() {
         let code = sample_code();
         let line = [0x24u8; LINE_SIZE];
-        let b = compress_line(&code, &line, BlockAlignment::Byte);
-        let w = compress_line(&code, &line, BlockAlignment::Word);
-        assert!(b.stored_len() <= w.stored_len());
-    }
-
-    #[test]
-    fn image_compression_covers_partial_tail() {
-        let code = sample_code();
-        let text = vec![0u8; 100]; // 3 lines + 4-byte tail
-        let lines = compress_image(&code, &text, BlockAlignment::Word);
-        assert_eq!(lines.len(), 4);
-        for line in &lines {
-            assert_eq!(expand(&code, line), [0u8; LINE_SIZE]);
-        }
-        assert!(stored_size(&code, &text, BlockAlignment::Word) < 128);
+        let (b, _) = store(&code, &line, BlockAlignment::Byte);
+        let (w, _) = store(&code, &line, BlockAlignment::Word);
+        assert!(b.len() <= w.len());
     }
 
     #[test]
     #[should_panic(expected = "cache lines are 32 bytes")]
     fn wrong_line_size_panics() {
-        compress_line(&sample_code(), &[0u8; 16], BlockAlignment::Word);
+        compress_line_into(&sample_code(), &[0; 16], BlockAlignment::Word, &mut vec![]);
     }
 
     proptest! {
@@ -274,7 +195,8 @@ mod tests {
             raw in proptest::collection::vec(any::<u8>(), 0..70),
         ) {
             // Compressible text, then bytes that mostly are not, so some
-            // lines bypass; the length leaves a partial last line.
+            // lines bypass; the length leaves a partial last line. Each
+            // block appends to the last and expands back on its own.
             let text = [text, raw].concat();
             let codecs: [&dyn LineCodec; 3] = [
                 &sample_code(),
@@ -283,9 +205,15 @@ mod tests {
             ];
             for codec in codecs {
                 for alignment in [BlockAlignment::Byte, BlockAlignment::Word] {
-                    let lines = compress_image(codec, &text, alignment);
-                    let sum: usize = lines.iter().map(CompressedLine::stored_len).sum();
-                    prop_assert_eq!(stored_size(codec, &text, alignment), sum);
+                    let mut padded = text.clone();
+                    padded.resize(text.len().next_multiple_of(LINE_SIZE), 0);
+                    let mut packed = Vec::new();
+                    for line in padded.chunks_exact(LINE_SIZE) {
+                        let start = packed.len();
+                        let raw = compress_line_into(codec, line, alignment, &mut packed);
+                        prop_assert_eq!(&expand(codec, &packed[start..], raw)[..], line);
+                    }
+                    prop_assert_eq!(stored_size(codec, &text, alignment), packed.len());
                 }
             }
         }
@@ -294,9 +222,9 @@ mod tests {
         fn any_line_roundtrips_and_never_grows(line in proptest::collection::vec(any::<u8>(), LINE_SIZE)) {
             let code = sample_code();
             for alignment in [BlockAlignment::Byte, BlockAlignment::Word] {
-                let c = compress_line(&code, &line, alignment);
-                prop_assert!(c.stored_len() <= LINE_SIZE);
-                prop_assert_eq!(&expand(&code, &c)[..], &line[..]);
+                let (block, raw) = store(&code, &line, alignment);
+                prop_assert!(block.len() <= LINE_SIZE);
+                prop_assert_eq!(&expand(&code, &block, raw)[..], &line[..]);
             }
         }
     }

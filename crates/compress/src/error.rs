@@ -41,13 +41,11 @@ pub enum CompressError {
         /// The offending parameter-section size in bytes.
         length: usize,
     },
-    /// A stored block size the LAT cannot represent: bypassed lines must
-    /// be exactly 32 bytes, compressed ones 1..32.
+    /// A raw (bypassed) block that is not exactly one 32-byte line, so
+    /// the decoder bypass cannot copy it out.
     BadStoredLength {
         /// The offending stored size in bytes.
         length: usize,
-        /// Whether the block claimed to be bypassed (uncompressed).
-        bypass: bool,
     },
 }
 
@@ -75,11 +73,9 @@ impl fmt::Display for CompressError {
                     "codec parameter section of {length} bytes has the wrong size"
                 )
             }
-            CompressError::BadStoredLength { length, bypass } => write!(
-                f,
-                "stored {} block of {length} bytes is unrepresentable",
-                if *bypass { "bypassed" } else { "compressed" }
-            ),
+            CompressError::BadStoredLength { length } => {
+                write!(f, "stored raw block of {length} bytes is unrepresentable")
+            }
         }
     }
 }

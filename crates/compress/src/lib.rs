@@ -15,7 +15,8 @@
 //!   program corpus, so the decoder can be hardwired and no code table
 //!   ships with each program;
 //! * [`block`] — independent compression of 32-byte cache lines with a
-//!   raw-store bypass, the form the CCRP refill engine consumes;
+//!   raw-store bypass, packed back to back into one ROM: the form the
+//!   CCRP refill engine consumes;
 //! * [`PositionalCode`] — an *extension* implementing §5's proposed
 //!   "more sophisticated encoding techniques": one bounded code per
 //!   byte position within the instruction word.
@@ -29,7 +30,8 @@
 //!
 //! # Examples
 //!
-//! Compress a cache line with a corpus-trained preselected code:
+//! Compress a cache line with a corpus-trained preselected code,
+//! appending its block to a packed ROM:
 //!
 //! ```
 //! use ccrp_compress::{block, ByteCode, ByteHistogram, BlockAlignment};
@@ -37,10 +39,11 @@
 //! let corpus = ByteHistogram::of(&vec![0u8; 1000]); // stand-in corpus
 //! let code = ByteCode::preselected(&corpus)?;
 //! let line = [0u8; block::LINE_SIZE];
-//! let compressed = block::compress_line(&code, &line, BlockAlignment::Word);
-//! assert!(compressed.stored_len() <= block::LINE_SIZE);
+//! let mut rom = Vec::new();
+//! let raw = block::compress_line_into(&code, &line, BlockAlignment::Word, &mut rom);
+//! assert!(!raw && rom.len() < block::LINE_SIZE);
 //! let mut back = [0u8; block::LINE_SIZE];
-//! block::decompress_line_into(&code, &compressed, &mut back)?;
+//! block::decompress_line_into(&code, &rom, raw, &mut back)?;
 //! assert_eq!(back, line);
 //! # Ok::<(), ccrp_compress::CompressError>(())
 //! ```
@@ -59,7 +62,7 @@ pub mod lzw;
 mod positional;
 mod table;
 
-pub use block::{BlockAlignment, CompressedLine, LINE_SIZE};
+pub use block::{BlockAlignment, LINE_SIZE};
 pub use bounded::{bounded_lengths, PAPER_MAX_LEN};
 pub use code::ByteCode;
 pub use codec::{codec_from_container, CodecCost, CodecId, LineCodec, LzwLineCodec};

@@ -7,8 +7,8 @@
 
 use ccrp_compress::block::decompress_line_into;
 use ccrp_compress::{
-    bounded_lengths, ByteCode, ByteHistogram, CompressError, CompressedLine, LineCodec,
-    LzwLineCodec, PositionalCode, PositionalHistogram, LINE_SIZE, PAPER_MAX_LEN,
+    bounded_lengths, ByteCode, ByteHistogram, CompressError, LineCodec, LzwLineCodec,
+    PositionalCode, PositionalHistogram, LINE_SIZE, PAPER_MAX_LEN,
 };
 use proptest::prelude::*;
 
@@ -68,23 +68,22 @@ proptest! {
 
     #[test]
     fn stored_line_expansion_never_panics(
-        stored in proptest::collection::vec(any::<u8>(), 1..=32),
+        stored in proptest::collection::vec(any::<u8>(), 0..=33),
         bypass in any::<bool>(),
     ) {
         // The per-line wrapper: arbitrary stored bytes either expand to
-        // exactly one 32-byte line or fail with a structured error.
+        // exactly one 32-byte line or fail with a structured error; a raw
+        // block of any length but 32 is an unrepresentable length.
         let code = stress_code();
-        let bypass = bypass && stored.len() == 32;
-        if let Ok(line) = CompressedLine::from_stored_checked(stored, bypass) {
-            match decompress_line_into(&code, &line, &mut [0u8; LINE_SIZE]) {
-                Ok(()) => {}
-                Err(
-                    CompressError::Truncated { .. }
-                    | CompressError::BadSymbol { .. }
-                    | CompressError::BadStoredLength { .. },
-                ) => {}
-                Err(other) => prop_assert!(false, "unexpected error class: {other}"),
+        match decompress_line_into(&code, &stored, bypass, &mut [0u8; LINE_SIZE]) {
+            Ok(()) => prop_assert!(!bypass || stored.len() == LINE_SIZE),
+            Err(CompressError::BadStoredLength { length }) => {
+                prop_assert!(bypass && length == stored.len() && length != LINE_SIZE);
             }
+            Err(CompressError::Truncated { .. } | CompressError::BadSymbol { .. }) => {
+                prop_assert!(!bypass);
+            }
+            Err(other) => prop_assert!(false, "unexpected error class: {other}"),
         }
     }
 }

@@ -42,6 +42,8 @@
 //!
 //! Deserialization rebuilds the original text by running every block
 //! through the decoder, so a loaded image is verified by construction.
+//! It keeps the block section as its ROM, so saving it writes the
+//! section back verbatim.
 
 use ccrp_compress::{codec_from_container, BlockAlignment, CodecId};
 
@@ -152,7 +154,7 @@ impl CompressedImage {
         out.extend_from_slice(&self.lat_base().to_le_bytes());
         out.extend_from_slice(&self.codec().header_table());
         out.extend_from_slice(&params);
-        out.extend_from_slice(&blocks);
+        out.extend_from_slice(blocks);
         out.extend_from_slice(&lat);
         out
     }

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use ccrp_compress::{block, BlockAlignment, ByteCode, CompressedLine, LineCodec};
+use ccrp_compress::{block, BlockAlignment, ByteCode, LineCodec};
 
 use crate::addr::{self, BYTES_PER_ENTRY, LINES_PER_ENTRY, LINE_SIZE};
 use crate::crc::crc32;
@@ -34,14 +34,24 @@ impl LineLocation {
     }
 }
 
+/// Where one line's block sits in an image's packed blocks: its
+/// physical address (offset), its stored length in bytes, and whether
+/// it is stored raw (32 bytes, the decoder bypass).
+#[derive(Debug, Clone, Copy)]
+struct StoredBlock {
+    physical: u32,
+    len: u32,
+    raw: bool,
+}
+
 /// A program compressed for CCRP execution.
 ///
-/// Blocks are packed contiguously from physical address 0 of the
-/// instruction ROM; the encoded LAT follows the last block (its location
-/// is the refill engine's LAT base register). The original text is
-/// retained for verification, and the bit-exact decoder timing model
-/// reads per-line word thresholds computed from it once, when the image
-/// is built or loaded.
+/// Blocks are packed back to back in one array from physical address 0
+/// of the instruction ROM; the encoded LAT follows the last block (its
+/// location is the refill engine's LAT base register). The original
+/// text is retained for verification, and the bit-exact decoder timing
+/// model reads per-line word thresholds computed from it once, when the
+/// image is built or loaded.
 ///
 /// # Examples
 ///
@@ -60,8 +70,10 @@ impl LineLocation {
 pub struct CompressedImage {
     codec: Arc<dyn LineCodec>,
     alignment: BlockAlignment,
-    lines: Vec<CompressedLine>,
-    block_addresses: Vec<u32>,
+    /// The ROM's blocks (a loaded image's container section verbatim).
+    packed: Vec<u8>,
+    /// Each line's block, in line order; every one lies inside `packed`.
+    blocks: Vec<StoredBlock>,
     lat: LineAddressTable,
     lat_base: u32,
     original_text: Vec<u8>,
@@ -76,19 +88,17 @@ pub struct CompressedImage {
 /// original text, in line order.
 fn thresholds(
     codec: &dyn LineCodec,
-    lines: &[CompressedLine],
-    block_addresses: &[u32],
+    blocks: &[StoredBlock],
     original_text: &[u8],
 ) -> Vec<WordThresholds> {
-    lines
+    blocks
         .iter()
-        .zip(block_addresses)
         .zip(original_text.chunks_exact(LINE_SIZE as usize))
-        .map(|((line, &physical), original)| {
-            if line.is_bypass() {
+        .map(|(block, original)| {
+            if block.raw {
                 WordThresholds::default()
             } else {
-                WordThresholds::of(codec, original, physical, line.stored_len() as u32)
+                WordThresholds::of(codec, original, block.physical, block.len)
             }
         })
         .collect()
@@ -133,43 +143,41 @@ impl CompressedImage {
         let padded = original_text.len().div_ceil(LINE_SIZE as usize) * LINE_SIZE as usize;
         original_text.resize(padded, 0);
 
-        let lines = block::compress_image(codec.as_ref(), &original_text, alignment);
-        let mut block_addresses = Vec::with_capacity(lines.len());
-        let mut cursor: u32 = 0;
-        for line in &lines {
-            block_addresses.push(cursor);
-            cursor =
-                cursor
-                    .checked_add(line.stored_len() as u32)
-                    .ok_or(CcrpError::BaseOverflow {
-                        address: u64::from(u32::MAX),
-                    })?;
+        let mut packed = Vec::new();
+        let mut blocks = Vec::with_capacity(original_text.len() / LINE_SIZE as usize);
+        for line in original_text.chunks_exact(LINE_SIZE as usize) {
+            let start = packed.len();
+            let raw = block::compress_line_into(codec.as_ref(), line, alignment, &mut packed);
+            blocks.push(StoredBlock {
+                physical: start as u32,
+                len: (packed.len() - start) as u32,
+                raw,
+            });
         }
-        if u64::from(cursor) >= (1 << 24) {
+        if packed.len() >= 1 << 24 {
             return Err(CcrpError::BaseOverflow {
-                address: u64::from(cursor),
+                address: packed.len() as u64,
             });
         }
 
-        let mut entries = Vec::with_capacity(lines.len().div_ceil(RECORDS_PER_ENTRY));
-        for (group_index, group) in lines.chunks(RECORDS_PER_ENTRY).enumerate() {
-            let base = block_addresses[group_index * RECORDS_PER_ENTRY];
+        let mut entries = Vec::with_capacity(blocks.len().div_ceil(RECORDS_PER_ENTRY));
+        for group in blocks.chunks(RECORDS_PER_ENTRY) {
             let mut lengths = [LINE_SIZE; RECORDS_PER_ENTRY];
-            for (slot, line) in lengths.iter_mut().zip(group) {
-                *slot = line.stored_len() as u32;
+            for (slot, block) in lengths.iter_mut().zip(group) {
+                *slot = block.len;
             }
-            entries.push(LatEntry::new(base, lengths)?);
+            entries.push(LatEntry::new(group[0].physical, lengths)?);
         }
         let lat = LineAddressTable::new(entries);
         // The LAT sits word aligned just past the last block.
-        let lat_base = (cursor + 3) & !3;
-        let thresholds = thresholds(codec.as_ref(), &lines, &block_addresses, &original_text);
+        let lat_base = (packed.len() as u32 + 3) & !3;
+        let thresholds = thresholds(codec.as_ref(), &blocks, &original_text);
 
         Ok(Self {
             codec,
             alignment,
-            lines,
-            block_addresses,
+            packed,
+            blocks,
             lat,
             lat_base,
             original_text,
@@ -196,7 +204,13 @@ impl CompressedImage {
 
     /// CRC-32 of every stored block's current bytes, in line order.
     pub fn block_crc_records(&self) -> Vec<u32> {
-        self.lines.iter().map(|l| crc32(l.data())).collect()
+        self.blocks.iter().map(|b| crc32(self.stored(b))).collect()
+    }
+
+    /// The stored bytes of `block`.
+    fn stored(&self, block: &StoredBlock) -> &[u8] {
+        let start = block.physical as usize;
+        &self.packed[start..start + block.len as usize]
     }
 
     /// The line codec used for compression (byte-Huffman unless the
@@ -222,7 +236,7 @@ impl CompressedImage {
 
     /// Number of 32-byte cache lines in the program.
     pub fn line_count(&self) -> usize {
-        self.lines.len()
+        self.blocks.len()
     }
 
     /// The Line Address Table.
@@ -235,9 +249,11 @@ impl CompressedImage {
         self.lat_base
     }
 
-    /// Bytes of packed compressed blocks (excluding LAT and code table).
+    /// Bytes of the lines' stored blocks (excluding LAT and code table):
+    /// the sum of their lengths, which [`verify`](Self::verify) bounds
+    /// every block by (a corrupt LAT can leave the packed blocks longer).
     pub fn compressed_code_bytes(&self) -> u32 {
-        self.lines.iter().map(|l| l.stored_len() as u32).sum()
+        self.blocks.iter().map(|b| b.len).sum()
     }
 
     /// Total instruction-memory footprint: blocks + LAT, plus the stored
@@ -260,7 +276,7 @@ impl CompressedImage {
 
     /// Number of blocks stored uncompressed.
     pub fn bypass_count(&self) -> usize {
-        self.lines.iter().filter(|l| l.is_bypass()).count()
+        self.blocks.iter().filter(|b| b.raw).count()
     }
 
     /// Locates the stored block holding CPU address `address`.
@@ -272,18 +288,17 @@ impl CompressedImage {
         let offset = address
             .checked_sub(self.text_base)
             .ok_or(CcrpError::AddressOutOfRange { address })?;
-        let global_line = (offset / LINE_SIZE) as usize;
-        if global_line >= self.lines.len() {
-            return Err(CcrpError::AddressOutOfRange { address });
-        }
+        let block = self
+            .blocks
+            .get((offset / LINE_SIZE) as usize)
+            .ok_or(CcrpError::AddressOutOfRange { address })?;
         let parts = addr::decompose(offset);
-        let line = &self.lines[global_line];
         Ok(LineLocation {
             lat_index: parts.lat_index,
             line_in_entry: parts.line_in_entry,
-            physical: self.block_addresses[global_line],
-            stored_len: line.stored_len() as u32,
-            bypass: line.is_bypass(),
+            physical: block.physical,
+            stored_len: block.len,
+            bypass: block.raw,
         })
     }
 
@@ -324,16 +339,17 @@ impl CompressedImage {
         out: &mut [u8; 32],
     ) -> Result<(), CcrpError> {
         let global = loc.global_line();
-        let stored = self
-            .lines
+        let block = self
+            .blocks
             .get(global)
             .ok_or(CcrpError::AddressOutOfRange { address })?;
+        let stored = self.stored(block);
         if let Some(crcs) = &self.block_crcs {
             let record = crcs.get(global).copied().ok_or(CcrpError::Integrity {
                 what: "CRC record table shorter than line count",
                 address,
             })?;
-            if crc32(stored.data()) != record {
+            if crc32(stored) != record {
                 return Err(CcrpError::CrcMismatch {
                     line: global as u32,
                 });
@@ -342,6 +358,7 @@ impl CompressedImage {
         Ok(block::decompress_line_into(
             self.codec.as_ref(),
             stored,
+            block.raw,
             out,
         )?)
     }
@@ -372,21 +389,20 @@ impl CompressedImage {
         Ok(out)
     }
 
-    /// The packed compressed blocks, exactly as laid out in instruction
-    /// memory (block `i` occupies `block_addresses[i]..+stored_len`).
-    pub fn packed_blocks(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.compressed_code_bytes() as usize);
-        for line in &self.lines {
-            out.extend_from_slice(line.data());
-        }
-        out
+    /// The packed blocks, exactly as laid out in instruction memory: a
+    /// line's block starts at its [`locate`](Self::locate)d `physical`
+    /// address. A loaded image keeps its container's block section
+    /// verbatim.
+    pub fn packed_blocks(&self) -> &[u8] {
+        &self.packed
     }
 
     /// Rebuilds an image from its serialized parts (the `container`
-    /// module's loader). The original text is reconstructed by running
-    /// every block through the decoder; when `block_crcs` is given
-    /// (version-2 containers), each stored block is checked against its
-    /// record before decoding.
+    /// module's loader), keeping the block section `packed` as its ROM.
+    /// The original text is reconstructed by running every block the LAT
+    /// locates through the decoder; when `block_crcs` is given (version-2
+    /// containers), each stored block is checked against its record
+    /// before decoding.
     ///
     /// # Errors
     ///
@@ -398,13 +414,12 @@ impl CompressedImage {
         text_base: u32,
         alignment: BlockAlignment,
         codec: Arc<dyn LineCodec>,
-        blocks: &[u8],
+        packed: &[u8],
         lat_bytes: &[u8],
         line_count: usize,
         lat_base: u32,
         block_crcs: Option<Vec<u32>>,
     ) -> Result<CompressedImage, CcrpError> {
-        use crate::lat::RECORDS_PER_ENTRY;
         let lat = LineAddressTable::from_encoded(lat_bytes)?;
         if lat.len() != line_count.div_ceil(RECORDS_PER_ENTRY) {
             return Err(CcrpError::BadContainer {
@@ -418,8 +433,7 @@ impl CompressedImage {
                 });
             }
         }
-        let mut lines = Vec::with_capacity(line_count);
-        let mut block_addresses = Vec::with_capacity(line_count);
+        let mut blocks = Vec::with_capacity(line_count);
         let mut original_text = Vec::with_capacity(line_count * LINE_SIZE as usize);
         let mut expanded = [0u8; LINE_SIZE as usize];
         for global in 0..line_count {
@@ -429,13 +443,15 @@ impl CompressedImage {
                         what: "LAT entry count mismatch",
                     })?;
             let slot = global % RECORDS_PER_ENTRY;
-            let physical = entry.block_address(slot) as usize;
-            let stored = entry.block_length(slot) as usize;
-            let data = blocks
-                .get(physical..physical + stored)
-                .ok_or(CcrpError::BadContainer {
-                    what: "block outside the packed section",
-                })?;
+            let block = StoredBlock {
+                physical: entry.block_address(slot),
+                len: entry.block_length(slot),
+                raw: entry.is_uncompressed(slot),
+            };
+            let range = block.physical as usize..(block.physical + block.len) as usize;
+            let data = packed.get(range).ok_or(CcrpError::BadContainer {
+                what: "block outside the packed section",
+            })?;
             if let Some(crcs) = &block_crcs {
                 if crc32(data) != crcs[global] {
                     return Err(CcrpError::CrcMismatch {
@@ -443,29 +459,23 @@ impl CompressedImage {
                     });
                 }
             }
-            let line = ccrp_compress::CompressedLine::from_stored_checked(
-                data.to_vec(),
-                entry.is_uncompressed(slot),
-            )?;
-            block::decompress_line_into(codec.as_ref(), &line, &mut expanded)?;
+            block::decompress_line_into(codec.as_ref(), data, block.raw, &mut expanded)?;
             original_text.extend_from_slice(&expanded);
-            block_addresses.push(physical as u32);
-            lines.push(line);
+            blocks.push(block);
         }
-        let thresholds = thresholds(codec.as_ref(), &lines, &block_addresses, &original_text);
-        let image = CompressedImage {
+        let thresholds = thresholds(codec.as_ref(), &blocks, &original_text);
+        Ok(CompressedImage {
             codec,
             alignment,
-            lines,
-            block_addresses,
+            packed: packed.to_vec(),
+            blocks,
             lat,
             lat_base,
             original_text,
             text_base,
             block_crcs,
             thresholds,
-        };
-        Ok(image)
+        })
     }
 
     /// Consistency check: the container-header invariants must hold (LAT
@@ -482,7 +492,7 @@ impl CompressedImage {
     /// structural/layout mismatches, [`CcrpError::CrcMismatch`] for
     /// integrity-record failures, or a decode error.
     pub fn verify(&self) -> Result<(), CcrpError> {
-        if self.lat.len() != self.lines.len().div_ceil(RECORDS_PER_ENTRY) {
+        if self.lat.len() != self.blocks.len().div_ceil(RECORDS_PER_ENTRY) {
             return Err(CcrpError::Integrity {
                 what: "LAT entry count disagrees with line count",
                 address: self.text_base,
@@ -503,7 +513,7 @@ impl CompressedImage {
             }
             prev_base = entry.base();
         }
-        for global in 0..self.lines.len() {
+        for global in 0..self.blocks.len() {
             let address = self.text_base + global as u32 * LINE_SIZE;
             let loc = self.locate(address)?;
             let entry = self.lat.entry(loc.lat_index).ok_or(CcrpError::Integrity {
@@ -553,7 +563,7 @@ impl CompressedImage {
         global_line: usize,
         stored_len: u32,
     ) -> Result<(), CcrpError> {
-        if global_line >= self.lines.len() {
+        if global_line >= self.blocks.len() {
             return Err(CcrpError::AddressOutOfRange {
                 address: self.text_base + global_line as u32 * LINE_SIZE,
             });
@@ -578,8 +588,8 @@ impl CompressedImage {
     }
 
     /// Fault injection: XORs `xor` into byte `byte_offset` of the stored
-    /// block for `global_line` — the corruption a flipped ROM bit in the
-    /// packed-blocks region would cause. Unlike
+    /// block for `global_line`, in place — the corruption a flipped ROM
+    /// bit in the packed-blocks region would cause. Unlike
     /// [`corrupt_lat_length`](Self::corrupt_lat_length) this is visible
     /// to [`expand_line`](Self::expand_line) and thus to the emulator's
     /// demand-expansion path; depending on where the bit lands it
@@ -597,17 +607,17 @@ impl CompressedImage {
         xor: u8,
     ) -> Result<(), CcrpError> {
         let address = self.text_base + global_line as u32 * LINE_SIZE;
-        let line = self
-            .lines
+        let block = self
+            .blocks
             .get(global_line)
             .ok_or(CcrpError::AddressOutOfRange { address })?;
-        let mut data = line.data().to_vec();
-        let byte = data.get_mut(byte_offset).ok_or(CcrpError::Integrity {
-            what: "corruption offset outside the stored block",
-            address,
-        })?;
-        *byte ^= xor;
-        self.lines[global_line] = CompressedLine::from_stored_checked(data, line.is_bypass())?;
+        if byte_offset >= block.len as usize {
+            return Err(CcrpError::Integrity {
+                what: "corruption offset outside the stored block",
+                address,
+            });
+        }
+        self.packed[block.physical as usize + byte_offset] ^= xor;
         Ok(())
     }
 }
@@ -717,5 +727,24 @@ mod tests {
             CompressedImage::build(0, &text, code_for(&text), BlockAlignment::Byte).unwrap();
         assert!(image.lat_base() >= image.compressed_code_bytes());
         assert_eq!(image.lat_base() % 4, 0);
+    }
+
+    #[test]
+    fn verify_bounds_blocks_by_their_stored_lengths() {
+        // The LAT skips 4 bytes before the first block: every block
+        // loads and expands, but the last one ends past the sum of the
+        // stored lengths, which is not the packed layout.
+        let text = sample_text(5 * 32);
+        let word = BlockAlignment::Word;
+        let image = CompressedImage::build(0, &text, code_for(&text), word).unwrap();
+        let entry = image.lat().entry(0).unwrap();
+        let lengths = std::array::from_fn(|slot| entry.block_length(slot));
+        let lat = LineAddressTable::new(vec![LatEntry::new(4, lengths).unwrap()]).encode();
+        let packed = [&[0u8; 4], image.packed_blocks()].concat();
+        let codec = Arc::clone(&image.codec);
+        let loaded =
+            CompressedImage::from_parts(0, word, codec, &packed, &lat, 5, 0, None).unwrap();
+        let error = loaded.verify().unwrap_err().to_string();
+        assert!(error.contains("extends past the packed section"), "{error}");
     }
 }

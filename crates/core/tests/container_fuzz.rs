@@ -54,3 +54,40 @@ proptest! {
         }
     }
 }
+
+/// A loaded container saves back to exactly the bytes it was loaded
+/// from: the image keeps the block section it was given, rather than
+/// re-packing the blocks its (possibly corrupt) LAT locates.
+#[test]
+fn loadable_corruptions_save_back_verbatim() {
+    let pristine = sample_container();
+    let mut loaded = 0;
+    for offset in 0..pristine.len() {
+        for mask in [0x01, 0x10, 0x80, 0xFF] {
+            let mut bytes = pristine.clone();
+            bytes[offset] ^= mask;
+            if let Ok(image) = CompressedImage::from_bytes(&bytes) {
+                loaded += 1;
+                assert!(image.to_bytes() == bytes, "byte {offset} ^ {mask:#04x}");
+            }
+        }
+    }
+    assert!(loaded > pristine.len(), "only {loaded} corruptions load");
+}
+
+/// Block corruption flips one ROM byte in place: the line's physical
+/// address plus the offset, and no other.
+#[test]
+fn block_corruption_flips_exactly_one_packed_byte() {
+    let image = CompressedImage::from_bytes(&sample_container()).expect("loads");
+    for line in 0..image.line_count() {
+        let loc = image.locate(line as u32 * 32).expect("locates");
+        for k in [0, loc.stored_len as usize - 1] {
+            let mut corrupt = image.clone();
+            corrupt.corrupt_block_byte(line, k, 0x5A).expect("corrupts");
+            let mut expected = image.packed_blocks().to_vec();
+            expected[loc.physical as usize + k] ^= 0x5A;
+            assert_eq!(corrupt.packed_blocks(), expected, "line {line} byte {k}");
+        }
+    }
+}
